@@ -122,11 +122,6 @@ class InferredObservationResult:
     pooled: dict                         # (m, j) -> ErrorDistribution
     per_location: dict                   # (m, j, l) -> ErrorDistribution (covariate only)
 
-    def pooled_observations(self, scenario_index: int) -> np.ndarray:
-        """All inferred observation samples for one scenario, pooled over locations."""
-        keys = sorted(k for k in self.observation_samples if k[0] == scenario_index)
-        return np.concatenate([self.observation_samples[k] for k in keys])
-
 
 def select_plausible(world: TrueWorld, threshold: float | None = None) -> PlausibleSelection:
     """Nearest modeled scenario per location (argmin of |x* - x_j|).
@@ -286,12 +281,6 @@ def implied_observations(result: InferredErrorResult, ensemble: ModelEnsemble,
     sampled error, pooled across locations. Because strategy 2 fits each
     model independently, different models can imply different observation
     distributions; this makes that visible."""
-    dist = result.pooled[(model_id, scenario_index)]
-    L = world.n_locations
-    counts = _sample_counts(dist.samples.size, L)
-    bounds = np.concatenate([[0], np.cumsum(counts)])
-    pieces = []
-    for l in range(L):
-        err = dist.samples[bounds[l]:bounds[l + 1]]
-        pieces.append(ensemble.projections[model_id, l, scenario_index] - err)
-    return np.concatenate(pieces)
+    samples = result.pooled[(model_id, scenario_index)].samples
+    counts = _sample_counts(samples.size, world.n_locations)
+    return np.repeat(ensemble.projections[model_id, :, scenario_index], counts) - samples

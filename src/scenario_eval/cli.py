@@ -1,9 +1,11 @@
 """Command line interface.
 
-    scenario-eval run  [--config FILE] [--out DIR] [--seed N] [--threads N]
+    scenario-eval run  [--config FILE] [--out DIR] [--seed N]
     scenario-eval plot --in DIR [--out DIR]
 
-Exit codes: 0 success, 2 configuration/input problems, 3 numerical failure.
+Exit codes: 0 success; 2 configuration/input problems, which are every
+package error except a numerical failure, plus any OSError while reading
+or writing report files; 3 numerical failure (NumericalInstabilityError).
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import ConfigError, NumericalInstabilityError, ScenarioEvalError
+from .errors import NumericalInstabilityError, ScenarioEvalError
 from .harness import resolve_out_dir, run
 from .plots import plot_report_dir
 
@@ -32,8 +34,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--out", default=None, metavar="DIR",
                        help="output directory (or set SCENARIO_EVAL_OUT)")
     run_p.add_argument("--seed", type=int, default=None, help="override the seed")
-    run_p.add_argument("--threads", type=int, default=None,
-                       help="worker threads for the SIR solves")
 
     plot_p = sub.add_parser("plot", help="render SVG figures from a report directory")
     plot_p.add_argument("--in", dest="report_dir", required=True, metavar="DIR",
@@ -45,7 +45,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_run(args) -> int:
     out_dir = resolve_out_dir(args.out)
-    report = run(args.config, out_dir, seed=args.seed, threads=args.threads)
+    report = run(args.config, out_dir, seed=args.seed)
     n_rows = len(report.report_rows)
     print(f"wrote report to {out_dir} "
           f"(seed {report.settings.experiment.seed}, {n_rows} report rows)")
@@ -72,15 +72,15 @@ def main(argv=None) -> int:
         if args.command == "run":
             return _cmd_run(args)
         return _cmd_plot(args)
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except NumericalInstabilityError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except ScenarioEvalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+        print(f"configuration error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as exc:
+        print(f"i/o error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

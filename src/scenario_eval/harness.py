@@ -19,7 +19,7 @@ accuracy metrics, and writes a directory of CSV tables plus a manifest:
 
 Everything a report number needs is recomputable from the data CSVs plus
 the seeded sampling procedure; re-running the same config produces byte
-identical data files regardless of thread count.
+identical data files.
 """
 
 from __future__ import annotations
@@ -75,13 +75,10 @@ class RunSettings:
     run_approach3: bool = True
     covariate_variants: bool = True     # run strategies 2/3 both with and without R0
     plausibility_threshold: float | None = None
-    threads: int = 1
 
     def __post_init__(self):
         if self.n_samples < 1:
             raise ConfigError("n_samples must be >= 1", "approaches.n_samples")
-        if self.threads < 1:
-            raise ConfigError("threads must be >= 1", "approaches.threads")
         needed = self.basis_dim + 2 + 1   # spline columns + intercept + covariate, exclusive bound
         if (self.run_approach2 or self.run_approach3) and \
                 self.experiment.n_locations <= needed:
@@ -129,7 +126,6 @@ _APPROACH_FIELDS = {
     "run_approach3": "bool",
     "covariate_variants": "bool",
     "plausibility_threshold": "optional_float",
-    "threads": int,
 }
 
 
@@ -207,10 +203,7 @@ def load_settings(path) -> RunSettings:
     sir_renames = {"initial_infected": "i0"}
     for key, value in sir_raw.items():
         exp_kwargs[sir_renames.get(key, key)] = value
-    try:
-        experiment = replace(defaults, **exp_kwargs)
-    except ConfigError:
-        raise
+    experiment = replace(defaults, **exp_kwargs)
     return RunSettings(experiment=experiment, **app_raw)
 
 
@@ -248,7 +241,7 @@ def _variant_list(settings: RunSettings):
 def evaluate(settings: RunSettings) -> EvaluationReport:
     """Run the whole experiment in memory (no files)."""
     config = settings.experiment
-    world, ensemble = world_gen.generate(config, threads=settings.threads)
+    world, ensemble = world_gen.generate(config)
     errs = world_gen.true_errors(world, ensemble)
     spec = SplineSpec(basis_dim=settings.basis_dim)
     seed = config.seed
@@ -266,11 +259,11 @@ def evaluate(settings: RunSettings) -> EvaluationReport:
                 world, ensemble, with_cov, settings.n_samples, seed, spec)
 
     report_rows = _report_rows(settings, world, errs, results)
-    estimate_rows = _estimate_rows(world, results)
+    estimate_rows = _estimate_rows(results)
     decomposition_rows = _decomposition_rows(world, ensemble)
-    a1_rows = _a1_deviation_rows(world, errs, results)
+    a1_rows = _a1_deviation_rows(errs, results)
     implied_rows = _implied_obs_rows(world, ensemble, results)
-    location_rows = _location_mae_rows(world, errs, results)
+    location_rows = _location_mae_rows(errs, results)
     return EvaluationReport(
         settings=settings, world=world, ensemble=ensemble, true_errors=errs,
         results=results, report_rows=report_rows, estimate_rows=estimate_rows,
@@ -308,36 +301,39 @@ def _report_rows(settings, world, errs, results):
     return rows
 
 
+def _plausible_points(result):
+    """Strategy-1 point errors as (model, plausible scenario, location,
+    error), model-major, skipping locations without a plausible scenario."""
+    chosen = result.selection.chosen_index
+    for m in range(result.point_errors.shape[0]):
+        for l in np.flatnonzero(chosen >= 0):
+            yield m, int(chosen[l]), int(l), float(result.point_errors[m, l])
+
+
+def _summary(dist):
+    """(mean, median, q25, q75, q05, q95, n_samples) of a distribution."""
+    s = dist.summary
+    return (float(dist.samples.mean()), s.median, s.q25, s.q75, s.q05, s.q95,
+            s.n_samples)
+
+
 ESTIMATE_HEADER = ("approach", "variant", "model_id", "scenario_index",
                    "location_id", "mean", "median", "q25", "q75", "q05", "q95",
                    "n_samples")
 
 
-def _estimate_rows(world, results):
+def _estimate_rows(results):
     rows = []
     for (approach_id, variant), result in results.items():
         for (m, j), dist in sorted(result.pooled.items()):
-            if dist is None:
-                continue
-            s = dist.summary
-            rows.append((approach_id, variant, m, j, POOLED,
-                         float(dist.samples.mean()), s.median, s.q25, s.q75,
-                         s.q05, s.q95, s.n_samples))
+            if dist is not None:
+                rows.append((approach_id, variant, m, j, POOLED) + _summary(dist))
         if approach_id == APPROACH_PLAUSIBLE:
-            chosen = result.selection.chosen_index
-            for m in range(result.point_errors.shape[0]):
-                for l in range(world.n_locations):
-                    if chosen[l] < 0:
-                        continue
-                    e = float(result.point_errors[m, l])
-                    rows.append((approach_id, variant, m, int(chosen[l]), l,
-                                 e, e, e, e, e, e, 1))
+            for m, j, l, e in _plausible_points(result):
+                rows.append((approach_id, variant, m, j, l, e, e, e, e, e, e, 1))
         else:
             for (m, j, l), dist in sorted(result.per_location.items()):
-                s = dist.summary
-                rows.append((approach_id, variant, m, j, l,
-                             float(dist.samples.mean()), s.median, s.q25, s.q75,
-                             s.q05, s.q95, s.n_samples))
+                rows.append((approach_id, variant, m, j, l) + _summary(dist))
     return rows
 
 
@@ -366,21 +362,15 @@ A1_DEVIATION_HEADER = ("model_id", "location_id", "plausible_scenario",
                        "abs_difference")
 
 
-def _a1_deviation_rows(world, errs, results):
-    key = (APPROACH_PLAUSIBLE, VARIANT_PLAUSIBLE)
-    if key not in results:
+def _a1_deviation_rows(errs, results):
+    result = results.get((APPROACH_PLAUSIBLE, VARIANT_PLAUSIBLE))
+    if result is None:
         return []
-    result = results[key]
-    chosen = result.selection.chosen_index
+    deviation = result.selection.deviation
     rows = []
-    for m in range(errs.shape[0]):
-        for l in range(world.n_locations):
-            if chosen[l] < 0:
-                continue
-            est = float(result.point_errors[m, l])
-            true = float(errs[m, l, chosen[l]])
-            rows.append((m, l, int(chosen[l]), float(result.selection.deviation[l]),
-                         est, true, abs(est - true)))
+    for m, j, l, est in _plausible_points(result):
+        true = float(errs[m, l, j])
+        rows.append((m, l, j, float(deviation[l]), est, true, abs(est - true)))
     return rows
 
 
@@ -407,25 +397,17 @@ LOCATION_MAE_HEADER = ("approach", "variant", "model_id", "scenario_index",
                        "location_id", "est_mean", "true_error", "abs_difference")
 
 
-def _location_mae_rows(world, errs, results):
+def _location_mae_rows(errs, results):
     rows = []
     for (approach_id, variant), result in results.items():
         if approach_id == APPROACH_PLAUSIBLE:
-            chosen = result.selection.chosen_index
-            for m in range(errs.shape[0]):
-                for l in range(world.n_locations):
-                    if chosen[l] < 0:
-                        continue
-                    est = float(result.point_errors[m, l])
-                    true = float(errs[m, l, chosen[l]])
-                    rows.append((approach_id, variant, m, int(chosen[l]), l,
-                                 est, true, abs(est - true)))
+            estimates = _plausible_points(result)
         else:
-            for (m, j, l), dist in sorted(result.per_location.items()):
-                est = float(dist.samples.mean())
-                true = float(errs[m, l, j])
-                rows.append((approach_id, variant, m, j, l, est, true,
-                             abs(est - true)))
+            estimates = ((m, j, l, float(dist.samples.mean()))
+                         for (m, j, l), dist in sorted(result.per_location.items()))
+        for m, j, l, est in estimates:
+            true = float(errs[m, l, j])
+            rows.append((approach_id, variant, m, j, l, est, true, abs(est - true)))
     return rows
 
 
@@ -510,8 +492,7 @@ def write_report(report: EvaluationReport, out_dir,
     return manifest
 
 
-def run(config_path, out_dir, seed: int | None = None,
-        threads: int | None = None) -> EvaluationReport:
+def run(config_path, out_dir, seed: int | None = None) -> EvaluationReport:
     """Load settings (or defaults when ``config_path`` is None), evaluate,
     and write the report directory."""
     config_bytes = None
@@ -524,8 +505,6 @@ def run(config_path, out_dir, seed: int | None = None,
         settings = replace(settings,
                            experiment=replace(settings.experiment, seed=seed))
         config_bytes = None   # overridden seed invalidates the file hash alone
-    if threads is not None:
-        settings = replace(settings, threads=threads)
     report = evaluate(settings)
     write_report(report, out_dir, config_bytes)
     return report

@@ -105,11 +105,6 @@ def _true_error_table(report_dir: Path) -> dict:
     return {key: np.asarray(vals) for key, vals in errors.items()}
 
 
-def _scenario_kinds(true_errors: dict) -> list[str]:
-    kinds = sorted({kind for _, kind in true_errors}, key=_scenario_sort_key)
-    return kinds
-
-
 def _scenario_sort_key(kind: str):
     order = {"scenario_low": 0, "scenario_high": 1}
     if kind in order:
@@ -117,14 +112,10 @@ def _scenario_sort_key(kind: str):
     return (int(kind.rsplit("_", 1)[1]), kind)
 
 
-def _scenario_kind_for_index(index: int, kinds: list[str]) -> str:
-    return kinds[index]
-
-
 def plot_error_densities(report_dir: Path, out_path: Path) -> None:
     estimates = _read_csv(report_dir / "approach_estimates.csv")
     true_errors = _true_error_table(report_dir)
-    kinds = _scenario_kinds(true_errors)
+    kinds = sorted({kind for _, kind in true_errors}, key=_scenario_sort_key)
     n_panels = len(kinds)
 
     # Pooled estimate summaries approximate each variant's density through a
@@ -153,7 +144,7 @@ def plot_error_densities(report_dir: Path, out_path: Path) -> None:
             rows = [r for r in estimates
                     if r["approach"] == approach and r["variant"] == variant
                     and r["location_id"] == "-1"
-                    and _scenario_kind_for_index(int(r["scenario_index"]), kinds) == kind]
+                    and kinds[int(r["scenario_index"])] == kind]
             if not rows:
                 if approach == "1":
                     body.append(_text((x0 + x1) / 2, (y0 + y1) / 2,

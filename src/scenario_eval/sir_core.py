@@ -30,7 +30,6 @@ All functions are pure and safe to call concurrently.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,21 +65,9 @@ class SirParams:
     population: float = DEFAULT_POPULATION
 
     def __post_init__(self):
-        if not np.isfinite(self.r0) or self.r0 < 0:
-            raise ParameterDomainError(f"r0 must be finite and >= 0, got {self.r0}")
-        if not np.isfinite(self.alpha) or self.alpha <= 0:
-            raise ParameterDomainError(f"alpha must be finite and > 0, got {self.alpha}")
-        if not 0 <= self.v < 1:
-            raise ParameterDomainError(f"v must lie in [0, 1), got {self.v}")
-        if self.infectious_period <= 0:
-            raise ParameterDomainError(
-                f"infectious_period must be > 0, got {self.infectious_period}")
-        if not 0 < self.i0 < 1 - self.v:
-            raise ParameterDomainError(
-                f"i0 must lie in (0, 1 - v) = (0, {1 - self.v}), got {self.i0}")
-        if self.population < 1:
-            raise ParameterDomainError(
-                f"population must be >= 1, got {self.population}")
+        _validate_batch(np.array([self.r0]), np.array([self.alpha]),
+                        np.array([self.v]), self.i0, self.infectious_period,
+                        self.population)
 
 
 @dataclass(frozen=True)
@@ -100,10 +87,11 @@ class SirTrajectory:
 
 
 def _validate_grid(horizon: float, step: float) -> int:
-    if not horizon > 0:
-        raise ParameterDomainError(f"horizon must be > 0, got {horizon}")
-    if not step > 0:
-        raise ParameterDomainError(f"step must be > 0, got {step}")
+    if not 0 < horizon < np.inf:
+        raise ParameterDomainError(f"horizon must be finite and > 0, got {horizon}")
+    if not 0 < step <= horizon:
+        raise ParameterDomainError(
+            f"step must lie in (0, horizon] = (0, {horizon}], got {step}")
     return int(round(horizon / step))
 
 
@@ -184,13 +172,9 @@ def final_size_batch(r0: np.ndarray, alpha: np.ndarray, v: np.ndarray, *,
                      infectious_period: float = DEFAULT_INFECTIOUS_PERIOD,
                      population: float = DEFAULT_POPULATION,
                      horizon: float = DEFAULT_HORIZON,
-                     step: float = DEFAULT_STEP,
-                     threads: int = 1) -> np.ndarray:
-    """Vectorized relative final size for aligned parameter arrays.
-
-    Every element is integrated independently, so results are identical for
-    any ``threads`` value; threads only split the batch into chunks.
-    """
+                     step: float = DEFAULT_STEP) -> np.ndarray:
+    """Vectorized relative final size for aligned parameter arrays; every
+    element is integrated independently."""
     r0 = np.asarray(r0, dtype=np.float64)
     alpha = np.asarray(alpha, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
@@ -198,45 +182,34 @@ def final_size_batch(r0: np.ndarray, alpha: np.ndarray, v: np.ndarray, *,
         raise ParameterDomainError("r0, alpha and v must be 1-d arrays of equal length")
     _validate_batch(r0, alpha, v, i0, infectious_period, population)
     n_steps = _validate_grid(horizon, step)
-
-    def solve(sl: slice) -> np.ndarray:
-        beta = r0[sl] / infectious_period
-        gamma = 1.0 / infectious_period
-        s = 1.0 - v[sl]
-        i = np.full_like(s, i0)
-        rr = v[sl] - i0
-        with np.errstate(over="ignore", invalid="ignore"):
-            s_end, i_end, r_end = _rk4(s, i, rr, beta, gamma, alpha[sl],
-                                       population, step, n_steps)
-        if not (np.all(np.isfinite(s_end)) and np.all(np.isfinite(i_end))
-                and np.all(np.isfinite(r_end))):
-            bad = np.flatnonzero(~np.isfinite(s_end + i_end + r_end))
-            raise NumericalInstabilityError(
-                f"non-finite state at batch indices {bad.tolist()}")
-        s0 = 1.0 - v[sl]
-        return (s0 - s_end) / s0
-
-    if threads <= 1 or len(r0) < 2:
-        return solve(slice(None))
-    bounds = np.linspace(0, len(r0), threads + 1).astype(int)
-    chunks = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
-    out = np.empty(len(r0))
-    with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-        for sl, res in zip(chunks, pool.map(solve, chunks)):
-            out[sl] = res
-    return out
+    beta = r0 / infectious_period
+    gamma = 1.0 / infectious_period
+    s0 = 1.0 - v
+    with np.errstate(over="ignore", invalid="ignore"):
+        s_end, i_end, r_end = _rk4(s0, np.full_like(s0, i0), v - i0, beta, gamma,
+                                   alpha, population, step, n_steps)
+    if not (np.all(np.isfinite(s_end)) and np.all(np.isfinite(i_end))
+            and np.all(np.isfinite(r_end))):
+        bad = np.flatnonzero(~np.isfinite(s_end + i_end + r_end))
+        raise NumericalInstabilityError(
+            f"non-finite state at batch indices {bad.tolist()}")
+    return (s0 - s_end) / s0
 
 
 def _validate_batch(r0, alpha, v, i0, infectious_period, population):
-    if np.any(~np.isfinite(r0)) or np.any(r0 < 0):
+    """Domain checks shared by SirParams and final_size_batch; NaN and inf
+    fail every check."""
+    if not np.all((r0 >= 0) & (r0 < np.inf)):
         raise ParameterDomainError("r0 values must be finite and >= 0")
-    if np.any(~np.isfinite(alpha)) or np.any(alpha <= 0):
+    if not np.all((alpha > 0) & (alpha < np.inf)):
         raise ParameterDomainError("alpha values must be finite and > 0")
-    if np.any(v < 0) or np.any(v >= 1):
+    if not np.all((v >= 0) & (v < 1)):
         raise ParameterDomainError("v values must lie in [0, 1)")
-    if infectious_period <= 0:
-        raise ParameterDomainError("infectious_period must be > 0")
-    if np.any(i0 >= 1 - v) or i0 <= 0:
-        raise ParameterDomainError("i0 must lie in (0, 1 - v) for every element")
-    if population < 1:
-        raise ParameterDomainError("population must be >= 1")
+    if not 0 < infectious_period < np.inf:
+        raise ParameterDomainError(
+            f"infectious_period must be finite and > 0, got {infectious_period}")
+    if not (i0 > 0 and np.all(i0 < 1 - v)):
+        raise ParameterDomainError(f"i0 must lie in (0, 1 - v) for every v, got {i0}")
+    if not 1 <= population < np.inf:
+        raise ParameterDomainError(
+            f"population must be finite and >= 1, got {population}")

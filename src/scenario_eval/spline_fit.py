@@ -18,9 +18,8 @@ Predictions at a new point x carry a predictive standard deviation
     leverage(x) = row(x)^T (X^T X)^+ row(x)
 
 so intervals cover a new observation (coefficient uncertainty plus residual
-noise). Central intervals use Normal critical values. Points outside the
-training range extrapolate linearly (natural boundary behavior) and can be
-detected with ``FittedSpline.extrapolates``.
+noise). Points outside the training range extrapolate linearly (natural
+boundary behavior) and can be detected with ``FittedSpline.extrapolates``.
 """
 
 from __future__ import annotations
@@ -31,18 +30,12 @@ import numpy as np
 
 from .errors import InsufficientDataError, NumericalInstabilityError, SingularFitError
 
-# Normal critical values for central 50% and 90% intervals.
-Z_50 = 0.6744897501960817
-Z_90 = 1.6448536269514722
-_Z = {0.5: Z_50, 0.9: Z_90}
-
 
 @dataclass(frozen=True)
 class SplineSpec:
-    """Shape of the regression: spline columns and optional linear covariate."""
+    """Shape of the regression: the number of spline columns."""
 
     basis_dim: int = 5
-    include_covariate: bool = False
 
     def __post_init__(self):
         if self.basis_dim < 4:
@@ -55,8 +48,7 @@ class FittedSpline:
     """A fitted regression spline.
 
     ``coefficients`` are ordered [intercept, spline columns..., covariate?].
-    ``xtx_pinv`` is the pseudo-inverse of X^T X used for leverage;
-    ``coefficient_covariance`` is residual_sd**2 * xtx_pinv.
+    ``xtx_pinv`` is the pseudo-inverse of X^T X used for leverage.
     """
 
     coefficients: np.ndarray
@@ -68,10 +60,6 @@ class FittedSpline:
     covariate_collinear: bool
     n_obs: int
     rank: int
-
-    @property
-    def coefficient_covariance(self) -> np.ndarray:
-        return self.residual_sd ** 2 * self.xtx_pinv
 
     def extrapolates(self, x_new) -> bool:
         """True when any requested point lies outside the training range."""
@@ -199,14 +187,6 @@ def predict(fitted: FittedSpline, x_new: float, covariate_new: float | None = No
     mean, sd = predict_many(fitted, [x_new],
                             None if covariate_new is None else [covariate_new])
     return float(mean[0]), float(sd[0])
-
-
-def central_interval(mean: float, predictive_sd: float, level: float):
-    """Central interval mean +/- z * sd for level 0.5 or 0.9."""
-    if level not in _Z:
-        raise InsufficientDataError(f"level must be one of {sorted(_Z)}, got {level}")
-    z = _Z[level]
-    return mean - z * predictive_sd, mean + z * predictive_sd
 
 
 def sample_predictive(fitted: FittedSpline, x_new: float,

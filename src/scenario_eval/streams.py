@@ -4,8 +4,7 @@ Every random draw in the package comes from a generator derived from the
 experiment seed plus an integer key identifying what the draw is for.
 Substreams derived from distinct keys are statistically independent, so
 adding or removing one entity (a location, a model, a sampling pass) never
-shifts the draws of any other entity, and work can be farmed out to threads
-without changing results.
+shifts the draws of any other entity.
 """
 
 import numpy as np

@@ -23,7 +23,7 @@ solver:
                            from the same (R0_ml, a_ml) as its projections
 
 All draws come from keyed substreams, so outputs are bit-identical for a
-given seed regardless of thread count or the number of other entities.
+given seed regardless of the number of other entities.
 """
 
 from __future__ import annotations
@@ -37,6 +37,9 @@ from .errors import ConfigError, StructuralError
 from .streams import KIND_LOCATION, KIND_MODEL, KIND_PAIR, substream
 
 DEFAULT_SEED = 38
+# Local-bias redraws allowed per (model, location) before giving up; a pair
+# that needs this many has R0*_l + b_m far below 0 relative to the local bias sd.
+MAX_REDRAWS = 1000
 
 SCENARIO_LOW = "scenario_low"
 SCENARIO_HIGH = "scenario_high"
@@ -82,6 +85,8 @@ class ExperimentConfig:
             lo, hi = getattr(self, name)
             if not lo < hi:
                 raise ConfigError("range must satisfy low < high", name)
+        if self.r0_true_range[0] < 0:
+            raise ConfigError("R0 range must not go below 0", "r0_true_range")
         for name in ("alpha_true_sd", "global_bias_sd", "local_bias_sd",
                      "alpha_model_sd"):
             if getattr(self, name) < 0:
@@ -128,11 +133,14 @@ class ModelEnsemble:
         return len(self.global_bias)
 
 
-def generate(config: ExperimentConfig, threads: int = 1) -> tuple[TrueWorld, ModelEnsemble]:
+def generate(config: ExperimentConfig) -> tuple[TrueWorld, ModelEnsemble]:
     """Draw one world and compute every projected/observed final size.
 
-    Deterministic given ``config`` (including its seed); ``threads`` only
-    parallelizes the SIR solves.
+    Deterministic given ``config`` (including its seed).
+
+    Raises:
+        ConfigError: A (model, location) pair still has R0 <= 0 after
+            MAX_REDRAWS local-bias redraws.
     """
     L, M = config.n_locations, config.n_models
     scen = np.asarray(config.scenario_values)
@@ -163,9 +171,16 @@ def generate(config: ExperimentConfig, threads: int = 1) -> tuple[TrueWorld, Mod
             g = substream(seed, KIND_PAIR, m, l)
             local_bias[m, l] = g.normal(0.0, config.local_bias_sd)
             alpha_model[m, l] = g.normal(alpha_center[m], config.alpha_model_sd)
+            tries = 0
             while r0_true[l] + global_bias[m] + local_bias[m, l] <= 0:
+                if tries == MAX_REDRAWS:
+                    raise ConfigError(
+                        f"R0 stays <= 0 after {MAX_REDRAWS} local bias redraws; "
+                        "lower global_bias_sd or raise r0_true_low or local_bias_sd",
+                        f"experiment: model {m}, location {l}")
                 local_bias[m, l] = g.normal(0.0, config.local_bias_sd)
-                redraws += 1
+                tries += 1
+            redraws += tries
 
     if config.perfect_models:
         global_bias = np.zeros(M)
@@ -196,8 +211,7 @@ def generate(config: ExperimentConfig, threads: int = 1) -> tuple[TrueWorld, Mod
     sizes = sir_core.final_size_batch(
         batch_r0, batch_alpha, batch_v,
         i0=config.i0, infectious_period=config.infectious_period,
-        population=config.population, horizon=config.horizon, step=config.step,
-        threads=threads)
+        population=config.population, horizon=config.horizon, step=config.step)
 
     n_cf, n_obs, n_proj = L * S, L, M * L * S
     y_counterfactual = sizes[:n_cf].reshape(L, S)

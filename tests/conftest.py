@@ -1,3 +1,6 @@
+import signal
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
@@ -9,6 +12,22 @@ def default_world():
     """One full-size world at the default seed, shared across tests."""
     config = world_gen.ExperimentConfig()
     return world_gen.generate(config)
+
+
+@contextmanager
+def time_limit(seconds: int):
+    """Fail the enclosed block with TimeoutError after ``seconds`` (a hang
+    guard; main thread, Unix only)."""
+    def expire(signum, frame):
+        raise TimeoutError(f"did not finish within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def final_size_fixed_point(r0: float, v: float, i0: float = 0.001) -> float:

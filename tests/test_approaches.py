@@ -223,12 +223,6 @@ class TestObservationStrategy:
         covered = np.abs(means - world.y_observed) <= 2.0 * sds
         assert covered.mean() >= 0.9
 
-    def test_pooled_observations_match_chunks(self, medium_world):
-        world, ensemble = medium_world
-        result = infer_observations(world, ensemble, False, 600, seed=4)
-        pooled = result.pooled_observations(1)
-        assert pooled.size == 600
-
 
 class TestDegenerateConvergence:
     def test_tight_cluster_recovers_true_means(self):

@@ -11,6 +11,8 @@ import pytest
 from scenario_eval import cli, harness, plots, world_gen
 from scenario_eval.errors import ConfigError
 
+from conftest import time_limit
+
 SMOKE_CONFIG = """\
 [experiment]
 n_locations = 5
@@ -39,6 +41,31 @@ step = 0.5
 [approaches]
 n_samples = 600
 """
+
+
+# A quick world for CLI failure cases; later sections extend it.
+CLI_SMALL = """\
+[sir]
+horizon = 200
+step = 0.5
+
+"""
+
+# Each must exit 2 from the CLI, within a time cap: input problems that are
+# not numerical failures, including a removed field and a redraw loop that
+# can never succeed.
+BAD_CONFIGS = [
+    "[experiment]\nn_locations = -2\n",
+    "[approaches]\nthreads = 1\n",
+    "[experiment]\nr0_true_low = -1\nr0_true_high = -0.5\n"
+    "global_bias_sd = 0\nlocal_bias_sd = 0\n",
+    CLI_SMALL + "[experiment]\nseed = 1\nr0_true_low = 0\nr0_true_high = 0.1\n"
+    "global_bias_sd = 5\nlocal_bias_sd = 0\n",
+    CLI_SMALL + "[approaches]\nbasis_dim = 3\n",
+    "[sir]\nhorizon = inf\n",
+    "[sir]\nhorizon = 200\nstep = 300\n",
+    "[sir]\ninfectious_period = nan\n",
+]
 
 
 def write_config(tmp_path, text, name="run.cfg"):
@@ -82,7 +109,6 @@ n_samples = 1000
 basis_dim = 4
 covariate_variants = false
 plausibility_threshold = 0.08
-threads = 2
 """
         settings = harness.load_settings(write_config(tmp_path, text))
         exp = settings.experiment
@@ -95,7 +121,6 @@ threads = 2
         assert settings.basis_dim == 4
         assert settings.covariate_variants is False
         assert settings.plausibility_threshold == 0.08
-        assert settings.threads == 2
 
     @pytest.mark.parametrize("text,fragment", [
         ("[experiment]\nn_locations = abc\n", "n_locations"),
@@ -164,11 +189,6 @@ class TestRunOutputs:
         tmp, config, _ = run_dir
         harness.run(config, tmp / "out2")
         assert digest_dir(tmp / "out") == digest_dir(tmp / "out2")
-
-    def test_threads_do_not_change_outputs(self, run_dir):
-        tmp, config, _ = run_dir
-        harness.run(config, tmp / "out4", threads=4)
-        assert digest_dir(tmp / "out") == digest_dir(tmp / "out4")
 
     def test_seed_override_changes_world(self, run_dir):
         tmp, config, _ = run_dir
@@ -253,10 +273,22 @@ class TestCli:
             assert (out / name).exists()
 
     def test_bad_config_exit_2(self, tmp_path, capsys):
-        config = write_config(tmp_path, "[experiment]\nn_locations = -2\n")
-        code = cli.main(["run", "--config", str(config), "--out", str(tmp_path / "o")])
+        for k, text in enumerate(BAD_CONFIGS):
+            config = write_config(tmp_path, text, f"bad{k}.cfg")
+            with time_limit(20):
+                code = cli.main(["run", "--config", str(config),
+                                 "--out", str(tmp_path / "o")])
+            assert code == 2, text
+            assert "configuration error" in capsys.readouterr().err, text
+
+    def test_unwritable_out_exit_2(self, tmp_path, capsys):
+        config = write_config(tmp_path, SMOKE_CONFIG)
+        blocker = tmp_path / "blocker"
+        blocker.write_text("", encoding="utf-8")
+        code = cli.main(["run", "--config", str(config),
+                         "--out", str(blocker / "out")])
         assert code == 2
-        assert "configuration error" in capsys.readouterr().err
+        assert "i/o error" in capsys.readouterr().err
 
     def test_missing_plot_inputs_exit_2(self, tmp_path, capsys):
         assert cli.main(["plot", "--in", str(tmp_path / "empty")]) == 2

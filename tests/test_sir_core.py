@@ -22,6 +22,13 @@ class TestParamValidation:
         dict(r0=2.5, alpha=1.0, v=0.3, i0=0.0),
         dict(r0=2.5, alpha=1.0, v=0.999, i0=0.01),
         dict(r0=float("nan"), alpha=1.0, v=0.3),
+        dict(r0=2.5, alpha=1.0, v=float("nan")),
+        dict(r0=2.5, alpha=1.0, v=0.3, infectious_period=float("nan")),
+        dict(r0=2.5, alpha=1.0, v=0.3, infectious_period=float("inf")),
+        dict(r0=2.5, alpha=1.0, v=0.3, i0=float("nan")),
+        dict(r0=2.5, alpha=1.0, v=0.3, i0=float("inf")),
+        dict(r0=2.5, alpha=1.0, v=0.3, population=float("nan")),
+        dict(r0=2.5, alpha=1.0, v=0.3, population=float("inf")),
     ])
     def test_rejects_invalid(self, kwargs):
         with pytest.raises(ParameterDomainError):
@@ -29,10 +36,13 @@ class TestParamValidation:
 
     def test_grid_validation(self):
         params = SirParams(r0=2.0, alpha=1.0, v=0.3)
-        with pytest.raises(ParameterDomainError):
-            simulate(params, horizon=0.0)
-        with pytest.raises(ParameterDomainError):
-            simulate(params, horizon=10.0, step=-1.0)
+        nan, inf = float("nan"), float("inf")
+        for horizon, step in [(0.0, 0.25), (10.0, -1.0), (inf, 0.25),
+                              (nan, 0.25), (10.0, nan), (10.0, inf), (10.0, 20.0)]:
+            with pytest.raises(ParameterDomainError):
+                simulate(params, horizon=horizon, step=step)
+            with pytest.raises(ParameterDomainError):
+                final_size(params, horizon=horizon, step=step)
 
 
 class TestNoTransmission:
@@ -151,20 +161,20 @@ class TestBatch:
         for k in range(3):
             assert batch[k] == final_size(SirParams(r0=r0[k], alpha=alpha[k], v=v[k]))
 
-    def test_threads_do_not_change_results(self):
-        rng = np.random.default_rng(3)
-        r0, alpha, v = _random_draws(37, rng)
-        a = final_size_batch(r0, alpha, v, threads=1)
-        b = final_size_batch(r0, alpha, v, threads=4)
-        assert np.array_equal(a, b)
-
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ParameterDomainError):
             final_size_batch(np.array([2.0, 2.5]), np.array([1.0]), np.array([0.3]))
 
     def test_batch_domain_validation(self):
-        with pytest.raises(ParameterDomainError):
-            final_size_batch(np.array([-1.0]), np.array([1.0]), np.array([0.3]))
+        nan, inf = float("nan"), float("inf")
+        cases = [(-1.0, 0.3, {}), (2.0, nan, {})] + [
+            (2.0, 0.3, {name: bad})
+            for name in ("infectious_period", "i0", "population")
+            for bad in (nan, inf)]
+        for r0, v, kwargs in cases:
+            with pytest.raises(ParameterDomainError):
+                final_size_batch(np.array([2.0, r0]), np.array([1.0, 1.0]),
+                                 np.array([0.4, v]), **kwargs)
 
 
 class TestInstability:

@@ -5,7 +5,6 @@ from scenario_eval import spline_fit
 from scenario_eval.errors import InsufficientDataError, SingularFitError
 from scenario_eval.spline_fit import (
     SplineSpec,
-    central_interval,
     fit,
     predict,
     predict_many,
@@ -92,15 +91,6 @@ class TestPrediction:
         assert sd_out > sd_in
         assert fitted.extrapolates(0.30)
         assert not fitted.extrapolates(0.40)
-
-    def test_central_intervals(self):
-        lo50, hi50 = central_interval(1.0, 2.0, 0.5)
-        lo90, hi90 = central_interval(1.0, 2.0, 0.9)
-        assert lo50 == pytest.approx(1.0 - 0.6745 * 2.0, abs=1e-3)
-        assert hi90 == pytest.approx(1.0 + 1.645 * 2.0, abs=1e-3)
-        assert (hi90 - lo90) > (hi50 - lo50)
-        with pytest.raises(InsufficientDataError):
-            central_interval(0.0, 1.0, 0.75)
 
     def test_covariate_required_when_fit_with_one(self):
         rng = np.random.default_rng(2)

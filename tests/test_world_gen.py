@@ -6,6 +6,8 @@ from scenario_eval import world_gen
 from scenario_eval.errors import ConfigError, StructuralError
 from scenario_eval.world_gen import ExperimentConfig, csv_rows, generate, true_errors
 
+from conftest import time_limit
+
 
 def small_config(**overrides):
     base = dict(n_locations=8, n_models=3, horizon=200.0, step=0.5)
@@ -23,6 +25,7 @@ class TestConfigValidation:
         dict(r0_true_range=(3.0, 2.0)),
         dict(alpha_true_sd=-0.1),
         dict(seed=-1),
+        dict(r0_true_range=(-1.0, -0.5), global_bias_sd=0.0, local_bias_sd=0.0),
     ])
     def test_rejects(self, kwargs):
         with pytest.raises(ConfigError):
@@ -46,13 +49,6 @@ class TestDeterminism:
         for name in ("global_bias", "alpha_center", "local_bias", "alpha_model",
                      "r0_model", "projections", "reprojection"):
             assert np.array_equal(getattr(ensemble_a, name), getattr(ensemble_b, name))
-
-    def test_threads_do_not_change_outputs(self):
-        config = small_config(seed=9)
-        world_a, ensemble_a = generate(config, threads=1)
-        world_b, ensemble_b = generate(config, threads=3)
-        assert np.array_equal(world_a.y_counterfactual, world_b.y_counterfactual)
-        assert np.array_equal(ensemble_a.projections, ensemble_b.projections)
 
     def test_stream_independence_in_model_count(self):
         # Dropping later models must not disturb earlier models' draws.
@@ -83,6 +79,16 @@ class TestDistributions:
         world, _ = default_world
         assert 2.3 <= world.r0_true.mean() <= 2.7
         assert 0.37 <= world.x_realized.mean() <= 0.43
+
+    def test_redraws_are_capped(self):
+        # R0* in [0, 0.1] with a large negative global bias and no local
+        # bias spread: no redraw can make R0 positive.
+        config = small_config(seed=1, r0_true_range=(0.0, 0.1),
+                              global_bias_sd=5.0, local_bias_sd=0.0)
+        with time_limit(10), pytest.raises(ConfigError) as info:
+            generate(config)
+        assert "model 0, location 0" in str(info.value)
+        assert "local_bias_sd" in str(info.value)
 
 
 class TestPerfectModels:
