@@ -25,6 +25,10 @@ step-refinement check in the test suite.
 The final epidemic size is reported relative to the initially susceptible
 (post-vaccination) population: (s(0) - s(end)) / s(0).
 
+A grid of more than MAX_STEPS = 1,000,000 steps (horizon / step) is rejected
+with ParameterDomainError, so no horizon or step can make a solve run
+effectively forever; the default grid has 2,192 steps.
+
 All functions are pure and safe to call concurrently.
 """
 
@@ -41,6 +45,7 @@ DEFAULT_I0 = 0.001                 # initial infected fraction
 DEFAULT_POPULATION = 1000.0        # reference count scale for the heterogeneity term
 DEFAULT_HORIZON = 548.0            # days, one and a half years
 DEFAULT_STEP = 0.25                # days
+MAX_STEPS = 1_000_000              # largest accepted horizon / step
 
 
 @dataclass(frozen=True)
@@ -92,7 +97,11 @@ def _validate_grid(horizon: float, step: float) -> int:
     if not 0 < step <= horizon:
         raise ParameterDomainError(
             f"step must lie in (0, horizon] = (0, {horizon}], got {step}")
-    return int(round(horizon / step))
+    n_steps = horizon / step
+    if not n_steps <= MAX_STEPS:
+        raise ParameterDomainError(
+            f"horizon / step must be <= {MAX_STEPS} steps, got {horizon} / {step}")
+    return int(round(n_steps))
 
 
 def _derivatives(s, i, beta, gamma, alpha, population):

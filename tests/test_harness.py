@@ -65,6 +65,8 @@ BAD_CONFIGS = [
     "[sir]\nhorizon = inf\n",
     "[sir]\nhorizon = 200\nstep = 300\n",
     "[sir]\ninfectious_period = nan\n",
+    "[sir]\nstep = 1e-300\n",
+    "[sir]\nhorizon = 1e12\n",
 ]
 
 

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from scenario_eval import metrics
 from scenario_eval.errors import ParameterDomainError
@@ -115,6 +118,19 @@ class TestKsTwoSample:
         with pytest.raises(ParameterDomainError):
             ks_two_sample(np.array([1.0, 2.0]), np.linspace(0, 1, 10))
 
+    def test_non_1d_samples_and_bad_alpha_rejected(self):
+        ok = np.linspace(0, 1, 10)
+        for bad in (np.ones((2, 5)), np.ones((5, 2)), np.float64(1.0)):
+            with pytest.raises(ParameterDomainError):
+                ks_two_sample(bad, ok)
+            with pytest.raises(ParameterDomainError):
+                ks_two_sample(ok, bad)
+        for alpha in (float("nan"), 0.0, 1.0, 2.5, -0.1, float("inf")):
+            with pytest.raises(ParameterDomainError):
+                ks_two_sample(ok, ok + 0.5, alpha=alpha)
+            with pytest.raises(ParameterDomainError):
+                metrics.ks_critical_value(10, 10, alpha)
+
     def test_matches_scipy(self):
         scipy_stats = pytest.importorskip("scipy.stats")
         rng = np.random.default_rng(17)
@@ -124,3 +140,37 @@ class TestKsTwoSample:
             ours = ks_two_sample(a, b).statistic
             theirs = scipy_stats.ks_2samp(a, b).statistic
             assert ours == pytest.approx(theirs, abs=1e-12)
+
+
+def _pooled_ks_statistic(a, b):
+    """Reference D: both empirical CDFs at every pooled point."""
+    a, b = np.sort(a), np.sort(b)
+    pooled = np.concatenate([a, b])
+    cdf_a = np.searchsorted(a, pooled, side="right") / a.size
+    cdf_b = np.searchsorted(b, pooled, side="right") / b.size
+    return float(np.max(np.abs(cdf_a - cdf_b)))
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
+_tied = st.integers(-3, 3).map(float)  # heavy ties within and across samples
+
+
+@st.composite
+def _sample_pair(draw):
+    elements = draw(st.sampled_from([_finite, _tied]))
+    sizes = st.integers(5, 300)
+    return (draw(hnp.arrays(np.float64, draw(sizes), elements=elements)),
+            draw(hnp.arrays(np.float64, draw(sizes), elements=elements)))
+
+
+@settings(max_examples=150, deadline=1000)
+@given(pair=_sample_pair(), seed=st.integers(0, 2**32 - 1))
+def test_ks_matches_pooled_reference_bitwise(pair, seed):
+    a, b = pair
+    # Also normal draws, which hypothesis's float strategy rarely produces.
+    rng = np.random.default_rng(seed)
+    normal = (rng.normal(0.0, 1.0, a.size), rng.normal(0.3, 1.5, b.size))
+    for x, y in (pair, normal):
+        expected = np.float64(_pooled_ks_statistic(x, y)).tobytes()
+        assert np.float64(ks_two_sample(x, y).statistic).tobytes() == expected
+        assert np.float64(ks_two_sample(y, x).statistic).tobytes() == expected

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scenario_eval import sir_core
 from scenario_eval.errors import NumericalInstabilityError, ParameterDomainError
 from scenario_eval.sir_core import SirParams, final_size, final_size_batch, simulate
 
-from conftest import final_size_fixed_point
+from conftest import final_size_fixed_point, time_limit
 
 
 class TestParamValidation:
@@ -38,11 +40,30 @@ class TestParamValidation:
         params = SirParams(r0=2.0, alpha=1.0, v=0.3)
         nan, inf = float("nan"), float("inf")
         for horizon, step in [(0.0, 0.25), (10.0, -1.0), (inf, 0.25),
-                              (nan, 0.25), (10.0, nan), (10.0, inf), (10.0, 20.0)]:
+                              (nan, 0.25), (10.0, nan), (10.0, inf), (10.0, 20.0),
+                              (548.0, 1e-300), (1e12, 0.25)]:
             with pytest.raises(ParameterDomainError):
                 simulate(params, horizon=horizon, step=step)
             with pytest.raises(ParameterDomainError):
                 final_size(params, horizon=horizon, step=step)
+
+
+@settings(max_examples=200, deadline=None)
+@given(horizon=st.floats(allow_nan=True, allow_infinity=True),
+       step=st.floats(allow_nan=True, allow_infinity=True))
+def test_any_grid_returns_or_is_rejected(horizon, step):
+    # A small cap keeps every accepted grid cheap; the property is that the
+    # cap, not the float values, bounds the work. A huge accepted step may
+    # overflow RK4, which is the documented numerical failure.
+    with pytest.MonkeyPatch.context() as mp, time_limit(10):
+        mp.setattr(sir_core, "MAX_STEPS", 2000)
+        try:
+            sizes = final_size_batch(np.array([2.0, 2.5]), np.array([1.0, 0.95]),
+                                     np.array([0.3, 0.4]), horizon=horizon, step=step)
+        except (ParameterDomainError, NumericalInstabilityError):
+            return
+    assert sizes.shape == (2,)
+    assert 0 < horizon / step <= 2000
 
 
 class TestNoTransmission:
