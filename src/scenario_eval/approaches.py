@@ -20,9 +20,19 @@ been observed had the scenario held.
    sampled observations from each model's projections.
 
 Estimated distributions are pooled across locations; with the covariate the
-per-location distributions are also kept. Sampling uses keyed substreams:
-strategy 2 keys include the model, strategy 3 deliberately does not, so a
-single set of inferred observations is shared by all models.
+per-location distributions are also kept, as row views of the pooled sample
+vector (location order, the first ``n_samples % n_locations`` locations one
+sample longer), which is therefore read-only. Sampling uses keyed
+substreams: strategy 2 keys include the model, strategy 3 deliberately does
+not, so a single set of inferred observations is shared by all models.
+
+Every distribution carries a ``DistributionSummary`` (mean and five
+quantiles). ``summarize_rows`` computes the summaries of a block of
+equal-length sample vectors with one ``np.quantile`` and one ``mean`` pass
+along the rows: one block per pooled vector, per run of equal chunk lengths
+of a (model, scenario)'s per-location vectors, and per scenario across
+models for strategy 1. Row-wise passes give the same bits as one call per
+vector.
 """
 
 from __future__ import annotations
@@ -47,10 +57,16 @@ VARIANT_COVARIATE = "covariate"
 VARIANT_NO_COVARIATE = "no_covariate"
 
 
+QUANTILES = (0.05, 0.25, 0.5, 0.75, 0.95)
+
+
 @dataclass(frozen=True)
 class DistributionSummary:
-    """Quantile summary of a sample vector; recomputable from the samples."""
+    """Mean and quantile summary of a sample vector; ``mean`` and the
+    quantiles equal, bit for bit, ``samples.mean()`` and
+    ``np.quantile(samples, QUANTILES)``."""
 
+    mean: float
     median: float
     q05: float
     q25: float
@@ -58,18 +74,29 @@ class DistributionSummary:
     q95: float
     n_samples: int
 
-    @classmethod
-    def from_samples(cls, samples: np.ndarray) -> "DistributionSummary":
-        q05, q25, median, q75, q95 = np.quantile(samples, (0.05, 0.25, 0.5, 0.75, 0.95))
-        return cls(median=float(median), q05=float(q05), q25=float(q25),
-                   q75=float(q75), q95=float(q95), n_samples=int(samples.size))
+
+def summarize_rows(rows: np.ndarray) -> list[DistributionSummary]:
+    """One summary per row of a 2-D block of equal-length sample vectors,
+    from a single quantile pass and a single mean pass along the rows.
+
+    The block is made C-contiguous first: numpy then sums each row
+    pairwise, as it sums a single vector, so the means keep its bits."""
+    rows = np.ascontiguousarray(rows)
+    n = rows.shape[1]
+    if n == 0:
+        raise ParameterDomainError("ErrorDistribution requires samples")
+    q05, q25, median, q75, q95 = np.quantile(rows, QUANTILES, axis=1).tolist()
+    means = rows.mean(axis=1).tolist()
+    return [DistributionSummary(*values, n_samples=n)
+            for values in zip(means, median, q05, q25, q75, q95)]
 
 
 @dataclass(frozen=True)
 class ErrorDistribution:
     """Estimated error distribution for one (model, scenario), on the
     final-size scale. ``scope`` is a location id, or POOLED for the
-    across-location distribution."""
+    across-location distribution. ``summary`` comes from the block pass of
+    ``summarize_rows`` that covered these samples."""
 
     model_id: int
     scenario_index: int
@@ -79,11 +106,9 @@ class ErrorDistribution:
 
     @classmethod
     def make(cls, model_id: int, scenario_index: int, scope: int,
-             samples: np.ndarray) -> "ErrorDistribution":
-        if samples.size == 0:
-            raise ParameterDomainError("ErrorDistribution requires samples")
+             samples: np.ndarray, summary: DistributionSummary) -> "ErrorDistribution":
         return cls(model_id=model_id, scenario_index=scenario_index, scope=scope,
-                   samples=samples, summary=DistributionSummary.from_samples(samples))
+                   samples=samples, summary=summary)
 
 
 @dataclass(frozen=True)
@@ -118,7 +143,7 @@ class InferredErrorResult:
 class InferredObservationResult:
     include_covariate: bool
     observation_fit: FittedSpline
-    observation_samples: dict            # (j, l) -> samples shared by all models
+    observation_samples: dict            # (j, l) -> read-only samples shared by all models
     pooled: dict                         # (m, j) -> ErrorDistribution
     per_location: dict                   # (m, j, l) -> ErrorDistribution (covariate only)
 
@@ -130,6 +155,9 @@ def select_plausible(world: TrueWorld, threshold: float | None = None) -> Plausi
     treated as tied so that decimal midpoints (e.g. 0.40 between 0.30 and
     0.50) resolve the same way they would in exact arithmetic.
     """
+    if threshold is not None and not threshold >= 0:
+        raise ParameterDomainError(
+            f"plausibility threshold must be None or >= 0, got {threshold}")
     distance = np.abs(world.x_realized[:, None] - world.scenario_values[None, :])
     nearly_minimal = np.isclose(distance, distance.min(axis=1, keepdims=True),
                                 rtol=1e-9, atol=1e-12)
@@ -156,14 +184,14 @@ def evaluate_plausible(world: TrueWorld, ensemble: ModelEnsemble,
     point_errors[:, usable] = (picked - world.y_observed[None, :])[:, usable]
 
     pooled = {}
-    for m in range(M):
-        for j in range(world.n_scenarios):
-            members = np.flatnonzero(selection.chosen_index == j)
-            if members.size == 0:
-                pooled[(m, j)] = None
-            else:
-                pooled[(m, j)] = ErrorDistribution.make(
-                    m, j, POOLED, point_errors[m, members].copy())
+    for j in range(world.n_scenarios):
+        members = np.flatnonzero(selection.chosen_index == j)
+        if members.size == 0:
+            pooled.update({(m, j): None for m in range(M)})
+            continue
+        block = point_errors[:, members]
+        for m, summary in enumerate(summarize_rows(block)):
+            pooled[(m, j)] = ErrorDistribution.make(m, j, POOLED, block[m], summary)
     return PlausibleScenarioResult(selection=selection, point_errors=point_errors,
                                    pooled=pooled)
 
@@ -173,6 +201,44 @@ def _sample_counts(n_samples: int, n_locations: int) -> np.ndarray:
     counts = np.full(n_locations, n_samples // n_locations)
     counts[: n_samples % n_locations] += 1
     return counts
+
+
+def _check_budget(n_samples: int, n_locations: int, include_covariate: bool) -> None:
+    """The covariate variant keeps a distribution per location, so it needs
+    a sample for each."""
+    if n_samples < 1:
+        raise ParameterDomainError(f"n_samples must be >= 1, got {n_samples}")
+    if include_covariate and n_samples < n_locations:
+        raise ParameterDomainError(
+            f"the covariate variant needs n_samples >= n_locations ({n_locations}) "
+            f"for one sample per location, got {n_samples}")
+
+
+def _pooled(model_id: int, scenario_index: int,
+            samples: np.ndarray) -> ErrorDistribution:
+    """The across-location distribution; its samples become read-only
+    because per-location distributions are views of them."""
+    samples.flags.writeable = False
+    (summary,) = summarize_rows(samples[None, :])
+    return ErrorDistribution.make(model_id, scenario_index, POOLED, samples, summary)
+
+
+def _per_location(model_id: int, scenario_index: int, samples: np.ndarray,
+                  counts: np.ndarray) -> dict:
+    """(m, j, l) -> ErrorDistribution over row views of a pooled vector
+    whose chunks have the non-increasing lengths ``counts``; each run of
+    equal lengths is summarised as one block."""
+    out = {}
+    start = 0
+    for length in np.unique(counts)[::-1]:
+        locations = np.flatnonzero(counts == length)
+        rows = samples[start:start + locations.size * length].reshape(
+            locations.size, length)
+        for l, row, summary in zip(locations.tolist(), rows, summarize_rows(rows)):
+            out[(model_id, scenario_index, l)] = ErrorDistribution.make(
+                model_id, scenario_index, l, row, summary)
+        start += rows.size
+    return out
 
 
 def infer_error_distribution(world: TrueWorld, ensemble: ModelEnsemble,
@@ -188,9 +254,8 @@ def infer_error_distribution(world: TrueWorld, ensemble: ModelEnsemble,
     budget is split equally across locations before pooling; without it, a
     single location-generic predictive distribution is sampled.
     """
-    if n_samples < 1:
-        raise ParameterDomainError(f"n_samples must be >= 1, got {n_samples}")
     M, L, S = ensemble.n_models, world.n_locations, world.n_scenarios
+    _check_budget(n_samples, L, include_covariate)
     realized_errors = ensemble.reprojection - world.y_observed[None, :]
     covariate = world.r0_true if include_covariate else None
     variant_key = 1 if include_covariate else 0
@@ -209,14 +274,13 @@ def infer_error_distribution(world: TrueWorld, ensemble: ModelEnsemble,
             if include_covariate:
                 means, sds = spline_fit.predict_many(
                     fits[m], np.full(L, x_j), world.r0_true)
-                chunks = [rng.normal(means[l], sds[l], counts[l]) for l in range(L)]
-                for l in range(L):
-                    per_location[(m, j, l)] = ErrorDistribution.make(m, j, l, chunks[l])
-                samples = np.concatenate(chunks)
+                samples = rng.normal(np.repeat(means, counts), np.repeat(sds, counts))
             else:
                 samples = spline_fit.sample_predictive(fits[m], x_j, None,
                                                        n_samples, rng)
-            pooled[(m, j)] = ErrorDistribution.make(m, j, POOLED, samples)
+            pooled[(m, j)] = _pooled(m, j, samples)
+            if include_covariate:
+                per_location.update(_per_location(m, j, samples, counts))
     return InferredErrorResult(include_covariate=include_covariate,
                                realized_errors=realized_errors, fits=fits,
                                pooled=pooled, per_location=per_location)
@@ -234,15 +298,15 @@ def infer_observations(world: TrueWorld, ensemble: ModelEnsemble,
     that do not involve the model, and each model's error samples are its
     projections minus those shared samples, pooled across locations.
     """
-    if n_samples < 1:
-        raise ParameterDomainError(f"n_samples must be >= 1, got {n_samples}")
     M, L, S = ensemble.n_models, world.n_locations, world.n_scenarios
+    _check_budget(n_samples, L, include_covariate)
     covariate = world.r0_true if include_covariate else None
     variant_key = 1 if include_covariate else 0
     observation_fit = spline_fit.fit(world.x_realized, world.y_observed,
                                      covariate, spec)
 
     counts = _sample_counts(n_samples, L)
+    observations = []                    # per scenario, location-ordered chunks
     observation_samples: dict = {}
     for j in range(S):
         x_j = float(world.scenario_values[j])
@@ -253,21 +317,20 @@ def infer_observations(world: TrueWorld, ensemble: ModelEnsemble,
         else:
             mean, sd = spline_fit.predict(observation_fit, x_j)
             means, sds = np.full(L, mean), np.full(L, sd)
-        for l in range(L):
-            observation_samples[(j, l)] = rng.normal(means[l], sds[l], counts[l])
+        drawn = rng.normal(np.repeat(means, counts), np.repeat(sds, counts))
+        drawn.flags.writeable = False
+        observations.append(drawn)
+        chunks = np.split(drawn, np.cumsum(counts)[:-1])
+        observation_samples.update(((j, l), chunk) for l, chunk in enumerate(chunks))
 
     pooled: dict = {}
     per_location: dict = {}
     for m in range(M):
         for j in range(S):
-            chunks = []
-            for l in range(L):
-                err = ensemble.projections[m, l, j] - observation_samples[(j, l)]
-                chunks.append(err)
-                if include_covariate:
-                    per_location[(m, j, l)] = ErrorDistribution.make(m, j, l, err)
-            pooled[(m, j)] = ErrorDistribution.make(m, j, POOLED,
-                                                    np.concatenate(chunks))
+            samples = np.repeat(ensemble.projections[m, :, j], counts) - observations[j]
+            pooled[(m, j)] = _pooled(m, j, samples)
+            if include_covariate:
+                per_location.update(_per_location(m, j, samples, counts))
     return InferredObservationResult(include_covariate=include_covariate,
                                      observation_fit=observation_fit,
                                      observation_samples=observation_samples,

@@ -79,6 +79,10 @@ class RunSettings:
     def __post_init__(self):
         if self.n_samples < 1:
             raise ConfigError("n_samples must be >= 1", "approaches.n_samples")
+        threshold = self.plausibility_threshold
+        if threshold is not None and not threshold >= 0:
+            raise ConfigError(f"must be empty or >= 0, got {threshold}",
+                              "approaches.plausibility_threshold")
         needed = self.basis_dim + 2 + 1   # spline columns + intercept + covariate, exclusive bound
         if (self.run_approach2 or self.run_approach3) and \
                 self.experiment.n_locations <= needed:
@@ -87,6 +91,12 @@ class RunSettings:
                 f"(basis_dim={self.basis_dim}); got {self.experiment.n_locations}. "
                 "Reduce basis_dim or disable run_approach2/run_approach3",
                 "experiment.n_locations")
+        if (self.run_approach2 or self.run_approach3) and \
+                self.n_samples < self.experiment.n_locations:
+            raise ConfigError(
+                f"strategies 2/3 split the samples across locations and need "
+                f"n_samples >= n_locations ({self.experiment.n_locations}); "
+                f"got {self.n_samples}", "approaches.n_samples")
 
 
 def default_settings() -> RunSettings:
@@ -289,14 +299,14 @@ def _report_rows(settings, world, errs, results):
                     rows.append(base + (0, "", float(true_vec.mean()), "",
                                         "", "", "", "", ""))
                     continue
-                mae = metrics.mae_of_means(dist, true_vec)
+                mae = metrics.mae_of_means(dist.summary.mean, true_vec)
                 if dist.samples.size >= 5:
                     ks = metrics.ks_two_sample(dist.samples, true_vec)
                     ks_part = (ks.statistic, ks.n, ks.m, ks.critical_value,
                                ks.significant)
                 else:
                     ks_part = ("", "", "", "", "")
-                rows.append(base + (dist.samples.size, float(dist.samples.mean()),
+                rows.append(base + (dist.samples.size, dist.summary.mean,
                                     float(true_vec.mean()), mae) + ks_part)
     return rows
 
@@ -313,8 +323,7 @@ def _plausible_points(result):
 def _summary(dist):
     """(mean, median, q25, q75, q05, q95, n_samples) of a distribution."""
     s = dist.summary
-    return (float(dist.samples.mean()), s.median, s.q25, s.q75, s.q05, s.q95,
-            s.n_samples)
+    return (s.mean, s.median, s.q25, s.q75, s.q05, s.q95, s.n_samples)
 
 
 ESTIMATE_HEADER = ("approach", "variant", "model_id", "scenario_index",
@@ -403,7 +412,7 @@ def _location_mae_rows(errs, results):
         if approach_id == APPROACH_PLAUSIBLE:
             estimates = _plausible_points(result)
         else:
-            estimates = ((m, j, l, float(dist.samples.mean()))
+            estimates = ((m, j, l, dist.summary.mean)
                          for (m, j, l), dist in sorted(result.per_location.items()))
         for m, j, l, est in estimates:
             true = float(errs[m, l, j])

@@ -65,7 +65,8 @@ def mae_of_means(estimated_samples, true_errors) -> float:
     """|mean(estimated samples) - mean(true errors)|.
 
     ``true_errors`` may be a vector (distribution comparison) or a scalar
-    (a single location's true error).
+    (a single location's true error); so may ``estimated_samples``, e.g. a
+    distribution's precomputed ``summary.mean``.
     """
     est = np.asarray(getattr(estimated_samples, "samples", estimated_samples),
                      dtype=np.float64)

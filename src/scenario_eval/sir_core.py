@@ -27,7 +27,9 @@ The final epidemic size is reported relative to the initially susceptible
 
 A grid of more than MAX_STEPS = 1,000,000 steps (horizon / step) is rejected
 with ParameterDomainError, so no horizon or step can make a solve run
-effectively forever; the default grid has 2,192 steps.
+effectively forever; the default grid has 2,192 steps. A step too coarse for
+RK4 to stay stable shows as a final size outside [0, 1] (by more than
+FINAL_SIZE_TOL = 1e-9) and raises NumericalInstabilityError.
 
 All functions are pure and safe to call concurrently.
 """
@@ -46,6 +48,7 @@ DEFAULT_POPULATION = 1000.0        # reference count scale for the heterogeneity
 DEFAULT_HORIZON = 548.0            # days, one and a half years
 DEFAULT_STEP = 0.25                # days
 MAX_STEPS = 1_000_000              # largest accepted horizon / step
+FINAL_SIZE_TOL = 1e-9              # accepted excursion of a final size outside [0, 1]
 
 
 @dataclass(frozen=True)
@@ -197,12 +200,17 @@ def final_size_batch(r0: np.ndarray, alpha: np.ndarray, v: np.ndarray, *,
     with np.errstate(over="ignore", invalid="ignore"):
         s_end, i_end, r_end = _rk4(s0, np.full_like(s0, i0), v - i0, beta, gamma,
                                    alpha, population, step, n_steps)
-    if not (np.all(np.isfinite(s_end)) and np.all(np.isfinite(i_end))
-            and np.all(np.isfinite(r_end))):
-        bad = np.flatnonzero(~np.isfinite(s_end + i_end + r_end))
+    finite = np.isfinite(s_end) & np.isfinite(i_end) & np.isfinite(r_end)
+    if not finite.all():
         raise NumericalInstabilityError(
-            f"non-finite state at batch indices {bad.tolist()}")
-    return (s0 - s_end) / s0
+            f"non-finite state at batch indices {np.flatnonzero(~finite).tolist()}")
+    sizes = (s0 - s_end) / s0
+    outside = np.flatnonzero((sizes < -FINAL_SIZE_TOL) | (sizes > 1 + FINAL_SIZE_TOL))
+    if outside.size:
+        raise NumericalInstabilityError(
+            f"final sizes outside [0, 1] at batch indices {outside.tolist()} "
+            f"(step {step} is too large for a stable RK4 solve)")
+    return sizes
 
 
 def _validate_batch(r0, alpha, v, i0, infectious_period, population):

@@ -5,8 +5,6 @@ import pytest
 
 from scenario_eval import approaches, sir_core, world_gen
 from scenario_eval.approaches import (
-    POOLED,
-    DistributionSummary,
     evaluate_plausible,
     implied_observations,
     infer_error_distribution,
@@ -14,6 +12,8 @@ from scenario_eval.approaches import (
     select_plausible,
 )
 from scenario_eval.errors import ParameterDomainError
+from scenario_eval.spline_fit import predict_many
+from scenario_eval.streams import KIND_ERROR_SAMPLING, KIND_OBS_SAMPLING, substream
 from scenario_eval.world_gen import ExperimentConfig, generate, true_errors
 
 SIR_KW = dict(horizon=300.0, step=0.5)
@@ -149,7 +149,6 @@ class TestErrorRegressionStrategy:
         world, _ = medium_world
         ensemble = perfect_ensemble(world, n_models=2)
         result = infer_error_distribution(world, ensemble, True, 1_000, seed=7)
-        from scenario_eval.spline_fit import predict_many
         m0, s0 = predict_many(result.fits[0], np.full(world.n_locations, 0.3),
                               world.r0_true)
         m1, s1 = predict_many(result.fits[1], np.full(world.n_locations, 0.3),
@@ -217,7 +216,6 @@ class TestObservationStrategy:
     def test_in_sample_coverage(self, medium_world):
         world, ensemble = medium_world
         result = infer_observations(world, ensemble, True, 500, seed=2)
-        from scenario_eval.spline_fit import predict_many
         means, sds = predict_many(result.observation_fit, world.x_realized,
                                   world.r0_true)
         covered = np.abs(means - world.y_observed) <= 2.0 * sds
@@ -247,18 +245,110 @@ class TestDegenerateConvergence:
             assert abs(dist.samples.mean() - errs[0, :, 0].mean()) <= 3.0 * width
 
 
+def assert_summary_recomputed(dist):
+    """The block summary equals, byte for byte, the per-vector numpy calls."""
+    s = dist.summary
+    expected = np.array([dist.samples.mean(),
+                         *np.quantile(dist.samples, approaches.QUANTILES)])
+    got = np.array([s.mean, s.q05, s.q25, s.median, s.q75, s.q95])
+    assert got.tobytes() == expected.tobytes()
+    assert s.n_samples == dist.samples.size
+
+
+def random_world(n_locations, seed):
+    rng = np.random.default_rng(seed)
+    return build_world(rng.uniform(0.25, 0.55, n_locations),
+                       rng.uniform(1.5, 3.0, n_locations),
+                       rng.uniform(0.9, 1.0, n_locations))
+
+
 class TestDistributionContainers:
     def test_summary_recomputable(self, medium_world):
         world, ensemble = medium_world
         result = infer_error_distribution(world, ensemble, True, 700, seed=8)
         for dist in result.pooled.values():
-            assert dist.summary == DistributionSummary.from_samples(dist.samples)
+            assert_summary_recomputed(dist)
         for dist in result.per_location.values():
-            assert dist.summary == DistributionSummary.from_samples(dist.samples)
+            assert_summary_recomputed(dist)
 
     def test_empty_samples_rejected(self):
         with pytest.raises(ParameterDomainError):
-            approaches.ErrorDistribution.make(0, 0, POOLED, np.array([]))
+            approaches.summarize_rows(np.empty((1, 0)))
+
+    @pytest.mark.parametrize("n_locations,n_samples", [
+        (9, 10), (9, 17), (10, 31), (11, 12), (13, 64)])
+    @pytest.mark.parametrize("strategy", [infer_error_distribution,
+                                          infer_observations])
+    def test_uneven_split_block_summaries(self, strategy, n_locations, n_samples):
+        # Chunks of two lengths: the first n_samples % n_locations locations
+        # get one sample more, and each length is summarised as one block.
+        world = random_world(n_locations, seed=n_samples)
+        ensemble = perfect_ensemble(world, n_models=2)
+        ensemble = dataclasses.replace(ensemble,
+                                       projections=ensemble.projections + 0.01)
+        counts = approaches._sample_counts(n_samples, n_locations)
+        for with_cov in (False, True):
+            result = strategy(world, ensemble, with_cov, n_samples, seed=4)
+            for (m, j), dist in result.pooled.items():
+                assert_summary_recomputed(dist)
+                assert not dist.samples.flags.writeable
+                with pytest.raises(ValueError):
+                    dist.samples[0] = 0.0
+                if not with_cov:
+                    continue
+                per_loc = [result.per_location[(m, j, l)]
+                           for l in range(n_locations)]
+                for dist_l in per_loc:
+                    assert_summary_recomputed(dist_l)
+                assert [d.samples.size for d in per_loc] == counts.tolist()
+                joined = np.concatenate([d.samples for d in per_loc])
+                assert joined.tobytes() == dist.samples.tobytes()
+            if not with_cov:
+                assert result.per_location == {}
+
+    def test_block_draws_match_per_location_draws(self):
+        # Reference: one rng.normal call per location, in location order, as
+        # the samplers drew before the block draw.
+        world = random_world(11, seed=2)
+        ensemble = perfect_ensemble(world)
+        counts = approaches._sample_counts(30, 11)
+        errors = infer_error_distribution(world, ensemble, True, 30, seed=5)
+        observed = infer_observations(world, ensemble, True, 30, seed=5)
+        for j, x_j in enumerate(world.scenario_values):
+            fit_rng = [(errors.fits[0], substream(5, KIND_ERROR_SAMPLING, 1, 0, j)),
+                       (observed.observation_fit, substream(5, KIND_OBS_SAMPLING, 1, j))]
+            drawn = []
+            for fitted, rng in fit_rng:
+                means, sds = predict_many(fitted, np.full(11, x_j), world.r0_true)
+                drawn.append(np.concatenate([rng.normal(means[l], sds[l], counts[l])
+                                             for l in range(11)]))
+            assert drawn[0].tobytes() == errors.pooled[(0, j)].samples.tobytes()
+            chunks = [observed.observation_samples[(j, l)] for l in range(11)]
+            assert drawn[1].tobytes() == np.concatenate(chunks).tobytes()
+
+    @pytest.mark.parametrize("strategy", [infer_error_distribution,
+                                          infer_observations])
+    def test_covariate_needs_a_sample_per_location(self, strategy):
+        world = random_world(10, seed=3)
+        ensemble = perfect_ensemble(world)
+        with pytest.raises(ParameterDomainError, match="n_locations"):
+            strategy(world, ensemble, True, 9, seed=1)
+        result = strategy(world, ensemble, False, 9, seed=1)
+        assert result.pooled[(0, 0)].samples.size == 9
+
+    def test_plausible_summaries_recomputable(self, default_world):
+        # Strategy 1's block, point_errors[:, members], is not C-contiguous.
+        world, ensemble = default_world
+        result = evaluate_plausible(world, ensemble)
+        for dist in result.pooled.values():
+            if dist is not None:
+                assert_summary_recomputed(dist)
+
+    @pytest.mark.parametrize("threshold", [float("nan"), -1.0])
+    def test_bad_plausibility_threshold_rejected(self, medium_world, threshold):
+        world, _ = medium_world
+        with pytest.raises(ParameterDomainError):
+            select_plausible(world, threshold)
 
     def test_implied_observations_roundtrip(self, medium_world):
         world, ensemble = medium_world

@@ -67,6 +67,9 @@ BAD_CONFIGS = [
     "[sir]\ninfectious_period = nan\n",
     "[sir]\nstep = 1e-300\n",
     "[sir]\nhorizon = 1e12\n",
+    "[approaches]\nn_samples = 30\n",
+    "[approaches]\nplausibility_threshold = nan\n",
+    "[approaches]\nplausibility_threshold = -1\n",
 ]
 
 
@@ -130,6 +133,9 @@ plausibility_threshold = 0.08
         ("[mystery]\nseed = 1\n", "unknown section"),
         ("not an ini file at all", "contains no section"),
         ("[experiment]\nseed = -4\n", "seed"),
+        ("[approaches]\nn_samples = 30\n", "approaches.n_samples"),
+        ("[approaches]\nplausibility_threshold = nan\n", "plausibility_threshold"),
+        ("[approaches]\nplausibility_threshold = -1\n", "plausibility_threshold"),
     ])
     def test_diagnostics(self, tmp_path, text, fragment):
         with pytest.raises(ConfigError) as info:
@@ -145,6 +151,16 @@ plausibility_threshold = 0.08
             harness.RunSettings(
                 experiment=world_gen.ExperimentConfig(n_locations=6))
         assert "n_locations" in str(info.value)
+
+    def test_sample_budget_covers_locations(self):
+        experiment = world_gen.ExperimentConfig(n_locations=40)
+        with pytest.raises(ConfigError) as info:
+            harness.RunSettings(experiment=experiment, n_samples=39)
+        assert "approaches.n_samples" in str(info.value)
+        assert "40" in str(info.value)
+        harness.RunSettings(experiment=experiment, n_samples=40)
+        harness.RunSettings(experiment=experiment, n_samples=39,
+                            run_approach2=False, run_approach3=False)
 
 
 @pytest.fixture(scope="module")

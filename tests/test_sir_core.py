@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -204,3 +206,16 @@ class TestInstability:
         # term overflows the fixed-step integrator.
         with pytest.raises(NumericalInstabilityError):
             final_size(SirParams(r0=1e8, alpha=5.0, v=0.3), horizon=50.0, step=0.5)
+
+    @pytest.mark.parametrize("horizon,step,message", [
+        (548.0, 274.0, "outside"), (548.0, 20.0, "outside"),
+        (1.4e64, 1.4e64, "non-finite")])
+    def test_unstable_step_raises_without_warnings(self, horizon, step, message):
+        # Step 274 gave final sizes of -5.6e5 and 1.2e22 and step 20 gave
+        # 1.0037 for r0 = 6, with no error; 1.4e64 overflows RK4 and leaked
+        # numpy RuntimeWarnings on its way to the error.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalInstabilityError, match=message):
+                final_size_batch(np.array([0.5, 1.0, 2.0, 3.0, 6.0]), np.ones(5),
+                                 np.full(5, 0.3), horizon=horizon, step=step)
