@@ -14,7 +14,7 @@ import argparse
 import sys
 
 from .errors import NumericalInstabilityError, ScenarioEvalError
-from .harness import resolve_out_dir, run
+from .harness import REPORT_HEADER, resolve_out_dir, run
 from .plots import plot_report_dir
 
 EXIT_OK = 0
@@ -50,12 +50,11 @@ def _cmd_run(args) -> int:
     print(f"wrote report to {out_dir} "
           f"(seed {report.settings.experiment.seed}, {n_rows} report rows)")
     for row in report.report_rows:
-        approach, variant, model_id, scenario_index = row[0], row[1], row[2], row[3]
-        mae, ks_d = row[8], row[9]
-        mae_s = f"{mae:.4f}" if mae != "" else "   n/a"
-        ks_s = f"{ks_d:.3f}" if ks_d != "" else "  n/a"
-        print(f"  approach {approach} {variant:<13} model {model_id:>2} "
-              f"scenario {scenario_index}: mae {mae_s}  ks_d {ks_s}")
+        r = dict(zip(REPORT_HEADER, row))
+        mae_s = f"{r['mae_of_means']:.4f}" if r["mae_of_means"] != "" else "   n/a"
+        ks_s = f"{r['ks_d']:.3f}" if r["ks_d"] != "" else "  n/a"
+        print(f"  approach {r['approach']} {r['variant']:<13} model {r['model_id']:>2} "
+              f"scenario {r['scenario_index']}: mae {mae_s}  ks_d {ks_s}")
     return EXIT_OK
 
 

@@ -1,6 +1,12 @@
 """Exception types shared across the package."""
 
 
+def listed(indices: list[int], limit: int = 10) -> str:
+    """``indices`` for an error message: the first ``limit`` and the count."""
+    count = f" (first {limit} of {len(indices)})" if len(indices) > limit else ""
+    return f"{indices[:limit]}{count}"
+
+
 class ScenarioEvalError(Exception):
     """Base class for all package errors."""
 

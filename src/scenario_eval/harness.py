@@ -20,6 +20,11 @@ accuracy metrics, and writes a directory of CSV tables plus a manifest:
 Everything a report number needs is recomputable from the data CSVs plus
 the seeded sampling procedure; re-running the same config produces byte
 identical data files.
+
+This module alone owns the table format. Row values are ``int``, ``float``
+or ``str`` (flags "true"/"false", missing values ""), never numpy scalars,
+and go straight to ``csv.writer.writerows``: floats by ``repr``, the rest
+by ``str``.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ import csv
 import hashlib
 import json
 import os
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -47,7 +52,7 @@ from .approaches import (
 )
 from .errors import ConfigError
 from .spline_fit import SplineSpec
-from .world_gen import ExperimentConfig, x_kind_label
+from .world_gen import ExperimentConfig
 
 DATA_FILES = (
     "world.csv",
@@ -303,7 +308,7 @@ def _report_rows(settings, world, errs, results):
                 if dist.samples.size >= 5:
                     ks = metrics.ks_two_sample(dist.samples, true_vec)
                     ks_part = (ks.statistic, ks.n, ks.m, ks.critical_value,
-                               ks.significant)
+                               "true" if ks.significant else "false")
                 else:
                     ks_part = ("", "", "", "", "")
                 rows.append(base + (dist.samples.size, dist.summary.mean,
@@ -352,18 +357,14 @@ DECOMPOSITION_HEADER = ("model_id", "location_id", "scenario_index", "projected"
 
 
 def _decomposition_rows(world, ensemble):
-    rows = []
-    for m in range(ensemble.n_models):
-        for l in range(world.n_locations):
-            for j in range(world.n_scenarios):
-                d = metrics.decompose(float(ensemble.projections[m, l, j]),
-                                      float(world.y_counterfactual[l, j]),
-                                      float(world.y_observed[l]))
-                rows.append((m, l, j, d.projected, d.counterfactual_obs,
-                             d.realized_obs, d.observed_deviation,
-                             d.calibration_error, d.scenario_spec_error,
-                             d.total_error))
-    return rows
+    """One row per (model, location, scenario), model-major, from a single
+    elementwise ``metrics.decompose`` over the projection array."""
+    shape = ensemble.projections.shape
+    d = metrics.decompose(ensemble.projections,
+                          np.broadcast_to(world.y_counterfactual, shape),
+                          np.broadcast_to(world.y_observed[:, None], shape))
+    columns = (getattr(d, f.name).ravel().tolist() for f in fields(d))
+    return [ids + values for ids, values in zip(np.ndindex(shape), zip(*columns))]
 
 
 A1_DEVIATION_HEADER = ("model_id", "location_id", "plausible_scenario",
@@ -398,7 +399,7 @@ def _implied_obs_rows(world, ensemble, results):
                                                           world, m, j)
                 ks = metrics.ks_two_sample(implied, world.y_counterfactual[:, j])
                 rows.append((variant, m, j, ks.statistic, ks.critical_value,
-                             ks.significant))
+                             "true" if ks.significant else "false"))
     return rows
 
 
@@ -420,44 +421,50 @@ def _location_mae_rows(errs, results):
     return rows
 
 
-def _format(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def _write_csv(path: Path, header, rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_format(v) for v in row])
-
-
 WORLD_HEADER = ("location_id", "r0_true", "alpha_true", "x_kind", "x_value",
                 "y_value")
 
 
+def _scenario_points(world):
+    """Per location, the (x_kind, x_value, true y) of each modeled scenario
+    and then of the realized coverage."""
+    L, S = world.n_locations, world.n_scenarios
+    kinds = (["scenario_low", "scenario_high"] if S == 2
+             else [f"scenario_{j}" for j in range(S)]) + ["realized"]
+    x = np.column_stack([np.broadcast_to(world.scenario_values, (L, S)), world.x_realized])
+    y = np.column_stack([world.y_counterfactual, world.y_observed])
+    return [list(zip(kinds, xs, ys)) for xs, ys in zip(x.tolist(), y.tolist())]
+
+
 def _world_rows(world):
-    S = world.n_scenarios
-    for l in range(world.n_locations):
-        for j in range(S):
-            yield (l, float(world.r0_true[l]), float(world.alpha_true[l]),
-                   x_kind_label(j, S), float(world.scenario_values[j]),
-                   float(world.y_counterfactual[l, j]))
-        yield (l, float(world.r0_true[l]), float(world.alpha_true[l]),
-               world_gen.REALIZED, float(world.x_realized[l]),
-               float(world.y_observed[l]))
+    r0, alpha = world.r0_true.tolist(), world.alpha_true.tolist()
+    for l, points in enumerate(_scenario_points(world)):
+        for point in points:
+            yield (l, r0[l], alpha[l]) + point
 
 
 PROJECTIONS_HEADER = ("model_id", "location_id", "x_kind", "x_value",
                       "y_projected", "y_observed_or_counterfactual")
 
 
+def _projection_rows(world, ensemble):
+    """Each model's projection at every scenario point of every location;
+    its honest reprojection at the realized one."""
+    points = _scenario_points(world)
+    modeled = np.concatenate([ensemble.projections, ensemble.reprojection[..., None]], axis=2)
+    for m, per_location in enumerate(modeled.tolist()):
+        for l, ys in enumerate(per_location):
+            for (kind, x, y), y_model in zip(points[l], ys):
+                yield (m, l, kind, x, y_model, y)
+
+
 def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+    """Digest of a file read 1 MiB at a time, so no file is held whole."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as handle:
+        for chunk in iter(lambda: handle.read(1 << 20), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
 def write_report(report: EvaluationReport, out_dir,
@@ -465,20 +472,24 @@ def write_report(report: EvaluationReport, out_dir,
     """Write all report files to ``out_dir``; returns the manifest dict."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _write_csv(out / "world.csv", WORLD_HEADER, _world_rows(report.world))
-    _write_csv(out / "projections.csv", PROJECTIONS_HEADER,
-               world_gen.csv_rows(report.world, report.ensemble))
-    _write_csv(out / "approach_estimates.csv", ESTIMATE_HEADER,
-               report.estimate_rows)
-    _write_csv(out / "report.csv", REPORT_HEADER, report.report_rows)
-    _write_csv(out / "decomposition.csv", DECOMPOSITION_HEADER,
-               report.decomposition_rows)
-    _write_csv(out / "a1_deviation.csv", A1_DEVIATION_HEADER,
-               report.a1_deviation_rows)
-    _write_csv(out / "implied_obs_ks.csv", IMPLIED_OBS_HEADER,
-               report.implied_obs_ks_rows)
-    _write_csv(out / "location_mae.csv", LOCATION_MAE_HEADER,
-               report.location_mae_rows)
+    # world.csv and projections.csv rows are made while written, never held whole.
+    tables = {
+        "world.csv": (WORLD_HEADER, _world_rows(report.world)),
+        "projections.csv": (PROJECTIONS_HEADER,
+                            _projection_rows(report.world, report.ensemble)),
+        "approach_estimates.csv": (ESTIMATE_HEADER, report.estimate_rows),
+        "report.csv": (REPORT_HEADER, report.report_rows),
+        "decomposition.csv": (DECOMPOSITION_HEADER, report.decomposition_rows),
+        "a1_deviation.csv": (A1_DEVIATION_HEADER, report.a1_deviation_rows),
+        "implied_obs_ks.csv": (IMPLIED_OBS_HEADER, report.implied_obs_ks_rows),
+        "location_mae.csv": (LOCATION_MAE_HEADER, report.location_mae_rows),
+    }
+    for name in DATA_FILES:
+        header, rows = tables[name]
+        with open(out / name, "w", encoding="utf-8", newline="\n") as handle:
+            writer = csv.writer(handle, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows(rows)
 
     settings_dict = asdict(report.settings)
     config_digest = hashlib.sha256(

@@ -42,11 +42,12 @@ class Decomposition:
     total_error: float
 
 
-def decompose(projected: float, counterfactual_obs: float,
-              realized_obs: float) -> Decomposition:
-    """Split one observed deviation into its calibration and scenario parts."""
+def decompose(projected, counterfactual_obs, realized_obs) -> Decomposition:
+    """Split observed deviations into their calibration and scenario parts,
+    elementwise: floats give Python floats, and arrays of one shape give
+    arrays whose every element has the bits of the scalar call on it."""
     values = (projected, counterfactual_obs, realized_obs)
-    if not all(math.isfinite(v) for v in values):
+    if not all(np.isfinite(v).all() for v in values):
         raise ParameterDomainError(f"decompose requires finite inputs, got {values}")
     calibration = projected - counterfactual_obs
     scenario_spec = counterfactual_obs - realized_obs

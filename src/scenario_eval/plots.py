@@ -10,17 +10,19 @@ identical reports yield byte-identical files:
     decomposition.svg      mean absolute decomposition components per scenario
 
 The SVG is hand assembled (fixed coordinate formatting, no timestamps or
-generated ids) to keep output deterministic.
+generated ids) to keep output deterministic. A report file with a missing
+column, a missing row or an unparsable value raises ConfigError naming it.
 """
 
 from __future__ import annotations
 
 import csv
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, ScenarioEvalError
 
 WIDTH, HEIGHT = 860.0, 420.0
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 70.0, 20.0, 46.0, 50.0
@@ -33,17 +35,32 @@ VARIANT_ORDER = (
     ("3", "covariate", "#b03030"),
 )
 TRUE_COLOR = "#555555"
+DOT_RADIUS = 3.0
 
 
 def _fmt(value: float) -> str:
     return f"{value:.2f}"
 
 
-def _read_csv(path: Path) -> list[dict]:
+def _read_csv(path: Path):
+    """The rows of a report file, read as they are iterated."""
     if not path.exists():
         raise ConfigError(f"missing report file {path.name}", str(path))
     with open(path, encoding="utf-8") as handle:
-        return list(csv.DictReader(handle))
+        yield from csv.DictReader(handle)
+
+
+@contextmanager
+def _reading(path: Path):
+    """Raise a missing column or key, a short row or an unparsable value
+    met while using the rows of ``path`` as a ConfigError naming that file."""
+    try:
+        yield
+    except ScenarioEvalError:
+        raise
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed report file ({type(exc).__name__}: {exc})",
+                          str(path)) from exc
 
 
 def _svg_document(body: list[str], title: str) -> str:
@@ -90,32 +107,34 @@ def _density(samples: np.ndarray, grid: np.ndarray) -> np.ndarray:
 
 def _true_error_table(report_dir: Path) -> dict:
     """Recompute true errors per (model, scenario) from the data CSVs."""
+    world_path = report_dir / "world.csv"
     counterfactual = {}
-    for row in _read_csv(report_dir / "world.csv"):
-        if row["x_kind"].startswith("scenario"):
-            counterfactual[(int(row["location_id"]), row["x_kind"])] = float(row["y_value"])
+    with _reading(world_path):
+        for row in _read_csv(world_path):
+            if row["x_kind"].startswith("scenario"):
+                counterfactual[(int(row["location_id"]), row["x_kind"])] = float(row["y_value"])
+    if not counterfactual:
+        raise ConfigError("no scenario rows", str(world_path))
+    projections_path = report_dir / "projections.csv"
     errors: dict = {}
-    for row in _read_csv(report_dir / "projections.csv"):
-        kind = row["x_kind"]
-        if not kind.startswith("scenario"):
-            continue
-        key = (int(row["model_id"]), kind)
-        value = float(row["y_projected"]) - counterfactual[(int(row["location_id"]), kind)]
-        errors.setdefault(key, []).append(value)
+    with _reading(projections_path):
+        for row in _read_csv(projections_path):
+            kind = row["x_kind"]
+            if not kind.startswith("scenario"):
+                continue
+            key = (int(row["model_id"]), kind)
+            value = float(row["y_projected"]) - counterfactual[(int(row["location_id"]), kind)]
+            errors.setdefault(key, []).append(value)
+    if not errors:
+        raise ConfigError("no scenario rows", str(projections_path))
     return {key: np.asarray(vals) for key, vals in errors.items()}
 
 
-def _scenario_sort_key(kind: str):
-    order = {"scenario_low": 0, "scenario_high": 1}
-    if kind in order:
-        return (order[kind], kind)
-    return (int(kind.rsplit("_", 1)[1]), kind)
-
-
 def plot_error_densities(report_dir: Path, out_path: Path) -> None:
-    estimates = _read_csv(report_dir / "approach_estimates.csv")
+    pooled = [r for r in _read_csv(report_dir / "approach_estimates.csv")
+              if r["location_id"] == "-1"]
     true_errors = _true_error_table(report_dir)
-    kinds = sorted({kind for _, kind in true_errors}, key=_scenario_sort_key)
+    kinds = list(dict.fromkeys(kind for _, kind in true_errors))   # file order
     n_panels = len(kinds)
 
     # Pooled estimate summaries approximate each variant's density through a
@@ -141,9 +160,8 @@ def plot_error_densities(report_dir: Path, out_path: Path) -> None:
                                 if k == kind])
         curves.append((TRUE_COLOR, _density(truth, grid), "true"))
         for approach, variant, color in VARIANT_ORDER:
-            rows = [r for r in estimates
+            rows = [r for r in pooled
                     if r["approach"] == approach and r["variant"] == variant
-                    and r["location_id"] == "-1"
                     and kinds[int(r["scenario_index"])] == kind]
             if not rows:
                 if approach == "1":
@@ -183,12 +201,18 @@ def plot_error_densities(report_dir: Path, out_path: Path) -> None:
 
 
 def plot_accuracy_summary(report_dir: Path, out_path: Path) -> None:
-    rows = _read_csv(report_dir / "report.csv")
+    rows = list(_read_csv(report_dir / "report.csv"))
     body = []
     panels = (("mae_of_means", "MAE of means"), ("ks_d", "KS statistic"))
     panel_w = (WIDTH - MARGIN_L - MARGIN_R) / len(panels)
     slots = {(a, v): k for k, (a, v, _) in enumerate(VARIANT_ORDER)}
     colors = {(a, v): c for a, v, c in VARIANT_ORDER}
+    # Dots spread 2.2 px per model about the slot centre and 1.1 px per
+    # scenario, shrunk where a dot would cross the slot's edge.
+    centre = max((int(r["model_id"]) for r in rows), default=0) / 2
+    reach = centre * 2.2 + max((int(r["scenario_index"]) for r in rows), default=0) * 1.1
+    half_slot = (panel_w - 40.0) / len(VARIANT_ORDER) / 2 - DOT_RADIUS
+    scale = half_slot / reach if reach > half_slot else 1.0
 
     for p, (column, label) in enumerate(panels):
         x0 = MARGIN_L + p * panel_w
@@ -209,9 +233,10 @@ def plot_accuracy_summary(report_dir: Path, out_path: Path) -> None:
             if slot is None:
                 continue
             x = x0 + (slot + 0.5) / len(VARIANT_ORDER) * (x1 - x0)
-            jitter = (int(r["model_id"]) - 4.5) * 2.2 + int(r["scenario_index"]) * 1.1
+            jitter = scale * ((int(r["model_id"]) - centre) * 2.2
+                              + int(r["scenario_index"]) * 1.1)
             body.append(f'<circle cx="{_fmt(x + jitter)}" cy="{_fmt(to_y(float(r[column])))}" '
-                        f'r="3" fill="{colors[(r["approach"], r["variant"])]}" '
+                        f'r="{DOT_RADIUS:g}" fill="{colors[(r["approach"], r["variant"])]}" '
                         f'fill-opacity="0.65"/>')
         if column == "ks_d":
             crits = [float(r["ks_critical"]) for r in rows if r["ks_critical"] != ""]
@@ -232,7 +257,7 @@ def plot_accuracy_summary(report_dir: Path, out_path: Path) -> None:
 
 
 def plot_decomposition(report_dir: Path, out_path: Path) -> None:
-    rows = _read_csv(report_dir / "decomposition.csv")
+    rows = list(_read_csv(report_dir / "decomposition.csv"))
     body = []
     scenarios = sorted({int(r["scenario_index"]) for r in rows})
     components = (("calibration_error", "#30609e"), ("scenario_spec_error", "#c05090"),
@@ -269,10 +294,12 @@ def plot_report_dir(report_dir, out_dir=None) -> list[Path]:
     out = Path(out_dir) if out_dir is not None else report_dir
     out.mkdir(parents=True, exist_ok=True)
     written = []
-    for name, fn in (("error_densities.svg", plot_error_densities),
-                     ("accuracy_summary.svg", plot_accuracy_summary),
-                     ("decomposition.svg", plot_decomposition)):
+    for name, fn, source in (
+            ("error_densities.svg", plot_error_densities, "approach_estimates.csv"),
+            ("accuracy_summary.svg", plot_accuracy_summary, "report.csv"),
+            ("decomposition.svg", plot_decomposition, "decomposition.csv")):
         path = out / name
-        fn(report_dir, path)
+        with _reading(report_dir / source):
+            fn(report_dir, path)
         written.append(path)
     return written

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalInstabilityError, ParameterDomainError
+from .errors import NumericalInstabilityError, ParameterDomainError, listed
 
 DEFAULT_INFECTIOUS_PERIOD = 10.0   # days
 DEFAULT_I0 = 0.001                 # initial infected fraction
@@ -202,13 +202,13 @@ def final_size_batch(r0: np.ndarray, alpha: np.ndarray, v: np.ndarray, *,
                                    alpha, population, step, n_steps)
     finite = np.isfinite(s_end) & np.isfinite(i_end) & np.isfinite(r_end)
     if not finite.all():
-        raise NumericalInstabilityError(
-            f"non-finite state at batch indices {np.flatnonzero(~finite).tolist()}")
+        bad = np.flatnonzero(~finite).tolist()
+        raise NumericalInstabilityError(f"non-finite state at batch indices {listed(bad)}")
     sizes = (s0 - s_end) / s0
     outside = np.flatnonzero((sizes < -FINAL_SIZE_TOL) | (sizes > 1 + FINAL_SIZE_TOL))
     if outside.size:
         raise NumericalInstabilityError(
-            f"final sizes outside [0, 1] at batch indices {outside.tolist()} "
+            f"final sizes outside [0, 1] at batch indices {listed(outside.tolist())} "
             f"(step {step} is too large for a stable RK4 solve)")
     return sizes
 

@@ -28,7 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientDataError, NumericalInstabilityError, SingularFitError
+from .errors import (InsufficientDataError, NumericalInstabilityError,
+                     SingularFitError, listed)
 
 
 @dataclass(frozen=True)
@@ -178,7 +179,8 @@ def predict_many(fitted: FittedSpline, x_new, covariate_new=None):
     sd = fitted.residual_sd * np.sqrt(1.0 + np.maximum(leverage, 0.0))
     if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(sd))):
         bad = np.flatnonzero(~(np.isfinite(mean) & np.isfinite(sd)))
-        raise NumericalInstabilityError(f"non-finite prediction at indices {bad.tolist()}")
+        raise NumericalInstabilityError(
+            f"non-finite prediction at indices {listed(bad.tolist())}")
     return mean, sd
 
 

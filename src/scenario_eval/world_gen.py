@@ -23,7 +23,8 @@ solver:
                            from the same (R0_ml, a_ml) as its projections
 
 All draws come from keyed substreams, so outputs are bit-identical for a
-given seed regardless of the number of other entities.
+given seed regardless of the number of other entities. Turning these arrays
+into report tables is the harness's job.
 """
 
 from __future__ import annotations
@@ -40,10 +41,6 @@ DEFAULT_SEED = 38
 # Local-bias redraws allowed per (model, location) before giving up; a pair
 # that needs this many has R0*_l + b_m far below 0 relative to the local bias sd.
 MAX_REDRAWS = 1000
-
-SCENARIO_LOW = "scenario_low"
-SCENARIO_HIGH = "scenario_high"
-REALIZED = "realized"
 
 
 @dataclass(frozen=True)
@@ -70,6 +67,9 @@ class ExperimentConfig:
     step: float = sir_core.DEFAULT_STEP
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if not np.all(np.isfinite(value)):
+                raise ConfigError(f"must be finite, got {value}", name)
         if self.n_locations < 2:
             raise ConfigError("n_locations must be >= 2", "n_locations")
         if self.n_models < 1:
@@ -83,8 +83,12 @@ class ExperimentConfig:
         object.__setattr__(self, "scenario_values", values)
         for name in ("x_realized_range", "r0_true_range", "alpha_center_range"):
             lo, hi = getattr(self, name)
-            if not lo < hi:
-                raise ConfigError("range must satisfy low < high", name)
+            if not (lo < hi and np.isfinite(hi - lo)):
+                raise ConfigError(f"range must satisfy low < high with a finite "
+                                  f"width, got {(lo, hi)}", name)
+        if not 0 <= self.x_realized_range[0] < self.x_realized_range[1] < 1:
+            raise ConfigError("coverage range must satisfy 0 <= low < high < 1",
+                              "x_realized_range")
         if self.r0_true_range[0] < 0:
             raise ConfigError("R0 range must not go below 0", "r0_true_range")
         for name in ("alpha_true_sd", "global_bias_sd", "local_bias_sd",
@@ -239,25 +243,3 @@ def true_errors(world: TrueWorld, ensemble: ModelEnsemble) -> np.ndarray:
             f"world counterfactuals {world.y_counterfactual.shape}")
     return ensemble.projections - world.y_counterfactual[None, :, :]
 
-
-def x_kind_label(scenario_index: int, n_scenarios: int) -> str:
-    """Stable scenario labels: low/high when there are two, indexed otherwise."""
-    if n_scenarios == 2:
-        return SCENARIO_LOW if scenario_index == 0 else SCENARIO_HIGH
-    return f"scenario_{scenario_index}"
-
-
-def csv_rows(world: TrueWorld, ensemble: ModelEnsemble):
-    """Serialize to rows (model_id, location_id, x_kind, x_value, y_projected,
-    y_observed_or_counterfactual): one row per (model, location,
-    scenario-point), where the scenario points are every modeled scenario
-    plus the realized coverage."""
-    S = world.n_scenarios
-    for m in range(ensemble.n_models):
-        for l in range(world.n_locations):
-            for j in range(S):
-                yield (m, l, x_kind_label(j, S), float(world.scenario_values[j]),
-                       float(ensemble.projections[m, l, j]),
-                       float(world.y_counterfactual[l, j]))
-            yield (m, l, REALIZED, float(world.x_realized[l]),
-                   float(ensemble.reprojection[m, l]), float(world.y_observed[l]))

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from scenario_eval import cli, harness, plots, world_gen
+from scenario_eval import cli, harness, metrics, plots, world_gen
 from scenario_eval.errors import ConfigError
 
 from conftest import time_limit
@@ -70,6 +70,13 @@ BAD_CONFIGS = [
     "[approaches]\nn_samples = 30\n",
     "[approaches]\nplausibility_threshold = nan\n",
     "[approaches]\nplausibility_threshold = -1\n",
+    "[experiment]\nx_realized_high = inf\n",
+    "[experiment]\nx_realized_high = 1.5\n",
+    "[experiment]\nr0_true_high = inf\n",
+    "[experiment]\nalpha_center_high = inf\n",
+    "[experiment]\nalpha_true_sd = nan\n",
+    "[experiment]\nalpha_true_mean = nan\n",
+    "[experiment]\nglobal_bias_sd = nan\n",
 ]
 
 
@@ -268,6 +275,66 @@ class TestRunOutputs:
         assert {row[0] for row in report.report_rows} == {1}
 
 
+def small_world(**overrides):
+    config = dict(n_locations=8, n_models=3, horizon=200.0, step=0.5)
+    config.update(overrides)
+    return world_gen.generate(world_gen.ExperimentConfig(**config))
+
+
+class TestTables:
+    def test_projection_rows_schema_and_values(self):
+        world, ensemble = small_world(seed=6)
+        rows = list(harness._projection_rows(world, ensemble))
+        # one row per (model, location, scenario point + realized)
+        assert len(rows) == 3 * 8 * (2 + 1)
+        kinds = {row[2] for row in rows}
+        assert kinds == {"scenario_low", "scenario_high", "realized"}
+        first = rows[0]
+        assert first[0] == 0 and first[1] == 0 and first[2] == "scenario_low"
+        assert first[3] == 0.30
+        assert first[4] == ensemble.projections[0, 0, 0]
+        assert first[5] == world.y_counterfactual[0, 0]
+        realized = rows[2]
+        assert realized[2] == "realized"
+        assert realized[4] == ensemble.reprojection[0, 0]
+        assert realized[5] == world.y_observed[0]
+
+    def test_projection_rows_three_scenario_labels(self):
+        world, ensemble = small_world(scenario_values=(0.2, 0.3, 0.4))
+        kinds = {row[2] for row in harness._projection_rows(world, ensemble)}
+        assert kinds == {"scenario_0", "scenario_1", "scenario_2", "realized"}
+
+    def test_values_are_csv_scalars(self):
+        # The csv module writes these exactly: float by repr, int and str by
+        # str. A bool would be written "True" and a numpy float as
+        # "np.float64(...)".
+        report = harness.evaluate(harness.RunSettings())
+        tables = (harness._world_rows(report.world),
+                  harness._projection_rows(report.world, report.ensemble),
+                  report.estimate_rows, report.report_rows,
+                  report.decomposition_rows, report.a1_deviation_rows,
+                  report.implied_obs_ks_rows, report.location_mae_rows)
+        types = {type(value) for rows in tables for row in rows for value in row}
+        assert types == {int, float, str}
+        flags = {row[-1] for row in report.report_rows + report.implied_obs_ks_rows}
+        assert flags == {"true", "false"}
+
+    def test_decomposition_rows_match_scalar_loop(self):
+        world, ensemble = small_world(seed=9, scenario_values=(0.2, 0.3, 0.4))
+        expected = []
+        for m in range(ensemble.n_models):
+            for l in range(world.n_locations):
+                for j in range(world.n_scenarios):
+                    d = metrics.decompose(float(ensemble.projections[m, l, j]),
+                                          float(world.y_counterfactual[l, j]),
+                                          float(world.y_observed[l]))
+                    expected.append((m, l, j, d.projected, d.counterfactual_obs,
+                                     d.realized_obs, d.observed_deviation,
+                                     d.calibration_error, d.scenario_spec_error,
+                                     d.total_error))
+        assert repr(harness._decomposition_rows(world, ensemble)) == repr(expected)
+
+
 class TestEnvOverride:
     def test_out_dir_resolution(self, tmp_path, monkeypatch):
         monkeypatch.delenv(harness.OUT_DIR_ENV, raising=False)
@@ -297,7 +364,9 @@ class TestCli:
                 code = cli.main(["run", "--config", str(config),
                                  "--out", str(tmp_path / "o")])
             assert code == 2, text
-            assert "configuration error" in capsys.readouterr().err, text
+            err = capsys.readouterr().err
+            assert "configuration error" in err, text
+            assert "Traceback" not in err, text
 
     def test_unwritable_out_exit_2(self, tmp_path, capsys):
         config = write_config(tmp_path, SMOKE_CONFIG)
@@ -310,6 +379,27 @@ class TestCli:
 
     def test_missing_plot_inputs_exit_2(self, tmp_path, capsys):
         assert cli.main(["plot", "--in", str(tmp_path / "empty")]) == 2
+
+    @pytest.mark.parametrize("name, edit", [
+        ("world.csv", lambda text: "garbage\n"),
+        ("world.csv", lambda text: text.splitlines()[0] + "\n"),
+        ("projections.csv", lambda text: text.replace("\n0,0,", "\n0,999,", 1)),
+        ("approach_estimates.csv", lambda text: text.replace(",-1,", ",-1,abc,", 1)),
+        ("report.csv", lambda text: text.rsplit(",", 3)[0] + "\n"),
+        ("decomposition.csv", lambda text: text.splitlines()[0] + "\n"),
+    ], ids=["garbage_world", "empty_world", "unknown_location", "shifted_value",
+            "short_row", "no_rows"])
+    def test_malformed_report_exit_2(self, run_dir, tmp_path, capsys, name, edit):
+        report = tmp_path / "report"
+        report.mkdir()
+        for source in (run_dir[0] / "out").glob("*.csv"):
+            text = source.read_text(encoding="utf-8")
+            if source.name == name:
+                text = edit(text)
+            (report / source.name).write_text(text, encoding="utf-8")
+        assert cli.main(["plot", "--in", str(report)]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and name in err
 
 
 class TestPlots:
@@ -325,6 +415,34 @@ class TestPlots:
                      "decomposition.svg"):
             assert (plotted / name).read_bytes() == \
                 (tmp_path / "again" / name).read_bytes()
+
+    def test_accuracy_dots_stay_in_their_slot(self, tmp_path):
+        # 40 models: each dot of a variant must lie inside that variant's
+        # slot of the panel, whatever the model count.
+        n_models = 40
+        rng = np.random.default_rng(5)
+        with open(tmp_path / "report.csv", "w", encoding="utf-8", newline="") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(harness.REPORT_HEADER)
+            for approach, variant, _ in plots.VARIANT_ORDER:
+                for m in range(n_models):
+                    for j in range(2):
+                        writer.writerow((approach, variant, m, j, 0.3, 100,
+                                         0.01, 0.02, rng.uniform(0, 0.1),
+                                         rng.uniform(0, 0.5), 100, 50, 0.2, "true"))
+        plots.plot_accuracy_summary(tmp_path, tmp_path / "accuracy.svg")
+        root = ET.parse(tmp_path / "accuracy.svg").getroot()
+        circles = [c for c in root.iter() if c.tag.endswith("circle")]
+        per_panel = len(plots.VARIANT_ORDER) * n_models * 2
+        assert len(circles) == 2 * per_panel
+        slot_of = {color: k for k, (_, _, color) in enumerate(plots.VARIANT_ORDER)}
+        panel_w = (plots.WIDTH - plots.MARGIN_L - plots.MARGIN_R) / 2
+        slot_w = (panel_w - 40.0) / len(plots.VARIANT_ORDER)
+        for index, circle in enumerate(circles):
+            x0 = plots.MARGIN_L + (index // per_panel) * panel_w
+            lo = x0 + slot_of[circle.get("fill")] * slot_w
+            cx, r = float(circle.get("cx")), float(circle.get("r"))
+            assert lo <= cx - r and cx + r <= lo + slot_w, (index, cx)
 
     def test_empty_plausible_bucket_annotated(self, tmp_path):
         # Clamp realized coverage near the low scenario so the high scenario

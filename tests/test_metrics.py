@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -46,6 +48,24 @@ class TestDecompose:
             decompose(float("nan"), 0.5, 0.5)
         with pytest.raises(ParameterDomainError):
             decompose(0.5, float("inf"), 0.5)
+        with pytest.raises(ParameterDomainError):
+            decompose(np.zeros(3), np.array([0.5, np.nan, 0.5]), np.zeros(3))
+
+    def test_array_call_matches_scalar_calls_bitwise(self):
+        rng = np.random.default_rng(21)
+        shape = (4, 5, 3)
+        inputs = [rng.normal(size=shape) * 10.0 ** rng.integers(-200, 200, shape)
+                  for _ in range(3)]
+        inputs[1][0, 0, 0] = -0.0
+        inputs[2][0, 0, 1] = inputs[0][0, 0, 1]
+        d = decompose(*inputs)
+        names = [f.name for f in dataclasses.fields(d)]
+        for index in np.ndindex(shape):
+            scalar = decompose(*(float(x[index]) for x in inputs))
+            for name in names:
+                value = getattr(scalar, name)
+                assert type(value) is float
+                assert np.float64(value).tobytes() == getattr(d, name)[index].tobytes()
 
 
 class TestMaeOfMeans:

@@ -219,3 +219,13 @@ class TestInstability:
             with pytest.raises(NumericalInstabilityError, match=message):
                 final_size_batch(np.array([0.5, 1.0, 2.0, 3.0, 6.0]), np.ones(5),
                                  np.full(5, 0.3), horizon=horizon, step=step)
+
+    @pytest.mark.parametrize("horizon,step", [(548.0, 274.0), (1.4e64, 1.4e64)])
+    def test_failing_indices_are_capped(self, horizon, step):
+        n = 10_000
+        with pytest.raises(NumericalInstabilityError) as info:
+            final_size_batch(np.full(n, 6.0), np.ones(n), np.full(n, 0.3),
+                             horizon=horizon, step=step)
+        message = str(info.value)
+        assert "[0, 1, 2, 3, 4, 5, 6, 7, 8, 9] (first 10 of 10000)" in message
+        assert len(message) < 200

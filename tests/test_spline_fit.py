@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from scenario_eval import spline_fit
-from scenario_eval.errors import InsufficientDataError, SingularFitError
+from scenario_eval.errors import (InsufficientDataError, NumericalInstabilityError,
+                                  SingularFitError)
 from scenario_eval.spline_fit import (
     SplineSpec,
     fit,
@@ -150,6 +151,15 @@ class TestErrorPaths:
     def test_mismatched_lengths(self):
         with pytest.raises(InsufficientDataError):
             fit(np.linspace(0, 1, 20), np.zeros(19))
+
+    def test_failing_indices_are_capped(self, x_grid):
+        fitted = fit(x_grid, x_grid ** 2)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(NumericalInstabilityError) as info:
+            predict_many(fitted, np.full(10_000, 1e300))
+        message = str(info.value)
+        assert "[0, 1, 2, 3, 4, 5, 6, 7, 8, 9] (first 10 of 10000)" in message
+        assert len(message) < 200
 
     def test_basis_dim_floor(self):
         with pytest.raises(InsufficientDataError):

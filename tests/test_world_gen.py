@@ -4,7 +4,7 @@ import pytest
 
 from scenario_eval import world_gen
 from scenario_eval.errors import ConfigError, StructuralError
-from scenario_eval.world_gen import ExperimentConfig, csv_rows, generate, true_errors
+from scenario_eval.world_gen import ExperimentConfig, generate, true_errors
 
 from conftest import time_limit
 
@@ -26,10 +26,21 @@ class TestConfigValidation:
         dict(alpha_true_sd=-0.1),
         dict(seed=-1),
         dict(r0_true_range=(-1.0, -0.5), global_bias_sd=0.0, local_bias_sd=0.0),
+        dict(x_realized_range=(0.3, float("inf"))),
+        dict(r0_true_range=(2.0, float("inf"))),
+        dict(alpha_center_range=(0.95, float("inf"))),
+        dict(alpha_center_range=(-1e308, 1e308)),
+        dict(alpha_true_sd=float("nan")),
+        dict(alpha_true_mean=float("nan")),
+        dict(global_bias_sd=float("nan")),
+        dict(horizon=float("inf")),
+        dict(x_realized_range=(0.3, 1.0)),
+        dict(x_realized_range=(-0.1, 0.5)),
     ])
     def test_rejects(self, kwargs):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError) as info:
             ExperimentConfig(**kwargs)
+        assert next(iter(kwargs)) in str(info.value)
 
     def test_defaults_valid(self):
         config = ExperimentConfig()
@@ -131,27 +142,3 @@ class TestTrueErrors:
         with pytest.raises(StructuralError):
             true_errors(other_world, ensemble)
 
-
-class TestCsvRows:
-    def test_schema_and_values(self):
-        world, ensemble = generate(small_config(seed=6))
-        rows = list(csv_rows(world, ensemble))
-        # one row per (model, location, scenario point + realized)
-        assert len(rows) == 3 * 8 * (2 + 1)
-        kinds = {row[2] for row in rows}
-        assert kinds == {"scenario_low", "scenario_high", "realized"}
-        first = rows[0]
-        assert first[0] == 0 and first[1] == 0 and first[2] == "scenario_low"
-        assert first[3] == 0.30
-        assert first[4] == ensemble.projections[0, 0, 0]
-        assert first[5] == world.y_counterfactual[0, 0]
-        realized = rows[2]
-        assert realized[2] == "realized"
-        assert realized[4] == ensemble.reprojection[0, 0]
-        assert realized[5] == world.y_observed[0]
-
-    def test_three_scenario_labels(self):
-        config = small_config(scenario_values=(0.2, 0.3, 0.4))
-        world, ensemble = generate(config)
-        kinds = {row[2] for row in csv_rows(world, ensemble)}
-        assert kinds == {"scenario_0", "scenario_1", "scenario_2", "realized"}
