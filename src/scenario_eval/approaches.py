@@ -19,10 +19,11 @@ been observed had the scenario held.
    sample inferred observations at each scenario coverage, and subtract the
    sampled observations from each model's projections.
 
-Estimated distributions are pooled across locations; with the covariate the
-per-location distributions are also kept, as row views of the pooled sample
-vector (location order, the first ``n_samples % n_locations`` locations one
-sample longer), which is therefore read-only. Sampling uses keyed
+Strategies 2 and 3 share one predictive draw (``_draw``) in location-ordered
+chunks, the first ``n_samples % n_locations`` locations one sample longer,
+and one builder (``_distributions``) that pools each sample vector across
+locations and, with the covariate, keeps per-location distributions as row
+views of it, which is therefore read-only. Sampling uses keyed
 substreams: strategy 2 keys include the model, strategy 3 deliberately does
 not, so a single set of inferred observations is shared by all models.
 
@@ -47,7 +48,7 @@ from .spline_fit import FittedSpline, SplineSpec
 from .streams import KIND_ERROR_SAMPLING, KIND_OBS_SAMPLING, substream
 from .world_gen import ModelEnsemble, TrueWorld
 
-POOLED = -1                  # scope marker for across-location distributions
+POOLED = -1                  # location_id of across-location table rows
 APPROACH_PLAUSIBLE = 1
 APPROACH_ERROR_REGRESSION = 2
 APPROACH_OBSERVATION_MODEL = 3
@@ -93,22 +94,17 @@ def summarize_rows(rows: np.ndarray) -> list[DistributionSummary]:
 
 @dataclass(frozen=True)
 class ErrorDistribution:
-    """Estimated error distribution for one (model, scenario), on the
-    final-size scale. ``scope`` is a location id, or POOLED for the
-    across-location distribution. ``summary`` comes from the block pass of
-    ``summarize_rows`` that covered these samples."""
+    """Estimated error distribution on the final-size scale; the result dict
+    key names its (model, scenario) and, per location, its location.
+    ``summary`` comes from the block pass of ``summarize_rows`` that covered
+    these samples."""
 
-    model_id: int
-    scenario_index: int
-    scope: int
     samples: np.ndarray
     summary: DistributionSummary
 
     @classmethod
-    def make(cls, model_id: int, scenario_index: int, scope: int,
-             samples: np.ndarray, summary: DistributionSummary) -> "ErrorDistribution":
-        return cls(model_id=model_id, scenario_index=scenario_index, scope=scope,
-                   samples=samples, summary=summary)
+    def make(cls, samples: np.ndarray, summary: DistributionSummary) -> "ErrorDistribution":
+        return cls(samples=samples, summary=summary)
 
 
 @dataclass(frozen=True)
@@ -191,7 +187,7 @@ def evaluate_plausible(world: TrueWorld, ensemble: ModelEnsemble,
             continue
         block = point_errors[:, members]
         for m, summary in enumerate(summarize_rows(block)):
-            pooled[(m, j)] = ErrorDistribution.make(m, j, POOLED, block[m], summary)
+            pooled[(m, j)] = ErrorDistribution.make(block[m], summary)
     return PlausibleScenarioResult(selection=selection, point_errors=point_errors,
                                    pooled=pooled)
 
@@ -214,31 +210,35 @@ def _check_budget(n_samples: int, n_locations: int, include_covariate: bool) -> 
             f"for one sample per location, got {n_samples}")
 
 
-def _pooled(model_id: int, scenario_index: int,
-            samples: np.ndarray) -> ErrorDistribution:
-    """The across-location distribution; its samples become read-only
-    because per-location distributions are views of them."""
+def _draw(fitted: FittedSpline, x_j: float, covariate: np.ndarray | None,
+          counts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Predictive samples at scenario coverage ``x_j`` in location-ordered
+    chunks of lengths ``counts``: one location-generic draw without the
+    covariate, a per-location mean and sd with it."""
+    if covariate is None:
+        return spline_fit.sample_predictive(fitted, x_j, None, counts.sum(), rng)
+    means, sds = spline_fit.predict_many(fitted, np.full(covariate.size, x_j), covariate)
+    return rng.normal(np.repeat(means, counts), np.repeat(sds, counts))
+
+
+def _distributions(m: int, j: int, samples: np.ndarray, counts: np.ndarray,
+                   pooled: dict, per_location: dict | None) -> None:
+    """Add (m, j)'s pooled distribution and, unless ``per_location`` is None,
+    its per-location ones over read-only row views of chunk lengths
+    ``counts`` (non-increasing), one summary block per run of equal lengths."""
     samples.flags.writeable = False
     (summary,) = summarize_rows(samples[None, :])
-    return ErrorDistribution.make(model_id, scenario_index, POOLED, samples, summary)
-
-
-def _per_location(model_id: int, scenario_index: int, samples: np.ndarray,
-                  counts: np.ndarray) -> dict:
-    """(m, j, l) -> ErrorDistribution over row views of a pooled vector
-    whose chunks have the non-increasing lengths ``counts``; each run of
-    equal lengths is summarised as one block."""
-    out = {}
+    pooled[(m, j)] = ErrorDistribution.make(samples, summary)
+    if per_location is None:
+        return
     start = 0
     for length in np.unique(counts)[::-1]:
         locations = np.flatnonzero(counts == length)
         rows = samples[start:start + locations.size * length].reshape(
             locations.size, length)
         for l, row, summary in zip(locations.tolist(), rows, summarize_rows(rows)):
-            out[(model_id, scenario_index, l)] = ErrorDistribution.make(
-                model_id, scenario_index, l, row, summary)
+            per_location[(m, j, l)] = ErrorDistribution.make(row, summary)
         start += rows.size
-    return out
 
 
 def infer_error_distribution(world: TrueWorld, ensemble: ModelEnsemble,
@@ -269,18 +269,11 @@ def infer_error_distribution(world: TrueWorld, ensemble: ModelEnsemble,
     counts = _sample_counts(n_samples, L)
     for m in range(M):
         for j in range(S):
-            x_j = float(world.scenario_values[j])
             rng = substream(seed, KIND_ERROR_SAMPLING, variant_key, m, j)
-            if include_covariate:
-                means, sds = spline_fit.predict_many(
-                    fits[m], np.full(L, x_j), world.r0_true)
-                samples = rng.normal(np.repeat(means, counts), np.repeat(sds, counts))
-            else:
-                samples = spline_fit.sample_predictive(fits[m], x_j, None,
-                                                       n_samples, rng)
-            pooled[(m, j)] = _pooled(m, j, samples)
-            if include_covariate:
-                per_location.update(_per_location(m, j, samples, counts))
+            samples = _draw(fits[m], float(world.scenario_values[j]), covariate,
+                            counts, rng)
+            _distributions(m, j, samples, counts, pooled,
+                           per_location if include_covariate else None)
     return InferredErrorResult(include_covariate=include_covariate,
                                realized_errors=realized_errors, fits=fits,
                                pooled=pooled, per_location=per_location)
@@ -309,15 +302,9 @@ def infer_observations(world: TrueWorld, ensemble: ModelEnsemble,
     observations = []                    # per scenario, location-ordered chunks
     observation_samples: dict = {}
     for j in range(S):
-        x_j = float(world.scenario_values[j])
         rng = substream(seed, KIND_OBS_SAMPLING, variant_key, j)
-        if include_covariate:
-            means, sds = spline_fit.predict_many(
-                observation_fit, np.full(L, x_j), world.r0_true)
-        else:
-            mean, sd = spline_fit.predict(observation_fit, x_j)
-            means, sds = np.full(L, mean), np.full(L, sd)
-        drawn = rng.normal(np.repeat(means, counts), np.repeat(sds, counts))
+        drawn = _draw(observation_fit, float(world.scenario_values[j]), covariate,
+                      counts, rng)
         drawn.flags.writeable = False
         observations.append(drawn)
         chunks = np.split(drawn, np.cumsum(counts)[:-1])
@@ -328,9 +315,8 @@ def infer_observations(world: TrueWorld, ensemble: ModelEnsemble,
     for m in range(M):
         for j in range(S):
             samples = np.repeat(ensemble.projections[m, :, j], counts) - observations[j]
-            pooled[(m, j)] = _pooled(m, j, samples)
-            if include_covariate:
-                per_location.update(_per_location(m, j, samples, counts))
+            _distributions(m, j, samples, counts, pooled,
+                           per_location if include_covariate else None)
     return InferredObservationResult(include_covariate=include_covariate,
                                      observation_fit=observation_fit,
                                      observation_samples=observation_samples,

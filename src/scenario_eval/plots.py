@@ -11,7 +11,8 @@ identical reports yield byte-identical files:
 
 The SVG is hand assembled (fixed coordinate formatting, no timestamps or
 generated ids) to keep output deterministic. A report file with a missing
-column, a missing row or an unparsable value raises ConfigError naming it.
+column or row, a row with a missing or extra field or an unparsable value
+raises ConfigError naming it.
 """
 
 from __future__ import annotations
@@ -43,11 +44,18 @@ def _fmt(value: float) -> str:
 
 
 def _read_csv(path: Path):
-    """The rows of a report file, read as they are iterated."""
+    """The rows of a report file, read as they are iterated; a row with a
+    missing or extra field raises ConfigError."""
     if not path.exists():
         raise ConfigError(f"missing report file {path.name}", str(path))
     with open(path, encoding="utf-8") as handle:
-        yield from csv.DictReader(handle)
+        rows = csv.reader(handle)
+        header = next(rows, [])
+        for row in rows:
+            if len(row) != len(header):
+                raise ConfigError(f"line {rows.line_num} has {len(row)} fields, "
+                                  f"expected {len(header)}", str(path))
+            yield dict(zip(header, row))
 
 
 @contextmanager

@@ -23,7 +23,11 @@ adaptive scheme for bitwise reproducibility; accuracy is guarded by the
 step-refinement check in the test suite.
 
 The final epidemic size is reported relative to the initially susceptible
-(post-vaccination) population: (s(0) - s(end)) / s(0).
+(post-vaccination) population: (s(0) - s(end)) / s(0), the attack fraction
+by the horizon (day 548 by default), not a converged size: with alpha < 1
+the per-capita growth rate beta * s * (population * i) ** (alpha - 1) - gamma
+is unbounded as i -> 0, so infection never dies out and near-threshold
+epidemics are still running at the horizon. No convergence stop is applied.
 
 A grid of more than MAX_STEPS = 1,000,000 steps (horizon / step) is rejected
 with ParameterDomainError, so no horizon or step can make a solve run
@@ -89,7 +93,7 @@ class SirTrajectory:
 
     @property
     def final_size(self) -> float:
-        """Relative final size (s(0) - s(end)) / s(0)."""
+        """Attack fraction (s(0) - s(end)) / s(0) by the horizon, not converged."""
         s0 = float(self.s[0])
         return (s0 - float(self.s[-1])) / s0
 
@@ -116,18 +120,15 @@ def _derivatives(s, i, beta, gamma, alpha, population):
     return -infection, infection - recovery, recovery
 
 
-def _rk4(s, i, r, beta, gamma, alpha, population, step, n_steps, record=False):
-    """Advance the batch state by n_steps of RK4; optionally record each step.
+def _rk4(s, i, r, beta, gamma, alpha, population, step, n_steps):
+    """Advance the batch state by n_steps of RK4.
 
     Overflow is not trapped here; callers detect non-finite end states and
     raise NumericalInstabilityError.
     """
-    if record:
-        hist = np.empty((n_steps + 1, 3) + s.shape)
-        hist[0] = (s, i, r)
     half = 0.5 * step
     sixth = step / 6.0
-    for k in range(n_steps):
+    for _ in range(n_steps):
         ds1, di1, dr1 = _derivatives(s, i, beta, gamma, alpha, population)
         ds2, di2, dr2 = _derivatives(s + half * ds1, i + half * di1,
                                      beta, gamma, alpha, population)
@@ -138,10 +139,6 @@ def _rk4(s, i, r, beta, gamma, alpha, population, step, n_steps, record=False):
         s = s + sixth * (ds1 + 2.0 * ds2 + 2.0 * ds3 + ds4)
         i = i + sixth * (di1 + 2.0 * di2 + 2.0 * di3 + di4)
         r = r + sixth * (dr1 + 2.0 * dr2 + 2.0 * dr3 + dr4)
-        if record:
-            hist[k + 1] = (s, i, r)
-    if record:
-        return hist
     return s, i, r
 
 
@@ -156,12 +153,12 @@ def simulate(params: SirParams, horizon: float = DEFAULT_HORIZON,
     n_steps = _validate_grid(horizon, step)
     beta = params.r0 / params.infectious_period
     gamma = 1.0 / params.infectious_period
-    s0 = np.float64(1.0 - params.v)
-    i0 = np.float64(params.i0)
-    r0_state = np.float64(params.v - params.i0)
+    hist = np.empty((n_steps + 1, 3))
+    hist[0] = (1.0 - params.v, params.i0, params.v - params.i0)
     with np.errstate(over="ignore", invalid="ignore"):
-        hist = _rk4(s0, i0, r0_state, beta, gamma, params.alpha,
-                    params.population, step, n_steps, record=True)
+        for k in range(n_steps):
+            hist[k + 1] = _rk4(*hist[k], beta, gamma, params.alpha,
+                               params.population, step, 1)
     if not np.all(np.isfinite(hist)):
         raise NumericalInstabilityError(
             f"non-finite state while integrating {params}")
@@ -185,8 +182,8 @@ def final_size_batch(r0: np.ndarray, alpha: np.ndarray, v: np.ndarray, *,
                      population: float = DEFAULT_POPULATION,
                      horizon: float = DEFAULT_HORIZON,
                      step: float = DEFAULT_STEP) -> np.ndarray:
-    """Vectorized relative final size for aligned parameter arrays; every
-    element is integrated independently."""
+    """Vectorized relative final size by ``horizon`` (not converged) for
+    aligned parameter arrays; every element is integrated independently."""
     r0 = np.asarray(r0, dtype=np.float64)
     alpha = np.asarray(alpha, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)

@@ -173,12 +173,13 @@ def _rows(fitted: FittedSpline, x_new, covariate_new):
 
 def predict_many(fitted: FittedSpline, x_new, covariate_new=None):
     """Vectorized (mean, predictive_sd) at new points."""
-    rows = _rows(fitted, x_new, covariate_new)
-    mean = rows @ fitted.coefficients
-    leverage = np.einsum("ij,jk,ik->i", rows, fitted.xtx_pinv, rows)
-    sd = fitted.residual_sd * np.sqrt(1.0 + np.maximum(leverage, 0.0))
-    if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(sd))):
-        bad = np.flatnonzero(~(np.isfinite(mean) & np.isfinite(sd)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = _rows(fitted, x_new, covariate_new)
+        mean = rows @ fitted.coefficients
+        leverage = np.einsum("ij,jk,ik->i", rows, fitted.xtx_pinv, rows)
+        sd = fitted.residual_sd * np.sqrt(1.0 + np.maximum(leverage, 0.0))
+    bad = np.flatnonzero(~(np.isfinite(mean) & np.isfinite(sd)))
+    if bad.size:
         raise NumericalInstabilityError(
             f"non-finite prediction at indices {listed(bad.tolist())}")
     return mean, sd

@@ -12,8 +12,9 @@ models, per location:
             a_ml ~ N(c_m, model alpha sd)   model heterogeneity exponent
             R0_ml = R0*_l + b_m + b_ml      (redrawn b_ml if R0_ml <= 0)
 
-From these, every final size the experiment needs is computed with the SIR
-solver:
+From these, every final size the experiment needs is computed with one SIR
+solve over a (truth + M models) x L locations x (S scenarios + realized)
+grid, each point integrated on its own:
 
   y_counterfactual[l, j] : truth at each scenario coverage x_j (never
                            observable in reality, known here by construction)
@@ -137,6 +138,16 @@ class ModelEnsemble:
         return len(self.global_bias)
 
 
+def _check_alpha(alpha: np.ndarray, fields: str) -> None:
+    """Name the config fields behind a drawn alpha the solver cannot take."""
+    bad = np.argwhere(~((alpha > 0) & (alpha < np.inf)))
+    if bad.size:
+        at = ", ".join(f"{owner} {k}" for owner, k in
+                       zip(("model", "location")[-alpha.ndim:], bad[0].tolist()))
+        raise ConfigError(f"drawn alpha {alpha[tuple(bad[0])]} at {at} is not finite "
+                          "and > 0", f"experiment: {fields}")
+
+
 def generate(config: ExperimentConfig) -> tuple[TrueWorld, ModelEnsemble]:
     """Draw one world and compute every projected/observed final size.
 
@@ -144,7 +155,8 @@ def generate(config: ExperimentConfig) -> tuple[TrueWorld, ModelEnsemble]:
 
     Raises:
         ConfigError: A (model, location) pair still has R0 <= 0 after
-            MAX_REDRAWS local-bias redraws.
+            MAX_REDRAWS local-bias redraws, or a drawn alpha is <= 0 or
+            not finite (the message names the fields that drew it).
     """
     L, M = config.n_locations, config.n_models
     scen = np.asarray(config.scenario_values)
@@ -159,6 +171,8 @@ def generate(config: ExperimentConfig) -> tuple[TrueWorld, ModelEnsemble]:
         x_realized[l] = g.uniform(*config.x_realized_range)
         r0_true[l] = g.uniform(*config.r0_true_range)
         alpha_true[l] = g.normal(config.alpha_true_mean, config.alpha_true_sd)
+
+    _check_alpha(alpha_true, "alpha_true_mean/alpha_true_sd")
 
     global_bias = np.empty(M)
     alpha_center = np.empty(M)
@@ -186,42 +200,30 @@ def generate(config: ExperimentConfig) -> tuple[TrueWorld, ModelEnsemble]:
                 tries += 1
             redraws += tries
 
-    if config.perfect_models:
+    if not config.perfect_models:
+        _check_alpha(alpha_model, "alpha_center_range/alpha_model_sd")
+    else:
         global_bias = np.zeros(M)
         local_bias = np.zeros((M, L))
         alpha_model = np.broadcast_to(alpha_true, (M, L)).copy()
     r0_model = r0_true[None, :] + global_bias[:, None] + local_bias
 
-    # One flat batch for every solve the experiment needs, sliced afterwards:
-    # [counterfactuals (L*S) | observed (L) | projections (M*L*S) | reprojections (M*L)]
-    batch_r0 = np.concatenate([
-        np.repeat(r0_true, S),
-        r0_true,
-        np.repeat(r0_model.reshape(-1), S),
-        r0_model.reshape(-1),
-    ])
-    batch_alpha = np.concatenate([
-        np.repeat(alpha_true, S),
-        alpha_true,
-        np.repeat(alpha_model.reshape(-1), S),
-        alpha_model.reshape(-1),
-    ])
-    batch_v = np.concatenate([
-        np.tile(scen, L),
-        x_realized,
-        np.tile(scen, M * L),
-        np.tile(x_realized, M),
-    ])
+    # One solve grid: row 0 is the truth and rows 1..M the models; points
+    # 0..S-1 are the scenario coverages and point S the realized coverage.
+    grid = (M + 1, L, S + 1)
+    r0 = np.broadcast_to(np.vstack([r0_true, r0_model])[:, :, None], grid)
+    alpha = np.broadcast_to(np.vstack([alpha_true, alpha_model])[:, :, None], grid)
+    v = np.broadcast_to(np.column_stack([np.broadcast_to(scen, (L, S)), x_realized]),
+                        grid)
     sizes = sir_core.final_size_batch(
-        batch_r0, batch_alpha, batch_v,
+        r0.ravel(), alpha.ravel(), v.ravel(),
         i0=config.i0, infectious_period=config.infectious_period,
-        population=config.population, horizon=config.horizon, step=config.step)
-
-    n_cf, n_obs, n_proj = L * S, L, M * L * S
-    y_counterfactual = sizes[:n_cf].reshape(L, S)
-    y_observed = sizes[n_cf:n_cf + n_obs]
-    projections = sizes[n_cf + n_obs:n_cf + n_obs + n_proj].reshape(M, L, S)
-    reprojection = sizes[n_cf + n_obs + n_proj:].reshape(M, L)
+        population=config.population, horizon=config.horizon,
+        step=config.step).reshape(grid)
+    y_counterfactual = sizes[0, :, :S].copy()
+    y_observed = sizes[0, :, S].copy()
+    projections = sizes[1:, :, :S].copy()
+    reprojection = sizes[1:, :, S].copy()
 
     world = TrueWorld(
         scenario_values=scen, r0_true=r0_true, alpha_true=alpha_true,

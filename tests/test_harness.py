@@ -1,12 +1,17 @@
+import contextlib
 import csv
 import hashlib
+import io
 import json
+import tempfile
 import time
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scenario_eval import cli, harness, metrics, plots, world_gen
 from scenario_eval.errors import ConfigError
@@ -77,6 +82,8 @@ BAD_CONFIGS = [
     "[experiment]\nalpha_true_sd = nan\n",
     "[experiment]\nalpha_true_mean = nan\n",
     "[experiment]\nglobal_bias_sd = nan\n",
+    "[experiment]\nalpha_true_sd = 0.5\n",
+    "[experiment]\nalpha_model_sd = 0.6\n",
 ]
 
 
@@ -345,6 +352,12 @@ class TestEnvOverride:
         assert harness.resolve_out_dir("explicit") == Path("explicit")
 
 
+def _cut_last_row(text, n_fields):
+    """``text`` with its last CSV row cut to its first ``n_fields`` fields."""
+    head, last = text.rstrip("\n").rsplit("\n", 1)
+    return head + "\n" + ",".join(last.split(",")[:n_fields]) + "\n"
+
+
 class TestCli:
     def test_run_and_plot_roundtrip(self, tmp_path, capsys):
         config = write_config(tmp_path, FAST_CONFIG)
@@ -368,6 +381,25 @@ class TestCli:
             assert "configuration error" in err, text
             assert "Traceback" not in err, text
 
+    @pytest.mark.parametrize("field, fields", [
+        ("alpha_true_sd = 0.5", "alpha_true_mean/alpha_true_sd"),
+        ("alpha_model_sd = 0.6", "alpha_center_range/alpha_model_sd"),
+    ])
+    def test_nonpositive_alpha_names_field(self, tmp_path, capsys, field, fields):
+        config = write_config(tmp_path, f"[experiment]\n{field}\n")
+        assert cli.main(["run", "--config", str(config),
+                         "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert fields in err and "location" in err
+        assert "Traceback" not in err
+
+    def test_perfect_models_ignore_model_alpha_spread(self, tmp_path):
+        config = write_config(tmp_path, "[experiment]\nalpha_model_sd = 0.6\n"
+                              "perfect_models = true\n" + CLI_SMALL)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["run", "--config", str(config),
+                             "--out", str(tmp_path / "o")]) == 0
+
     def test_unwritable_out_exit_2(self, tmp_path, capsys):
         config = write_config(tmp_path, SMOKE_CONFIG)
         blocker = tmp_path / "blocker"
@@ -387,8 +419,10 @@ class TestCli:
         ("approach_estimates.csv", lambda text: text.replace(",-1,", ",-1,abc,", 1)),
         ("report.csv", lambda text: text.rsplit(",", 3)[0] + "\n"),
         ("decomposition.csv", lambda text: text.splitlines()[0] + "\n"),
+        ("world.csv", lambda text: _cut_last_row(text, 2)),
+        ("projections.csv", lambda text: _cut_last_row(text, 2)),
     ], ids=["garbage_world", "empty_world", "unknown_location", "shifted_value",
-            "short_row", "no_rows"])
+            "short_row", "no_rows", "short_world_row", "short_projection_row"])
     def test_malformed_report_exit_2(self, run_dir, tmp_path, capsys, name, edit):
         report = tmp_path / "report"
         report.mkdir()
@@ -400,6 +434,61 @@ class TestCli:
         assert cli.main(["plot", "--in", str(report)]) == 2
         err = capsys.readouterr().err
         assert "configuration error" in err and name in err
+
+
+# Small base config for the CLI properties; hypothesis overrides its fields.
+PROPERTY_BASE = {
+    "experiment": {"n_locations": "12", "n_models": "2"},
+    "sir": {"horizon": "100", "step": "0.5"},
+    "approaches": {"n_samples": "200"},
+}
+PROPERTY_FIELDS = [(section, key) for section, fields in (
+    ("experiment", harness._EXPERIMENT_FIELDS), ("sir", harness._SIR_FIELDS),
+    ("approaches", harness._APPROACH_FIELDS)) for key in fields]
+PROPERTY_VALUES = ["0", "-1", "nan", "inf", "-inf", "1e308", "1e-300", "0.5", "2"]
+
+
+def _quiet_main(argv):
+    """``cli.main(argv)`` under a hang guard; (exit code, stderr)."""
+    err = io.StringIO()
+    with time_limit(20), contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, err.getvalue()
+
+
+class TestCliProperties:
+    @settings(max_examples=50, deadline=None)
+    @given(overrides=st.dictionaries(st.sampled_from(PROPERTY_FIELDS),
+                                     st.sampled_from(PROPERTY_VALUES),
+                                     min_size=1, max_size=3))
+    def test_any_config_exits_cleanly(self, overrides):
+        sections = {name: dict(fields) for name, fields in PROPERTY_BASE.items()}
+        for (section, key), value in overrides.items():
+            sections[section][key] = value
+        text = "".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in fields.items())
+                       for name, fields in sections.items())
+        with tempfile.TemporaryDirectory() as tmp:
+            config = write_config(Path(tmp), text)
+            code, err = _quiet_main(["run", "--config", str(config),
+                                     "--out", str(Path(tmp) / "out")])
+        assert code in (0, 2, 3), text
+        assert "Traceback" not in err, text
+
+    @settings(max_examples=50, deadline=None)
+    @given(name=st.sampled_from(harness.DATA_FILES),
+           cut=st.floats(0.0, 1.0, allow_nan=False))
+    def test_truncated_report_exits_cleanly(self, run_dir, name, cut):
+        with tempfile.TemporaryDirectory() as tmp:
+            report = Path(tmp)
+            for source in (run_dir[0] / "out").glob("*.csv"):
+                data = source.read_bytes()
+                if source.name == name:
+                    data = data[:int(cut * len(data))]
+                (report / source.name).write_bytes(data)
+            code, err = _quiet_main(["plot", "--in", str(report)])
+        assert code in (0, 2), (name, cut)
+        assert "Traceback" not in err, (name, cut)
 
 
 class TestPlots:
