@@ -16,7 +16,14 @@ class ParameterDomainError(ScenarioEvalError, ValueError):
 
 
 class NumericalInstabilityError(ScenarioEvalError, ArithmeticError):
-    """Integration or evaluation produced a non-finite state."""
+    """Integration or evaluation produced a non-finite state.
+
+    ``indices`` lists every failing batch index when a batch solve raised.
+    """
+
+    def __init__(self, message: str, indices: tuple[int, ...] = ()):
+        super().__init__(message)
+        self.indices = indices
 
 
 class InsufficientDataError(ScenarioEvalError, ValueError):

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import sir_core
-from .errors import ConfigError, StructuralError
+from .errors import ConfigError, NumericalInstabilityError, StructuralError
 from .streams import KIND_LOCATION, KIND_MODEL, KIND_PAIR, substream
 
 DEFAULT_SEED = 38
@@ -157,6 +157,9 @@ def generate(config: ExperimentConfig) -> tuple[TrueWorld, ModelEnsemble]:
         ConfigError: A (model, location) pair still has R0 <= 0 after
             MAX_REDRAWS local-bias redraws, or a drawn alpha is <= 0 or
             not finite (the message names the fields that drew it).
+        NumericalInstabilityError: The solve failed; the message places its
+            first failing point in the grid and gives that point's r0,
+            alpha and v.
     """
     L, M = config.n_locations, config.n_models
     scen = np.asarray(config.scenario_values)
@@ -184,21 +187,23 @@ def generate(config: ExperimentConfig) -> tuple[TrueWorld, ModelEnsemble]:
     local_bias = np.empty((M, L))
     alpha_model = np.empty((M, L))
     redraws = 0
-    for m in range(M):
-        for l in range(L):
-            g = substream(seed, KIND_PAIR, m, l)
-            local_bias[m, l] = g.normal(0.0, config.local_bias_sd)
-            alpha_model[m, l] = g.normal(alpha_center[m], config.alpha_model_sd)
-            tries = 0
-            while r0_true[l] + global_bias[m] + local_bias[m, l] <= 0:
-                if tries == MAX_REDRAWS:
-                    raise ConfigError(
-                        f"R0 stays <= 0 after {MAX_REDRAWS} local bias redraws; "
-                        "lower global_bias_sd or raise r0_true_low or local_bias_sd",
-                        f"experiment: model {m}, location {l}")
+    # Huge bias sds can overflow an R0 sum; such a world is rejected below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m in range(M):
+            for l in range(L):
+                g = substream(seed, KIND_PAIR, m, l)
                 local_bias[m, l] = g.normal(0.0, config.local_bias_sd)
-                tries += 1
-            redraws += tries
+                alpha_model[m, l] = g.normal(alpha_center[m], config.alpha_model_sd)
+                tries = 0
+                while r0_true[l] + global_bias[m] + local_bias[m, l] <= 0:
+                    if tries == MAX_REDRAWS:
+                        raise ConfigError(
+                            f"R0 stays <= 0 after {MAX_REDRAWS} local bias redraws; "
+                            "lower global_bias_sd or raise r0_true_low or local_bias_sd",
+                            f"experiment: model {m}, location {l}")
+                    local_bias[m, l] = g.normal(0.0, config.local_bias_sd)
+                    tries += 1
+                redraws += tries
 
     if not config.perfect_models:
         _check_alpha(alpha_model, "alpha_center_range/alpha_model_sd")
@@ -206,7 +211,11 @@ def generate(config: ExperimentConfig) -> tuple[TrueWorld, ModelEnsemble]:
         global_bias = np.zeros(M)
         local_bias = np.zeros((M, L))
         alpha_model = np.broadcast_to(alpha_true, (M, L)).copy()
-    r0_model = r0_true[None, :] + global_bias[:, None] + local_bias
+    with np.errstate(over="ignore", invalid="ignore"):
+        r0_model = r0_true[None, :] + global_bias[:, None] + local_bias
+    if not np.all(np.isfinite(r0_model)):
+        raise ConfigError("a drawn model R0 is not finite",
+                          "experiment: global_bias_sd/local_bias_sd")
 
     # One solve grid: row 0 is the truth and rows 1..M the models; points
     # 0..S-1 are the scenario coverages and point S the realized coverage.
@@ -215,11 +224,20 @@ def generate(config: ExperimentConfig) -> tuple[TrueWorld, ModelEnsemble]:
     alpha = np.broadcast_to(np.vstack([alpha_true, alpha_model])[:, :, None], grid)
     v = np.broadcast_to(np.column_stack([np.broadcast_to(scen, (L, S)), x_realized]),
                         grid)
-    sizes = sir_core.final_size_batch(
-        r0.ravel(), alpha.ravel(), v.ravel(),
-        i0=config.i0, infectious_period=config.infectious_period,
-        population=config.population, horizon=config.horizon,
-        step=config.step).reshape(grid)
+    try:
+        sizes = sir_core.final_size_batch(
+            r0.ravel(), alpha.ravel(), v.ravel(),
+            i0=config.i0, infectious_period=config.infectious_period,
+            population=config.population, horizon=config.horizon,
+            step=config.step).reshape(grid)
+    except NumericalInstabilityError as exc:
+        row, l, j = first = np.unravel_index(exc.indices[0], grid)
+        who = "truth" if row == 0 else f"model {row - 1}"
+        point = f"scenario {j}" if j < S else "the realized coverage"
+        raise NumericalInstabilityError(
+            f"{exc}; the first is {who}, location {l}, {point} with r0 "
+            f"{r0[first]:.6g}, alpha {alpha[first]:.6g}, v {v[first]:.6g}; "
+            "try a smaller [sir] step", exc.indices) from exc
     y_counterfactual = sizes[0, :, :S].copy()
     y_observed = sizes[0, :, S].copy()
     projections = sizes[1:, :, :S].copy()

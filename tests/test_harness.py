@@ -84,6 +84,7 @@ BAD_CONFIGS = [
     "[experiment]\nglobal_bias_sd = nan\n",
     "[experiment]\nalpha_true_sd = 0.5\n",
     "[experiment]\nalpha_model_sd = 0.6\n",
+    "[experiment]\nglobal_bias_sd = 1e308\nlocal_bias_sd = 1e308\n",
 ]
 
 
@@ -391,6 +392,19 @@ class TestCli:
                          "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert fields in err and "location" in err
+        assert "Traceback" not in err
+
+    def test_stiff_alpha_names_its_grid_point(self, tmp_path, capsys):
+        # Seed 38 draws a true alpha of 1.95 at location 9, too stiff for
+        # step 0.5: exit 3, with the failing solve placed in the grid.
+        config = write_config(tmp_path, "[experiment]\nn_locations = 12\n"
+                              "n_models = 2\nalpha_true_sd = 0.5\nseed = 38\n"
+                              "[sir]\nhorizon = 100\nstep = 0.5\n")
+        assert cli.main(["run", "--config", str(config),
+                         "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert "truth, location 9, scenario 0" in err
+        assert "alpha 1.95427" in err and "smaller [sir] step" in err
         assert "Traceback" not in err
 
     def test_perfect_models_ignore_model_alpha_spread(self, tmp_path):

@@ -12,6 +12,36 @@ from scenario_eval.sir_core import SirParams, final_size, final_size_batch, simu
 from conftest import final_size_fixed_point, time_limit
 
 
+def _reference_derivatives(s, i, beta, gamma, alpha, population):
+    counts = np.maximum(i, 0.0) * population
+    infection = beta * s * np.power(counts, alpha) / population
+    recovery = gamma * i
+    return -infection, infection - recovery, recovery
+
+
+def _reference_rk4(s, i, r, beta, gamma, alpha, population, step, n_steps):
+    """The textbook 3-state RK4, one new array per operation: the reference
+    the in-place kernel must match bit for bit."""
+    half = 0.5 * step
+    sixth = step / 6.0
+    for _ in range(n_steps):
+        ds1, di1, dr1 = _reference_derivatives(s, i, beta, gamma, alpha, population)
+        ds2, di2, dr2 = _reference_derivatives(s + half * ds1, i + half * di1,
+                                               beta, gamma, alpha, population)
+        ds3, di3, dr3 = _reference_derivatives(s + half * ds2, i + half * di2,
+                                               beta, gamma, alpha, population)
+        ds4, di4, dr4 = _reference_derivatives(s + step * ds3, i + step * di3,
+                                               beta, gamma, alpha, population)
+        s = s + sixth * (ds1 + 2.0 * ds2 + 2.0 * ds3 + ds4)
+        i = i + sixth * (di1 + 2.0 * di2 + 2.0 * di3 + di4)
+        r = r + sixth * (dr1 + 2.0 * dr2 + 2.0 * dr3 + dr4)
+    return s, i, r
+
+
+def _bits(x):
+    return np.asarray(x, dtype=np.float64).tobytes()
+
+
 class TestParamValidation:
     def test_accepts_valid(self):
         SirParams(r0=2.5, alpha=0.975, v=0.3)
@@ -115,8 +145,9 @@ class TestFinalSizeBehavior:
         classic = final_size(SirParams(r0=2.5, alpha=1.0, v=0.3))
         assert damped < classic
 
-    def test_final_size_equals_trajectory_extract(self):
-        params = SirParams(r0=2.5, alpha=1.0, v=0.3)
+    @pytest.mark.parametrize("alpha", [1.0, 0.975])
+    def test_final_size_equals_trajectory_extract(self, alpha):
+        params = SirParams(r0=2.5, alpha=alpha, v=0.3)
         assert final_size(params) == simulate(params).final_size
 
     def test_classic_alpha_ignores_population(self):
@@ -229,3 +260,58 @@ class TestInstability:
         message = str(info.value)
         assert "[0, 1, 2, 3, 4, 5, 6, 7, 8, 9] (first 10 of 10000)" in message
         assert len(message) < 200
+
+
+# A short grid keeps the reference cheap; every step runs the same operations.
+REF_GRID = dict(horizon=100.0, step=0.5)
+REF_STEPS = 200
+
+
+class TestKernelMatchesReference:
+    @pytest.mark.parametrize("n", [1, sir_core.BLOCK - 1, sir_core.BLOCK,
+                                   sir_core.BLOCK + 1, 2 * sir_core.BLOCK + 5])
+    def test_batch_bitwise(self, n):
+        rng = np.random.default_rng(n)
+        r0, alpha, v = _random_draws(n, rng)
+        r0[::7] = 0.0
+        alpha[1::5] = 1.0
+        v[2::6] = 0.0
+        s0 = 1.0 - v
+        s_end, _, _ = _reference_rk4(s0, np.full(n, sir_core.DEFAULT_I0),
+                                     v - sir_core.DEFAULT_I0,
+                                     r0 / sir_core.DEFAULT_INFECTIOUS_PERIOD,
+                                     1.0 / sir_core.DEFAULT_INFECTIOUS_PERIOD, alpha,
+                                     sir_core.DEFAULT_POPULATION, REF_GRID["step"],
+                                     REF_STEPS)
+        expected = (s0 - s_end) / s0
+        assert _bits(final_size_batch(r0, alpha, v, **REF_GRID)) == _bits(expected)
+
+    @pytest.mark.parametrize("r0, alpha, v", [(2.5, 0.975, 0.3), (3.0, 1.0, 0.0),
+                                              (0.0, 0.95, 0.4), (2.2, 1.04, 0.45)])
+    def test_simulate_histories_bitwise(self, r0, alpha, v):
+        params = SirParams(r0=r0, alpha=alpha, v=v)
+        beta = params.r0 / params.infectious_period
+        gamma = 1.0 / params.infectious_period
+        hist = np.empty((REF_STEPS + 1, 3))
+        hist[0] = (1.0 - v, params.i0, v - params.i0)
+        for k in range(REF_STEPS):
+            hist[k + 1] = _reference_rk4(*hist[k], beta, gamma, alpha,
+                                         params.population, REF_GRID["step"], 1)
+        traj = simulate(params, **REF_GRID)
+        for got, expected in zip((traj.s, traj.i, traj.r), hist.T):
+            assert _bits(got) == _bits(expected)
+
+
+class TestBlockBoundaryErrors:
+    @pytest.mark.parametrize("r0, alpha, message", [
+        (2.5, 1.954, "outside"),      # stiff at step 0.5: finite, size above 1
+        (1e8, 5.0, "non-finite")])    # overflows s and i
+    def test_second_block_failure_has_its_global_index(self, r0, alpha, message):
+        n = sir_core.BLOCK + 10
+        bad = sir_core.BLOCK + 3
+        r0s, alphas = np.full(n, 2.5), np.ones(n)
+        r0s[bad], alphas[bad] = r0, alpha
+        with pytest.raises(NumericalInstabilityError, match=message) as info:
+            final_size_batch(r0s, alphas, np.full(n, 0.3), **REF_GRID)
+        assert info.value.indices == (bad,)
+        assert f"batch indices [{bad}]" in str(info.value)
