@@ -143,7 +143,8 @@ def _rk4(y, beta, alpha, gamma, population, step, n_steps):
     stage = np.empty_like(y)         # stage state (s, i), then scratch
     power = np.empty_like(y[0])      # h(i) before the division by population
     neg_recovery = np.empty_like(y[0])
-    ds, di, dr = slope[0], slope[1], slope[2] if len(y) == 3 else None
+    ds, di = slope[0], slope[1]
+    dr = slope[2] if len(y) == 3 else None
     y_si, slope_si, stage_si = y[:2], slope[:2], stage[:2]
     # Per stage: the (s, i) it reads, and the step to the next stage's state.
     stages = ((y[0], y[1], half), (stage[0], stage[1], half),

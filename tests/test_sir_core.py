@@ -304,8 +304,8 @@ class TestKernelMatchesReference:
 
 class TestBlockBoundaryErrors:
     @pytest.mark.parametrize("r0, alpha, message", [
-        (2.5, 1.954, "outside"),      # stiff at step 0.5: finite, size above 1
-        (1e8, 5.0, "non-finite")])    # overflows s and i
+        (2.5, 1.954, "outside"),      # stiff at step 0.5: finite, outside [0, 1]
+        (1e8, 5.0, "non-finite")])    # overflows the state
     def test_second_block_failure_has_its_global_index(self, r0, alpha, message):
         n = sir_core.BLOCK + 10
         bad = sir_core.BLOCK + 3
