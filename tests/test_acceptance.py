@@ -17,7 +17,8 @@ from scenario_eval.approaches import (
     infer_error_distribution,
     infer_observations,
 )
-from scenario_eval.sir_core import SirParams, final_size, final_size_batch, simulate
+from scenario_eval.sir_core import (DEFAULT_STEP, SirParams, final_size, final_size_batch,
+                                   simulate)
 from scenario_eval.spline_fit import fit, predict
 from scenario_eval.world_gen import ExperimentConfig, generate, true_errors
 
@@ -110,7 +111,8 @@ def test_criterion_2_sir_invariants():
                     assert grid[i, j, k + 1] > grid[i, j, k]
                     checks += 1
     params = SirParams(r0=2.5, alpha=0.975, v=0.4)
-    assert abs(final_size(params, step=0.25) - final_size(params, step=0.125)) <= 1e-4
+    assert abs(final_size(params, step=DEFAULT_STEP)
+               - final_size(params, step=DEFAULT_STEP / 2)) <= 1e-4
     _pass(2, f"conservation on 200 draws, {checks} strict monotonicity "
              "comparisons, step refinement <= 1e-4")
 

@@ -14,24 +14,24 @@ from scenario_eval import harness
 from scenario_eval.world_gen import ExperimentConfig
 
 DEFAULT_DIGESTS = {
-    "world.csv": "e1f37756b25ea9472981611c9f88f9b0a0e351fe45b5121a1779e28092446185",
-    "projections.csv": "d074a92d43ae0b984dd68c825a81110ce4edc204ab0dcb635a94c5a8c0b19a2c",
-    "approach_estimates.csv": "e80e5281b35b2df0e4a19795ef9f4246371e3f0ca392bc6cb5a7cc3880d2c0c5",
-    "report.csv": "0c9c820d764b75190f12e0cab8830cde98fa682aa3944a31151dacc72d44656a",
-    "decomposition.csv": "7f2dcc9bff5941aa4cd4e1120398d279bde0a9797a7bf6dc545644d861fbc03b",
-    "a1_deviation.csv": "6a0dde0c550221ca1a121c798edb42bb820692cfbd6454c6015c1a3427e3fb78",
+    "world.csv": "87cd5fb61e2e9c5078f23f9eb0b5271c30a431938b55b5b4035c70614cc0d6c6",
+    "projections.csv": "31fde3895406cd9d9a29c03c50e15ee8d577901a868a563eb9da66778009226e",
+    "approach_estimates.csv": "d65d9be03303ac6f4db45fb1fa2eb3a61abe97828ea16eee0ef7a9270fa43eef",
+    "report.csv": "071cfe21b24e7815aaadc053541dca655b46a2ee2d48f051ebacc38cc799b61e",
+    "decomposition.csv": "d6bcb55bc77dd7d7d511da7e74461d14d1fe25f61cd82314970c4851729442f8",
+    "a1_deviation.csv": "69e91d11a7104193fffe7a3337da349c0a4662dbf1263c8cc5b45eb2c73f52d9",
     "implied_obs_ks.csv": "6d404e9cd2e09e821eed67317ff1dd7c097f8c12f888d1592cfb608b120e6c7e",
-    "location_mae.csv": "bc23c2879f0ad15c2c9fe71f6309d6a0f856f7474facbe412ee97a66987e35a5",
+    "location_mae.csv": "4544f8d1fd46ef6fe96d47094ce1efda4286fc8d28127d1cb5405f247aefe415",
 }
 THREE_SCENARIO_DIGESTS = {
-    "world.csv": "70cf179176da8d412d3406b7b4e325f7035f4a5bdf74532997cb7051eaeaf52e",
-    "projections.csv": "609046dc1e00951d6040a41839f0fef3583b52338c2a6740c7add8dbc3bb533c",
-    "approach_estimates.csv": "e844caec5e7c5afe6998fe7668d45e10df0493ff073df1d52389a9f2b85242ce",
-    "report.csv": "3ae0287dfbc7c9043c18fca67de31a1fc27893bde81fbe823b5580dba8c7669f",
-    "decomposition.csv": "123196f9a0a02c97c0811dcf9fef01398f2defbb64f55f87854f6ad60eca64f6",
-    "a1_deviation.csv": "aa8ea600ef1147f967c2b74a10a8e8498d94957b71a13006f3758ce97d939a45",
+    "world.csv": "f84e18d00903960eac26c3a9d19e7dbe8235fea3cb0be0924ff0ba73ca8ab41b",
+    "projections.csv": "58a5c370d4354069e6483f1617a20612a119768e7cb4fbf343c5d601d6271388",
+    "approach_estimates.csv": "c7ea5ec0f0749e4bdbd64d3a1d1aec824c2ac5ac0a6eafedfafe9f80b92b20e2",
+    "report.csv": "5d6a7f390644ed5ecfb927a84d7d4c2d237a5ada447a26a4adde9db2e32d5edc",
+    "decomposition.csv": "a5c97233d8394583bbe31978885e77b137ca979f4959be8f03ceb30d2b118286",
+    "a1_deviation.csv": "5a9d9d124d250a47bc202bde4cc1c23f977b1b6a14b549738f4409116aa08f98",
     "implied_obs_ks.csv": "8400da85b71a7e3e919d34eb0b3d27c321ea1534cdd0d2c41ec395b8e8239a48",
-    "location_mae.csv": "aec122dfe731b88d6339503ad0dafc8a3cbe681878e3e1dcfbc76acb4dcb2145",
+    "location_mae.csv": "823a23285edbf5581675c9f9a25b7ce246d8afa20a826fd4c5778620df8f2453",
 }
 
 THREE_SCENARIO_SETTINGS = harness.RunSettings(

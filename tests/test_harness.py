@@ -3,6 +3,7 @@ import csv
 import hashlib
 import io
 import json
+import re
 import tempfile
 import time
 import xml.etree.ElementTree as ET
@@ -156,6 +157,14 @@ plausibility_threshold = 0.08
         with pytest.raises(ConfigError) as info:
             harness.load_settings(write_config(tmp_path, text))
         assert fragment in str(info.value)
+
+    def test_readme_sample_config_is_the_default(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+            encoding="utf-8")
+        block = re.search(r"Defaults shown:\n\n```ini\n(.*?)```", readme, re.S)
+        assert block, "README has no 'Defaults shown' ini block"
+        settings = harness.load_settings(write_config(tmp_path, block.group(1)))
+        assert settings == harness.RunSettings()
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):

@@ -117,11 +117,23 @@ class TestFinalSizeOracle:
         expected = final_size_fixed_point(2.5, 0.3)
         assert got == pytest.approx(expected, abs=1e-3)
 
-    def test_matches_refined_step(self):
-        params = SirParams(r0=2.5, alpha=1.0, v=0.3)
-        coarse = final_size(params, step=0.25)
-        fine = final_size(params, step=0.0025)
-        assert coarse == pytest.approx(fine, abs=1e-3)
+    def test_default_world_within_step_error_budget(self, default_world):
+        # Every solve of the default world (truth and models, at each
+        # scenario and the realized coverage; alpha 0.92-1.03) at the shipped
+        # step against a quarter of it. Measured 3.8e-10; the bound sits far
+        # below the model errors of about 0.05 that the package measures.
+        world, ensemble = default_world
+        grid = (ensemble.n_models + 1, world.n_locations, world.n_scenarios + 1)
+        r0 = np.vstack([world.r0_true, ensemble.r0_model])[:, :, None]
+        alpha = np.vstack([world.alpha_true, ensemble.alpha_model])[:, :, None]
+        v = np.column_stack([np.broadcast_to(world.scenario_values,
+                                             (world.n_locations, world.n_scenarios)),
+                             world.x_realized])
+        r0, alpha, v = (np.broadcast_to(a, grid).ravel() for a in (r0, alpha, v))
+        assert len(r0) == 1650
+        coarse = final_size_batch(r0, alpha, v, step=sir_core.DEFAULT_STEP)
+        fine = final_size_batch(r0, alpha, v, step=sir_core.DEFAULT_STEP / 4)
+        assert np.max(np.abs(coarse - fine)) <= 1e-8
 
     def test_subcritical_minor_outbreak(self):
         # R_eff = 2.0 * 0.4 = 0.8 < 1: branching bound i0/(1 - R_eff) = 0.005
@@ -151,9 +163,17 @@ class TestFinalSizeBehavior:
         assert final_size(params) == simulate(params).final_size
 
     def test_classic_alpha_ignores_population(self):
-        a = final_size(SirParams(r0=2.5, alpha=1.0, v=0.3, population=1.0))
-        b = final_size(SirParams(r0=2.5, alpha=1.0, v=0.3, population=1e6))
-        assert a == b
+        # At alpha = 1, h(i) = (population * i) / population is i up to
+        # rounding, so the population moves a final size by ulps only: the
+        # reference with alpha 1 and population 1 computes h(i) = i exactly.
+        n_steps = int(round(sir_core.DEFAULT_HORIZON / sir_core.DEFAULT_STEP))
+        s_end, _, _ = _reference_rk4(np.array([0.7]), np.array([sir_core.DEFAULT_I0]),
+                                     np.array([0.3 - sir_core.DEFAULT_I0]), 0.25, 0.1,
+                                     1.0, 1.0, sir_core.DEFAULT_STEP, n_steps)
+        classic = float((0.7 - s_end[0]) / 0.7)
+        for population in (1.0, 1e6):
+            got = final_size(SirParams(r0=2.5, alpha=1.0, v=0.3, population=population))
+            assert abs(got - classic) <= 16 * np.spacing(classic)
 
 
 def _random_draws(n, rng):
@@ -202,8 +222,9 @@ class TestInvariants:
 
     def test_step_refinement_at_default(self):
         params = SirParams(r0=2.5, alpha=0.975, v=0.4)
-        assert abs(final_size(params, step=0.25)
-                   - final_size(params, step=0.125)) <= 1e-4
+        step = sir_core.DEFAULT_STEP
+        assert abs(final_size(params, step=step)
+                   - final_size(params, step=step / 2)) <= 1e-4
 
 
 class TestBatch:
