@@ -46,6 +46,10 @@ class StructuralError(ScenarioEvalError, ValueError):
     """Inputs that must come from the same generation run do not line up."""
 
 
+class WorkerError(ScenarioEvalError, RuntimeError):
+    """A forked worker process ended without returning its result."""
+
+
 class ConfigError(ScenarioEvalError, ValueError):
     """A run configuration failed to parse or validate.
 

@@ -24,7 +24,11 @@ identical data files.
 This module alone owns the table format. Row values are ``int``, ``float``
 or ``str`` (flags "true"/"false", missing values ""), never numpy scalars,
 and go straight to ``csv.writer.writerows``: floats by ``repr``, the rest
-by ``str``.
+by ``str``. ``write_report`` splits the data files into shares of about
+equal rows x columns, one per CPU, and writes all but the last share in
+forked worker processes (``fanout``), each returning the SHA-256 digests of
+its files for the manifest; it writes serially where ``fanout`` runs
+serially. Which process writes a file changes none of its bytes.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, approaches, metrics, world_gen
+from . import __version__, approaches, fanout, metrics, world_gen
 from .approaches import (
     APPROACH_ERROR_REGRESSION,
     APPROACH_OBSERVATION_MODEL,
@@ -82,8 +86,9 @@ class RunSettings:
     plausibility_threshold: float | None = None
 
     def __post_init__(self):
-        if self.n_samples < 1:
-            raise ConfigError("n_samples must be >= 1", "approaches.n_samples")
+        if not 1 <= self.n_samples < 2**63:
+            raise ConfigError(f"n_samples must be >= 1 and fit in a 64-bit integer, "
+                              f"got {self.n_samples}", "approaches.n_samples")
         threshold = self.plausibility_threshold
         if threshold is not None and not threshold >= 0:
             raise ConfigError(f"must be empty or >= 0, got {threshold}",
@@ -484,12 +489,35 @@ def write_report(report: EvaluationReport, out_dir,
         "implied_obs_ks.csv": (IMPLIED_OBS_HEADER, report.implied_obs_ks_rows),
         "location_mae.csv": (LOCATION_MAE_HEADER, report.location_mae_rows),
     }
-    for name in DATA_FILES:
-        header, rows = tables[name]
-        with open(out / name, "w", encoding="utf-8", newline="\n") as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(header)
-            writer.writerows(rows)
+    n_points = report.world.n_locations * (report.world.n_scenarios + 1)
+    n_rows = {"world.csv": n_points,
+              "projections.csv": report.ensemble.n_models * n_points}
+    weights = {name: len(header) * (1 + (n_rows[name] if name in n_rows else len(rows)))
+               for name, (header, rows) in tables.items()}
+
+    def split(parts):
+        """DATA_FILES in ``parts`` shares of about equal rows x columns:
+        each file, largest first, goes to the lightest share."""
+        shares = [[0, []] for _ in range(min(parts, len(DATA_FILES)))]
+        for name in sorted(DATA_FILES, key=weights.get, reverse=True):
+            share = min(shares, key=lambda share: share[0])
+            share[0] += weights[name]
+            share[1].append(name)
+        return [sorted(names, key=DATA_FILES.index) for _, names in shares]
+
+    def write(names):
+        """Write the tables ``names``; their SHA-256 digests by name."""
+        for name in names:
+            header, rows = tables[name]
+            with open(out / name, "w", encoding="utf-8", newline="\n") as handle:
+                writer = csv.writer(handle, lineterminator="\n")
+                writer.writerow(header)
+                writer.writerows(rows)
+        return {name: _sha256(out / name) for name in names}
+
+    digests = {}
+    for share in fanout.fan_out(write, split):
+        digests.update(share)
 
     settings_dict = asdict(report.settings)
     config_digest = hashlib.sha256(
@@ -504,7 +532,7 @@ def write_report(report: EvaluationReport, out_dir,
         "n_locations": report.settings.experiment.n_locations,
         "n_models": report.settings.experiment.n_models,
         "redraw_count": report.ensemble.redraw_count,
-        "files": {name: _sha256(out / name) for name in DATA_FILES},
+        "files": {name: digests[name] for name in DATA_FILES},
     }
     with open(out / MANIFEST_FILE, "w", encoding="utf-8", newline="\n") as handle:
         json.dump(manifest, handle, indent=2, sort_keys=True)

@@ -50,7 +50,14 @@ effectively forever; the default grid has 1,096 steps. A step too coarse for
 RK4 to stay stable shows as a final size outside [0, 1] (by more than
 FINAL_SIZE_TOL = 1e-9) and raises NumericalInstabilityError.
 
-All functions are pure and safe to call concurrently.
+``final_size_batch`` uses every CPU this process may run on: it splits its
+solves into contiguous ranges, one per CPU, and solves all but the last range
+in forked worker processes (``fanout``), each range still in BLOCKs; the
+finite and [0, 1] checks run once on the merged end states, so the indices
+they report are global. It solves serially, without forking, on one CPU,
+where ``os.fork`` does not exist, when the calling process has more than one
+live thread, and for a single solve. Results do not depend on the split.
+``simulate`` never forks. All functions are pure.
 """
 
 from __future__ import annotations
@@ -59,6 +66,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import fanout
 from .errors import NumericalInstabilityError, ParameterDomainError, listed
 
 DEFAULT_INFECTIOUS_PERIOD = 10.0   # days
@@ -241,14 +249,26 @@ def final_size_batch(r0: np.ndarray, alpha: np.ndarray, v: np.ndarray, *,
     beta = r0 / infectious_period
     gamma = 1.0 / infectious_period
     s0 = 1.0 - v
-    end = np.empty((2, len(s0)))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, len(s0), BLOCK):
-            block = slice(start, start + BLOCK)
-            y = np.stack([s0[block], np.full_like(s0[block], i0)])
-            _rk4(y, beta[block], alpha[block], gamma, population, step, n_steps)
-            end[:, block] = y
-    s_end, i_end = end
+    n = len(s0)
+
+    def split(parts):
+        parts = max(1, min(parts, n))
+        return [slice(k * n // parts, (k + 1) * n // parts) for k in range(parts)]
+
+    def solve(share):
+        """End states (s, i) of the solves in the index slice ``share``."""
+        share_s0, share_beta, share_alpha = s0[share], beta[share], alpha[share]
+        end = np.empty((2, len(share_s0)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for start in range(0, len(share_s0), BLOCK):
+                block = slice(start, start + BLOCK)
+                y = np.stack([share_s0[block], np.full_like(share_s0[block], i0)])
+                _rk4(y, share_beta[block], share_alpha[block], gamma, population,
+                     step, n_steps)
+                end[:, block] = y
+        return end
+
+    s_end, i_end = np.concatenate(fanout.fan_out(solve, split), axis=1)
     bad = np.flatnonzero(~(np.isfinite(s_end) & np.isfinite(i_end))).tolist()
     if bad:
         raise NumericalInstabilityError(

@@ -69,7 +69,10 @@ class ExperimentConfig:
 
     def __post_init__(self):
         for name, value in vars(self).items():
-            if not np.all(np.isfinite(value)):
+            if isinstance(value, int):
+                if not -2**63 <= value < 2**63:
+                    raise ConfigError(f"must fit in a 64-bit integer, got {value}", name)
+            elif not np.all(np.isfinite(value)):
                 raise ConfigError(f"must be finite, got {value}", name)
         if self.n_locations < 2:
             raise ConfigError("n_locations must be >= 2", "n_locations")

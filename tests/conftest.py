@@ -1,3 +1,4 @@
+import os
 import signal
 from contextlib import contextmanager
 
@@ -28,6 +29,20 @@ def time_limit(seconds: int):
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def use_cpus(monkeypatch, n: int):
+    """Make the fork fan-out see ``n`` CPUs in this process's affinity mask."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def assert_no_child_processes():
+    """Every forked worker has been reaped: no child, not even a zombie."""
+    try:
+        pid, status = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    raise AssertionError(f"child process left behind: pid {pid}, status {status}")
 
 
 def final_size_fixed_point(r0: float, v: float, i0: float = 0.001) -> float:

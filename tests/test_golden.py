@@ -7,11 +7,15 @@ streams and its pairwise summation order, and were recorded with numpy
 """
 
 import hashlib
+import os
+import threading
 
 import pytest
 
 from scenario_eval import harness
 from scenario_eval.world_gen import ExperimentConfig
+
+from conftest import use_cpus
 
 DEFAULT_DIGESTS = {
     "world.csv": "87cd5fb61e2e9c5078f23f9eb0b5271c30a431938b55b5b4035c70614cc0d6c6",
@@ -46,6 +50,42 @@ THREE_SCENARIO_SETTINGS = harness.RunSettings(
 def test_data_files_match_golden_digests(tmp_path, settings, expected):
     harness.write_report(harness.evaluate(settings), tmp_path)
     assert tuple(expected) == harness.DATA_FILES
-    actual = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-              for name in harness.DATA_FILES}
-    assert actual == expected
+    assert _digests(tmp_path) == expected
+
+
+def _digests(out_dir):
+    return {name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
+            for name in harness.DATA_FILES}
+
+
+@pytest.mark.parametrize("case", ["three_cpus", "one_cpu", "no_fork", "live_thread"])
+def test_fan_out_and_serial_fallbacks_write_golden_bytes(tmp_path, monkeypatch, case):
+    # Fanned over three processes (two forks for the solve, two for the
+    # writes), and on each serial path, which must not fork at all.
+    use_cpus(monkeypatch, 1 if case == "one_cpu" else 3)
+    forks = []
+    real_fork = os.fork
+
+    def counted_fork():
+        forks.append(case)
+        if case != "three_cpus":
+            raise AssertionError("forked on a serial path")
+        return real_fork()
+
+    if case == "no_fork":
+        monkeypatch.delattr(os, "fork")
+    else:
+        monkeypatch.setattr(os, "fork", counted_fork)
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait, args=(60,))
+    if case == "live_thread":
+        thread.start()
+    try:
+        harness.write_report(harness.evaluate(harness.RunSettings()), tmp_path)
+    finally:
+        release.set()
+        if case == "live_thread":
+            thread.join(10)
+    assert not thread.is_alive()
+    assert len(forks) == (4 if case == "three_cpus" else 0)
+    assert _digests(tmp_path) == DEFAULT_DIGESTS

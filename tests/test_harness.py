@@ -3,7 +3,9 @@ import csv
 import hashlib
 import io
 import json
+import os
 import re
+import signal
 import tempfile
 import time
 import xml.etree.ElementTree as ET
@@ -17,7 +19,7 @@ from hypothesis import strategies as st
 from scenario_eval import cli, harness, metrics, plots, world_gen
 from scenario_eval.errors import ConfigError
 
-from conftest import time_limit
+from conftest import assert_no_child_processes, time_limit, use_cpus
 
 SMOKE_CONFIG = """\
 [experiment]
@@ -86,6 +88,9 @@ BAD_CONFIGS = [
     "[experiment]\nalpha_true_sd = 0.5\n",
     "[experiment]\nalpha_model_sd = 0.6\n",
     "[experiment]\nglobal_bias_sd = 1e308\nlocal_bias_sd = 1e308\n",
+    "[experiment]\nseed = 18446744073709551616\n",
+    "[experiment]\nn_locations = 9999999999999999999999999\n",
+    "[approaches]\nn_samples = 9999999999999999999999999\n",
 ]
 
 
@@ -423,6 +428,20 @@ class TestCli:
             assert cli.main(["run", "--config", str(config),
                              "--out", str(tmp_path / "o")]) == 0
 
+    @pytest.mark.parametrize("field", ["n_locations", "n_models", "seed"])
+    def test_huge_integer_names_its_field(self, tmp_path, capsys, field):
+        config = write_config(tmp_path, f"[experiment]\n{field} = {10**24}\n")
+        assert cli.main(["run", "--config", str(config),
+                         "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert f"{field}: must fit in a 64-bit integer" in err
+        assert "Traceback" not in err
+
+    def test_huge_seed_flag_exit_2(self, tmp_path, capsys):
+        assert cli.main(["run", "--seed", "99999999999999999999999",
+                         "--out", str(tmp_path / "o")]) == 2
+        assert "seed: must fit in a 64-bit integer" in capsys.readouterr().err
+
     def test_unwritable_out_exit_2(self, tmp_path, capsys):
         config = write_config(tmp_path, SMOKE_CONFIG)
         blocker = tmp_path / "blocker"
@@ -459,6 +478,52 @@ class TestCli:
         assert "configuration error" in err and name in err
 
 
+class TestWorkerFailures:
+    @pytest.mark.parametrize("name", harness.DATA_FILES)
+    def test_blocked_table_exits_2_as_when_serial(self, tmp_path, monkeypatch,
+                                                  capsys, name):
+        # A directory where one table goes. Over all tables this fails in
+        # the worker's share and in the caller's; either way the message
+        # is the serial path's, naming the file.
+        config = write_config(tmp_path, SMOKE_CONFIG)
+        out = tmp_path / "out"
+        (out / name).mkdir(parents=True)
+        errors = []
+        for cpus in (1, 2):
+            use_cpus(monkeypatch, cpus)
+            assert cli.main(["run", "--config", str(config), "--out", str(out)]) == 2
+            errors.append(capsys.readouterr().err)
+            assert_no_child_processes()
+        assert errors[0] == errors[1]
+        assert errors[0].startswith("i/o error: ") and str(out / name) in errors[0]
+
+    def test_killed_worker_exits_2(self, tmp_path, monkeypatch, capsys):
+        use_cpus(monkeypatch, 2)
+        caller, sha256 = os.getpid(), harness._sha256
+
+        def die_in_worker(path):
+            if os.getpid() != caller:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return sha256(path)
+
+        monkeypatch.setattr(harness, "_sha256", die_in_worker)
+        config = write_config(tmp_path, SMOKE_CONFIG)
+        with time_limit(20):
+            code = cli.main(["run", "--config", str(config), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "killed by signal 9" in err and "Traceback" not in err
+        assert_no_child_processes()
+
+    def test_run_leaves_no_child_process(self, tmp_path, monkeypatch):
+        use_cpus(monkeypatch, 2)
+        config = write_config(tmp_path, FAST_CONFIG)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["run", "--config", str(config),
+                             "--out", str(tmp_path / "o")]) == 0
+        assert_no_child_processes()
+
+
 # Small base config for the CLI properties; hypothesis overrides its fields.
 PROPERTY_BASE = {
     "experiment": {"n_locations": "12", "n_models": "2"},
@@ -468,7 +533,8 @@ PROPERTY_BASE = {
 PROPERTY_FIELDS = [(section, key) for section, fields in (
     ("experiment", harness._EXPERIMENT_FIELDS), ("sir", harness._SIR_FIELDS),
     ("approaches", harness._APPROACH_FIELDS)) for key in fields]
-PROPERTY_VALUES = ["0", "-1", "nan", "inf", "-inf", "1e308", "1e-300", "0.5", "2"]
+PROPERTY_VALUES = ["0", "-1", "nan", "inf", "-inf", "1e308", "1e-300", "0.5", "2",
+                   "9999999999999999999999999"]
 
 
 def _quiet_main(argv):

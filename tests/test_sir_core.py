@@ -1,3 +1,4 @@
+import os
 import warnings
 
 import numpy as np
@@ -9,7 +10,7 @@ from scenario_eval import sir_core
 from scenario_eval.errors import NumericalInstabilityError, ParameterDomainError
 from scenario_eval.sir_core import SirParams, final_size, final_size_batch, simulate
 
-from conftest import final_size_fixed_point, time_limit
+from conftest import final_size_fixed_point, time_limit, use_cpus
 
 
 def _reference_derivatives(s, i, beta, gamma, alpha, population):
@@ -336,3 +337,28 @@ class TestBlockBoundaryErrors:
             final_size_batch(r0s, alphas, np.full(n, 0.3), **REF_GRID)
         assert info.value.indices == (bad,)
         assert f"batch indices [{bad}]" in str(info.value)
+
+
+class TestFanOut:
+    @pytest.mark.parametrize("n", [1, 2, 3, sir_core.BLOCK - 1, sir_core.BLOCK + 1,
+                                   2 * sir_core.BLOCK + 3])
+    def test_split_solve_equals_serial(self, monkeypatch, n):
+        r0, alpha, v = _random_draws(n, np.random.default_rng(n))
+        use_cpus(monkeypatch, 1)
+        serial = final_size_batch(r0, alpha, v, **REF_GRID)
+        for cpus in (2, 3):
+            use_cpus(monkeypatch, cpus)
+            assert np.array_equal(final_size_batch(r0, alpha, v, **REF_GRID), serial)
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_failures_keep_their_global_indices(self, monkeypatch, cpus):
+        # Overflowing solves on both sides of every split point and last.
+        n = 2 * sir_core.BLOCK + 3
+        bad = sorted({n * k // cpus + side for k in range(1, cpus) for side in (-1, 0)}
+                     | {n - 1})
+        r0s, alphas = np.full(n, 2.5), np.ones(n)
+        r0s[bad], alphas[bad] = 1e8, 5.0
+        use_cpus(monkeypatch, cpus)
+        with pytest.raises(NumericalInstabilityError, match="non-finite") as info:
+            final_size_batch(r0s, alphas, np.full(n, 0.3), **REF_GRID)
+        assert info.value.indices == tuple(bad)
