@@ -7,10 +7,14 @@ copy of the caller's memory, so ``fn`` may be a closure over large arrays and
 only its result travels: the worker pickles it, or the exception ``fn``
 raised, into a pipe and ends with ``os._exit``. The caller always reaps every
 worker, also when its own share raises; it kills them first in that case.
+Workers are forked, not spawned: a spawned worker would start a fresh
+interpreter, import the package and receive its inputs pickled, which costs
+about as much as the shares it would run.
 
 The shares run serially in the caller, with no fork, when ``p`` is 1 (one
-CPU in this process's affinity mask, no ``os.fork`` on this platform, or
-more than one live thread, since a fork copies only the calling thread) or
+CPU in this process's affinity mask, no ``os.fork`` or
+``os.sched_getaffinity`` on this platform, or more than one live thread,
+since a fork copies only the calling thread) or
 when ``split`` returns fewer than two shares. Callers split their work so
 that results do not depend on how many shares it went into.
 """
@@ -25,8 +29,8 @@ import threading
 from .errors import WorkerError
 
 
-def processes() -> int:
-    """How many processes ``fan_out`` may run shares on now; 1 is serial."""
+def _processes() -> int:
+    """How many processes may run shares now; 1 means serially."""
     if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity") \
             or threading.active_count() > 1:
         return 1
@@ -34,10 +38,11 @@ def processes() -> int:
 
 
 def fan_out(fn, split) -> list:
-    """``[fn(share) for share in split(processes())]``, the shares computed
-    in parallel when there are at least two. ``split(p)`` returns at most
-    ``p`` shares, each non-empty unless it is the only one."""
-    shares = split(processes())
+    """``[fn(share) for share in split(p)]``, the shares computed
+    in parallel when there are at least two. ``p`` is the number of
+    processes that may run them (1: serial), and ``split(p)`` returns at
+    most ``p`` shares, each non-empty unless it is the only one."""
+    shares = split(_processes())
     if len(shares) < 2:
         return [fn(share) for share in shares]
     workers, payloads = [], []

@@ -2,12 +2,12 @@
 
 import os
 import signal
-import threading
 import time
 
 import pytest
 
 from scenario_eval import fanout
+from scenario_eval.sir_core import SirParams, final_size
 from scenario_eval.errors import WorkerError
 
 from conftest import assert_no_child_processes, time_limit, use_cpus
@@ -64,23 +64,10 @@ def test_callers_timeout_kills_and_reaps_the_workers(monkeypatch):
     assert_no_child_processes()
 
 
-@pytest.mark.parametrize("case", ["one_cpu", "no_fork", "live_thread", "one_share"])
-def test_serial_fallbacks_do_not_fork(monkeypatch, case):
-    use_cpus(monkeypatch, 1 if case == "one_cpu" else 2)
-    if case == "no_fork":
-        monkeypatch.delattr(os, "fork")
-    else:
-        monkeypatch.setattr(os, "fork", _forbidden_fork)
-    release = threading.Event()
-    thread = threading.Thread(target=release.wait, args=(30,))
-    if case == "live_thread":
-        thread.start()
-    try:
-        split = (lambda p: [7]) if case == "one_share" else (lambda p: list(range(p)))
-        out = fanout.fan_out(lambda k: k * 2, split)
-    finally:
-        release.set()
-        if case == "live_thread":
-            thread.join(10)
-    assert not thread.is_alive()
-    assert out == ([14] if case == "one_share" else [0])   # split(1): one share
+def test_single_share_does_not_fork(monkeypatch):
+    # The serial fallbacks for one CPU, no os.fork and a threaded caller
+    # are checked against the golden digests in test_golden.py.
+    use_cpus(monkeypatch, 2)
+    monkeypatch.setattr(os, "fork", _forbidden_fork)
+    assert fanout.fan_out(lambda k: k * 2, lambda p: [7]) == [14]
+    assert final_size(SirParams(r0=2.5, alpha=1.0, v=0.3)) > 0
