@@ -14,7 +14,7 @@ from .approaches import (
     infer_error_distribution,
     infer_observations,
 )
-from .harness import EvaluationReport, RunSettings, default_settings, evaluate, run
+from .harness import EvaluationReport, RunSettings, evaluate, run
 from .metrics import decompose, ks_two_sample, mae_of_means
 from .sir_core import SirParams, SirTrajectory, final_size, simulate
 from .spline_fit import FittedSpline, SplineSpec, fit, predict, sample_predictive
@@ -33,7 +33,6 @@ __all__ = [
     "SplineSpec",
     "TrueWorld",
     "decompose",
-    "default_settings",
     "evaluate",
     "evaluate_plausible",
     "final_size",

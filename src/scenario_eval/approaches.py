@@ -57,6 +57,15 @@ VARIANT_PLAUSIBLE = "plausible"
 VARIANT_COVARIATE = "covariate"
 VARIANT_NO_COVARIATE = "no_covariate"
 
+# The (approach, variant) pairs every run evaluates, in table row order.
+VARIANTS = (
+    (APPROACH_PLAUSIBLE, VARIANT_PLAUSIBLE),
+    (APPROACH_ERROR_REGRESSION, VARIANT_NO_COVARIATE),
+    (APPROACH_ERROR_REGRESSION, VARIANT_COVARIATE),
+    (APPROACH_OBSERVATION_MODEL, VARIANT_NO_COVARIATE),
+    (APPROACH_OBSERVATION_MODEL, VARIANT_COVARIATE),
+)
+
 
 QUANTILES = (0.05, 0.25, 0.5, 0.75, 0.95)
 
@@ -139,7 +148,6 @@ class InferredErrorResult:
 class InferredObservationResult:
     include_covariate: bool
     observation_fit: FittedSpline
-    observation_samples: dict            # (j, l) -> read-only samples shared by all models
     pooled: dict                         # (m, j) -> ErrorDistribution
     per_location: dict                   # (m, j, l) -> ErrorDistribution (covariate only)
 
@@ -300,15 +308,10 @@ def infer_observations(world: TrueWorld, ensemble: ModelEnsemble,
 
     counts = _sample_counts(n_samples, L)
     observations = []                    # per scenario, location-ordered chunks
-    observation_samples: dict = {}
     for j in range(S):
         rng = substream(seed, KIND_OBS_SAMPLING, variant_key, j)
-        drawn = _draw(observation_fit, float(world.scenario_values[j]), covariate,
-                      counts, rng)
-        drawn.flags.writeable = False
-        observations.append(drawn)
-        chunks = np.split(drawn, np.cumsum(counts)[:-1])
-        observation_samples.update(((j, l), chunk) for l, chunk in enumerate(chunks))
+        observations.append(_draw(observation_fit, float(world.scenario_values[j]),
+                                  covariate, counts, rng))
 
     pooled: dict = {}
     per_location: dict = {}
@@ -319,7 +322,6 @@ def infer_observations(world: TrueWorld, ensemble: ModelEnsemble,
                            per_location if include_covariate else None)
     return InferredObservationResult(include_covariate=include_covariate,
                                      observation_fit=observation_fit,
-                                     observation_samples=observation_samples,
                                      pooled=pooled, per_location=per_location)
 
 

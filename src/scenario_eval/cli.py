@@ -5,7 +5,8 @@
 
 Exit codes: 0 success; 2 configuration/input problems, which are every
 package error except a numerical failure, plus any OSError while reading
-or writing report files; 3 numerical failure (NumericalInstabilityError).
+or writing report files and a MemoryError from sizes too large for this
+machine; 3 numerical failure (NumericalInstabilityError).
 """
 
 from __future__ import annotations
@@ -79,6 +80,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:
+        print(f"out of memory: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
 

@@ -47,16 +47,14 @@ import numpy as np
 from . import __version__, approaches, fanout, metrics, world_gen
 from .approaches import (
     APPROACH_ERROR_REGRESSION,
-    APPROACH_OBSERVATION_MODEL,
     APPROACH_PLAUSIBLE,
     POOLED,
     VARIANT_COVARIATE,
-    VARIANT_NO_COVARIATE,
     VARIANT_PLAUSIBLE,
 )
 from .errors import ConfigError
 from .spline_fit import SplineSpec
-from .world_gen import ExperimentConfig
+from .world_gen import MAX_FLOAT64_SIZE, ExperimentConfig
 
 DATA_FILES = (
     "world.csv",
@@ -74,43 +72,33 @@ OUT_DIR_ENV = "SCENARIO_EVAL_OUT"
 
 @dataclass(frozen=True)
 class RunSettings:
-    """Experiment configuration plus harness toggles."""
+    """Experiment configuration plus the strategies' method parameters."""
 
     experiment: ExperimentConfig = field(default_factory=ExperimentConfig)
     n_samples: int = 10_000
     basis_dim: int = 5
-    run_approach1: bool = True
-    run_approach2: bool = True
-    run_approach3: bool = True
-    covariate_variants: bool = True     # run strategies 2/3 both with and without R0
     plausibility_threshold: float | None = None
 
     def __post_init__(self):
-        if not 1 <= self.n_samples < 2**63:
-            raise ConfigError(f"n_samples must be >= 1 and fit in a 64-bit integer, "
+        if not 1 <= self.n_samples <= MAX_FLOAT64_SIZE:
+            raise ConfigError(f"n_samples must be >= 1 and at most {MAX_FLOAT64_SIZE}, "
+                              f"the largest float64 array numpy can address, "
                               f"got {self.n_samples}", "approaches.n_samples")
         threshold = self.plausibility_threshold
         if threshold is not None and not threshold >= 0:
             raise ConfigError(f"must be empty or >= 0, got {threshold}",
                               "approaches.plausibility_threshold")
         needed = self.basis_dim + 2 + 1   # spline columns + intercept + covariate, exclusive bound
-        if (self.run_approach2 or self.run_approach3) and \
-                self.experiment.n_locations <= needed:
+        if self.experiment.n_locations <= needed:
             raise ConfigError(
                 f"strategies 2/3 need n_locations > {needed} to fit the spline "
                 f"(basis_dim={self.basis_dim}); got {self.experiment.n_locations}. "
-                "Reduce basis_dim or disable run_approach2/run_approach3",
-                "experiment.n_locations")
-        if (self.run_approach2 or self.run_approach3) and \
-                self.n_samples < self.experiment.n_locations:
+                "Reduce basis_dim", "experiment.n_locations")
+        if self.n_samples < self.experiment.n_locations:
             raise ConfigError(
                 f"strategies 2/3 split the samples across locations and need "
                 f"n_samples >= n_locations ({self.experiment.n_locations}); "
                 f"got {self.n_samples}", "approaches.n_samples")
-
-
-def default_settings() -> RunSettings:
-    return RunSettings()
 
 
 _EXPERIMENT_FIELDS = {
@@ -141,10 +129,6 @@ _SIR_FIELDS = {
 _APPROACH_FIELDS = {
     "n_samples": int,
     "basis_dim": int,
-    "run_approach1": "bool",
-    "run_approach2": "bool",
-    "run_approach3": "bool",
-    "covariate_variants": "bool",
     "plausibility_threshold": "optional_float",
 }
 
@@ -244,20 +228,6 @@ class EvaluationReport:
     location_mae_rows: list
 
 
-def _variant_list(settings: RunSettings):
-    """(approach id, variant label, include_covariate) for enabled strategies."""
-    out = []
-    if settings.run_approach1:
-        out.append((APPROACH_PLAUSIBLE, VARIANT_PLAUSIBLE, None))
-    for enabled, approach_id in ((settings.run_approach2, APPROACH_ERROR_REGRESSION),
-                                 (settings.run_approach3, APPROACH_OBSERVATION_MODEL)):
-        if enabled:
-            if settings.covariate_variants:
-                out.append((approach_id, VARIANT_NO_COVARIATE, False))
-            out.append((approach_id, VARIANT_COVARIATE, True))
-    return out
-
-
 def evaluate(settings: RunSettings) -> EvaluationReport:
     """Run the whole experiment in memory (no files)."""
     config = settings.experiment
@@ -266,17 +236,19 @@ def evaluate(settings: RunSettings) -> EvaluationReport:
     spec = SplineSpec(basis_dim=settings.basis_dim)
     seed = config.seed
 
+    # Strategies are looked up on ``approaches`` at call time, so span wrappers
+    # swapped in after import (benchmarks/spans.py) see every call.
     results = {}
-    for approach_id, variant, with_cov in _variant_list(settings):
+    for approach_id, variant in approaches.VARIANTS:
         if approach_id == APPROACH_PLAUSIBLE:
             results[(approach_id, variant)] = approaches.evaluate_plausible(
                 world, ensemble, settings.plausibility_threshold)
-        elif approach_id == APPROACH_ERROR_REGRESSION:
-            results[(approach_id, variant)] = approaches.infer_error_distribution(
-                world, ensemble, with_cov, settings.n_samples, seed, spec)
-        else:
-            results[(approach_id, variant)] = approaches.infer_observations(
-                world, ensemble, with_cov, settings.n_samples, seed, spec)
+            continue
+        infer = (approaches.infer_error_distribution
+                 if approach_id == APPROACH_ERROR_REGRESSION
+                 else approaches.infer_observations)
+        results[(approach_id, variant)] = infer(
+            world, ensemble, variant == VARIANT_COVARIATE, settings.n_samples, seed, spec)
 
     report_rows = _report_rows(settings, world, errs, results)
     estimate_rows = _estimate_rows(results)
@@ -378,9 +350,7 @@ A1_DEVIATION_HEADER = ("model_id", "location_id", "plausible_scenario",
 
 
 def _a1_deviation_rows(errs, results):
-    result = results.get((APPROACH_PLAUSIBLE, VARIANT_PLAUSIBLE))
-    if result is None:
-        return []
+    result = results[(APPROACH_PLAUSIBLE, VARIANT_PLAUSIBLE)]
     deviation = result.selection.deviation
     rows = []
     for m, j, l, est in _plausible_points(result):
@@ -545,7 +515,7 @@ def run(config_path, out_dir, seed: int | None = None) -> EvaluationReport:
     and write the report directory."""
     config_bytes = None
     if config_path is None:
-        settings = default_settings()
+        settings = RunSettings()
     else:
         settings = load_settings(config_path)
         config_bytes = Path(config_path).read_bytes()

@@ -23,18 +23,16 @@ from pathlib import Path
 
 import numpy as np
 
+from .approaches import VARIANTS
 from .errors import ConfigError, ScenarioEvalError
 
 WIDTH, HEIGHT = 860.0, 420.0
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 70.0, 20.0, 46.0, 50.0
 
-VARIANT_ORDER = (
-    ("1", "plausible", "#30609e"),
-    ("2", "no_covariate", "#8fce8f"),
-    ("2", "covariate", "#2c7a2c"),
-    ("3", "no_covariate", "#e89c9c"),
-    ("3", "covariate", "#b03030"),
-)
+# (approach as report files spell it, variant, colour), in VARIANTS order.
+VARIANT_ORDER = tuple(
+    (str(approach), variant, color) for (approach, variant), color in zip(
+        VARIANTS, ("#30609e", "#8fce8f", "#2c7a2c", "#e89c9c", "#b03030"), strict=True))
 TRUE_COLOR = "#555555"
 DOT_RADIUS = 3.0
 

@@ -42,6 +42,9 @@ DEFAULT_SEED = 38
 # Local-bias redraws allowed per (model, location) before giving up; a pair
 # that needs this many has R0*_l + b_m far below 0 relative to the local bias sd.
 MAX_REDRAWS = 1000
+# Elements of the largest float64 array numpy can address: its byte count
+# must fit in a signed pointer-sized integer.
+MAX_FLOAT64_SIZE = np.iinfo(np.intp).max // np.dtype(np.float64).itemsize
 
 
 @dataclass(frozen=True)
@@ -85,6 +88,15 @@ class ExperimentConfig:
             raise ConfigError("scenario values must be strictly increasing",
                               "scenario_values")
         object.__setattr__(self, "scenario_values", values)
+        for name in ("n_locations", "n_models"):
+            if getattr(self, name) > MAX_FLOAT64_SIZE:
+                raise ConfigError(f"must be at most {MAX_FLOAT64_SIZE}, the largest float64 "
+                                  f"array numpy can address, got {getattr(self, name)}", name)
+        grid = (self.n_models + 1) * self.n_locations * (len(values) + 1)
+        if grid > MAX_FLOAT64_SIZE:
+            raise ConfigError(f"the solve grid (n_models + 1) x n_locations x (scenarios + 1) "
+                              f"= {grid} exceeds {MAX_FLOAT64_SIZE}, the largest float64 "
+                              "array numpy can address", "n_models/n_locations")
         for name in ("x_realized_range", "r0_true_range", "alpha_center_range"):
             lo, hi = getattr(self, name)
             if not (lo < hi and np.isfinite(hi - lo)):

@@ -323,8 +323,8 @@ class TestDistributionContainers:
                 drawn.append(np.concatenate([rng.normal(means[l], sds[l], counts[l])
                                              for l in range(11)]))
             assert drawn[0].tobytes() == errors.pooled[(0, j)].samples.tobytes()
-            chunks = [observed.observation_samples[(j, l)] for l in range(11)]
-            assert drawn[1].tobytes() == np.concatenate(chunks).tobytes()
+            implied = np.repeat(ensemble.projections[0, :, j], counts) - drawn[1]
+            assert implied.tobytes() == observed.pooled[(0, j)].samples.tobytes()
 
     @pytest.mark.parametrize("strategy", [infer_error_distribution,
                                           infer_observations])

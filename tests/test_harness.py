@@ -6,8 +6,9 @@ import json
 import os
 import re
 import signal
+import subprocess
+import sys
 import tempfile
-import time
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -20,21 +21,6 @@ from scenario_eval import cli, harness, metrics, plots, world_gen
 from scenario_eval.errors import ConfigError
 
 from conftest import assert_no_child_processes, time_limit, use_cpus
-
-SMOKE_CONFIG = """\
-[experiment]
-n_locations = 5
-n_models = 1
-seed = 7
-
-[sir]
-horizon = 200
-step = 0.5
-
-[approaches]
-run_approach2 = false
-run_approach3 = false
-"""
 
 FAST_CONFIG = """\
 [experiment]
@@ -60,11 +46,15 @@ step = 0.5
 """
 
 # Each must exit 2 from the CLI, within a time cap: input problems that are
-# not numerical failures, including a removed field and a redraw loop that
+# not numerical failures, including removed fields and a redraw loop that
 # can never succeed.
 BAD_CONFIGS = [
     "[experiment]\nn_locations = -2\n",
     "[approaches]\nthreads = 1\n",
+    "[approaches]\nrun_approach1 = false\n",
+    "[approaches]\nrun_approach2 = false\n",
+    "[approaches]\nrun_approach3 = false\n",
+    "[approaches]\ncovariate_variants = false\n",
     "[experiment]\nr0_true_low = -1\nr0_true_high = -0.5\n"
     "global_bias_sd = 0\nlocal_bias_sd = 0\n",
     CLI_SMALL + "[experiment]\nseed = 1\nr0_true_low = 0\nr0_true_high = 0.1\n"
@@ -133,7 +123,6 @@ step = 0.5
 [approaches]
 n_samples = 1000
 basis_dim = 4
-covariate_variants = false
 plausibility_threshold = 0.08
 """
         settings = harness.load_settings(write_config(tmp_path, text))
@@ -145,7 +134,6 @@ plausibility_threshold = 0.08
         assert exp.infectious_period == 8 and exp.i0 == 0.002
         assert exp.population == 2000 and exp.horizon == 400 and exp.step == 0.5
         assert settings.basis_dim == 4
-        assert settings.covariate_variants is False
         assert settings.plausibility_threshold == 0.08
 
     @pytest.mark.parametrize("text,fragment", [
@@ -157,6 +145,11 @@ plausibility_threshold = 0.08
         ("[approaches]\nn_samples = 30\n", "approaches.n_samples"),
         ("[approaches]\nplausibility_threshold = nan\n", "plausibility_threshold"),
         ("[approaches]\nplausibility_threshold = -1\n", "plausibility_threshold"),
+        ("[approaches]\nrun_approach1 = false\n", "unknown field 'run_approach1'"),
+        ("[approaches]\nrun_approach2 = false\n", "unknown field 'run_approach2'"),
+        ("[approaches]\nrun_approach3 = false\n", "unknown field 'run_approach3'"),
+        ("[approaches]\ncovariate_variants = false\n",
+         "unknown field 'covariate_variants'"),
     ])
     def test_diagnostics(self, tmp_path, text, fragment):
         with pytest.raises(ConfigError) as info:
@@ -188,8 +181,6 @@ plausibility_threshold = 0.08
         assert "approaches.n_samples" in str(info.value)
         assert "40" in str(info.value)
         harness.RunSettings(experiment=experiment, n_samples=40)
-        harness.RunSettings(experiment=experiment, n_samples=39,
-                            run_approach2=False, run_approach3=False)
 
 
 @pytest.fixture(scope="module")
@@ -283,18 +274,6 @@ class TestRunOutputs:
                 est = est_means[(r["approach"], r["variant"], m, j)]
                 assert float(r["mae_of_means"]) == pytest.approx(
                     abs(est - expected_true), abs=1e-12)
-
-    def test_smoke_run_plausible_only(self, tmp_path):
-        # Too few locations for the regression strategies; strategy 1 still
-        # runs end to end and quickly.
-        config = write_config(tmp_path, SMOKE_CONFIG)
-        start = time.monotonic()
-        report = harness.run(config, tmp_path / "out")
-        elapsed = time.monotonic() - start
-        assert elapsed < 5.0
-        for name in harness.DATA_FILES:
-            assert (tmp_path / "out" / name).exists()
-        assert {row[0] for row in report.report_rows} == {1}
 
 
 def small_world(**overrides):
@@ -437,13 +416,43 @@ class TestCli:
         assert f"{field}: must fit in a 64-bit integer" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("text, fragment", [
+        (f"[experiment]\nn_locations = 12\n[approaches]\nn_samples = {2**62}\n",
+         "approaches.n_samples: n_samples must be >= 1 and at most"),
+        (f"[experiment]\nn_models = {2**62}\n", "n_models: must be at most"),
+        (f"[experiment]\nn_locations = {2**62}\n", "n_locations: must be at most"),
+        (f"[experiment]\nn_models = {2**56}\n", "n_models/n_locations: the solve grid"),
+    ], ids=["n_samples", "n_models", "n_locations", "grid"])
+    def test_unaddressable_size_names_its_field(self, tmp_path, capsys, text, fragment):
+        # These fit in 64 bits, but not their float64 arrays in numpy's
+        # address range: rejected before anything is allocated.
+        config = write_config(tmp_path, text)
+        assert cli.main(["run", "--config", str(config),
+                         "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert fragment in err and "numpy can address" in err
+        assert "Traceback" not in err
+
+    def test_memory_error_exit_2(self, tmp_path, monkeypatch, capsys):
+        # An addressable size that does not fit in memory fails as numpy's
+        # MemoryError does; raised here without a real allocation.
+        def out_of_memory(config):
+            raise MemoryError("Unable to allocate 8.00 TiB for an array with shape "
+                              "(1099511627776,) and data type float64")
+
+        monkeypatch.setattr(world_gen, "generate", out_of_memory)
+        assert cli.main(["run", "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("out of memory: Unable to allocate 8.00 TiB")
+        assert "Traceback" not in err
+
     def test_huge_seed_flag_exit_2(self, tmp_path, capsys):
         assert cli.main(["run", "--seed", "99999999999999999999999",
                          "--out", str(tmp_path / "o")]) == 2
         assert "seed: must fit in a 64-bit integer" in capsys.readouterr().err
 
     def test_unwritable_out_exit_2(self, tmp_path, capsys):
-        config = write_config(tmp_path, SMOKE_CONFIG)
+        config = write_config(tmp_path, FAST_CONFIG)
         blocker = tmp_path / "blocker"
         blocker.write_text("", encoding="utf-8")
         code = cli.main(["run", "--config", str(config),
@@ -485,7 +494,7 @@ class TestWorkerFailures:
         # A directory where one table goes. Over all tables this fails in
         # the worker's share and in the caller's; either way the message
         # is the serial path's, naming the file.
-        config = write_config(tmp_path, SMOKE_CONFIG)
+        config = write_config(tmp_path, FAST_CONFIG)
         out = tmp_path / "out"
         (out / name).mkdir(parents=True)
         errors = []
@@ -507,7 +516,7 @@ class TestWorkerFailures:
             return sha256(path)
 
         monkeypatch.setattr(harness, "_sha256", die_in_worker)
-        config = write_config(tmp_path, SMOKE_CONFIG)
+        config = write_config(tmp_path, FAST_CONFIG)
         with time_limit(20):
             code = cli.main(["run", "--config", str(config), "--out", str(tmp_path / "o")])
         assert code == 2
@@ -522,6 +531,41 @@ class TestWorkerFailures:
             assert cli.main(["run", "--config", str(config),
                              "--out", str(tmp_path / "o")]) == 0
         assert_no_child_processes()
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# Instruments the package with the benchmark's tracer, runs the CLI and
+# prints the exit code, span names, counters and the tracer's table builders
+# as the last stdout line.
+TRACED_RUN = """
+import json, sys
+import spans
+from scenario_eval import cli
+tracer = spans.Tracer()
+spans.instrument(tracer)
+code = cli.main(["run", "--config", sys.argv[1], "--out", sys.argv[2]])
+print(json.dumps({"code": code, "names": sorted({span[0] for span in tracer.spans}),
+                  "counts": dict(tracer.counts), "builders": spans.TABLE_BUILDERS}))
+"""
+
+
+def test_benchmark_tracer_sees_every_stage(tmp_path):
+    # benchmarks/spans.py swaps package attributes by name; a rename or an
+    # early-bound call would drop spans or counts from a traced run.
+    config = write_config(tmp_path, FAST_CONFIG)
+    env = dict(os.environ, PYTHONPATH=f"{ROOT / 'src'}{os.pathsep}{ROOT / 'benchmarks'}")
+    done = subprocess.run([sys.executable, "-c", TRACED_RUN, str(config),
+                           str(tmp_path / "out")], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    traced = json.loads(done.stdout.splitlines()[-1])
+    assert traced["code"] == 0
+    expected = [f"harness.{name}" for name in traced["builders"]] + [
+        "approaches.evaluate_plausible", "approaches.infer_error_distribution",
+        "approaches.infer_observations"]
+    assert set(expected) <= set(traced["names"])
+    assert traced["counts"]["approaches.distributions"] > 0
 
 
 # Small base config for the CLI properties; hypothesis overrides its fields.
