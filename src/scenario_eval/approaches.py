@@ -29,11 +29,15 @@ not, so a single set of inferred observations is shared by all models.
 
 Every distribution carries a ``DistributionSummary`` (mean and five
 quantiles). ``summarize_rows`` computes the summaries of a block of
-equal-length sample vectors with one ``np.quantile`` and one ``mean`` pass
-along the rows: one block per pooled vector, per run of equal chunk lengths
-of a (model, scenario)'s per-location vectors, and per scenario across
-models for strategy 1. Row-wise passes give the same bits as one call per
-vector.
+equal-length sample vectors with one ``np.sort`` and one ``mean`` pass along
+the rows: one block per pooled vector, per run of equal chunk lengths of a
+(model, scenario)'s per-location vectors, and per scenario across models for
+strategy 1. The quantiles index the two order statistics around each of
+numpy's linear-method positions in the sorted rows and interpolate them as
+``np.quantile`` does; a row with a non-finite value, or one that picks a
+zero order statistic, whose sign sort and partition may place differently,
+goes through ``np.quantile`` itself. Either way the summaries have the same
+bits as one ``np.quantile`` and one ``mean`` call per vector.
 """
 
 from __future__ import annotations
@@ -74,7 +78,8 @@ QUANTILES = (0.05, 0.25, 0.5, 0.75, 0.95)
 class DistributionSummary:
     """Mean and quantile summary of a sample vector; ``mean`` and the
     quantiles equal, bit for bit, ``samples.mean()`` and
-    ``np.quantile(samples, QUANTILES)``."""
+    ``np.quantile(samples, QUANTILES)``, though the quantiles come from a
+    sort (see ``summarize_rows``)."""
 
     mean: float
     median: float
@@ -85,17 +90,43 @@ class DistributionSummary:
     n_samples: int
 
 
+def _linear_positions(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """numpy's linear-method arithmetic for QUANTILES of n sorted values:
+    the order statistics below and above each position, and the weight of
+    the one above. Positions at or past the last value pick it twice."""
+    virtual = (n - 1) * np.asarray(QUANTILES)
+    below = np.floor(virtual)
+    above = below + 1
+    last = virtual >= n - 1
+    below[last] = above[last] = -1
+    return below.astype(np.intp), above.astype(np.intp), virtual - below
+
+
 def summarize_rows(rows: np.ndarray) -> list[DistributionSummary]:
     """One summary per row of a 2-D block of equal-length sample vectors,
-    from a single quantile pass and a single mean pass along the rows.
+    from a single sort and a single mean pass along the rows.
 
-    The block is made C-contiguous first: numpy then sums each row
-    pairwise, as it sums a single vector, so the means keep its bits."""
+    The quantiles interpolate the order statistics of the sorted copy with
+    ``np.quantile``'s linear rule, ``a + (b - a) * gamma`` or, for gamma
+    >= 0.5, ``b - (b - a) * (1 - gamma)``, so they keep its bits. Sort and
+    partition agree on every order statistic but the sign of a zero, and
+    numpy returns NaN for a row with a NaN, so a row that picks a zero or
+    holds a non-finite value is summarised by ``np.quantile`` itself. The
+    block is made C-contiguous first: numpy then sums each row pairwise,
+    as it sums a single vector, so the means keep its bits."""
     rows = np.ascontiguousarray(rows)
     n = rows.shape[1]
     if n == 0:
         raise ParameterDomainError("ErrorDistribution requires samples")
-    q05, q25, median, q75, q95 = np.quantile(rows, QUANTILES, axis=1).tolist()
+    ordered = np.sort(rows, axis=1)
+    below, above, gamma = _linear_positions(n)
+    a, b = ordered[:, below], ordered[:, above]
+    step = b - a
+    quantiles = np.where(gamma >= 0.5, b - step * (1 - gamma), a + step * gamma)
+    odd = ((a == 0) | (b == 0)).any(axis=1) | ~np.isfinite(ordered[:, [0, -1]]).all(axis=1)
+    if odd.any():
+        quantiles[odd] = np.quantile(rows[odd], QUANTILES, axis=1).T
+    q05, q25, median, q75, q95 = quantiles.T.tolist()
     means = rows.mean(axis=1).tolist()
     return [DistributionSummary(*values, n_samples=n)
             for values in zip(means, median, q05, q25, q75, q95)]
@@ -119,13 +150,12 @@ class ErrorDistribution:
 @dataclass(frozen=True)
 class PlausibleSelection:
     """Per-location plausible scenario: index of the nearest scenario value
-    (ties break to the lower scenario), its absolute deviation from the
-    realized value, and the optional deviation threshold. Locations whose
-    deviation exceeds the threshold get chosen_index -1."""
+    (ties break to the lower scenario) and its absolute deviation from the
+    realized value. Locations whose deviation exceeds the plausibility
+    threshold get chosen_index -1."""
 
     chosen_index: np.ndarray   # (L,) int, -1 when no scenario is plausible
     deviation: np.ndarray      # (L,) |x* - x_chosen| (nearest regardless of threshold)
-    threshold: float | None
 
 
 @dataclass(frozen=True)
@@ -169,8 +199,7 @@ def select_plausible(world: TrueWorld, threshold: float | None = None) -> Plausi
     deviation = distance[np.arange(world.n_locations), chosen]
     if threshold is not None:
         chosen = np.where(deviation <= threshold, chosen, -1)
-    return PlausibleSelection(chosen_index=chosen, deviation=deviation,
-                              threshold=threshold)
+    return PlausibleSelection(chosen_index=chosen, deviation=deviation)
 
 
 def evaluate_plausible(world: TrueWorld, ensemble: ModelEnsemble,

@@ -51,12 +51,14 @@ RK4 to stay stable shows as a final size outside [0, 1] (by more than
 FINAL_SIZE_TOL = 1e-9) and raises NumericalInstabilityError.
 
 ``final_size_batch`` uses every CPU this process may run on: it splits its
-solves into contiguous ranges, one per CPU, and solves all but the last range
-in forked worker processes (``fanout``), each range still in BLOCKs; the
-finite and [0, 1] checks run once on the merged end states, so the indices
-they report are global. It solves serially, without forking, on one CPU,
-where ``os.fork`` does not exist, when the calling process has more than one
-live thread, and for a single solve. Results do not depend on the split.
+solves into contiguous ranges, one per CPU but none shorter than MIN_SHARE,
+and solves all but the last range in forked worker processes (``fanout``),
+each range still in BLOCKs; the finite and [0, 1] checks run once on the
+merged end states, so the indices they report are global. It solves
+serially, without forking, on one CPU, where ``os.fork`` does not exist,
+when the calling process has more than one live thread, and for fewer than
+2 * MIN_SHARE solves, where a fork costs more than the split saves.
+Results do not depend on the split.
 ``simulate`` never forks. All functions are pure.
 """
 
@@ -79,6 +81,12 @@ FINAL_SIZE_TOL = 1e-9              # accepted excursion of a final size outside 
 # Solves per kernel call: the dozen float64 arrays a block works on
 # (64 KB each) stay inside a 2 MiB per-core L2 cache through all its steps.
 BLOCK = 8192
+# Fewest solves in each range of a split batch. Two processes on a 2-vCPU
+# machine break even at about 512 solves on the default grid (2 solves:
+# 54 ms serial, 96 ms fanned; 4,096: 244 against 184 ms;
+# BENCH_sorted_quantiles.json), as per-step ufunc overhead, which a split
+# does not halve, dominates smaller batches.
+MIN_SHARE = 256
 
 
 @dataclass(frozen=True)
@@ -252,7 +260,7 @@ def final_size_batch(r0: np.ndarray, alpha: np.ndarray, v: np.ndarray, *,
     n = len(s0)
 
     def split(parts):
-        parts = max(1, min(parts, n))
+        parts = max(1, min(parts, n // MIN_SHARE))
         return [slice(k * n // parts, (k + 1) * n // parts) for k in range(parts)]
 
     def solve(share):

@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scenario_eval import approaches, sir_core, world_gen
 from scenario_eval.approaches import (
@@ -253,6 +255,46 @@ def assert_summary_recomputed(dist):
     got = np.array([s.mean, s.q05, s.q25, s.median, s.q75, s.q95])
     assert got.tobytes() == expected.tobytes()
     assert s.n_samples == dist.samples.size
+
+
+# Repeated values that stress the sort-and-index quantiles: both zeros,
+# which sort and partition may order differently, non-finite values, which
+# make numpy return NaN or inf, huge magnitudes and any other float.
+_repeated = st.one_of(
+    st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan, 1e300, -1e300, 2.5]),
+    st.floats(width=64))
+
+
+@st.composite
+def _sample_block(draw):
+    """A (1-6, 1-300) block of normal draws at some scale, a drawn share of
+    them replaced by a few values repeated at random places (ties)."""
+    shape = (draw(st.integers(1, 6)), draw(st.integers(1, 300)))
+    repeated = np.array(draw(st.lists(_repeated, min_size=1, max_size=6)))
+    share = draw(st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0]))
+    scale = draw(st.sampled_from([1.0, 1e-300, 1e300]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    block = scale * rng.normal(size=shape)
+    replaced = rng.random(shape) < share
+    block[replaced] = rng.choice(repeated, replaced.sum())
+    return block
+
+
+@settings(max_examples=200, deadline=1000)
+@given(block=_sample_block())
+def test_summarize_rows_matches_numpy_bitwise(block):
+    # Contiguous and a column-sliced view; each row's summary against the
+    # per-vector numpy calls, byte for byte.
+    for rows in (block, block[:, ::2]):
+        with np.errstate(all="ignore"):
+            summaries = approaches.summarize_rows(rows)
+            expected = [np.array([row.mean(), *np.quantile(row, approaches.QUANTILES)])
+                        for row in rows]
+        assert len(summaries) == rows.shape[0]
+        for s, want in zip(summaries, expected):
+            got = np.array([s.mean, s.q05, s.q25, s.median, s.q75, s.q95])
+            assert got.tobytes() == want.tobytes()
+            assert s.n_samples == rows.shape[1]
 
 
 def random_world(n_locations, seed):

@@ -1,3 +1,4 @@
+import os
 import warnings
 
 import numpy as np
@@ -9,7 +10,8 @@ from scenario_eval import sir_core
 from scenario_eval.errors import NumericalInstabilityError, ParameterDomainError
 from scenario_eval.sir_core import SirParams, final_size, final_size_batch, simulate
 
-from conftest import final_size_fixed_point, time_limit, use_cpus
+from conftest import (assert_no_child_processes, final_size_fixed_point, time_limit,
+                      use_cpus)
 
 
 def _reference_derivatives(s, i, beta, gamma, alpha, population):
@@ -342,12 +344,31 @@ class TestFanOut:
     @pytest.mark.parametrize("n", [1, 2, 3, sir_core.BLOCK - 1, sir_core.BLOCK + 1,
                                    2 * sir_core.BLOCK + 3])
     def test_split_solve_equals_serial(self, monkeypatch, n):
+        # Ranges of a single solve, so that tiny batches still really fork.
+        monkeypatch.setattr(sir_core, "MIN_SHARE", 1)
         r0, alpha, v = _random_draws(n, np.random.default_rng(n))
         use_cpus(monkeypatch, 1)
         serial = final_size_batch(r0, alpha, v, **REF_GRID)
         for cpus in (2, 3):
             use_cpus(monkeypatch, cpus)
             assert np.array_equal(final_size_batch(r0, alpha, v, **REF_GRID), serial)
+
+    def test_no_range_is_shorter_than_min_share(self, monkeypatch):
+        use_cpus(monkeypatch, 3)
+        forks, real_fork = [], os.fork
+
+        def counted_fork():
+            forks.append(os.getpid())
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", counted_fork)
+        rng = np.random.default_rng(0)
+        for shares in (1, 2, 3):
+            for n in (shares * sir_core.MIN_SHARE, (shares + 1) * sir_core.MIN_SHARE - 1):
+                forks.clear()
+                final_size_batch(*_random_draws(n, rng), **REF_GRID)
+                assert len(forks) == shares - 1
+        assert_no_child_processes()
 
     @pytest.mark.parametrize("cpus", [2, 3])
     def test_failures_keep_their_global_indices(self, monkeypatch, cpus):
