@@ -13,8 +13,9 @@ about as much as the shares it would run.
 
 The shares run serially in the caller, with no fork, when ``p`` is 1 (one
 CPU in this process's affinity mask, no ``os.fork`` or
-``os.sched_getaffinity`` on this platform, or more than one live thread,
-since a fork copies only the calling thread) or
+``os.sched_getaffinity`` on this platform, more than one live thread,
+since a fork copies only the calling thread, or a caller that is itself a
+forked worker, whose siblings already hold the other CPUs) or
 when ``split`` returns fewer than two shares. Callers split their work so
 that results do not depend on how many shares it went into.
 """
@@ -28,10 +29,12 @@ import threading
 
 from .errors import WorkerError
 
+_in_worker = False   # set only in a forked worker, which never returns to its caller
+
 
 def _processes() -> int:
     """How many processes may run shares now; 1 means serially."""
-    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity") \
+    if _in_worker or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity") \
             or threading.active_count() > 1:
         return 1
     return len(os.sched_getaffinity(0))
@@ -72,6 +75,7 @@ def fan_out(fn, split) -> list:
 
 def _fork(fn, share) -> tuple[int, int]:
     """Start a worker computing ``fn(share)``; its pid and the pipe to read."""
+    global _in_worker
     read_fd, write_fd = os.pipe()
     try:
         pid = os.fork()
@@ -80,6 +84,7 @@ def _fork(fn, share) -> tuple[int, int]:
         os.close(write_fd)
         raise
     if pid == 0:
+        _in_worker = True
         code = 1
         try:
             os.close(read_fd)

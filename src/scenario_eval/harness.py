@@ -21,6 +21,13 @@ Everything a report number needs is recomputable from the data CSVs plus
 the seeded sampling procedure; re-running the same config produces byte
 identical data files.
 
+``evaluate`` scores each strategy variant as soon as it is estimated: it
+turns the variant's distributions into their table rows and drops them
+before the next variant starts, so a run holds one variant's samples at a
+time, and the ``EvaluationReport`` it returns holds tables, not strategy
+results. Callers who want the distributions themselves call the strategy
+functions of ``approaches``.
+
 This module alone owns the table format. Row values are ``int``, ``float``
 or ``str`` (flags "true"/"false", missing values ""), never numpy scalars,
 and go straight to ``csv.writer.writerows``: floats by ``repr``, the rest
@@ -50,7 +57,6 @@ from .approaches import (
     APPROACH_PLAUSIBLE,
     POOLED,
     VARIANT_COVARIATE,
-    VARIANT_PLAUSIBLE,
 )
 from .errors import ConfigError
 from .spline_fit import SplineSpec
@@ -213,13 +219,14 @@ def load_settings(path) -> RunSettings:
 
 @dataclass(frozen=True)
 class EvaluationReport:
-    """In-memory result of a run: inputs, strategy outputs, metric tables."""
+    """In-memory result of a run: its inputs, the true errors and the metric
+    tables. It holds no strategy result: each variant's distributions are
+    scored as soon as they are estimated and then released."""
 
     settings: RunSettings
     world: world_gen.TrueWorld
     ensemble: world_gen.ModelEnsemble
     true_errors: np.ndarray
-    results: dict                 # (approach, variant) -> strategy result object
     report_rows: list
     estimate_rows: list
     decomposition_rows: list
@@ -229,38 +236,44 @@ class EvaluationReport:
 
 
 def evaluate(settings: RunSettings) -> EvaluationReport:
-    """Run the whole experiment in memory (no files)."""
+    """Run the whole experiment in memory (no files).
+
+    Each of ``approaches.VARIANTS`` is estimated, turned into its table rows
+    and released before the next starts, so only one variant's samples are
+    alive at a time. Rows are appended in ``VARIANTS`` order."""
     config = settings.experiment
     world, ensemble = world_gen.generate(config)
     errs = world_gen.true_errors(world, ensemble)
     spec = SplineSpec(basis_dim=settings.basis_dim)
     seed = config.seed
 
-    # Strategies are looked up on ``approaches`` at call time, so span wrappers
+    report_rows, estimate_rows, a1_rows, implied_rows, location_rows = [], [], [], [], []
+    # Strategies and builders are looked up at call time, so span wrappers
     # swapped in after import (benchmarks/spans.py) see every call.
-    results = {}
     for approach_id, variant in approaches.VARIANTS:
         if approach_id == APPROACH_PLAUSIBLE:
-            results[(approach_id, variant)] = approaches.evaluate_plausible(
-                world, ensemble, settings.plausibility_threshold)
-            continue
-        infer = (approaches.infer_error_distribution
-                 if approach_id == APPROACH_ERROR_REGRESSION
-                 else approaches.infer_observations)
-        results[(approach_id, variant)] = infer(
-            world, ensemble, variant == VARIANT_COVARIATE, settings.n_samples, seed, spec)
+            result = approaches.evaluate_plausible(world, ensemble,
+                                                   settings.plausibility_threshold)
+        else:
+            infer = (approaches.infer_error_distribution
+                     if approach_id == APPROACH_ERROR_REGRESSION
+                     else approaches.infer_observations)
+            result = infer(world, ensemble, variant == VARIANT_COVARIATE,
+                           settings.n_samples, seed, spec)
+        scored = (approach_id, variant, result)
+        report_rows += _report_rows(world, errs, *scored)
+        estimate_rows += _estimate_rows(*scored)
+        a1_rows += _a1_deviation_rows(errs, *scored)
+        implied_rows += _implied_obs_rows(world, ensemble, *scored)
+        location_rows += _location_mae_rows(errs, *scored)
+        del result, scored   # else they stay alive through the next estimate
 
-    report_rows = _report_rows(settings, world, errs, results)
-    estimate_rows = _estimate_rows(results)
-    decomposition_rows = _decomposition_rows(world, ensemble)
-    a1_rows = _a1_deviation_rows(errs, results)
-    implied_rows = _implied_obs_rows(world, ensemble, results)
-    location_rows = _location_mae_rows(errs, results)
     return EvaluationReport(
         settings=settings, world=world, ensemble=ensemble, true_errors=errs,
-        results=results, report_rows=report_rows, estimate_rows=estimate_rows,
-        decomposition_rows=decomposition_rows, a1_deviation_rows=a1_rows,
-        implied_obs_ks_rows=implied_rows, location_mae_rows=location_rows)
+        report_rows=report_rows, estimate_rows=estimate_rows,
+        decomposition_rows=_decomposition_rows(world, ensemble),
+        a1_deviation_rows=a1_rows, implied_obs_ks_rows=implied_rows,
+        location_mae_rows=location_rows)
 
 
 REPORT_HEADER = ("approach", "variant", "model_id", "scenario_index", "scenario_x",
@@ -268,28 +281,26 @@ REPORT_HEADER = ("approach", "variant", "model_id", "scenario_index", "scenario_
                  "ks_d", "ks_n", "ks_m", "ks_critical", "ks_significant")
 
 
-def _report_rows(settings, world, errs, results):
+def _report_rows(world, errs, approach_id, variant, result):
     rows = []
-    for (approach_id, variant), result in results.items():
-        for m in range(errs.shape[0]):
-            for j in range(world.n_scenarios):
-                dist = result.pooled[(m, j)]
-                true_vec = errs[m, :, j]
-                base = (approach_id, variant, m, j,
-                        float(world.scenario_values[j]))
-                if dist is None:
-                    rows.append(base + (0, "", float(true_vec.mean()), "",
-                                        "", "", "", "", ""))
-                    continue
-                mae = metrics.mae_of_means(dist.summary.mean, true_vec)
-                if dist.samples.size >= 5:
-                    ks = metrics.ks_two_sample(dist.samples, true_vec)
-                    ks_part = (ks.statistic, ks.n, ks.m, ks.critical_value,
-                               "true" if ks.significant else "false")
-                else:
-                    ks_part = ("", "", "", "", "")
-                rows.append(base + (dist.samples.size, dist.summary.mean,
-                                    float(true_vec.mean()), mae) + ks_part)
+    for m in range(errs.shape[0]):
+        for j in range(world.n_scenarios):
+            dist = result.pooled[(m, j)]
+            true_vec = errs[m, :, j]
+            base = (approach_id, variant, m, j, float(world.scenario_values[j]))
+            if dist is None:
+                rows.append(base + (0, "", float(true_vec.mean()), "",
+                                    "", "", "", "", ""))
+                continue
+            mae = metrics.mae_of_means(dist.summary.mean, true_vec)
+            if dist.samples.size >= 5:
+                ks = metrics.ks_two_sample(dist.samples, true_vec)
+                ks_part = (ks.statistic, ks.n, ks.m, ks.critical_value,
+                           "true" if ks.significant else "false")
+            else:
+                ks_part = ("", "", "", "", "")
+            rows.append(base + (dist.samples.size, dist.summary.mean,
+                                float(true_vec.mean()), mae) + ks_part)
     return rows
 
 
@@ -313,18 +324,17 @@ ESTIMATE_HEADER = ("approach", "variant", "model_id", "scenario_index",
                    "n_samples")
 
 
-def _estimate_rows(results):
+def _estimate_rows(approach_id, variant, result):
     rows = []
-    for (approach_id, variant), result in results.items():
-        for (m, j), dist in sorted(result.pooled.items()):
-            if dist is not None:
-                rows.append((approach_id, variant, m, j, POOLED) + _summary(dist))
-        if approach_id == APPROACH_PLAUSIBLE:
-            for m, j, l, e in _plausible_points(result):
-                rows.append((approach_id, variant, m, j, l, e, e, e, e, e, e, 1))
-        else:
-            for (m, j, l), dist in sorted(result.per_location.items()):
-                rows.append((approach_id, variant, m, j, l) + _summary(dist))
+    for (m, j), dist in sorted(result.pooled.items()):
+        if dist is not None:
+            rows.append((approach_id, variant, m, j, POOLED) + _summary(dist))
+    if approach_id == APPROACH_PLAUSIBLE:
+        for m, j, l, e in _plausible_points(result):
+            rows.append((approach_id, variant, m, j, l, e, e, e, e, e, e, 1))
+    else:
+        for (m, j, l), dist in sorted(result.per_location.items()):
+            rows.append((approach_id, variant, m, j, l) + _summary(dist))
     return rows
 
 
@@ -349,8 +359,10 @@ A1_DEVIATION_HEADER = ("model_id", "location_id", "plausible_scenario",
                        "abs_difference")
 
 
-def _a1_deviation_rows(errs, results):
-    result = results[(APPROACH_PLAUSIBLE, VARIANT_PLAUSIBLE)]
+def _a1_deviation_rows(errs, approach_id, variant, result):
+    """Strategy 1's rows; none for the other strategies."""
+    if approach_id != APPROACH_PLAUSIBLE:
+        return []
     deviation = result.selection.deviation
     rows = []
     for m, j, l, est in _plausible_points(result):
@@ -363,18 +375,17 @@ IMPLIED_OBS_HEADER = ("variant", "model_id", "scenario_index", "ks_d",
                       "ks_critical", "ks_significant")
 
 
-def _implied_obs_rows(world, ensemble, results):
+def _implied_obs_rows(world, ensemble, approach_id, variant, result):
+    """Strategy 2's rows; none for the other strategies."""
+    if approach_id != APPROACH_ERROR_REGRESSION:
+        return []
     rows = []
-    for (approach_id, variant), result in results.items():
-        if approach_id != APPROACH_ERROR_REGRESSION:
-            continue
-        for m in range(ensemble.n_models):
-            for j in range(world.n_scenarios):
-                implied = approaches.implied_observations(result, ensemble,
-                                                          world, m, j)
-                ks = metrics.ks_two_sample(implied, world.y_counterfactual[:, j])
-                rows.append((variant, m, j, ks.statistic, ks.critical_value,
-                             "true" if ks.significant else "false"))
+    for m in range(ensemble.n_models):
+        for j in range(world.n_scenarios):
+            implied = approaches.implied_observations(result, ensemble, world, m, j)
+            ks = metrics.ks_two_sample(implied, world.y_counterfactual[:, j])
+            rows.append((variant, m, j, ks.statistic, ks.critical_value,
+                         "true" if ks.significant else "false"))
     return rows
 
 
@@ -382,17 +393,16 @@ LOCATION_MAE_HEADER = ("approach", "variant", "model_id", "scenario_index",
                        "location_id", "est_mean", "true_error", "abs_difference")
 
 
-def _location_mae_rows(errs, results):
+def _location_mae_rows(errs, approach_id, variant, result):
+    if approach_id == APPROACH_PLAUSIBLE:
+        estimates = _plausible_points(result)
+    else:
+        estimates = ((m, j, l, dist.summary.mean)
+                     for (m, j, l), dist in sorted(result.per_location.items()))
     rows = []
-    for (approach_id, variant), result in results.items():
-        if approach_id == APPROACH_PLAUSIBLE:
-            estimates = _plausible_points(result)
-        else:
-            estimates = ((m, j, l, dist.summary.mean)
-                         for (m, j, l), dist in sorted(result.per_location.items()))
-        for m, j, l, est in estimates:
-            true = float(errs[m, l, j])
-            rows.append((approach_id, variant, m, j, l, est, true, abs(est - true)))
+    for m, j, l, est in estimates:
+        true = float(errs[m, l, j])
+        rows.append((approach_id, variant, m, j, l, est, true, abs(est - true)))
     return rows
 
 

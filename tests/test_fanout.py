@@ -71,3 +71,31 @@ def test_single_share_does_not_fork(monkeypatch):
     monkeypatch.setattr(os, "fork", _forbidden_fork)
     assert fanout.fan_out(lambda k: k * 2, lambda p: [7]) == [14]
     assert final_size(SirParams(r0=2.5, alpha=1.0, v=0.3)) > 0
+
+
+def test_fan_out_inside_a_worker_runs_serially(monkeypatch):
+    # A worker's siblings already hold the other CPUs: a fan_out it calls
+    # computes every share itself and forks nothing. Forks are counted per
+    # process, so each share reports the forks its own process made.
+    use_cpus(monkeypatch, 2)
+    forks, real_fork = [], os.fork
+
+    def counting_fork():
+        forks.append(os.getpid())
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    caller = os.getpid()
+
+    def outer(k):
+        me = os.getpid()
+        inner = fanout.fan_out(lambda i: os.getpid(), lambda p: list(range(p)))
+        return me != caller, inner, forks.count(me)
+
+    with time_limit(20):
+        (in_worker, worker_inner, worker_forks), (in_caller, caller_inner, caller_forks) = \
+            fanout.fan_out(outer, lambda p: [0, 1])
+    assert (in_worker, in_caller) == (True, False)
+    assert len(worker_inner) == 1 and worker_forks == 0
+    assert len(caller_inner) == 2 and caller_forks == 2   # outer and inner fan-out
+    assert_no_child_processes()

@@ -9,6 +9,7 @@ import signal
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -336,6 +337,26 @@ class TestTables:
         assert repr(harness._decomposition_rows(world, ensemble)) == repr(expected)
 
 
+def test_evaluate_holds_one_variant_of_samples_at_a_time():
+    # Each variant is scored and released before the next is estimated, so
+    # the traced peak stays below two variants' pooled samples
+    # (M x S x n_samples float64 each) and the returned report, which holds
+    # tables only, below one variant's.
+    settings = harness.RunSettings(n_samples=40_000)
+    config = settings.experiment
+    one_variant = config.n_models * len(config.scenario_values) * settings.n_samples * 8
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        report = harness.evaluate(settings)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - before < 2 * one_variant
+    assert held - before < one_variant
+    assert len(report.report_rows) == 5 * config.n_models * len(config.scenario_values)
+
+
 class TestEnvOverride:
     def test_out_dir_resolution(self, tmp_path, monkeypatch):
         monkeypatch.delenv(harness.OUT_DIR_ENV, raising=False)
@@ -565,7 +586,23 @@ def test_benchmark_tracer_sees_every_stage(tmp_path):
         "approaches.evaluate_plausible", "approaches.infer_error_distribution",
         "approaches.infer_observations"]
     assert set(expected) <= set(traced["names"])
-    assert traced["counts"]["approaches.distributions"] > 0
+    # FAST_CONFIG: L = 12 locations, M = 2 models, S = 2 scenarios, every
+    # location with a plausible scenario (no threshold).
+    L, M, S = 12, 2, 2
+    # report 5MS, estimates 5MS pooled + ML plausible points + 2MSL
+    # per-location, decomposition MLS, a1 ML, implied 2MS, location_mae
+    # ML + 2MSL.
+    rows = 5*M*S + (5*M*S + M*L + 2*M*S*L) + M*L*S + M*L + 2*M*S + (M*L + 2*M*S*L)
+    # 5MS pooled, 2MSL per-location (the two covariate variants).
+    distributions = 5*M*S + 2*M*S*L
+    # world_gen: L truths + ML model locations + M models; strategy 2 MS
+    # per variant, strategy 3 S per variant.
+    substreams = L + M*L + M + 2*M*S + 2*S
+    assert (rows, distributions, substreams) == (360, 116, 50)
+    counts = traced["counts"]
+    assert counts["harness.rows"] == rows
+    assert counts["approaches.distributions"] == distributions
+    assert counts["streams.substreams"] == substreams
 
 
 # Small base config for the CLI properties; hypothesis overrides its fields.
