@@ -18,6 +18,17 @@ since a fork copies only the calling thread, or a caller that is itself a
 forked worker, whose siblings already hold the other CPUs) or
 when ``split`` returns fewer than two shares. Callers split their work so
 that results do not depend on how many shares it went into.
+
+A ``Chain`` runs calls one after another in forked background workers while
+the caller goes on: ``start(fn, arg)`` forks a worker for ``fn(arg)`` and
+returns. The worker first waits on a pipe until the worker started before it
+reports that its call returned; if that worker failed or was killed, it
+returns an error without calling ``fn``. So no call acts before the one
+started before it has succeeded, and none acts after it failed. ``join``
+returns the results in start order, or raises the exception of the first
+call that failed, after reaping every worker. Where ``fan_out`` would run
+serially, ``start`` joins the calls before it and then calls ``fn(arg)``
+itself.
 """
 
 from __future__ import annotations
@@ -48,18 +59,95 @@ def fan_out(fn, split) -> list:
     shares = split(_processes())
     if len(shares) < 2:
         return [fn(share) for share in shares]
-    workers, payloads = [], []
+    workers = []
     try:
         for share in shares[:-1]:
             workers.append(_fork(fn, share))
         last = fn(shares[-1])
-        payloads = [_read(fd) for _, fd in workers]
+    except BaseException:
+        _end(workers, kill=True)
+        raise
+    return _collect(workers) + [last]
+
+
+_DONE = b"\x01"   # what a chained worker writes to its successor once its call returned
+
+
+class Chain:
+    """Calls run one after another in background workers, in start order.
+
+    Use it as a context manager: leaving the block kills and reaps the
+    workers not yet joined, so an exception in the caller leaves no child
+    process behind."""
+
+    def __init__(self):
+        self._results = []   # results of the calls already run here or joined
+        self._workers = []   # (pid, result pipe) of the calls forked since
+        self._after = None   # read end of the last forked worker's _DONE pipe
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        workers, self._workers = self._workers, []
+        _end(workers, kill=True)
+        self._close_after()
+
+    def start(self, fn, arg) -> None:
+        """Call ``fn(arg)`` once every call started before has returned:
+        in a forked worker, or here after joining them."""
+        if _processes() == 1:
+            self._results += self._join_workers()
+            self._results.append(fn(arg))
+            return
+        after = self._after
+        done_read, done_write = os.pipe()
+
+        def call(arg):
+            if after is not None and os.read(after, 1) != _DONE:
+                raise WorkerError("not run: the call started before it failed")
+            result = fn(arg)
+            os.write(done_write, _DONE)
+            return result
+
+        try:
+            self._workers.append(_fork(call, arg))
+        except BaseException:
+            os.close(done_read)
+            raise
+        finally:
+            os.close(done_write)
+        self._close_after()
+        self._after = done_read
+
+    def join(self) -> list:
+        """Wait for every call started; their results in start order."""
+        results, self._results = self._results + self._join_workers(), []
+        return results
+
+    def _join_workers(self) -> list:
+        workers, self._workers = self._workers, []
+        try:
+            return _collect(workers)
+        finally:
+            self._close_after()
+
+    def _close_after(self):
+        if self._after is not None:
+            os.close(self._after)
+            self._after = None
+
+
+def _collect(workers) -> list:
+    """The results of ``workers`` in order, each read from its pipe, or the
+    exception of the first that failed; every worker is reaped, and killed
+    first when the reading is cut short."""
+    payloads = []
+    try:
+        for _, fd in workers:
+            payloads.append(_read(fd))
     finally:
-        for pid, fd in workers:
-            os.close(fd)
-            if len(payloads) < len(workers):
-                os.kill(pid, signal.SIGKILL)
-        statuses = [os.waitpid(pid, 0)[1] for pid, _ in workers]
+        statuses = _end(workers, kill=len(payloads) < len(workers))
     results = []
     for (pid, _), status, payload in zip(workers, statuses, payloads):
         code = os.waitstatus_to_exitcode(status)
@@ -70,7 +158,17 @@ def fan_out(fn, split) -> list:
         if not ok:
             raise value
         results.append(value)
-    return results + [last]
+    return results
+
+
+def _end(workers, kill: bool) -> list:
+    """Close the result pipes of ``workers``, kill them when ``kill``, and
+    reap them all; their wait statuses."""
+    for pid, fd in workers:
+        os.close(fd)
+        if kill:
+            os.kill(pid, signal.SIGKILL)
+    return [os.waitpid(pid, 0)[1] for pid, _ in workers]
 
 
 def _fork(fn, share) -> tuple[int, int]:

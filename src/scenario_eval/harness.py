@@ -31,11 +31,24 @@ functions of ``approaches``.
 This module alone owns the table format. Row values are ``int``, ``float``
 or ``str`` (flags "true"/"false", missing values ""), never numpy scalars,
 and go straight to ``csv.writer.writerows``: floats by ``repr``, the rest
-by ``str``. ``write_report`` splits the data files into shares of about
-equal rows x columns, one per CPU, and writes all but the last share in
-forked worker processes (``fanout``), each returning the SHA-256 digests of
-its files for the manifest; it writes serially where ``fanout`` runs
-serially. Which process writes a file changes none of its bytes.
+by ``str``. One ``ReportWriter`` writes them. ``run`` hands it
+``world.csv`` and ``projections.csv`` as soon as the world is generated and
+each variant's rows as soon as they are built. A batch of at least
+MIN_APPEND rows x columns is appended, with any rows held before it, in a
+forked background process (``fanout.Chain``) while the next variant is
+estimated; each append waits for the one before it, so every file keeps its
+row order. A smaller batch is held. ``write_report`` then hands it the rest:
+``decomposition.csv``, built after the last variant, and any rows still
+held. These go out in shares of about equal rows x columns, one per CPU,
+all but the last written in forked workers (``fanout.fan_out``) that also
+return the SHA-256 digests for the manifest. ``write_report`` on its own
+hands every row over at that point. All of it runs serially where
+``fanout`` does. Which process writes a batch changes none of the bytes.
+The default config's batches stay below MIN_APPEND, so its run forks no
+background append. MIN_APPEND is measured in BENCH_pipelined_writes.json;
+the benchmark's ``peak_rss_mb`` reads the parent process only, not the
+appends. The manifest is written last, and a run removes an old one before
+its first write, so a run that fails leaves none.
 """
 
 from __future__ import annotations
@@ -58,7 +71,7 @@ from .approaches import (
     POOLED,
     VARIANT_COVARIATE,
 )
-from .errors import ConfigError
+from .errors import ConfigError, InsufficientDataError
 from .spline_fit import SplineSpec
 from .world_gen import MAX_FLOAT64_SIZE, ExperimentConfig
 
@@ -74,6 +87,14 @@ DATA_FILES = (
 )
 MANIFEST_FILE = "manifest.json"
 OUT_DIR_ENV = "SCENARIO_EVAL_OUT"
+# Fewest rows x columns of a batch that a run appends in the background.
+# In two passes on parents of 61 and 80 MB, 80,000 is the lightest weight at
+# which a forked append beat both writing the batch inline and holding it
+# for the final two-process split (80 MB, second pass: 351 ms against 377
+# and 367; 60,000: 325 against 345 and 318), as the fork and the
+# copy-on-write faults it causes cost about as much as writing a lighter
+# batch (BENCH_pipelined_writes.json).
+MIN_APPEND = 80_000
 
 
 @dataclass(frozen=True)
@@ -94,6 +115,10 @@ class RunSettings:
         if threshold is not None and not threshold >= 0:
             raise ConfigError(f"must be empty or >= 0, got {threshold}",
                               "approaches.plausibility_threshold")
+        try:
+            SplineSpec(basis_dim=self.basis_dim)
+        except InsufficientDataError as exc:
+            raise ConfigError(str(exc), "approaches.basis_dim") from exc
         needed = self.basis_dim + 2 + 1   # spline columns + intercept + covariate, exclusive bound
         if self.experiment.n_locations <= needed:
             raise ConfigError(
@@ -235,19 +260,24 @@ class EvaluationReport:
     location_mae_rows: list
 
 
-def evaluate(settings: RunSettings) -> EvaluationReport:
-    """Run the whole experiment in memory (no files).
+def evaluate(settings: RunSettings, writer: ReportWriter | None = None) -> EvaluationReport:
+    """Run the whole experiment in memory.
 
     Each of ``approaches.VARIANTS`` is estimated, turned into its table rows
     and released before the next starts, so only one variant's samples are
-    alive at a time. Rows are appended in ``VARIANTS`` order."""
+    alive at a time. Rows are appended in ``VARIANTS`` order. A ``writer``
+    is handed ``world.csv`` and ``projections.csv`` once the world is
+    generated, then each variant's rows once they are built; the report
+    still holds every row."""
     config = settings.experiment
     world, ensemble = world_gen.generate(config)
+    if writer is not None:
+        writer.add(_world_tables(world, ensemble))
     errs = world_gen.true_errors(world, ensemble)
     spec = SplineSpec(basis_dim=settings.basis_dim)
     seed = config.seed
 
-    report_rows, estimate_rows, a1_rows, implied_rows, location_rows = [], [], [], [], []
+    tables = {name: [] for name in _VARIANT_FILES}
     # Strategies and builders are looked up at call time, so span wrappers
     # swapped in after import (benchmarks/spans.py) see every call.
     for approach_id, variant in approaches.VARIANTS:
@@ -261,19 +291,24 @@ def evaluate(settings: RunSettings) -> EvaluationReport:
             result = infer(world, ensemble, variant == VARIANT_COVARIATE,
                            settings.n_samples, seed, spec)
         scored = (approach_id, variant, result)
-        report_rows += _report_rows(world, errs, *scored)
-        estimate_rows += _estimate_rows(*scored)
-        a1_rows += _a1_deviation_rows(errs, *scored)
-        implied_rows += _implied_obs_rows(world, ensemble, *scored)
-        location_rows += _location_mae_rows(errs, *scored)
+        batch = {"report.csv": _report_rows(world, errs, *scored),
+                 "approach_estimates.csv": _estimate_rows(*scored),
+                 "a1_deviation.csv": _a1_deviation_rows(errs, *scored),
+                 "implied_obs_ks.csv": _implied_obs_rows(world, ensemble, *scored),
+                 "location_mae.csv": _location_mae_rows(errs, *scored)}
         del result, scored   # else they stay alive through the next estimate
+        for name, rows in batch.items():
+            tables[name] += rows
+        if writer is not None:
+            writer.add({name: (rows, len(rows)) for name, rows in batch.items()})
 
     return EvaluationReport(
         settings=settings, world=world, ensemble=ensemble, true_errors=errs,
-        report_rows=report_rows, estimate_rows=estimate_rows,
+        report_rows=tables["report.csv"], estimate_rows=tables["approach_estimates.csv"],
         decomposition_rows=_decomposition_rows(world, ensemble),
-        a1_deviation_rows=a1_rows, implied_obs_ks_rows=implied_rows,
-        location_mae_rows=location_rows)
+        a1_deviation_rows=tables["a1_deviation.csv"],
+        implied_obs_ks_rows=tables["implied_obs_ks.csv"],
+        location_mae_rows=tables["location_mae.csv"])
 
 
 REPORT_HEADER = ("approach", "variant", "model_id", "scenario_index", "scenario_x",
@@ -443,6 +478,53 @@ def _projection_rows(world, ensemble):
                 yield (m, l, kind, x, y_model, y)
 
 
+_HEADERS = {
+    "world.csv": WORLD_HEADER,
+    "projections.csv": PROJECTIONS_HEADER,
+    "approach_estimates.csv": ESTIMATE_HEADER,
+    "report.csv": REPORT_HEADER,
+    "decomposition.csv": DECOMPOSITION_HEADER,
+    "a1_deviation.csv": A1_DEVIATION_HEADER,
+    "implied_obs_ks.csv": IMPLIED_OBS_HEADER,
+    "location_mae.csv": LOCATION_MAE_HEADER,
+}
+_VARIANT_FILES = ("report.csv", "approach_estimates.csv", "a1_deviation.csv",
+                  "implied_obs_ks.csv", "location_mae.csv")
+
+
+def _world_tables(world, ensemble) -> dict:
+    """``world.csv`` and ``projections.csv`` as (rows, row count); the rows
+    are made while written, never held whole."""
+    n_points = world.n_locations * (world.n_scenarios + 1)
+    return {"world.csv": (_world_rows(world), n_points),
+            "projections.csv": (_projection_rows(world, ensemble),
+                                ensemble.n_models * n_points)}
+
+
+def _tables(report: EvaluationReport) -> dict:
+    """Every data file of ``report`` as (rows, row count), by name."""
+    lists = {"approach_estimates.csv": report.estimate_rows,
+             "report.csv": report.report_rows,
+             "decomposition.csv": report.decomposition_rows,
+             "a1_deviation.csv": report.a1_deviation_rows,
+             "implied_obs_ks.csv": report.implied_obs_ks_rows,
+             "location_mae.csv": report.location_mae_rows}
+    return _world_tables(report.world, report.ensemble) | {
+        name: (rows, len(rows)) for name, rows in lists.items()}
+
+
+def _append(parts) -> None:
+    """Write each (path, new, row lists) part: a new file starts with its
+    header, any other is appended to."""
+    for path, new, chunks in parts:
+        with open(path, "w" if new else "a", encoding="utf-8", newline="\n") as handle:
+            writer = csv.writer(handle, lineterminator="\n")
+            if new:
+                writer.writerow(_HEADERS[path.name])
+            for rows in chunks:
+                writer.writerows(rows)
+
+
 def _sha256(path: Path) -> str:
     """Digest of a file read 1 MiB at a time, so no file is held whole."""
     digest = hashlib.sha256()
@@ -452,52 +534,108 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-def write_report(report: EvaluationReport, out_dir,
-                 config_bytes: bytes | None = None) -> dict:
-    """Write all report files to ``out_dir``; returns the manifest dict."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    # world.csv and projections.csv rows are made while written, never held whole.
-    tables = {
-        "world.csv": (WORLD_HEADER, _world_rows(report.world)),
-        "projections.csv": (PROJECTIONS_HEADER,
-                            _projection_rows(report.world, report.ensemble)),
-        "approach_estimates.csv": (ESTIMATE_HEADER, report.estimate_rows),
-        "report.csv": (REPORT_HEADER, report.report_rows),
-        "decomposition.csv": (DECOMPOSITION_HEADER, report.decomposition_rows),
-        "a1_deviation.csv": (A1_DEVIATION_HEADER, report.a1_deviation_rows),
-        "implied_obs_ks.csv": (IMPLIED_OBS_HEADER, report.implied_obs_ks_rows),
-        "location_mae.csv": (LOCATION_MAE_HEADER, report.location_mae_rows),
-    }
-    n_points = report.world.n_locations * (report.world.n_scenarios + 1)
-    n_rows = {"world.csv": n_points,
-              "projections.csv": report.ensemble.n_models * n_points}
-    weights = {name: len(header) * (1 + (n_rows[name] if name in n_rows else len(rows)))
-               for name, (header, rows) in tables.items()}
+class ReportWriter:
+    """Writes the data files of one report directory, batch by batch.
 
-    def split(parts):
-        """DATA_FILES in ``parts`` shares of about equal rows x columns:
-        each file, largest first, goes to the lightest share."""
-        shares = [[0, []] for _ in range(min(parts, len(DATA_FILES)))]
-        for name in sorted(DATA_FILES, key=weights.get, reverse=True):
-            share = min(shares, key=lambda share: share[0])
-            share[0] += weights[name]
-            share[1].append(name)
-        return [sorted(names, key=DATA_FILES.index) for _, names in shares]
+    A batch maps file names to (rows, row count). ``add`` holds a batch
+    lighter than MIN_APPEND; a heavier one goes, with all rows held, to one
+    background append (``fanout.Chain``), and ``add`` returns. Appends run
+    in the order they were handed, so each file keeps its row order.
+    ``close`` waits for the appends, writes what is still held through
+    ``fanout.fan_out`` and returns every data file's digest. Leaving a
+    ``with`` block kills the appends still running."""
 
-    def write(names):
-        """Write the tables ``names``; their SHA-256 digests by name."""
+    def __init__(self, out_dir):
+        self.out = Path(out_dir)
+        self.taken = dict.fromkeys(DATA_FILES, 0)   # rows received per file
+        self._held = {}       # name -> (row lists, row count) not yet handed out
+        self._opened = set()  # files handed out with their header
+        self._appends = fanout.Chain()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self._appends.__exit__(*exc_info)
+
+    def _weight(self, name: str) -> int:
+        """Rows x columns of the rows held for ``name``, header included
+        while the file is unwritten."""
+        n_rows = self._held[name][1] if name in self._held else 0
+        return len(_HEADERS[name]) * (n_rows + (name not in self._opened))
+
+    def _hold(self, batch: dict) -> None:
+        for name, (rows, n_rows) in batch.items():
+            if n_rows:
+                chunks, held = self._held.get(name, ([], 0))
+                self._held[name] = (chunks + [rows], held + n_rows)
+                self.taken[name] += n_rows
+
+    def _hand_out(self, names) -> dict:
+        """The parts ``_append`` writes for ``names`` (files with nothing
+        to write left out), no longer held. The first hand-out removes an
+        old manifest, which would list files this run is replacing."""
+        self.out.mkdir(parents=True, exist_ok=True)
+        if not self._opened:
+            (self.out / MANIFEST_FILE).unlink(missing_ok=True)
+        parts = {}
         for name in names:
-            header, rows = tables[name]
-            with open(out / name, "w", encoding="utf-8", newline="\n") as handle:
-                writer = csv.writer(handle, lineterminator="\n")
-                writer.writerow(header)
-                writer.writerows(rows)
-        return {name: _sha256(out / name) for name in names}
+            chunks, _ = self._held.pop(name, ([], 0))
+            new = name not in self._opened
+            if chunks or new:
+                parts[name] = (self.out / name, new, chunks)
+                self._opened.add(name)
+        return parts
 
-    digests = {}
-    for share in fanout.fan_out(write, split):
-        digests.update(share)
+    def add(self, batch: dict) -> None:
+        self._hold(batch)
+        if sum(len(_HEADERS[name]) * n_rows for name, (_, n_rows) in batch.items()) \
+                >= MIN_APPEND:
+            self._appends.start(_append, list(self._hand_out(list(self._held)).values()))
+
+    def close(self, batch: dict) -> dict:
+        """Write ``batch`` and every row still held; the SHA-256 digest of
+        each data file by name."""
+        self._hold(batch)
+        self._appends.join()
+        weights = {name: self._weight(name) for name in DATA_FILES}
+        parts = self._hand_out(DATA_FILES)
+
+        def split(n_shares):
+            """DATA_FILES in ``n_shares`` shares of about equal rows x
+            columns: each file, heaviest first, goes to the lightest share."""
+            shares = [[0, []] for _ in range(min(n_shares, len(DATA_FILES)))]
+            for name in sorted(DATA_FILES, key=weights.get, reverse=True):
+                share = min(shares, key=lambda share: share[0])
+                share[0] += weights[name]
+                share[1].append(name)
+            return [sorted(names, key=DATA_FILES.index) for _, names in shares]
+
+        def write(names):
+            """Write the parts of ``names``; their digests by name."""
+            _append([parts[name] for name in names if name in parts])
+            return {name: _sha256(self.out / name) for name in names}
+
+        digests = {}
+        for share in fanout.fan_out(write, split):
+            digests.update(share)
+        return digests
+
+
+def write_report(report: EvaluationReport, out_dir,
+                 config_bytes: bytes | None = None,
+                 writer: ReportWriter | None = None) -> dict:
+    """Write all report files to ``out_dir``; returns the manifest dict.
+
+    ``writer`` is the one ``evaluate`` handed rows to, if any; it is given
+    the rows it has not had. Without one, every row goes out as one batch."""
+    rest = {}
+    with writer or ReportWriter(out_dir) as writer:
+        for name, (rows, n_rows) in _tables(report).items():
+            taken = writer.taken[name]
+            if n_rows > taken:
+                rest[name] = (rows[taken:] if taken else rows, n_rows - taken)
+        digests = writer.close(rest)
 
     settings_dict = asdict(report.settings)
     config_digest = hashlib.sha256(
@@ -514,7 +652,7 @@ def write_report(report: EvaluationReport, out_dir,
         "redraw_count": report.ensemble.redraw_count,
         "files": {name: digests[name] for name in DATA_FILES},
     }
-    with open(out / MANIFEST_FILE, "w", encoding="utf-8", newline="\n") as handle:
+    with open(Path(out_dir) / MANIFEST_FILE, "w", encoding="utf-8", newline="\n") as handle:
         json.dump(manifest, handle, indent=2, sort_keys=True)
         handle.write("\n")
     return manifest
@@ -533,8 +671,9 @@ def run(config_path, out_dir, seed: int | None = None) -> EvaluationReport:
         settings = replace(settings,
                            experiment=replace(settings.experiment, seed=seed))
         config_bytes = None   # overridden seed invalidates the file hash alone
-    report = evaluate(settings)
-    write_report(report, out_dir, config_bytes)
+    with ReportWriter(out_dir) as writer:
+        report = evaluate(settings, writer)
+        write_report(report, out_dir, config_bytes, writer)
     return report
 
 

@@ -1,7 +1,9 @@
-"""The fork fan-out helper: results in share order, errors, and reaping."""
+"""The fork fan-out helpers: results in share or start order, errors, and
+reaping."""
 
 import os
 import signal
+import threading
 import time
 
 import pytest
@@ -98,4 +100,135 @@ def test_fan_out_inside_a_worker_runs_serially(monkeypatch):
     assert (in_worker, in_caller) == (True, False)
     assert len(worker_inner) == 1 and worker_forks == 0
     assert len(caller_inner) == 2 and caller_forks == 2   # outer and inner fan-out
+    assert_no_child_processes()
+
+
+def test_chain_returns_results_in_start_order(monkeypatch):
+    use_cpus(monkeypatch, 2)
+    caller = os.getpid()
+    with time_limit(20), fanout.Chain() as chain:
+        for k in range(3):
+            chain.start(lambda k: (k, os.getpid() != caller), k)
+        assert chain.join() == [(0, True), (1, True), (2, True)]
+        chain.start(lambda k: k, 3)   # a joined chain starts again
+        assert chain.join() == [3]
+    assert_no_child_processes()
+
+
+def test_chain_raises_the_first_failure_in_start_order(monkeypatch):
+    use_cpus(monkeypatch, 2)
+
+    def fn(k):
+        if k > 0:
+            raise KeyError(f"call {k}")
+        return k
+
+    with time_limit(20), fanout.Chain() as chain:
+        for k in range(3):
+            chain.start(fn, k)
+        with pytest.raises(KeyError, match="call 1"):
+            chain.join()
+    assert_no_child_processes()
+
+
+def test_chained_call_waits_for_its_predecessor(monkeypatch, tmp_path):
+    use_cpus(monkeypatch, 2)
+    first_done = tmp_path / "first"
+
+    def first(_):
+        time.sleep(0.5)
+        first_done.write_text("done")
+
+    with time_limit(20), fanout.Chain() as chain:
+        chain.start(first, None)
+        chain.start(lambda _: first_done.exists(), None)
+        assert chain.join() == [None, True]
+    assert_no_child_processes()
+
+
+@pytest.mark.parametrize("failure", ["raises", "killed"])
+def test_chained_call_after_a_failure_does_nothing(monkeypatch, tmp_path, failure):
+    use_cpus(monkeypatch, 2)
+
+    def first(_):
+        time.sleep(0.3)
+        if failure == "killed":
+            os.kill(os.getpid(), signal.SIGKILL)
+        raise OSError("first call failed")
+
+    def second(_):
+        (tmp_path / "second").write_text("ran")
+
+    expected = (OSError, "first call failed") if failure == "raises" else \
+        (WorkerError, "killed by signal 9")
+    with time_limit(20), fanout.Chain() as chain:
+        chain.start(first, None)
+        chain.start(second, None)
+        with pytest.raises(expected[0], match=expected[1]):
+            chain.join()
+    assert not (tmp_path / "second").exists()
+    assert_no_child_processes()
+
+
+@pytest.mark.parametrize("failure", ["raises", "time_limit"])
+def test_leaving_a_chain_kills_and_reaps_its_workers(monkeypatch, failure):
+    use_cpus(monkeypatch, 2)
+    start = time.monotonic()
+    with pytest.raises(RuntimeError if failure == "raises" else TimeoutError):
+        with time_limit(1), fanout.Chain() as chain:
+            chain.start(time.sleep, 60)
+            chain.start(time.sleep, 60)
+            if failure == "raises":
+                raise RuntimeError("caller failed")
+            chain.join()
+    assert time.monotonic() - start < 10
+    assert_no_child_processes()
+
+
+@pytest.mark.parametrize("case", ["one_cpu", "no_fork", "live_thread"])
+def test_chain_runs_serially_where_fan_out_does(monkeypatch, case):
+    use_cpus(monkeypatch, 1 if case == "one_cpu" else 2)
+    if case == "no_fork":
+        monkeypatch.delattr(os, "fork")
+    else:
+        monkeypatch.setattr(os, "fork", _forbidden_fork)
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait, args=(60,))
+    if case == "live_thread":
+        thread.start()
+    calls = []
+    try:
+        with fanout.Chain() as chain:
+            for k in range(3):
+                chain.start(lambda k: calls.append(k) or k * 2, k)
+                assert calls == list(range(k + 1))   # ran before start returned
+            assert chain.join() == [0, 2, 4]
+    finally:
+        release.set()
+        if case == "live_thread":
+            thread.join(10)
+    assert not thread.is_alive()
+
+
+def test_chain_inside_a_worker_runs_serially(monkeypatch):
+    use_cpus(monkeypatch, 2)
+    forks, real_fork = [], os.fork
+
+    def counting_fork():
+        forks.append(os.getpid())
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+
+    def outer(k):
+        me = os.getpid()
+        with fanout.Chain() as chain:
+            chain.start(lambda i: os.getpid(), 0)
+            chain.start(lambda i: os.getpid(), 1)
+            pids = chain.join()
+        return pids == [me, me], forks.count(me)
+
+    with time_limit(20):
+        (worker_serial, worker_forks), _ = fanout.fan_out(outer, lambda p: [0, 1])
+    assert worker_serial and worker_forks == 0
     assert_no_child_processes()

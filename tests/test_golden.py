@@ -15,7 +15,7 @@ import pytest
 from scenario_eval import harness
 from scenario_eval.world_gen import ExperimentConfig
 
-from conftest import use_cpus
+from conftest import assert_no_child_processes, use_cpus
 
 DEFAULT_DIGESTS = {
     "world.csv": "87cd5fb61e2e9c5078f23f9eb0b5271c30a431938b55b5b4035c70614cc0d6c6",
@@ -43,6 +43,16 @@ THREE_SCENARIO_SETTINGS = harness.RunSettings(
     n_samples=2000)
 
 
+THREE_SCENARIO_CONFIG = """\
+[experiment]
+scenario_values = 0.30, 0.40, 0.50
+n_models = 4
+
+[approaches]
+n_samples = 2000
+"""
+
+
 @pytest.mark.parametrize("settings, expected", [
     (harness.RunSettings(), DEFAULT_DIGESTS),
     (THREE_SCENARIO_SETTINGS, THREE_SCENARIO_DIGESTS),
@@ -58,11 +68,16 @@ def _digests(out_dir):
             for name in harness.DATA_FILES}
 
 
+@pytest.mark.parametrize("entry", ["write_report", "run"])
 @pytest.mark.parametrize("case", ["three_cpus", "one_cpu", "no_fork", "live_thread"])
-def test_fan_out_and_serial_fallbacks_write_golden_bytes(tmp_path, monkeypatch, case):
-    # Fanned over three processes (two forks for the solve, two for the
-    # writes), and on each serial path, which must not fork at all.
+def test_fan_out_and_serial_fallbacks_write_golden_bytes(tmp_path, monkeypatch, case, entry):
+    # Fanned over three processes: two forks for the solve, two for the
+    # writes; the default config's batches stay below MIN_APPEND, so run
+    # forks no background append. Each serial path must not fork at all,
+    # even with every batch of run sent to a background append.
     use_cpus(monkeypatch, 1 if case == "one_cpu" else 3)
+    if case != "three_cpus":
+        monkeypatch.setattr(harness, "MIN_APPEND", 1)
     forks = []
     real_fork = os.fork
 
@@ -81,7 +96,10 @@ def test_fan_out_and_serial_fallbacks_write_golden_bytes(tmp_path, monkeypatch, 
     if case == "live_thread":
         thread.start()
     try:
-        harness.write_report(harness.evaluate(harness.RunSettings()), tmp_path)
+        if entry == "run":
+            harness.run(None, tmp_path)
+        else:
+            harness.write_report(harness.evaluate(harness.RunSettings()), tmp_path)
     finally:
         release.set()
         if case == "live_thread":
@@ -89,3 +107,28 @@ def test_fan_out_and_serial_fallbacks_write_golden_bytes(tmp_path, monkeypatch, 
     assert not thread.is_alive()
     assert len(forks) == (4 if case == "three_cpus" else 0)
     assert _digests(tmp_path) == DEFAULT_DIGESTS
+    assert_no_child_processes()
+
+
+@pytest.mark.parametrize("config, expected", [
+    (None, DEFAULT_DIGESTS),
+    (THREE_SCENARIO_CONFIG, THREE_SCENARIO_DIGESTS),
+], ids=["default", "three_scenarios"])
+def test_run_with_every_batch_in_the_background_writes_golden_bytes(
+        tmp_path, monkeypatch, config, expected):
+    # MIN_APPEND = 1 hands each batch to its own background append: world
+    # and projections, then each of the five variants.
+    monkeypatch.setattr(harness, "MIN_APPEND", 1)
+    use_cpus(monkeypatch, 2)
+    forks, real_fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+    path = None
+    if config is not None:
+        path = tmp_path / "three.cfg"
+        path.write_text(config, encoding="utf-8")
+        assert harness.load_settings(path) == THREE_SCENARIO_SETTINGS
+    harness.run(path, tmp_path / "out")
+    # One fork for the solve, six background appends, one for the final split.
+    assert len(forks) == 1 + 6 + 1
+    assert _digests(tmp_path / "out") == expected
+    assert_no_child_processes()

@@ -9,6 +9,7 @@ import signal
 import subprocess
 import sys
 import tempfile
+import time
 import tracemalloc
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -168,6 +169,19 @@ plausibility_threshold = 0.08
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             harness.load_settings(tmp_path / "nope.cfg")
+
+    def test_basis_dim_below_cubic_exits_2_before_any_solve(self, tmp_path, monkeypatch,
+                                                          capsys):
+        def no_world(config):
+            raise AssertionError("world generated for a config that cannot run")
+
+        monkeypatch.setattr(world_gen, "generate", no_world)
+        config = write_config(tmp_path, "[approaches]\nbasis_dim = 2\n")
+        assert cli.main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: approaches.basis_dim: ")
+        assert "must be >= 4 for a cubic basis, got 2" in err
+        assert not (tmp_path / "o").exists()
 
     def test_spline_needs_enough_locations(self):
         with pytest.raises(ConfigError) as info:
@@ -543,6 +557,104 @@ class TestWorkerFailures:
         assert code == 2
         err = capsys.readouterr().err
         assert "killed by signal 9" in err and "Traceback" not in err
+        assert_no_child_processes()
+
+    @pytest.mark.parametrize("name", ["projections.csv", "location_mae.csv"])
+    def test_blocked_background_append_exits_2_as_when_serial(
+            self, tmp_path, monkeypatch, capsys, name):
+        # Every batch goes to its own append: projections.csv is in the
+        # first, location_mae.csv in each variant's. No append after the
+        # failed one writes, so no file is written out of order.
+        monkeypatch.setattr(harness, "MIN_APPEND", 1)
+        config = write_config(tmp_path, FAST_CONFIG)
+        errors, written = [], []
+        for cpus in (1, 2):
+            use_cpus(monkeypatch, cpus)
+            out = tmp_path / f"out{cpus}"
+            (out / name).mkdir(parents=True)
+            with time_limit(20):
+                assert cli.main(["run", "--config", str(config), "--out", str(out)]) == 2
+            errors.append(capsys.readouterr().err.replace(str(out), "OUT"))
+            written.append(sorted(path.name for path in out.iterdir()))
+            assert_no_child_processes()
+        assert errors[0] == errors[1]
+        assert errors[0].startswith("i/o error: ") and f"OUT/{name}" in errors[0]
+        assert written[0] == written[1]
+        first_batch = ["projections.csv", "world.csv"]
+        if name == "projections.csv":
+            assert written[0] == first_batch
+        else:   # the first variant's other tables, and nothing later
+            assert written[0] == sorted(first_batch + [
+                "a1_deviation.csv", "approach_estimates.csv", "location_mae.csv",
+                "report.csv"])
+
+    def test_killed_background_append_exits_2(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(harness, "MIN_APPEND", 1)
+        use_cpus(monkeypatch, 2)
+        caller, append = os.getpid(), harness._append
+
+        def die_in_worker(parts):
+            if os.getpid() != caller:
+                os.kill(os.getpid(), signal.SIGKILL)
+            append(parts)
+
+        monkeypatch.setattr(harness, "_append", die_in_worker)
+        config = write_config(tmp_path, FAST_CONFIG)
+        with time_limit(20):
+            code = cli.main(["run", "--config", str(config), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "killed by signal 9" in err and "Traceback" not in err
+        assert not (tmp_path / "o" / harness.MANIFEST_FILE).exists()
+        assert_no_child_processes()
+
+    @pytest.mark.parametrize("failure", ["builder_raises", "time_limit"])
+    def test_caller_failure_kills_and_reaps_the_background_appends(
+            self, tmp_path, monkeypatch, failure):
+        # The appends hang, so a run that waited for them would hang too.
+        monkeypatch.setattr(harness, "MIN_APPEND", 1)
+        use_cpus(monkeypatch, 2)
+        caller, builder = os.getpid(), harness._location_mae_rows
+
+        def hang_in_worker(parts):
+            if os.getpid() != caller:
+                time.sleep(60)
+
+        def fail_on_fourth_variant(*args):
+            calls.append(args)
+            if len(calls) == 4:
+                raise RuntimeError("builder failed")
+            return builder(*args)
+
+        calls = []
+        monkeypatch.setattr(harness, "_append", hang_in_worker)
+        if failure == "builder_raises":
+            monkeypatch.setattr(harness, "_location_mae_rows", fail_on_fourth_variant)
+        config = write_config(tmp_path, FAST_CONFIG)
+        start = time.monotonic()
+        expected = RuntimeError if failure == "builder_raises" else TimeoutError
+        with pytest.raises(expected):
+            with time_limit(20 if failure == "builder_raises" else 2):
+                harness.run(config, tmp_path / "o")
+        assert time.monotonic() - start < 15
+        assert_no_child_processes()
+
+    def test_failed_run_leaves_no_manifest_of_an_earlier_run(self, tmp_path, monkeypatch):
+        # The failed run has already replaced world.csv and projections.csv,
+        # so the earlier manifest's digests no longer hold.
+        config = write_config(tmp_path, FAST_CONFIG)
+        out = tmp_path / "o"
+        harness.run(config, out)
+        assert (out / harness.MANIFEST_FILE).exists()
+        monkeypatch.setattr(harness, "MIN_APPEND", 1)
+
+        def fail(*args):
+            raise RuntimeError("builder failed")
+
+        monkeypatch.setattr(harness, "_report_rows", fail)
+        with pytest.raises(RuntimeError):
+            harness.run(config, out)
+        assert not (out / harness.MANIFEST_FILE).exists()
         assert_no_child_processes()
 
     def test_run_leaves_no_child_process(self, tmp_path, monkeypatch):
