@@ -39,16 +39,22 @@ forked background process (``fanout.Chain``) while the next variant is
 estimated; each append waits for the one before it, so every file keeps its
 row order. A smaller batch is held. ``write_report`` then hands it the rest:
 ``decomposition.csv``, built after the last variant, and any rows still
-held. These go out in shares of about equal rows x columns, one per CPU,
-all but the last written in forked workers (``fanout.fan_out``) that also
-return the SHA-256 digests for the manifest. ``write_report`` on its own
-hands every row over at that point. All of it runs serially where
-``fanout`` does. Which process writes a batch changes none of the bytes.
-The default config's batches stay below MIN_APPEND, so its run forks no
-background append. MIN_APPEND is measured in BENCH_pipelined_writes.json;
-the benchmark's ``peak_rss_mb`` reads the parent process only, not the
-appends. The manifest is written last, and a run removes an old one before
-its first write, so a run that fails leaves none.
+held. If appends still run in the background, the calling process first
+writes the files none of them writes to (on ``many_models``,
+``decomposition.csv``) while the last append drains, and only then waits
+for them; should an append, the wait or that writing fail, it removes
+those files again, so the directory holds what a serial run that failed
+there would hold. The rows still held go out in shares of about equal
+rows x columns, one per CPU, all but the last written in forked workers
+(``fanout.fan_out``) that also return the SHA-256 digests for the
+manifest; unless two shares have something to write, the calling process
+writes and digests them all. ``write_report`` on its own hands every row
+over at that point. All of it runs serially where ``fanout`` does. Which process writes a batch changes none of the bytes. The default
+config's batches stay below MIN_APPEND, so its run forks no background
+append. MIN_APPEND is measured in BENCH_pipelined_writes.json; the
+benchmark's ``peak_rss_mb`` reads the parent process only, not the appends.
+The manifest is written last, and a run removes an old one before its
+first write, so a run that fails leaves none.
 """
 
 from __future__ import annotations
@@ -367,8 +373,8 @@ def _estimate_rows(approach_id, variant, result):
     if approach_id == APPROACH_PLAUSIBLE:
         for m, j, l, e in _plausible_points(result):
             rows.append((approach_id, variant, m, j, l, e, e, e, e, e, e, 1))
-    else:
-        for (m, j, l), dist in sorted(result.per_location.items()):
+    else:   # inserted in (m, j, l) order by approaches._distributions
+        for (m, j, l), dist in result.per_location.items():
             rows.append((approach_id, variant, m, j, l) + _summary(dist))
     return rows
 
@@ -399,9 +405,10 @@ def _a1_deviation_rows(errs, approach_id, variant, result):
     if approach_id != APPROACH_PLAUSIBLE:
         return []
     deviation = result.selection.deviation
+    true_errors = errs.tolist()
     rows = []
     for m, j, l, est in _plausible_points(result):
-        true = float(errs[m, l, j])
+        true = true_errors[m][l][j]
         rows.append((m, l, j, float(deviation[l]), est, true, abs(est - true)))
     return rows
 
@@ -433,10 +440,11 @@ def _location_mae_rows(errs, approach_id, variant, result):
         estimates = _plausible_points(result)
     else:
         estimates = ((m, j, l, dist.summary.mean)
-                     for (m, j, l), dist in sorted(result.per_location.items()))
+                     for (m, j, l), dist in result.per_location.items())
+    true_errors = errs.tolist()
     rows = []
     for m, j, l, est in estimates:
-        true = float(errs[m, l, j])
+        true = true_errors[m][l][j]
         rows.append((approach_id, variant, m, j, l, est, true, abs(est - true)))
     return rows
 
@@ -541,9 +549,10 @@ class ReportWriter:
     lighter than MIN_APPEND; a heavier one goes, with all rows held, to one
     background append (``fanout.Chain``), and ``add`` returns. Appends run
     in the order they were handed, so each file keeps its row order.
-    ``close`` waits for the appends, writes what is still held through
-    ``fanout.fan_out`` and returns every data file's digest. Leaving a
-    ``with`` block kills the appends still running."""
+    ``close`` writes the files no unjoined append touches, waits for the
+    appends, writes what is still held through ``fanout.fan_out`` and
+    returns every data file's digest. Leaving a ``with`` block kills the
+    appends still running."""
 
     def __init__(self, out_dir):
         self.out = Path(out_dir)
@@ -551,6 +560,7 @@ class ReportWriter:
         self._held = {}       # name -> (row lists, row count) not yet handed out
         self._opened = set()  # files handed out with their header
         self._appends = fanout.Chain()
+        self._appending = set()   # files that unjoined background appends write to
 
     def __enter__(self):
         return self
@@ -591,24 +601,43 @@ class ReportWriter:
         self._hold(batch)
         if sum(len(_HEADERS[name]) * n_rows for name, (_, n_rows) in batch.items()) \
                 >= MIN_APPEND:
-            self._appends.start(_append, list(self._hand_out(list(self._held)).values()))
+            parts = self._hand_out(list(self._held))
+            if self._appends.start(_append, list(parts.values())):
+                self._appending.update(parts)
 
     def close(self, batch: dict) -> dict:
         """Write ``batch`` and every row still held; the SHA-256 digest of
-        each data file by name."""
+        each data file by name.
+
+        While appends run in the background, the files none of them writes
+        to are written here first, and the appends are waited for after;
+        if the writing or the wait fails, the files this wrote are removed
+        again, as a serial run that failed there would not have written them."""
         self._hold(batch)
-        self._appends.join()
+        early = self._hand_out([name for name in DATA_FILES
+                                if name not in self._appending]) if self._appending else {}
+        try:
+            _append(list(early.values()))
+            self._appends.join()
+        except BaseException:
+            for path, new, _ in early.values():
+                if new and path.is_file():   # a directory in its place stays
+                    path.unlink()
+            raise
         weights = {name: self._weight(name) for name in DATA_FILES}
         parts = self._hand_out(DATA_FILES)
 
         def split(n_shares):
             """DATA_FILES in ``n_shares`` shares of about equal rows x
-            columns: each file, heaviest first, goes to the lightest share."""
+            columns: each file, heaviest first, goes to the lightest share.
+            All in one share, computed here, unless two have parts to write."""
             shares = [[0, []] for _ in range(min(n_shares, len(DATA_FILES)))]
             for name in sorted(DATA_FILES, key=weights.get, reverse=True):
                 share = min(shares, key=lambda share: share[0])
                 share[0] += weights[name]
                 share[1].append(name)
+            if sum(not parts.keys().isdisjoint(names) for _, names in shares) < 2:
+                return [DATA_FILES]
             return [sorted(names, key=DATA_FILES.index) for _, names in shares]
 
         def write(names):

@@ -1,11 +1,13 @@
 import dataclasses
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scenario_eval import approaches, sir_core, world_gen
+from scenario_eval import approaches, harness, sir_core, world_gen
 from scenario_eval.approaches import (
     evaluate_plausible,
     implied_observations,
@@ -348,6 +350,28 @@ class TestDistributionContainers:
             if not with_cov:
                 assert result.per_location == {}
 
+    @pytest.mark.parametrize("approach_id, strategy", [
+        (approaches.APPROACH_ERROR_REGRESSION, infer_error_distribution),
+        (approaches.APPROACH_OBSERVATION_MODEL, infer_observations)])
+    def test_per_location_keys_and_table_rows_come_sorted(self, approach_id, strategy):
+        # The table builders walk per_location in insertion order, so the
+        # strategies must insert in sorted (m, j, l) order, also when the
+        # first n_samples % n_locations locations get a longer chunk.
+        world = random_world(11, seed=6)
+        ensemble = perfect_ensemble(world, n_models=3)
+        ensemble = dataclasses.replace(ensemble,
+                                       projections=ensemble.projections + 0.01)
+        result = strategy(world, ensemble, True, 40, seed=3)   # 40 % 11 == 7
+        keys = list(result.per_location)
+        assert keys == sorted(keys) and len(keys) == 3 * 2 * 11
+        scored = (approach_id, approaches.VARIANT_COVARIATE, result)
+        estimates = harness._estimate_rows(*scored)
+        location_mae = harness._location_mae_rows(true_errors(world, ensemble), *scored)
+        pooled = [row[2:4] for row in estimates if row[4] == approaches.POOLED]
+        assert pooled == sorted(result.pooled)
+        assert [row[2:5] for row in estimates if row[4] != approaches.POOLED] == keys
+        assert [row[2:5] for row in location_mae] == keys
+
     def test_block_draws_match_per_location_draws(self):
         # Reference: one rng.normal call per location, in location order, as
         # the samplers drew before the block draw.
@@ -400,3 +424,43 @@ class TestDistributionContainers:
         first = result.per_location[(0, 0, 0)].samples
         expected = ensemble.projections[0, 0, 0] - first
         assert implied[:first.size] == pytest.approx(expected, abs=1e-14)
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+class TestNamedTupleRecords:
+    @pytest.fixture(scope="class")
+    def dist(self):
+        world = random_world(11, seed=2)
+        result = infer_observations(world, perfect_ensemble(world), True, 10_000, seed=7)
+        return result.pooled[(0, 0)]
+
+    def test_fields_by_name_and_position(self, dist):
+        s = dist.summary
+        assert approaches.DistributionSummary._fields == (
+            "mean", "median", "q05", "q25", "q75", "q95", "n_samples")
+        assert approaches.ErrorDistribution._fields == ("samples", "summary")
+        assert (s.mean, s.median, s.q05, s.q25, s.q75, s.q95, s.n_samples) == tuple(s)
+        assert dist.samples is dist[0] and dist.summary is dist[1]
+        assert s.n_samples == dist.samples.size == 10_000
+        assert_summary_recomputed(dist)
+
+    def test_fields_cannot_be_assigned(self, dist):
+        with pytest.raises(AttributeError):
+            dist.summary.mean = 0.0
+        with pytest.raises(AttributeError):
+            dist.samples = np.zeros(3)
+
+    def test_repr_is_the_one_readme_shows(self, dist):
+        example = re.search(r"# (DistributionSummary\(.*?\))\n",
+                            README.read_text(encoding="utf-8"), re.S).group(1)
+        example = re.sub(r"\n#\s+", " ", example)
+        pattern = re.escape(example).replace(re.escape("..."), r"-?\d[\d.e+-]*")
+        assert re.fullmatch(pattern, repr(dist.summary))
+        assert repr(dist) == (f"ErrorDistribution(samples={dist.samples!r}, "
+                              f"summary={dist.summary!r})")
+
+    def test_make_builds_the_same_record(self, dist):
+        made = approaches.ErrorDistribution.make(dist.samples, dist.summary)
+        assert made == dist and type(made) is approaches.ErrorDistribution

@@ -108,7 +108,7 @@ def test_chain_returns_results_in_start_order(monkeypatch):
     caller = os.getpid()
     with time_limit(20), fanout.Chain() as chain:
         for k in range(3):
-            chain.start(lambda k: (k, os.getpid() != caller), k)
+            assert chain.start(lambda k: (k, os.getpid() != caller), k) is True
         assert chain.join() == [(0, True), (1, True), (2, True)]
         chain.start(lambda k: k, 3)   # a joined chain starts again
         assert chain.join() == [3]
@@ -200,7 +200,7 @@ def test_chain_runs_serially_where_fan_out_does(monkeypatch, case):
     try:
         with fanout.Chain() as chain:
             for k in range(3):
-                chain.start(lambda k: calls.append(k) or k * 2, k)
+                assert chain.start(lambda k: calls.append(k) or k * 2, k) is False
                 assert calls == list(range(k + 1))   # ran before start returned
             assert chain.join() == [0, 2, 4]
     finally:

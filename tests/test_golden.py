@@ -9,13 +9,14 @@ streams and its pairwise summation order, and were recorded with numpy
 import hashlib
 import os
 import threading
+import time
 
 import pytest
 
 from scenario_eval import harness
 from scenario_eval.world_gen import ExperimentConfig
 
-from conftest import assert_no_child_processes, use_cpus
+from conftest import assert_no_child_processes, time_limit, use_cpus
 
 DEFAULT_DIGESTS = {
     "world.csv": "87cd5fb61e2e9c5078f23f9eb0b5271c30a431938b55b5b4035c70614cc0d6c6",
@@ -128,7 +129,41 @@ def test_run_with_every_batch_in_the_background_writes_golden_bytes(
         path.write_text(config, encoding="utf-8")
         assert harness.load_settings(path) == THREE_SCENARIO_SETTINGS
     harness.run(path, tmp_path / "out")
-    # One fork for the solve, six background appends, one for the final split.
-    assert len(forks) == 1 + 6 + 1
+    # One fork for the solve and six background appends. The parent writes
+    # decomposition.csv while the last append runs, and then nothing is left
+    # to write, so the final split forks no worker to compute digests only.
+    assert len(forks) == 1 + 6
     assert _digests(tmp_path / "out") == expected
+    assert_no_child_processes()
+
+
+def test_parent_writes_decomposition_before_joining_the_appends(tmp_path, monkeypatch):
+    # Every batch goes to a background append, and each append waits until
+    # the parent has logged its own write: a parent that joined the appends
+    # before writing decomposition.csv would leave them waiting out their
+    # 10 s and log them first.
+    monkeypatch.setattr(harness, "MIN_APPEND", 1)
+    use_cpus(monkeypatch, 2)
+    caller, append = os.getpid(), harness._append
+    log, out = tmp_path / "appends.log", tmp_path / "out"
+    log.touch()
+
+    def logged(parts):
+        if os.getpid() != caller:
+            deadline = time.monotonic() + 10
+            while f"{caller} " not in log.read_text() and time.monotonic() < deadline:
+                time.sleep(0.01)
+        append(parts)
+        with open(log, "a", encoding="utf-8") as handle:
+            handle.write(f"{os.getpid()} {','.join(path.name for path, _, _ in parts)}\n")
+
+    monkeypatch.setattr(harness, "_append", logged)
+    with time_limit(60):
+        harness.run(None, out)
+    writes = [(pid == str(caller), names) for pid, names in
+              (line.split(" ") for line in log.read_text().splitlines()) if names]
+    assert writes[0] == (True, "decomposition.csv")
+    assert writes[1] == (False, "world.csv,projections.csv")
+    assert [by_caller for by_caller, _ in writes[2:]] == [False] * 5
+    assert _digests(out) == DEFAULT_DIGESTS
     assert_no_child_processes()

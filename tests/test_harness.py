@@ -608,6 +608,59 @@ class TestWorkerFailures:
         assert not (tmp_path / "o" / harness.MANIFEST_FILE).exists()
         assert_no_child_processes()
 
+    def test_blocked_decomposition_exits_2_with_or_without_pending_appends(
+            self, tmp_path, monkeypatch, capsys):
+        # With appends pending at close, the parent writes decomposition.csv
+        # before waiting for them; the failure reads as when it came last.
+        config = write_config(tmp_path, FAST_CONFIG)
+        use_cpus(monkeypatch, 2)
+        errors = []
+        for min_append in (harness.MIN_APPEND, 1):
+            monkeypatch.setattr(harness, "MIN_APPEND", min_append)
+            out = tmp_path / f"out{min_append}"
+            (out / "decomposition.csv").mkdir(parents=True)
+            with time_limit(20):
+                assert cli.main(["run", "--config", str(config), "--out", str(out)]) == 2
+            errors.append(capsys.readouterr().err.replace(str(out), "OUT"))
+            assert (out / "decomposition.csv").is_dir()
+            assert not (out / harness.MANIFEST_FILE).exists()
+            assert_no_child_processes()
+        assert errors[0] == errors[1]
+        assert errors[0].startswith("i/o error: ") and "OUT/decomposition.csv" in errors[0]
+
+    @pytest.mark.parametrize("failure", ["raises", "killed"])
+    def test_failed_last_append_leaves_the_files_of_a_serial_run(
+            self, tmp_path, monkeypatch, capsys, failure):
+        # The last variant's append fails while the parent writes
+        # decomposition.csv; that file is removed again, so the directory
+        # holds what a run that failed in that append serially holds.
+        monkeypatch.setattr(harness, "MIN_APPEND", 1)
+        caller, append = os.getpid(), harness._append
+
+        def fail_last_variant(parts):
+            last = any(path.name == "report.csv" and chunks[-1][0][:2] == (3, "covariate")
+                       for path, _, chunks in parts)
+            if last and failure == "killed" and os.getpid() != caller:
+                os.kill(os.getpid(), signal.SIGKILL)
+            if last:
+                raise OSError("last append failed")
+            append(parts)
+
+        monkeypatch.setattr(harness, "_append", fail_last_variant)
+        config = write_config(tmp_path, FAST_CONFIG)
+        written = []
+        for cpus in (1, 2) if failure == "raises" else (2,):
+            use_cpus(monkeypatch, cpus)
+            out = tmp_path / f"out{cpus}"
+            with time_limit(20):
+                assert cli.main(["run", "--config", str(config), "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert ("killed by signal 9" if failure == "killed" else "last append failed") in err
+            written.append(sorted(path.name for path in out.iterdir()))
+            assert_no_child_processes()
+        assert written[0] == sorted(set(harness.DATA_FILES) - {"decomposition.csv"})
+        assert written[-1] == written[0]
+
     @pytest.mark.parametrize("failure", ["builder_raises", "time_limit"])
     def test_caller_failure_kills_and_reaps_the_background_appends(
             self, tmp_path, monkeypatch, failure):
