@@ -348,10 +348,11 @@ def _report_rows(world, errs, approach_id, variant, result):
 def _plausible_points(result):
     """Strategy-1 point errors as (model, plausible scenario, location,
     error), model-major, skipping locations without a plausible scenario."""
-    chosen = result.selection.chosen_index
-    for m in range(result.point_errors.shape[0]):
-        for l in np.flatnonzero(chosen >= 0):
-            yield m, int(chosen[l]), int(l), float(result.point_errors[m, l])
+    located = [(j, l) for l, j in enumerate(result.selection.chosen_index.tolist())
+               if j >= 0]
+    for m, errors in enumerate(result.point_errors.tolist()):
+        for j, l in located:
+            yield m, j, l, errors[l]
 
 
 def _summary(dist):

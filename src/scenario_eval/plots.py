@@ -10,15 +10,27 @@ identical reports yield byte-identical files:
     decomposition.svg      mean absolute decomposition components per scenario
 
 The SVG is hand assembled (fixed coordinate formatting, no timestamps or
-generated ids) to keep output deterministic. A report file with a missing
-column or row, a row with a missing or extra field or an unparsable value
-raises ConfigError naming it.
+generated ids) to keep output deterministic.
+
+Each of the five source files (``approach_estimates.csv``, ``report.csv``
+and ``decomposition.csv``, plus ``world.csv`` and ``projections.csv`` for the
+true errors) is read once, in one streaming pass that checks the field count
+of every row, the rows a figure drops included, and keeps only the columns
+that figure draws, as tuples of strings. A missing
+file, column or row, a row with a missing or extra field, an unparsable or
+non-finite (nan, inf) number in a drawn column, or a ``scenario_index``
+outside ``[0, n_scenarios)`` raises ConfigError naming the file. For a
+pooled estimate ``n_scenarios`` is the number of scenario kinds in
+``projections.csv``; for ``report.csv`` and ``decomposition.csv`` it is the
+number of distinct indices the file holds.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from contextlib import contextmanager
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -41,25 +53,57 @@ def _fmt(value: float) -> str:
     return f"{value:.2f}"
 
 
-def _read_csv(path: Path):
-    """The rows of a report file, read as they are iterated; a row with a
-    missing or extra field raises ConfigError."""
+def _read_csv(path: Path, columns: tuple[str, ...], where=None) -> list[tuple]:
+    """The ``columns`` (two or more) of each row of a report file, as tuples
+    of strings in file order; with ``where=(column, value)`` only the rows
+    whose ``column`` reads ``value``. Every row is checked before it is
+    filtered: a missing or extra field raises ConfigError. A missing column
+    raises ValueError, which ``_reading`` reports."""
     if not path.exists():
         raise ConfigError(f"missing report file {path.name}", str(path))
     with open(path, encoding="utf-8") as handle:
         rows = csv.reader(handle)
         header = next(rows, [])
+        pick = itemgetter(*map(header.index, columns))
+        at, value = (header.index(where[0]), where[1]) if where else (0, None)
+        width = len(header)
+        kept = []
         for row in rows:
-            if len(row) != len(header):
+            if len(row) != width:
                 raise ConfigError(f"line {rows.line_num} has {len(row)} fields, "
-                                  f"expected {len(header)}", str(path))
-            yield dict(zip(header, row))
+                                  f"expected {width}", str(path))
+            if value is None or row[at] == value:
+                kept.append(pick(row))
+        return kept
+
+
+def _number(text: str) -> float:
+    """A drawn value: ``text`` as a float, where nan or inf raises ValueError."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite value {text!r}")
+    return value
+
+
+def _finite(values: np.ndarray) -> np.ndarray:
+    """``values``, where a nan or inf among them raises ValueError."""
+    if not np.isfinite(values).all():
+        raise ValueError("non-finite value")
+    return values
+
+
+def _check_scenarios(indices, n_scenarios: int) -> None:
+    """Raise ValueError for a scenario index outside [0, n_scenarios)."""
+    for j in indices:
+        if not 0 <= j < n_scenarios:
+            raise ValueError(f"scenario_index {j} outside [0, {n_scenarios})")
 
 
 @contextmanager
 def _reading(path: Path):
-    """Raise a missing column or key, a short row or an unparsable value
-    met while using the rows of ``path`` as a ConfigError naming that file."""
+    """Raise a missing column or key, an unparsable or non-finite value or a
+    scenario index out of range met while using the rows of ``path`` as a
+    ConfigError naming that file."""
     try:
         yield
     except ScenarioEvalError:
@@ -114,34 +158,39 @@ def _density(samples: np.ndarray, grid: np.ndarray) -> np.ndarray:
 def _true_error_table(report_dir: Path) -> dict:
     """Recompute true errors per (model, scenario) from the data CSVs."""
     world_path = report_dir / "world.csv"
-    counterfactual = {}
     with _reading(world_path):
-        for row in _read_csv(world_path):
-            if row["x_kind"].startswith("scenario"):
-                counterfactual[(int(row["location_id"]), row["x_kind"])] = float(row["y_value"])
+        counterfactual = {
+            (int(location), kind): _number(y)
+            for location, kind, y in _read_csv(world_path, ("location_id", "x_kind", "y_value"))
+            if kind.startswith("scenario")}
     if not counterfactual:
         raise ConfigError("no scenario rows", str(world_path))
     projections_path = report_dir / "projections.csv"
     errors: dict = {}
     with _reading(projections_path):
-        for row in _read_csv(projections_path):
-            kind = row["x_kind"]
-            if not kind.startswith("scenario"):
-                continue
-            key = (int(row["model_id"]), kind)
-            value = float(row["y_projected"]) - counterfactual[(int(row["location_id"]), kind)]
-            errors.setdefault(key, []).append(value)
-    if not errors:
-        raise ConfigError("no scenario rows", str(projections_path))
-    return {key: np.asarray(vals) for key, vals in errors.items()}
+        for model, location, kind, projected in _read_csv(
+                projections_path, ("model_id", "location_id", "x_kind", "y_projected")):
+            if kind.startswith("scenario"):
+                errors.setdefault((int(model), kind), []).append(
+                    float(projected) - counterfactual[(int(location), kind)])
+        if not errors:
+            raise ConfigError("no scenario rows", str(projections_path))
+        return {key: _finite(np.asarray(vals)) for key, vals in errors.items()}
 
 
 def plot_error_densities(report_dir: Path, out_path: Path) -> None:
-    pooled = [r for r in _read_csv(report_dir / "approach_estimates.csv")
-              if r["location_id"] == "-1"]
+    pooled = _read_csv(report_dir / "approach_estimates.csv",
+                       ("approach", "variant", "scenario_index", "mean", "q05", "q95"),
+                       where=("location_id", "-1"))
     true_errors = _true_error_table(report_dir)
     kinds = list(dict.fromkeys(kind for _, kind in true_errors))   # file order
     n_panels = len(kinds)
+    # (mean, q05, q95) of each pooled row, per (approach, variant, scenario).
+    estimates: dict = {}
+    for approach, variant, j, *summary in pooled:
+        estimates.setdefault((approach, variant, int(j)), []).append(
+            tuple(map(_number, summary)))
+    _check_scenarios({j for _, _, j in estimates}, n_panels)
 
     # Pooled estimate summaries approximate each variant's density through a
     # Normal with the pooled mean and quantile-implied spread per model, then
@@ -166,9 +215,7 @@ def plot_error_densities(report_dir: Path, out_path: Path) -> None:
                                 if k == kind])
         curves.append((TRUE_COLOR, _density(truth, grid), "true"))
         for approach, variant, color in VARIANT_ORDER:
-            rows = [r for r in pooled
-                    if r["approach"] == approach and r["variant"] == variant
-                    and kinds[int(r["scenario_index"])] == kind]
+            rows = estimates.get((approach, variant, panel))
             if not rows:
                 if approach == "1":
                     body.append(_text((x0 + x1) / 2, (y0 + y1) / 2,
@@ -177,9 +224,8 @@ def plot_error_densities(report_dir: Path, out_path: Path) -> None:
                 continue
             # Normal mixture over models from (mean, q05, q95).
             mixture = np.zeros_like(grid)
-            for r in rows:
-                mean = float(r["mean"])
-                spread = (float(r["q95"]) - float(r["q05"])) / 3.29
+            for mean, q05, q95 in rows:
+                spread = (q95 - q05) / 3.29
                 if spread <= 0:
                     spread = (hi - lo) / 200.0
                 z = (grid - mean) / spread
@@ -207,7 +253,17 @@ def plot_error_densities(report_dir: Path, out_path: Path) -> None:
 
 
 def plot_accuracy_summary(report_dir: Path, out_path: Path) -> None:
-    rows = list(_read_csv(report_dir / "report.csv"))
+    rows = _read_csv(report_dir / "report.csv", (
+        "approach", "variant", "model_id", "scenario_index", "mae_of_means", "ks_d",
+        "ks_critical"))
+    keys = [row[:2] for row in rows]
+    models = [int(row[2]) for row in rows]
+    scenarios = [int(row[3]) for row in rows]
+    # Each score column as floats, None where the report leaves it empty.
+    scores = {name: [None if row[k] == "" else _number(row[k]) for row in rows]
+              for k, name in enumerate(("mae_of_means", "ks_d", "ks_critical"), 4)}
+    distinct = set(scenarios)
+    _check_scenarios(distinct, len(distinct))
     body = []
     panels = (("mae_of_means", "MAE of means"), ("ks_d", "KS statistic"))
     panel_w = (WIDTH - MARGIN_L - MARGIN_R) / len(panels)
@@ -215,8 +271,8 @@ def plot_accuracy_summary(report_dir: Path, out_path: Path) -> None:
     colors = {(a, v): c for a, v, c in VARIANT_ORDER}
     # Dots spread 2.2 px per model about the slot centre and 1.1 px per
     # scenario, shrunk where a dot would cross the slot's edge.
-    centre = max((int(r["model_id"]) for r in rows), default=0) / 2
-    reach = centre * 2.2 + max((int(r["scenario_index"]) for r in rows), default=0) * 1.1
+    centre = max(models, default=0) / 2
+    reach = centre * 2.2 + max(scenarios, default=0) * 1.1
     half_slot = (panel_w - 40.0) / len(VARIANT_ORDER) / 2 - DOT_RADIUS
     scale = half_slot / reach if reach > half_slot else 1.0
 
@@ -224,7 +280,7 @@ def plot_accuracy_summary(report_dir: Path, out_path: Path) -> None:
         x0 = MARGIN_L + p * panel_w
         x1 = x0 + panel_w - 40.0
         y0, y1 = HEIGHT - MARGIN_B, MARGIN_T + 16.0
-        values = [float(r[column]) for r in rows if r[column] != ""]
+        values = [value for value in scores[column] if value is not None]
         if not values:
             continue
         vmax = max(values) * 1.15 or 1.0
@@ -232,20 +288,18 @@ def plot_accuracy_summary(report_dir: Path, out_path: Path) -> None:
         def to_y(v):
             return y0 - v / vmax * (y0 - y1)
 
-        for r in rows:
-            if r[column] == "":
+        for key, model, j, value in zip(keys, models, scenarios, scores[column]):
+            if value is None:
                 continue
-            slot = slots.get((r["approach"], r["variant"]))
+            slot = slots.get(key)
             if slot is None:
                 continue
             x = x0 + (slot + 0.5) / len(VARIANT_ORDER) * (x1 - x0)
-            jitter = scale * ((int(r["model_id"]) - centre) * 2.2
-                              + int(r["scenario_index"]) * 1.1)
-            body.append(f'<circle cx="{_fmt(x + jitter)}" cy="{_fmt(to_y(float(r[column])))}" '
-                        f'r="{DOT_RADIUS:g}" fill="{colors[(r["approach"], r["variant"])]}" '
-                        f'fill-opacity="0.65"/>')
+            jitter = scale * ((model - centre) * 2.2 + j * 1.1)
+            body.append(f'<circle cx="{_fmt(x + jitter)}" cy="{_fmt(to_y(value))}" '
+                        f'r="{DOT_RADIUS:g}" fill="{colors[key]}" fill-opacity="0.65"/>')
         if column == "ks_d":
-            crits = [float(r["ks_critical"]) for r in rows if r["ks_critical"] != ""]
+            crits = [value for value in scores["ks_critical"] if value is not None]
             if crits:
                 crit = float(np.median(crits))
                 body.append(_polyline([x0, x1], [to_y(crit), to_y(crit)], "#000000", 1.0))
@@ -263,17 +317,24 @@ def plot_accuracy_summary(report_dir: Path, out_path: Path) -> None:
 
 
 def plot_decomposition(report_dir: Path, out_path: Path) -> None:
-    rows = list(_read_csv(report_dir / "decomposition.csv"))
-    body = []
-    scenarios = sorted({int(r["scenario_index"]) for r in rows})
+    path = report_dir / "decomposition.csv"
     components = (("calibration_error", "#30609e"), ("scenario_spec_error", "#c05090"),
                   ("observed_deviation", "#777777"), ("total_error", "#202020"))
-    panel_w = (WIDTH - MARGIN_L - MARGIN_R) / max(len(scenarios), 1)
+    groups: dict = {}   # scenario -> its rows, in file order
+    for row in _read_csv(path, ("scenario_index", *(name for name, _ in components))):
+        groups.setdefault(int(row[0]), []).append(row)
+    if not groups:
+        raise ConfigError("no rows", str(path))
+    _check_scenarios(groups, len(groups))
+    scenarios = sorted(groups)
+    body = []
+    panel_w = (WIDTH - MARGIN_L - MARGIN_R) / len(scenarios)
     values = {}
     for j in scenarios:
-        sub = [r for r in rows if int(r["scenario_index"]) == j]
-        values[j] = [float(np.mean([abs(float(r[name])) for r in sub]))
-                     for name, _ in components]
+        # One contiguous vector per component, in file order, so each mean
+        # keeps the pairwise summation, and the bits, of np.mean over a list.
+        values[j] = [float(np.mean(np.abs(_finite(np.array(list(map(float, column)))))))
+                     for column in list(zip(*groups[j]))[1:]]
     vmax = max(max(v) for v in values.values()) * 1.2 or 1.0
     y0, y1 = HEIGHT - MARGIN_B, MARGIN_T + 16.0
     for p, j in enumerate(scenarios):

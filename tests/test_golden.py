@@ -1,4 +1,5 @@
-"""Golden SHA-256 digests of every data file for two fixed configs.
+"""Golden SHA-256 digests of every data file, and of the three figures
+``plot`` draws from them, for two fixed configs.
 
 A refactor must leave these bytes unchanged; a change that moves them is a
 numerics change and has to say so. The digests depend on numpy's RNG
@@ -13,7 +14,7 @@ import time
 
 import pytest
 
-from scenario_eval import harness
+from scenario_eval import harness, plots
 from scenario_eval.world_gen import ExperimentConfig
 
 from conftest import assert_no_child_processes, time_limit, use_cpus
@@ -37,6 +38,18 @@ THREE_SCENARIO_DIGESTS = {
     "a1_deviation.csv": "5a9d9d124d250a47bc202bde4cc1c23f977b1b6a14b549738f4409116aa08f98",
     "implied_obs_ks.csv": "8400da85b71a7e3e919d34eb0b3d27c321ea1534cdd0d2c41ec395b8e8239a48",
     "location_mae.csv": "823a23285edbf5581675c9f9a25b7ce246d8afa20a826fd4c5778620df8f2453",
+}
+SVG_DIGESTS = {
+    "default": {
+        "error_densities.svg": "fd1f584ac78f05147caa42c1f34c525a7ff9473a7af1116595da9c1de33e9309",
+        "accuracy_summary.svg": "92c416d41ef4f6c0d0eda06d2030071ba4f7f16e647cea253dbb02d3e0c42380",
+        "decomposition.svg": "b68bbf671fddbb09dbd79795a583999fd57ef4f0d4c49969bcc838fb3efc64e8",
+    },
+    "three_scenarios": {
+        "error_densities.svg": "7dbe97482b5e1a551ef1af4edc5a8ba3abedb665e51f1b9f909f493dd213d866",
+        "accuracy_summary.svg": "c35cc16ea84469365a4820b73c3e81370a2c557546a0d4f929af9a542bef1733",
+        "decomposition.svg": "0bc48123f8fe5fc1cda0b2d7182026830790aa82297c36852d63099b9884aefb",
+    },
 }
 
 THREE_SCENARIO_SETTINGS = harness.RunSettings(
@@ -62,6 +75,17 @@ def test_data_files_match_golden_digests(tmp_path, settings, expected):
     harness.write_report(harness.evaluate(settings), tmp_path)
     assert tuple(expected) == harness.DATA_FILES
     assert _digests(tmp_path) == expected
+
+
+@pytest.mark.parametrize("settings, expected", [
+    (harness.RunSettings(), SVG_DIGESTS["default"]),
+    (THREE_SCENARIO_SETTINGS, SVG_DIGESTS["three_scenarios"]),
+], ids=["default", "three_scenarios"])
+def test_figures_match_golden_digests(tmp_path, settings, expected):
+    harness.write_report(harness.evaluate(settings), tmp_path)
+    written = plots.plot_report_dir(tmp_path)
+    assert {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in written} == expected
 
 
 def _digests(out_dir):

@@ -387,6 +387,37 @@ def _cut_last_row(text, n_fields):
     return head + "\n" + ",".join(last.split(",")[:n_fields]) + "\n"
 
 
+def _set_field(column, value, match=lambda row: True):
+    """An edit of a report file's text that sets ``column`` to ``value`` in
+    the first row ``match`` accepts (a dict of the row's fields)."""
+    def edit(text):
+        lines = text.splitlines()
+        header = lines[0].split(",")
+        for n, line in enumerate(lines[1:], 1):
+            fields = line.split(",")
+            if match(dict(zip(header, fields))):
+                fields[header.index(column)] = value
+                lines[n] = ",".join(fields)
+                return "\n".join(lines) + "\n"
+        raise AssertionError(f"no row to edit for {column}")
+    return edit
+
+
+def _pooled(row):
+    return row["location_id"] == "-1"
+
+
+def _copy_report(source_dir, report, name, edit):
+    """Copy the CSVs of ``source_dir`` to ``report``, ``edit`` applied to the
+    text of the file called ``name``."""
+    report.mkdir(exist_ok=True)
+    for source in source_dir.glob("*.csv"):
+        text = source.read_text(encoding="utf-8")
+        if source.name == name:
+            text = edit(text)
+        (report / source.name).write_text(text, encoding="utf-8")
+
+
 class TestCli:
     def test_run_and_plot_roundtrip(self, tmp_path, capsys):
         config = write_config(tmp_path, FAST_CONFIG)
@@ -507,16 +538,35 @@ class TestCli:
         ("decomposition.csv", lambda text: text.splitlines()[0] + "\n"),
         ("world.csv", lambda text: _cut_last_row(text, 2)),
         ("projections.csv", lambda text: _cut_last_row(text, 2)),
+        # A drawn value that is not finite, or a scenario index outside
+        # [0, n_scenarios), which a pooled estimate would wrap to the last
+        # scenario with; each edited row is one a figure draws.
+        ("report.csv", _set_field("mae_of_means", "inf")),
+        ("report.csv", _set_field("ks_d", "nan")),
+        ("report.csv", _set_field("ks_critical", "-inf")),
+        ("report.csv", _set_field("scenario_index", "-1")),
+        ("approach_estimates.csv", _set_field("scenario_index", "-1", _pooled)),
+        ("approach_estimates.csv", _set_field("scenario_index", "2", _pooled)),
+        ("approach_estimates.csv", _set_field("q95", "nan", _pooled)),
+        ("world.csv", _set_field("y_value", "inf")),
+        ("projections.csv", _set_field("y_projected", "nan")),
+        ("decomposition.csv", _set_field("total_error", "inf")),
+        ("decomposition.csv", _set_field("scenario_index", "-1")),
+        ("decomposition.csv", _set_field("scenario_index", "5")),
+        # The density figure keeps only the pooled rows; the rows it drops
+        # are checked all the same.
+        ("approach_estimates.csv",
+         _set_field("n_samples", "1,2", lambda row: not _pooled(row))),
     ], ids=["garbage_world", "empty_world", "unknown_location", "shifted_value",
-            "short_row", "no_rows", "short_world_row", "short_projection_row"])
+            "short_row", "no_rows", "short_world_row", "short_projection_row",
+            "inf_mae", "nan_ks_d", "inf_ks_critical", "negative_report_scenario",
+            "wrapped_pooled_scenario", "pooled_scenario_past_last", "nan_pooled_q95",
+            "inf_truth", "nan_projection", "inf_decomposition",
+            "negative_decomposition_scenario", "decomposition_scenario_gap",
+            "extra_field_in_dropped_row"])
     def test_malformed_report_exit_2(self, run_dir, tmp_path, capsys, name, edit):
         report = tmp_path / "report"
-        report.mkdir()
-        for source in (run_dir[0] / "out").glob("*.csv"):
-            text = source.read_text(encoding="utf-8")
-            if source.name == name:
-                text = edit(text)
-            (report / source.name).write_text(text, encoding="utf-8")
+        _copy_report(run_dir[0] / "out", report, name, edit)
         assert cli.main(["plot", "--in", str(report)]) == 2
         err = capsys.readouterr().err
         assert "configuration error" in err and name in err
@@ -825,6 +875,30 @@ class TestCliProperties:
         assert code in (0, 2), (name, cut)
         assert "Traceback" not in err, (name, cut)
 
+    @settings(max_examples=50, deadline=None)
+    @given(name=st.sampled_from(harness.DATA_FILES), line=st.integers(0, 10**6),
+           field=st.integers(0, 100),
+           token=st.sampled_from(["nan", "inf", "-1", "", "abc", "1e999"]))
+    def test_replaced_field_exits_cleanly(self, run_dir, name, line, field, token):
+        def edit(text):
+            lines = text.splitlines()
+            fields = lines[line % len(lines)].split(",")
+            fields[field % len(fields)] = token
+            lines[line % len(lines)] = ",".join(fields)
+            return "\n".join(lines) + "\n"
+
+        with tempfile.TemporaryDirectory() as tmp:
+            report = Path(tmp)
+            _copy_report(run_dir[0] / "out", report, name, edit)
+            code, err = _quiet_main(["plot", "--in", str(report)])
+            svgs = [path.read_text(encoding="utf-8") for path in report.glob("*.svg")]
+        case = (name, line, field, token)
+        assert code in (0, 2), case
+        assert "Traceback" not in err, case
+        if code == 0:
+            assert len(svgs) == 3, case
+            assert not any(re.search(r"\b(nan|inf)\b", svg) for svg in svgs), case
+
 
 class TestPlots:
     def test_svgs_are_wellformed_xml(self, plotted):
@@ -832,6 +906,22 @@ class TestPlots:
                      "decomposition.svg"):
             root = ET.parse(plotted / name).getroot()
             assert root.tag.endswith("svg")
+
+    def test_each_source_file_read_once(self, plotted, tmp_path, monkeypatch):
+        # benchmarks/spans.py tallies plots.bytes_read from the size of the
+        # path each _read_csv call gets as its first argument.
+        paths, read = [], plots._read_csv
+
+        def recorded(*args, **kwargs):
+            paths.append(args[0])
+            return read(*args, **kwargs)
+
+        monkeypatch.setattr(plots, "_read_csv", recorded)
+        plots.plot_report_dir(plotted, tmp_path)
+        assert sorted(path.name for path in paths) == sorted((
+            "approach_estimates.csv", "world.csv", "projections.csv", "report.csv",
+            "decomposition.csv"))
+        assert all(path.parent == plotted and path.stat().st_size for path in paths)
 
     def test_replot_byte_identical(self, plotted, tmp_path):
         plots.plot_report_dir(plotted, tmp_path / "again")
