@@ -22,11 +22,12 @@ the seeded sampling procedure; re-running the same config produces byte
 identical data files.
 
 ``evaluate`` scores each strategy variant as soon as it is estimated: it
-turns the variant's distributions into their table rows and drops them
-before the next variant starts, so a run holds one variant's samples at a
-time, and the ``EvaluationReport`` it returns holds tables, not strategy
-results. Callers who want the distributions themselves call the strategy
-functions of ``approaches``.
+turns the variant's distributions into their table rows, hands them to the
+run's ``ReportWriter`` and drops them before the next variant starts, so a
+run holds one variant's samples at a time and keeps no row it has handed
+over. The ``EvaluationReport`` it returns holds ``report.csv``'s rows, which
+``scenario-eval run`` prints, and no strategy result. Callers who want the
+distributions themselves call the strategy functions of ``approaches``.
 
 This module alone owns the table format. Row values are ``int``, ``float``
 or ``str`` (flags "true"/"false", missing values ""), never numpy scalars,
@@ -37,21 +38,21 @@ each variant's rows as soon as they are built. A batch of at least
 MIN_APPEND rows x columns is appended, with any rows held before it, in a
 forked background process (``fanout.Chain``) while the next variant is
 estimated; each append waits for the one before it, so every file keeps its
-row order. A smaller batch is held. ``write_report`` then hands it the rest:
-``decomposition.csv``, built after the last variant, and any rows still
-held. If appends still run in the background, the calling process first
-writes the files none of them writes to (on ``many_models``,
-``decomposition.csv``) while the last append drains, and only then waits
-for them; should an append, the wait or that writing fail, it removes
-those files again, so the directory holds what a serial run that failed
-there would hold. The rows still held go out in shares of about equal
-rows x columns, one per CPU, all but the last written in forked workers
-(``fanout.fan_out``) that also return the SHA-256 digests for the
-manifest; unless two shares have something to write, the calling process
-writes and digests them all. ``write_report`` on its own hands every row
-over at that point. All of it runs serially where ``fanout`` does. Which process writes a batch changes none of the bytes. The default
-config's batches stay below MIN_APPEND, so its run forks no background
-append. MIN_APPEND is measured in BENCH_pipelined_writes.json; the
+row order. A smaller batch is held until the end. ``write_report`` then
+hands it the rest: ``decomposition.csv``, built after the last variant. If
+appends still run in the background, the calling process first writes the
+files none of them writes to (on ``many_models``, ``decomposition.csv``)
+while the last append drains, and only then waits for them; should an
+append, the wait or that writing fail, it removes those files again, so the
+directory holds what a serial run that failed there would hold. The rows
+still held go out in shares of about equal rows x columns, one per CPU, all
+but the last written in forked workers (``fanout.fan_out``) that also
+return the SHA-256 digests for the manifest; unless two shares have
+something to write, the calling process writes and digests them all. All of
+it runs serially where ``fanout`` does. Which process writes a batch changes
+none of the bytes. The default config's batches stay below MIN_APPEND, so
+its run forks no background append and its writer holds every row until
+the end. MIN_APPEND is measured in BENCH_pipelined_writes.json; the
 benchmark's ``peak_rss_mb`` reads the parent process only, not the appends.
 The manifest is written last, and a run removes an old one before its
 first write, so a run that fails leaves none.
@@ -250,8 +251,9 @@ def load_settings(path) -> RunSettings:
 
 @dataclass(frozen=True)
 class EvaluationReport:
-    """In-memory result of a run: its inputs, the true errors and the metric
-    tables. It holds no strategy result: each variant's distributions are
+    """In-memory result of a run: its inputs, the true errors and
+    ``report.csv``'s rows. Every other table went to the writer as it was
+    built, and no strategy result is kept: each variant's distributions are
     scored as soon as they are estimated and then released."""
 
     settings: RunSettings
@@ -259,31 +261,25 @@ class EvaluationReport:
     ensemble: world_gen.ModelEnsemble
     true_errors: np.ndarray
     report_rows: list
-    estimate_rows: list
-    decomposition_rows: list
-    a1_deviation_rows: list
-    implied_obs_ks_rows: list
-    location_mae_rows: list
 
 
-def evaluate(settings: RunSettings, writer: ReportWriter | None = None) -> EvaluationReport:
-    """Run the whole experiment in memory.
+def evaluate(settings: RunSettings, writer: ReportWriter) -> EvaluationReport:
+    """Run the whole experiment, handing its tables to ``writer``.
 
-    Each of ``approaches.VARIANTS`` is estimated, turned into its table rows
-    and released before the next starts, so only one variant's samples are
-    alive at a time. Rows are appended in ``VARIANTS`` order. A ``writer``
-    is handed ``world.csv`` and ``projections.csv`` once the world is
-    generated, then each variant's rows once they are built; the report
-    still holds every row."""
+    ``writer`` is handed ``world.csv`` and ``projections.csv`` once the world
+    is generated, then the rows of each of ``approaches.VARIANTS`` once they
+    are built. Each variant is estimated, turned into its table rows, handed
+    over and released before the next starts, so only one variant's samples
+    are alive at a time. Only ``report.csv``'s rows are kept, in ``VARIANTS``
+    order, for the report."""
     config = settings.experiment
     world, ensemble = world_gen.generate(config)
-    if writer is not None:
-        writer.add(_world_tables(world, ensemble))
+    writer.add(_world_tables(world, ensemble))
     errs = world_gen.true_errors(world, ensemble)
     spec = SplineSpec(basis_dim=settings.basis_dim)
     seed = config.seed
 
-    tables = {name: [] for name in _VARIANT_FILES}
+    report_rows = []
     # Strategies and builders are looked up at call time, so span wrappers
     # swapped in after import (benchmarks/spans.py) see every call.
     for approach_id, variant in approaches.VARIANTS:
@@ -303,18 +299,12 @@ def evaluate(settings: RunSettings, writer: ReportWriter | None = None) -> Evalu
                  "implied_obs_ks.csv": _implied_obs_rows(world, ensemble, *scored),
                  "location_mae.csv": _location_mae_rows(errs, *scored)}
         del result, scored   # else they stay alive through the next estimate
-        for name, rows in batch.items():
-            tables[name] += rows
-        if writer is not None:
-            writer.add({name: (rows, len(rows)) for name, rows in batch.items()})
+        report_rows += batch["report.csv"]
+        writer.add({name: (rows, len(rows)) for name, rows in batch.items()})
+        del batch            # as do the rows, once handed over
 
-    return EvaluationReport(
-        settings=settings, world=world, ensemble=ensemble, true_errors=errs,
-        report_rows=tables["report.csv"], estimate_rows=tables["approach_estimates.csv"],
-        decomposition_rows=_decomposition_rows(world, ensemble),
-        a1_deviation_rows=tables["a1_deviation.csv"],
-        implied_obs_ks_rows=tables["implied_obs_ks.csv"],
-        location_mae_rows=tables["location_mae.csv"])
+    return EvaluationReport(settings=settings, world=world, ensemble=ensemble,
+                            true_errors=errs, report_rows=report_rows)
 
 
 REPORT_HEADER = ("approach", "variant", "model_id", "scenario_index", "scenario_x",
@@ -497,9 +487,6 @@ _HEADERS = {
     "implied_obs_ks.csv": IMPLIED_OBS_HEADER,
     "location_mae.csv": LOCATION_MAE_HEADER,
 }
-_VARIANT_FILES = ("report.csv", "approach_estimates.csv", "a1_deviation.csv",
-                  "implied_obs_ks.csv", "location_mae.csv")
-
 
 def _world_tables(world, ensemble) -> dict:
     """``world.csv`` and ``projections.csv`` as (rows, row count); the rows
@@ -508,18 +495,6 @@ def _world_tables(world, ensemble) -> dict:
     return {"world.csv": (_world_rows(world), n_points),
             "projections.csv": (_projection_rows(world, ensemble),
                                 ensemble.n_models * n_points)}
-
-
-def _tables(report: EvaluationReport) -> dict:
-    """Every data file of ``report`` as (rows, row count), by name."""
-    lists = {"approach_estimates.csv": report.estimate_rows,
-             "report.csv": report.report_rows,
-             "decomposition.csv": report.decomposition_rows,
-             "a1_deviation.csv": report.a1_deviation_rows,
-             "implied_obs_ks.csv": report.implied_obs_ks_rows,
-             "location_mae.csv": report.location_mae_rows}
-    return _world_tables(report.world, report.ensemble) | {
-        name: (rows, len(rows)) for name, rows in lists.items()}
 
 
 def _append(parts) -> None:
@@ -557,7 +532,6 @@ class ReportWriter:
 
     def __init__(self, out_dir):
         self.out = Path(out_dir)
-        self.taken = dict.fromkeys(DATA_FILES, 0)   # rows received per file
         self._held = {}       # name -> (row lists, row count) not yet handed out
         self._opened = set()  # files handed out with their header
         self._appends = fanout.Chain()
@@ -580,7 +554,6 @@ class ReportWriter:
             if n_rows:
                 chunks, held = self._held.get(name, ([], 0))
                 self._held[name] = (chunks + [rows], held + n_rows)
-                self.taken[name] += n_rows
 
     def _hand_out(self, names) -> dict:
         """The parts ``_append`` writes for ``names`` (files with nothing
@@ -652,20 +625,13 @@ class ReportWriter:
         return digests
 
 
-def write_report(report: EvaluationReport, out_dir,
-                 config_bytes: bytes | None = None,
-                 writer: ReportWriter | None = None) -> dict:
-    """Write all report files to ``out_dir``; returns the manifest dict.
-
-    ``writer`` is the one ``evaluate`` handed rows to, if any; it is given
-    the rows it has not had. Without one, every row goes out as one batch."""
-    rest = {}
-    with writer or ReportWriter(out_dir) as writer:
-        for name, (rows, n_rows) in _tables(report).items():
-            taken = writer.taken[name]
-            if n_rows > taken:
-                rest[name] = (rows[taken:] if taken else rows, n_rows - taken)
-        digests = writer.close(rest)
+def write_report(report: EvaluationReport, writer: ReportWriter,
+                 config_bytes: bytes | None = None) -> dict:
+    """Finish the report ``evaluate`` fed to ``writer``: hand it
+    ``decomposition.csv``, close it and write the manifest to its
+    directory; returns the manifest dict."""
+    decomposition = _decomposition_rows(report.world, report.ensemble)
+    digests = writer.close({"decomposition.csv": (decomposition, len(decomposition))})
 
     settings_dict = asdict(report.settings)
     config_digest = hashlib.sha256(
@@ -682,7 +648,7 @@ def write_report(report: EvaluationReport, out_dir,
         "redraw_count": report.ensemble.redraw_count,
         "files": {name: digests[name] for name in DATA_FILES},
     }
-    with open(Path(out_dir) / MANIFEST_FILE, "w", encoding="utf-8", newline="\n") as handle:
+    with open(writer.out / MANIFEST_FILE, "w", encoding="utf-8", newline="\n") as handle:
         json.dump(manifest, handle, indent=2, sort_keys=True)
         handle.write("\n")
     return manifest
@@ -703,7 +669,7 @@ def run(config_path, out_dir, seed: int | None = None) -> EvaluationReport:
         config_bytes = None   # overridden seed invalidates the file hash alone
     with ReportWriter(out_dir) as writer:
         report = evaluate(settings, writer)
-        write_report(report, out_dir, config_bytes, writer)
+        write_report(report, writer, config_bytes)
     return report
 
 

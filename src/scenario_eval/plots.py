@@ -50,6 +50,10 @@ DOT_RADIUS = 3.0
 
 
 def _fmt(value: float) -> str:
+    """An SVG coordinate. Huge finite report values can overflow a scale to
+    inf or nan; such a coordinate raises ValueError."""
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite coordinate {value}")
     return f"{value:.2f}"
 
 
@@ -138,7 +142,8 @@ def _text(x: float, y: float, label: str, size: int = 11,
 
 
 def _density(samples: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    """Gaussian kernel density on a fixed grid (Silverman bandwidth)."""
+    """Gaussian kernel density on a fixed grid (Silverman bandwidth); a
+    density that overflows raises ValueError."""
     sd = samples.std()
     if sd == 0 or samples.size < 2:
         # Degenerate: a spike at the common value.
@@ -152,7 +157,7 @@ def _density(samples: np.ndarray, grid: np.ndarray) -> np.ndarray:
     centers = 0.5 * (edges[:-1] + edges[1:])
     z = (grid[:, None] - centers[None, :]) / bandwidth
     dens = (np.exp(-0.5 * z * z) @ counts) / (samples.size * bandwidth * np.sqrt(2 * np.pi))
-    return dens
+    return _finite(dens)
 
 
 def _true_error_table(report_dir: Path) -> dict:
@@ -210,10 +215,10 @@ def plot_error_densities(report_dir: Path, out_path: Path) -> None:
         def to_x(v):
             return x0 + (v - lo) / (hi - lo) * (x1 - x0)
 
-        curves = []
         truth = np.concatenate([vals for (m, k), vals in true_errors.items()
                                 if k == kind])
-        curves.append((TRUE_COLOR, _density(truth, grid), "true"))
+        with _reading(report_dir / "projections.csv"):
+            curves = [(TRUE_COLOR, _density(truth, grid), "true")]
         for approach, variant, color in VARIANT_ORDER:
             rows = estimates.get((approach, variant, panel))
             if not rows:
@@ -230,7 +235,7 @@ def plot_error_densities(report_dir: Path, out_path: Path) -> None:
                     spread = (hi - lo) / 200.0
                 z = (grid - mean) / spread
                 mixture += np.exp(-0.5 * z * z) / (spread * np.sqrt(2 * np.pi))
-            curves.append((color, mixture / len(rows), f"{approach}:{variant}"))
+            curves.append((color, _finite(mixture / len(rows)), f"{approach}:{variant}"))
 
         peak = max(float(c.max()) for _, c, _ in curves) or 1.0
         for color, dens, _ in curves:
@@ -333,8 +338,9 @@ def plot_decomposition(report_dir: Path, out_path: Path) -> None:
     for j in scenarios:
         # One contiguous vector per component, in file order, so each mean
         # keeps the pairwise summation, and the bits, of np.mean over a list.
-        values[j] = [float(np.mean(np.abs(_finite(np.array(list(map(float, column)))))))
-                     for column in list(zip(*groups[j]))[1:]]
+        columns = (_finite(np.array(list(map(float, column))))
+                   for column in list(zip(*groups[j]))[1:])
+        values[j] = [float(_finite(np.mean(np.abs(column)))) for column in columns]
     vmax = max(max(v) for v in values.values()) * 1.2 or 1.0
     y0, y1 = HEIGHT - MARGIN_B, MARGIN_T + 16.0
     for p, j in enumerate(scenarios):
@@ -366,7 +372,9 @@ def plot_report_dir(report_dir, out_dir=None) -> list[Path]:
             ("accuracy_summary.svg", plot_accuracy_summary, "report.csv"),
             ("decomposition.svg", plot_decomposition, "decomposition.csv")):
         path = out / name
-        with _reading(report_dir / source):
+        # A huge finite value can overflow to inf or nan, which the checks
+        # reject, so numpy need not warn of it.
+        with _reading(report_dir / source), np.errstate(over="ignore", invalid="ignore"):
             fn(report_dir, path)
         written.append(path)
     return written

@@ -67,23 +67,34 @@ n_samples = 2000
 """
 
 
-@pytest.mark.parametrize("settings, expected", [
-    (harness.RunSettings(), DEFAULT_DIGESTS),
-    (THREE_SCENARIO_SETTINGS, THREE_SCENARIO_DIGESTS),
+def _config_path(tmp_path, config):
+    """``config`` written to a file in ``tmp_path``; None for the built-in
+    config."""
+    if config is None:
+        return None
+    path = tmp_path / "three.cfg"
+    path.write_text(config, encoding="utf-8")
+    assert harness.load_settings(path) == THREE_SCENARIO_SETTINGS
+    return path
+
+
+@pytest.mark.parametrize("config, expected", [
+    (None, DEFAULT_DIGESTS),
+    (THREE_SCENARIO_CONFIG, THREE_SCENARIO_DIGESTS),
 ], ids=["default", "three_scenarios"])
-def test_data_files_match_golden_digests(tmp_path, settings, expected):
-    harness.write_report(harness.evaluate(settings), tmp_path)
+def test_data_files_match_golden_digests(tmp_path, config, expected):
+    harness.run(_config_path(tmp_path, config), tmp_path / "out")
     assert tuple(expected) == harness.DATA_FILES
-    assert _digests(tmp_path) == expected
+    assert _digests(tmp_path / "out") == expected
 
 
-@pytest.mark.parametrize("settings, expected", [
-    (harness.RunSettings(), SVG_DIGESTS["default"]),
-    (THREE_SCENARIO_SETTINGS, SVG_DIGESTS["three_scenarios"]),
+@pytest.mark.parametrize("config, expected", [
+    (None, SVG_DIGESTS["default"]),
+    (THREE_SCENARIO_CONFIG, SVG_DIGESTS["three_scenarios"]),
 ], ids=["default", "three_scenarios"])
-def test_figures_match_golden_digests(tmp_path, settings, expected):
-    harness.write_report(harness.evaluate(settings), tmp_path)
-    written = plots.plot_report_dir(tmp_path)
+def test_figures_match_golden_digests(tmp_path, config, expected):
+    harness.run(_config_path(tmp_path, config), tmp_path / "out")
+    written = plots.plot_report_dir(tmp_path / "out")
     assert {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
             for path in written} == expected
 
@@ -93,9 +104,8 @@ def _digests(out_dir):
             for name in harness.DATA_FILES}
 
 
-@pytest.mark.parametrize("entry", ["write_report", "run"])
 @pytest.mark.parametrize("case", ["three_cpus", "one_cpu", "no_fork", "live_thread"])
-def test_fan_out_and_serial_fallbacks_write_golden_bytes(tmp_path, monkeypatch, case, entry):
+def test_fan_out_and_serial_fallbacks_write_golden_bytes(tmp_path, monkeypatch, case):
     # Fanned over three processes: two forks for the solve, two for the
     # writes; the default config's batches stay below MIN_APPEND, so run
     # forks no background append. Each serial path must not fork at all,
@@ -121,10 +131,7 @@ def test_fan_out_and_serial_fallbacks_write_golden_bytes(tmp_path, monkeypatch, 
     if case == "live_thread":
         thread.start()
     try:
-        if entry == "run":
-            harness.run(None, tmp_path)
-        else:
-            harness.write_report(harness.evaluate(harness.RunSettings()), tmp_path)
+        harness.run(None, tmp_path)
     finally:
         release.set()
         if case == "live_thread":
@@ -147,12 +154,7 @@ def test_run_with_every_batch_in_the_background_writes_golden_bytes(
     use_cpus(monkeypatch, 2)
     forks, real_fork = [], os.fork
     monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
-    path = None
-    if config is not None:
-        path = tmp_path / "three.cfg"
-        path.write_text(config, encoding="utf-8")
-        assert harness.load_settings(path) == THREE_SCENARIO_SETTINGS
-    harness.run(path, tmp_path / "out")
+    harness.run(_config_path(tmp_path, config), tmp_path / "out")
     # One fork for the solve and six background appends. The parent writes
     # decomposition.csv while the last append runs, and then nothing is left
     # to write, so the final split forks no worker to compute digests only.

@@ -1,5 +1,8 @@
+import collections
 import contextlib
 import csv
+import dataclasses
+import gc
 import hashlib
 import io
 import json
@@ -324,16 +327,18 @@ class TestTables:
         # The csv module writes these exactly: float by repr, int and str by
         # str. A bool would be written "True" and a numpy float as
         # "np.float64(...)".
-        report = harness.evaluate(harness.RunSettings())
-        tables = (harness._world_rows(report.world),
-                  harness._projection_rows(report.world, report.ensemble),
-                  report.estimate_rows, report.report_rows,
-                  report.decomposition_rows, report.a1_deviation_rows,
-                  report.implied_obs_ks_rows, report.location_mae_rows)
-        types = {type(value) for rows in tables for row in rows for value in row}
+        writer = CollectingWriter()
+        report = harness.evaluate(harness.RunSettings(), writer)
+        tables = writer.tables
+        tables["decomposition.csv"] = harness._decomposition_rows(report.world,
+                                                                  report.ensemble)
+        assert all(tables.values())
+        types = {type(value) for rows in tables.values() for row in rows for value in row}
         assert types == {int, float, str}
-        flags = {row[-1] for row in report.report_rows + report.implied_obs_ks_rows}
+        flags = {row[-1] for name in ("report.csv", "implied_obs_ks.csv")
+                 for row in tables[name]}
         assert flags == {"true", "false"}
+        assert report.report_rows == tables["report.csv"]
 
     def test_decomposition_rows_match_scalar_loop(self):
         world, ensemble = small_world(seed=9, scenario_values=(0.2, 0.3, 0.4))
@@ -351,24 +356,98 @@ class TestTables:
         assert repr(harness._decomposition_rows(world, ensemble)) == repr(expected)
 
 
+class CollectingWriter:
+    """Stands in for ``harness.ReportWriter`` where a test needs the rows
+    ``evaluate`` hands over: keeps them all, by file name."""
+
+    def __init__(self):
+        self.tables = {name: [] for name in harness.DATA_FILES}
+
+    def add(self, batch):
+        for name, (rows, _) in batch.items():
+            self.tables[name] += rows
+
+
 def test_evaluate_holds_one_variant_of_samples_at_a_time():
     # Each variant is scored and released before the next is estimated, so
     # the traced peak stays below two variants' pooled samples
-    # (M x S x n_samples float64 each) and the returned report, which holds
-    # tables only, below one variant's.
+    # (M x S x n_samples float64 each) and what is left, the report and
+    # every row kept by the writer, below one variant's.
     settings = harness.RunSettings(n_samples=40_000)
     config = settings.experiment
     one_variant = config.n_models * len(config.scenario_values) * settings.n_samples * 8
+    writer = CollectingWriter()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        report = harness.evaluate(settings)
+        report = harness.evaluate(settings, writer)
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak - before < 2 * one_variant
     assert held - before < one_variant
     assert len(report.report_rows) == 5 * config.n_models * len(config.scenario_values)
+    assert len(writer.tables["report.csv"]) == len(report.report_rows)
+
+
+# 100 locations x 30 models and 200 samples: the rows of strategy 1 and of
+# each covariate variant weigh more than MIN_APPEND, so each goes out, with
+# the light batch held before it, as soon as it is built.
+MANY_ROWS_CONFIG = """\
+[experiment]
+n_locations = 100
+n_models = 30
+
+[sir]
+horizon = 100
+step = 0.5
+
+[approaches]
+n_samples = 200
+"""
+
+
+def test_run_keeps_no_row_it_has_handed_to_the_writer(tmp_path, monkeypatch):
+    # One variant's rows are what the traced memory grows by while its five
+    # builders run. A run that kept the rows it has handed to the writer
+    # would peak above about six variants' rows.
+    grown, weights = collections.Counter(), collections.Counter()
+
+    def measured(builder):
+        def build(*args):
+            start = tracemalloc.get_traced_memory()[0]
+            rows = builder(*args)
+            grown[args[-3:-1]] += tracemalloc.get_traced_memory()[0] - start
+            weights[args[-3:-1]] += len(rows) * len(rows[0]) if rows else 0
+            return rows
+        return build
+
+    for name in ("_report_rows", "_estimate_rows", "_a1_deviation_rows",
+                 "_implied_obs_rows", "_location_mae_rows"):
+        monkeypatch.setattr(harness, name, measured(getattr(harness, name)))
+    harness.run(write_config(tmp_path, FAST_CONFIG), tmp_path / "warm")   # imports
+    config = write_config(tmp_path, MANY_ROWS_CONFIG)
+    grown.clear()
+    weights.clear()
+    gc.collect()   # empties the free lists, so every row allocated is traced
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        with time_limit(20):
+            report = harness.run(config, tmp_path / "out")
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sorted(weights.values())[-3] >= harness.MIN_APPEND
+    one_variant = max(grown.values())
+    # The peak holds one variant's distributions, about twice its rows,
+    # and its rows.
+    assert peak - before < 4.5 * one_variant
+    assert [f.name for f in dataclasses.fields(report) if f.name.endswith("_rows")] \
+        == ["report_rows"]
+    assert len(report.report_rows) == 5 * 30 * 2
+    assert held - before < 2 * one_variant
+    assert_no_child_processes()
 
 
 class TestEnvOverride:
@@ -553,6 +632,11 @@ class TestCli:
         ("decomposition.csv", _set_field("total_error", "inf")),
         ("decomposition.csv", _set_field("scenario_index", "-1")),
         ("decomposition.csv", _set_field("scenario_index", "5")),
+        # Finite, but the true errors' spread overflows: the density figure
+        # would draw nan, and numpy warn, which the test config makes an error.
+        ("projections.csv", _set_field("y_projected", "1e308")),
+        # Finite, but 1.15 times it, the accuracy panel's scale, is not.
+        ("report.csv", _set_field("mae_of_means", "1.7e308")),
         # The density figure keeps only the pooled rows; the rows it drops
         # are checked all the same.
         ("approach_estimates.csv",
@@ -563,7 +647,7 @@ class TestCli:
             "wrapped_pooled_scenario", "pooled_scenario_past_last", "nan_pooled_q95",
             "inf_truth", "nan_projection", "inf_decomposition",
             "negative_decomposition_scenario", "decomposition_scenario_gap",
-            "extra_field_in_dropped_row"])
+            "huge_projection", "huge_mae", "extra_field_in_dropped_row"])
     def test_malformed_report_exit_2(self, run_dir, tmp_path, capsys, name, edit):
         report = tmp_path / "report"
         _copy_report(run_dir[0] / "out", report, name, edit)
@@ -878,7 +962,7 @@ class TestCliProperties:
     @settings(max_examples=50, deadline=None)
     @given(name=st.sampled_from(harness.DATA_FILES), line=st.integers(0, 10**6),
            field=st.integers(0, 100),
-           token=st.sampled_from(["nan", "inf", "-1", "", "abc", "1e999"]))
+           token=st.sampled_from(["nan", "inf", "-1", "", "abc", "1e999", "1e308"]))
     def test_replaced_field_exits_cleanly(self, run_dir, name, line, field, token):
         def edit(text):
             lines = text.splitlines()
