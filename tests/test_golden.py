@@ -104,8 +104,9 @@ def _digests(out_dir):
             for name in harness.DATA_FILES}
 
 
+@pytest.mark.parametrize("entry", ["write_report", "run"])
 @pytest.mark.parametrize("case", ["three_cpus", "one_cpu", "no_fork", "live_thread"])
-def test_fan_out_and_serial_fallbacks_write_golden_bytes(tmp_path, monkeypatch, case):
+def test_fan_out_and_serial_fallbacks_write_golden_bytes(tmp_path, monkeypatch, case, entry):
     # Fanned over three processes: two forks for the solve, two for the
     # writes; the default config's batches stay below MIN_APPEND, so run
     # forks no background append. Each serial path must not fork at all,
@@ -131,7 +132,12 @@ def test_fan_out_and_serial_fallbacks_write_golden_bytes(tmp_path, monkeypatch, 
     if case == "live_thread":
         thread.start()
     try:
-        harness.run(None, tmp_path)
+        if entry == "run":
+            harness.run(None, tmp_path)
+        else:
+            with harness.ReportWriter(tmp_path) as writer:
+                report = harness.evaluate(harness.RunSettings(), writer)
+                harness.write_report(report, writer)
     finally:
         release.set()
         if case == "live_thread":
