@@ -93,13 +93,13 @@ class Chain:
         _end(workers, kill=True)
         self._close_after()
 
-    def start(self, fn, arg) -> bool:
+    def start(self, fn, arg) -> None:
         """Call ``fn(arg)`` once every call started before has returned:
-        in a forked worker (True), or here after joining them (False)."""
+        in a forked worker, or here after joining them."""
         if _processes() == 1:
             self._results += self._join_workers()
             self._results.append(fn(arg))
-            return False
+            return
         after = self._after
         done_read, done_write = os.pipe()
 
@@ -119,7 +119,6 @@ class Chain:
             os.close(done_write)
         self._close_after()
         self._after = done_read
-        return True
 
     def join(self) -> list:
         """Wait for every call started; their results in start order."""

@@ -34,28 +34,18 @@ or ``str`` (flags "true"/"false", missing values ""), never numpy scalars,
 and go straight to ``csv.writer.writerows``: floats by ``repr``, the rest
 by ``str``. One ``ReportWriter`` writes them. ``run`` hands it
 ``world.csv`` and ``projections.csv`` as soon as the world is generated and
-each variant's rows as soon as they are built. A batch of at least
-MIN_APPEND rows x columns is appended, with any rows held before it, in a
+each variant's rows as soon as they are built. Every batch is appended in a
 forked background process (``fanout.Chain``) while the next variant is
 estimated; each append waits for the one before it, so every file keeps its
-row order. A smaller batch is held until the end. ``write_report`` then
-hands it the rest: ``decomposition.csv``, built after the last variant. If
-appends still run in the background, the calling process first writes the
-files none of them writes to (on ``many_models``, ``decomposition.csv``)
-while the last append drains, and only then waits for them; should an
-append, the wait or that writing fail, it removes those files again, so the
-directory holds what a serial run that failed there would hold. The rows
-still held go out in shares of about equal rows x columns, one per CPU, all
-but the last written in forked workers (``fanout.fan_out``) that also
-return the SHA-256 digests for the manifest; unless two shares have
-something to write, the calling process writes and digests them all. All of
-it runs serially where ``fanout`` does. Which process writes a batch changes
-none of the bytes. The default config's batches stay below MIN_APPEND, so
-its run forks no background append and its writer holds every row until
-the end. MIN_APPEND is measured in BENCH_pipelined_writes.json; the
-benchmark's ``peak_rss_mb`` reads the parent process only, not the appends.
-The manifest is written last, and a run removes an old one before its
-first write, so a run that fails leaves none.
+row order. ``write_report`` then builds ``decomposition.csv``, and the
+calling process writes it while the last append drains and only then waits
+for the appends; should the writing or the wait fail, it removes
+``decomposition.csv`` again, so the directory holds what a serial run that
+failed there would hold. The calling process then digests the data files
+for the manifest. All of it runs serially where ``fanout`` does, and which
+process writes a batch changes none of the bytes. The manifest is written
+last, and a run removes an old one before its first write, so a run that
+fails leaves none.
 """
 
 from __future__ import annotations
@@ -94,14 +84,6 @@ DATA_FILES = (
 )
 MANIFEST_FILE = "manifest.json"
 OUT_DIR_ENV = "SCENARIO_EVAL_OUT"
-# Fewest rows x columns of a batch that a run appends in the background.
-# In two passes on parents of 61 and 80 MB, 80,000 is the lightest weight at
-# which a forked append beat both writing the batch inline and holding it
-# for the final two-process split (80 MB, second pass: 351 ms against 377
-# and 367; 60,000: 325 against 345 and 318), as the fork and the
-# copy-on-write faults it causes cost about as much as writing a lighter
-# batch (BENCH_pipelined_writes.json).
-MIN_APPEND = 80_000
 
 
 @dataclass(frozen=True)
@@ -300,7 +282,7 @@ def evaluate(settings: RunSettings, writer: ReportWriter) -> EvaluationReport:
                  "location_mae.csv": _location_mae_rows(errs, *scored)}
         del result, scored   # else they stay alive through the next estimate
         report_rows += batch["report.csv"]
-        writer.add({name: (rows, len(rows)) for name, rows in batch.items()})
+        writer.add(batch)
         del batch            # as do the rows, once handed over
 
     return EvaluationReport(settings=settings, world=world, ensemble=ensemble,
@@ -489,24 +471,21 @@ _HEADERS = {
 }
 
 def _world_tables(world, ensemble) -> dict:
-    """``world.csv`` and ``projections.csv`` as (rows, row count); the rows
-    are made while written, never held whole."""
-    n_points = world.n_locations * (world.n_scenarios + 1)
-    return {"world.csv": (_world_rows(world), n_points),
-            "projections.csv": (_projection_rows(world, ensemble),
-                                ensemble.n_models * n_points)}
+    """``world.csv`` and ``projections.csv``; the rows are made while
+    written, never held whole."""
+    return {"world.csv": _world_rows(world),
+            "projections.csv": _projection_rows(world, ensemble)}
 
 
 def _append(parts) -> None:
-    """Write each (path, new, row lists) part: a new file starts with its
+    """Write each (path, new, rows) part: a new file starts with its
     header, any other is appended to."""
-    for path, new, chunks in parts:
+    for path, new, rows in parts:
         with open(path, "w" if new else "a", encoding="utf-8", newline="\n") as handle:
             writer = csv.writer(handle, lineterminator="\n")
             if new:
                 writer.writerow(_HEADERS[path.name])
-            for rows in chunks:
-                writer.writerows(rows)
+            writer.writerows(rows)
 
 
 def _sha256(path: Path) -> str:
@@ -521,21 +500,17 @@ def _sha256(path: Path) -> str:
 class ReportWriter:
     """Writes the data files of one report directory, batch by batch.
 
-    A batch maps file names to (rows, row count). ``add`` holds a batch
-    lighter than MIN_APPEND; a heavier one goes, with all rows held, to one
-    background append (``fanout.Chain``), and ``add`` returns. Appends run
-    in the order they were handed, so each file keeps its row order.
-    ``close`` writes the files no unjoined append touches, waits for the
-    appends, writes what is still held through ``fanout.fan_out`` and
-    returns every data file's digest. Leaving a ``with`` block kills the
-    appends still running."""
+    A batch maps file names to rows. ``add`` hands each batch to one
+    background append (``fanout.Chain``) and returns; appends run in the
+    order they were handed, so each file keeps its row order. ``close``
+    writes ``decomposition.csv``, waits for the appends and returns every
+    data file's digest. Leaving a ``with`` block kills the appends still
+    running."""
 
     def __init__(self, out_dir):
         self.out = Path(out_dir)
-        self._held = {}       # name -> (row lists, row count) not yet handed out
         self._opened = set()  # files handed out with their header
         self._appends = fanout.Chain()
-        self._appending = set()   # files that unjoined background appends write to
 
     def __enter__(self):
         return self
@@ -543,86 +518,39 @@ class ReportWriter:
     def __exit__(self, *exc_info):
         self._appends.__exit__(*exc_info)
 
-    def _weight(self, name: str) -> int:
-        """Rows x columns of the rows held for ``name``, header included
-        while the file is unwritten."""
-        n_rows = self._held[name][1] if name in self._held else 0
-        return len(_HEADERS[name]) * (n_rows + (name not in self._opened))
-
-    def _hold(self, batch: dict) -> None:
-        for name, (rows, n_rows) in batch.items():
-            if n_rows:
-                chunks, held = self._held.get(name, ([], 0))
-                self._held[name] = (chunks + [rows], held + n_rows)
-
-    def _hand_out(self, names) -> dict:
-        """The parts ``_append`` writes for ``names`` (files with nothing
-        to write left out), no longer held. The first hand-out removes an
+    def _parts(self, batch: dict) -> list:
+        """The parts ``_append`` writes for ``batch``, leaving out files
+        with nothing to add unless they are new. The first call removes an
         old manifest, which would list files this run is replacing."""
         self.out.mkdir(parents=True, exist_ok=True)
         if not self._opened:
             (self.out / MANIFEST_FILE).unlink(missing_ok=True)
-        parts = {}
-        for name in names:
-            chunks, _ = self._held.pop(name, ([], 0))
+        parts = []
+        for name, rows in batch.items():
             new = name not in self._opened
-            if chunks or new:
-                parts[name] = (self.out / name, new, chunks)
+            if rows or new:
+                parts.append((self.out / name, new, rows))
                 self._opened.add(name)
         return parts
 
     def add(self, batch: dict) -> None:
-        self._hold(batch)
-        if sum(len(_HEADERS[name]) * n_rows for name, (_, n_rows) in batch.items()) \
-                >= MIN_APPEND:
-            parts = self._hand_out(list(self._held))
-            if self._appends.start(_append, list(parts.values())):
-                self._appending.update(parts)
+        self._appends.start(_append, self._parts(batch))
 
-    def close(self, batch: dict) -> dict:
-        """Write ``batch`` and every row still held; the SHA-256 digest of
-        each data file by name.
+    def close(self, decomposition) -> dict:
+        """Write ``decomposition.csv``'s rows while the last append drains,
+        wait for the appends; the SHA-256 digest of each data file by name.
 
-        While appends run in the background, the files none of them writes
-        to are written here first, and the appends are waited for after;
-        if the writing or the wait fails, the files this wrote are removed
-        again, as a serial run that failed there would not have written them."""
-        self._hold(batch)
-        early = self._hand_out([name for name in DATA_FILES
-                                if name not in self._appending]) if self._appending else {}
+        If the writing or the wait fails, ``decomposition.csv`` is removed
+        again, as a serial run that failed there would not have written it."""
+        path = self.out / "decomposition.csv"
         try:
-            _append(list(early.values()))
+            _append(self._parts({path.name: decomposition}))
             self._appends.join()
         except BaseException:
-            for path, new, _ in early.values():
-                if new and path.is_file():   # a directory in its place stays
-                    path.unlink()
+            if path.is_file():   # a directory in its place stays
+                path.unlink()
             raise
-        weights = {name: self._weight(name) for name in DATA_FILES}
-        parts = self._hand_out(DATA_FILES)
-
-        def split(n_shares):
-            """DATA_FILES in ``n_shares`` shares of about equal rows x
-            columns: each file, heaviest first, goes to the lightest share.
-            All in one share, computed here, unless two have parts to write."""
-            shares = [[0, []] for _ in range(min(n_shares, len(DATA_FILES)))]
-            for name in sorted(DATA_FILES, key=weights.get, reverse=True):
-                share = min(shares, key=lambda share: share[0])
-                share[0] += weights[name]
-                share[1].append(name)
-            if sum(not parts.keys().isdisjoint(names) for _, names in shares) < 2:
-                return [DATA_FILES]
-            return [sorted(names, key=DATA_FILES.index) for _, names in shares]
-
-        def write(names):
-            """Write the parts of ``names``; their digests by name."""
-            _append([parts[name] for name in names if name in parts])
-            return {name: _sha256(self.out / name) for name in names}
-
-        digests = {}
-        for share in fanout.fan_out(write, split):
-            digests.update(share)
-        return digests
+        return {name: _sha256(self.out / name) for name in DATA_FILES}
 
 
 def write_report(report: EvaluationReport, writer: ReportWriter,
@@ -630,8 +558,7 @@ def write_report(report: EvaluationReport, writer: ReportWriter,
     """Finish the report ``evaluate`` fed to ``writer``: hand it
     ``decomposition.csv``, close it and write the manifest to its
     directory; returns the manifest dict."""
-    decomposition = _decomposition_rows(report.world, report.ensemble)
-    digests = writer.close({"decomposition.csv": (decomposition, len(decomposition))})
+    digests = writer.close(_decomposition_rows(report.world, report.ensemble))
 
     settings_dict = asdict(report.settings)
     config_digest = hashlib.sha256(

@@ -107,8 +107,8 @@ def test_chain_returns_results_in_start_order(monkeypatch):
     use_cpus(monkeypatch, 2)
     caller = os.getpid()
     with time_limit(20), fanout.Chain() as chain:
-        for k in range(3):
-            assert chain.start(lambda k: (k, os.getpid() != caller), k) is True
+        for k in range(3):   # each call runs in a worker, not in the caller
+            chain.start(lambda k: (k, os.getpid() != caller), k)
         assert chain.join() == [(0, True), (1, True), (2, True)]
         chain.start(lambda k: k, 3)   # a joined chain starts again
         assert chain.join() == [3]
@@ -200,7 +200,7 @@ def test_chain_runs_serially_where_fan_out_does(monkeypatch, case):
     try:
         with fanout.Chain() as chain:
             for k in range(3):
-                assert chain.start(lambda k: calls.append(k) or k * 2, k) is False
+                chain.start(lambda k: calls.append(k) or k * 2, k)
                 assert calls == list(range(k + 1))   # ran before start returned
             assert chain.join() == [0, 2, 4]
     finally:

@@ -107,13 +107,10 @@ def _digests(out_dir):
 @pytest.mark.parametrize("entry", ["write_report", "run"])
 @pytest.mark.parametrize("case", ["three_cpus", "one_cpu", "no_fork", "live_thread"])
 def test_fan_out_and_serial_fallbacks_write_golden_bytes(tmp_path, monkeypatch, case, entry):
-    # Fanned over three processes: two forks for the solve, two for the
-    # writes; the default config's batches stay below MIN_APPEND, so run
-    # forks no background append. Each serial path must not fork at all,
-    # even with every batch of run sent to a background append.
+    # Fanned over three processes: two forks for the solve, and one
+    # background append for each of the six batches. Each serial path must
+    # not fork at all.
     use_cpus(monkeypatch, 1 if case == "one_cpu" else 3)
-    if case != "three_cpus":
-        monkeypatch.setattr(harness, "MIN_APPEND", 1)
     forks = []
     real_fork = os.fork
 
@@ -143,7 +140,7 @@ def test_fan_out_and_serial_fallbacks_write_golden_bytes(tmp_path, monkeypatch, 
         if case == "live_thread":
             thread.join(10)
     assert not thread.is_alive()
-    assert len(forks) == (4 if case == "three_cpus" else 0)
+    assert len(forks) == (2 + 6 if case == "three_cpus" else 0)
     assert _digests(tmp_path) == DEFAULT_DIGESTS
     assert_no_child_processes()
 
@@ -154,27 +151,22 @@ def test_fan_out_and_serial_fallbacks_write_golden_bytes(tmp_path, monkeypatch, 
 ], ids=["default", "three_scenarios"])
 def test_run_with_every_batch_in_the_background_writes_golden_bytes(
         tmp_path, monkeypatch, config, expected):
-    # MIN_APPEND = 1 hands each batch to its own background append: world
-    # and projections, then each of the five variants.
-    monkeypatch.setattr(harness, "MIN_APPEND", 1)
     use_cpus(monkeypatch, 2)
     forks, real_fork = [], os.fork
     monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
     harness.run(_config_path(tmp_path, config), tmp_path / "out")
-    # One fork for the solve and six background appends. The parent writes
-    # decomposition.csv while the last append runs, and then nothing is left
-    # to write, so the final split forks no worker to compute digests only.
+    # One fork for the solve and one background append per batch: world and
+    # projections, then each of the five variants. The parent writes
+    # decomposition.csv and computes the digests itself.
     assert len(forks) == 1 + 6
     assert _digests(tmp_path / "out") == expected
     assert_no_child_processes()
 
 
 def test_parent_writes_decomposition_before_joining_the_appends(tmp_path, monkeypatch):
-    # Every batch goes to a background append, and each append waits until
-    # the parent has logged its own write: a parent that joined the appends
-    # before writing decomposition.csv would leave them waiting out their
-    # 10 s and log them first.
-    monkeypatch.setattr(harness, "MIN_APPEND", 1)
+    # Each append waits until the parent has logged its own write: a parent
+    # that joined the appends before writing decomposition.csv would leave
+    # them waiting out their 10 s and log them first.
     use_cpus(monkeypatch, 2)
     caller, append = os.getpid(), harness._append
     log, out = tmp_path / "appends.log", tmp_path / "out"

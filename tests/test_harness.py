@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scenario_eval import cli, harness, metrics, plots, world_gen
+from scenario_eval import cli, harness, metrics, plots, sir_core, world_gen
 from scenario_eval.errors import ConfigError
 
 from conftest import assert_no_child_processes, time_limit, use_cpus
@@ -364,7 +364,7 @@ class CollectingWriter:
         self.tables = {name: [] for name in harness.DATA_FILES}
 
     def add(self, batch):
-        for name, (rows, _) in batch.items():
+        for name, rows in batch.items():
             self.tables[name] += rows
 
 
@@ -390,9 +390,7 @@ def test_evaluate_holds_one_variant_of_samples_at_a_time():
     assert len(writer.tables["report.csv"]) == len(report.report_rows)
 
 
-# 100 locations x 30 models and 200 samples: the rows of strategy 1 and of
-# each covariate variant weigh more than MIN_APPEND, so each goes out, with
-# the light batch held before it, as soon as it is built.
+# 100 locations x 30 models and 200 samples: many rows, few samples.
 MANY_ROWS_CONFIG = """\
 [experiment]
 n_locations = 100
@@ -411,14 +409,13 @@ def test_run_keeps_no_row_it_has_handed_to_the_writer(tmp_path, monkeypatch):
     # One variant's rows are what the traced memory grows by while its five
     # builders run. A run that kept the rows it has handed to the writer
     # would peak above about six variants' rows.
-    grown, weights = collections.Counter(), collections.Counter()
+    grown = collections.Counter()
 
     def measured(builder):
         def build(*args):
             start = tracemalloc.get_traced_memory()[0]
             rows = builder(*args)
             grown[args[-3:-1]] += tracemalloc.get_traced_memory()[0] - start
-            weights[args[-3:-1]] += len(rows) * len(rows[0]) if rows else 0
             return rows
         return build
 
@@ -428,7 +425,6 @@ def test_run_keeps_no_row_it_has_handed_to_the_writer(tmp_path, monkeypatch):
     harness.run(write_config(tmp_path, FAST_CONFIG), tmp_path / "warm")   # imports
     config = write_config(tmp_path, MANY_ROWS_CONFIG)
     grown.clear()
-    weights.clear()
     gc.collect()   # empties the free lists, so every row allocated is traced
     tracemalloc.start()
     try:
@@ -438,7 +434,6 @@ def test_run_keeps_no_row_it_has_handed_to_the_writer(tmp_path, monkeypatch):
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert sorted(weights.values())[-3] >= harness.MIN_APPEND
     one_variant = max(grown.values())
     # The peak holds one variant's distributions, about twice its rows,
     # and its rows.
@@ -661,8 +656,8 @@ class TestWorkerFailures:
     def test_blocked_table_exits_2_as_when_serial(self, tmp_path, monkeypatch,
                                                   capsys, name):
         # A directory where one table goes. Over all tables this fails in
-        # the worker's share and in the caller's; either way the message
-        # is the serial path's, naming the file.
+        # a background append and in the caller; either way the message is
+        # the serial path's, naming the file.
         config = write_config(tmp_path, FAST_CONFIG)
         out = tmp_path / "out"
         (out / name).mkdir(parents=True)
@@ -676,18 +671,19 @@ class TestWorkerFailures:
         assert errors[0].startswith("i/o error: ") and str(out / name) in errors[0]
 
     def test_killed_worker_exits_2(self, tmp_path, monkeypatch, capsys):
+        # The default config's 1,650 solves fan out over two processes; the
+        # solve's worker dies before any append starts.
         use_cpus(monkeypatch, 2)
-        caller, sha256 = os.getpid(), harness._sha256
+        caller, rk4 = os.getpid(), sir_core._rk4
 
-        def die_in_worker(path):
+        def die_in_worker(*args):
             if os.getpid() != caller:
                 os.kill(os.getpid(), signal.SIGKILL)
-            return sha256(path)
+            return rk4(*args)
 
-        monkeypatch.setattr(harness, "_sha256", die_in_worker)
-        config = write_config(tmp_path, FAST_CONFIG)
+        monkeypatch.setattr(sir_core, "_rk4", die_in_worker)
         with time_limit(20):
-            code = cli.main(["run", "--config", str(config), "--out", str(tmp_path / "o")])
+            code = cli.main(["run", "--out", str(tmp_path / "o")])
         assert code == 2
         err = capsys.readouterr().err
         assert "killed by signal 9" in err and "Traceback" not in err
@@ -699,7 +695,6 @@ class TestWorkerFailures:
         # Every batch goes to its own append: projections.csv is in the
         # first, location_mae.csv in each variant's. No append after the
         # failed one writes, so no file is written out of order.
-        monkeypatch.setattr(harness, "MIN_APPEND", 1)
         config = write_config(tmp_path, FAST_CONFIG)
         errors, written = [], []
         for cpus in (1, 2):
@@ -719,11 +714,10 @@ class TestWorkerFailures:
             assert written[0] == first_batch
         else:   # the first variant's other tables, and nothing later
             assert written[0] == sorted(first_batch + [
-                "a1_deviation.csv", "approach_estimates.csv", "location_mae.csv",
-                "report.csv"])
+                "a1_deviation.csv", "approach_estimates.csv", "implied_obs_ks.csv",
+                "location_mae.csv", "report.csv"])
 
     def test_killed_background_append_exits_2(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(harness, "MIN_APPEND", 1)
         use_cpus(monkeypatch, 2)
         caller, append = os.getpid(), harness._append
 
@@ -747,11 +741,10 @@ class TestWorkerFailures:
         # With appends pending at close, the parent writes decomposition.csv
         # before waiting for them; the failure reads as when it came last.
         config = write_config(tmp_path, FAST_CONFIG)
-        use_cpus(monkeypatch, 2)
         errors = []
-        for min_append in (harness.MIN_APPEND, 1):
-            monkeypatch.setattr(harness, "MIN_APPEND", min_append)
-            out = tmp_path / f"out{min_append}"
+        for cpus in (1, 2):
+            use_cpus(monkeypatch, cpus)
+            out = tmp_path / f"out{cpus}"
             (out / "decomposition.csv").mkdir(parents=True)
             with time_limit(20):
                 assert cli.main(["run", "--config", str(config), "--out", str(out)]) == 2
@@ -768,12 +761,11 @@ class TestWorkerFailures:
         # The last variant's append fails while the parent writes
         # decomposition.csv; that file is removed again, so the directory
         # holds what a run that failed in that append serially holds.
-        monkeypatch.setattr(harness, "MIN_APPEND", 1)
         caller, append = os.getpid(), harness._append
 
         def fail_last_variant(parts):
-            last = any(path.name == "report.csv" and chunks[-1][0][:2] == (3, "covariate")
-                       for path, _, chunks in parts)
+            last = any(path.name == "report.csv" and rows[0][:2] == (3, "covariate")
+                       for path, _, rows in parts)
             if last and failure == "killed" and os.getpid() != caller:
                 os.kill(os.getpid(), signal.SIGKILL)
             if last:
@@ -799,7 +791,6 @@ class TestWorkerFailures:
     def test_caller_failure_kills_and_reaps_the_background_appends(
             self, tmp_path, monkeypatch, failure):
         # The appends hang, so a run that waited for them would hang too.
-        monkeypatch.setattr(harness, "MIN_APPEND", 1)
         use_cpus(monkeypatch, 2)
         caller, builder = os.getpid(), harness._location_mae_rows
 
@@ -833,7 +824,6 @@ class TestWorkerFailures:
         out = tmp_path / "o"
         harness.run(config, out)
         assert (out / harness.MANIFEST_FILE).exists()
-        monkeypatch.setattr(harness, "MIN_APPEND", 1)
 
         def fail(*args):
             raise RuntimeError("builder failed")
