@@ -26,6 +26,11 @@ locations and, with the covariate, keeps per-location distributions as row
 views of it, which is therefore read-only. Sampling uses keyed
 substreams: strategy 2 keys include the model, strategy 3 deliberately does
 not, so a single set of inferred observations is shared by all models.
+Both build their distributions one model at a time (``_by_model``). By
+default every model's are collected into the result; a ``consume`` callback
+is handed each model's instead, with the sorted copy of each pooled vector,
+as soon as they are built, so a caller that scores and drops them holds one
+model's samples at a time (``harness.evaluate`` does).
 
 Every distribution carries a ``DistributionSummary`` (mean and five
 quantiles). ``summarize_rows`` computes the summaries of a block of
@@ -42,7 +47,7 @@ bits as one ``np.quantile`` and one ``mean`` call per vector.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import repeat
 from typing import NamedTuple
 
@@ -105,9 +110,11 @@ def _linear_positions(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return below.astype(np.intp), above.astype(np.intp), virtual - below
 
 
-def summarize_rows(rows: np.ndarray) -> list[DistributionSummary]:
+def summarize_rows(rows: np.ndarray,
+                   ordered: np.ndarray | None = None) -> list[DistributionSummary]:
     """One summary per row of a 2-D block of equal-length sample vectors,
-    from a single sort and a single mean pass along the rows.
+    from a single sort and a single mean pass along the rows; ``ordered``,
+    when the caller has sorted the rows already, is that sorted block.
 
     The quantiles interpolate the order statistics of the sorted copy with
     ``np.quantile``'s linear rule, ``a + (b - a) * gamma`` or, for gamma
@@ -121,7 +128,8 @@ def summarize_rows(rows: np.ndarray) -> list[DistributionSummary]:
     n = rows.shape[1]
     if n == 0:
         raise ParameterDomainError("ErrorDistribution requires samples")
-    ordered = np.sort(rows, axis=1)
+    if ordered is None:
+        ordered = np.sort(rows, axis=1)
     below, above, gamma = _linear_positions(n)
     a, b = ordered[:, below], ordered[:, above]
     step = b - a
@@ -260,15 +268,17 @@ def _draw(fitted: FittedSpline, x_j: float, covariate: np.ndarray | None,
 
 
 def _distributions(m: int, j: int, samples: np.ndarray, counts: np.ndarray,
-                   pooled: dict, per_location: dict | None) -> None:
+                   pooled: dict, per_location: dict | None) -> np.ndarray:
     """Add (m, j)'s pooled distribution and, unless ``per_location`` is None,
     its per-location ones over read-only row views of chunk lengths
-    ``counts`` (non-increasing), one summary block per run of equal lengths."""
+    ``counts`` (non-increasing), one summary block per run of equal lengths.
+    Returns the sorted copy of ``samples`` that summarized the pooled one."""
     samples.flags.writeable = False
-    (summary,) = summarize_rows(samples[None, :])
+    ordered = np.sort(samples)
+    (summary,) = summarize_rows(samples[None, :], ordered[None, :])
     pooled[(m, j)] = ErrorDistribution.make(samples, summary)
     if per_location is None:
-        return
+        return ordered
     start = 0
     for length in np.unique(counts)[::-1]:
         locations = np.flatnonzero(counts == length)
@@ -277,12 +287,39 @@ def _distributions(m: int, j: int, samples: np.ndarray, counts: np.ndarray,
         for l, row, summary in zip(locations.tolist(), rows, summarize_rows(rows)):
             per_location[(m, j, l)] = ErrorDistribution.make(row, summary)
         start += rows.size
+    return ordered
+
+
+def _by_model(result, n_models: int, n_scenarios: int, samples_of,
+              counts: np.ndarray, consume):
+    """Build the distributions of ``samples_of(m, j)`` in (m, j) order, one
+    model at a time, into ``result``'s empty ``pooled`` and ``per_location``
+    dicts (the latter only with the covariate); returns ``result``.
+
+    With ``consume``, each model's go to ``consume(part, ordered)`` instead,
+    once its scenarios are built: ``part`` is ``result`` holding that model's
+    distributions only, and ``ordered`` maps each of its (m, j) to the
+    sorted copy of the pooled samples. ``result``'s dicts then stay empty,
+    and nothing keeps a model's samples once ``consume`` has returned."""
+    for m in range(n_models):
+        part = replace(result, pooled={}, per_location={})
+        located = part.per_location if result.include_covariate else None
+        ordered = {(m, j): _distributions(m, j, samples_of(m, j), counts,
+                                          part.pooled, located)
+                   for j in range(n_scenarios)}
+        if consume is None:
+            result.pooled.update(part.pooled)
+            result.per_location.update(part.per_location)
+        else:
+            consume(part, ordered)
+        del ordered   # else the sorted copies live on while the next model is built
+    return result
 
 
 def infer_error_distribution(world: TrueWorld, ensemble: ModelEnsemble,
                              include_covariate: bool, n_samples: int = 10_000,
-                             seed: int = 0,
-                             spec: SplineSpec = SplineSpec()) -> InferredErrorResult:
+                             seed: int = 0, spec: SplineSpec = SplineSpec(),
+                             consume=None) -> InferredErrorResult:
     """Strategy 2: regress realized-scenario errors on realized coverage.
 
     Fits one regression per model of e_m(x*) = reprojection - observation on
@@ -290,7 +327,8 @@ def infer_error_distribution(world: TrueWorld, ensemble: ModelEnsemble,
     then samples the predictive distribution at each scenario coverage. With
     the covariate the prediction is made per location and the ``n_samples``
     budget is split equally across locations before pooling; without it, a
-    single location-generic predictive distribution is sampled.
+    single location-generic predictive distribution is sampled. Each model's
+    distributions go to ``consume`` when it is given (see ``_by_model``).
     """
     M, L, S = ensemble.n_models, world.n_locations, world.n_scenarios
     _check_budget(n_samples, L, include_covariate)
@@ -302,32 +340,31 @@ def infer_error_distribution(world: TrueWorld, ensemble: ModelEnsemble,
         spline_fit.fit(world.x_realized, realized_errors[m], covariate, spec)
         for m in range(M))
 
-    pooled: dict = {}
-    per_location: dict = {}
     counts = _sample_counts(n_samples, L)
-    for m in range(M):
-        for j in range(S):
-            rng = substream(seed, KIND_ERROR_SAMPLING, variant_key, m, j)
-            samples = _draw(fits[m], float(world.scenario_values[j]), covariate,
-                            counts, rng)
-            _distributions(m, j, samples, counts, pooled,
-                           per_location if include_covariate else None)
-    return InferredErrorResult(include_covariate=include_covariate,
-                               realized_errors=realized_errors, fits=fits,
-                               pooled=pooled, per_location=per_location)
+
+    def samples_of(m, j):
+        rng = substream(seed, KIND_ERROR_SAMPLING, variant_key, m, j)
+        return _draw(fits[m], float(world.scenario_values[j]), covariate, counts, rng)
+
+    result = InferredErrorResult(include_covariate=include_covariate,
+                                 realized_errors=realized_errors, fits=fits,
+                                 pooled={}, per_location={})
+    return _by_model(result, M, S, samples_of, counts, consume)
 
 
 def infer_observations(world: TrueWorld, ensemble: ModelEnsemble,
                        include_covariate: bool, n_samples: int = 10_000,
-                       seed: int = 0,
-                       spec: SplineSpec = SplineSpec()) -> InferredObservationResult:
+                       seed: int = 0, spec: SplineSpec = SplineSpec(),
+                       consume=None) -> InferredObservationResult:
     """Strategy 3: estimate what would have been observed at each scenario.
 
     Fits one regression of the realized observations on realized coverage
     (plus linear true R0 when ``include_covariate``), shared by every model.
     Observation samples are drawn once per (scenario, location) from streams
     that do not involve the model, and each model's error samples are its
-    projections minus those shared samples, pooled across locations.
+    projections minus those shared samples, pooled across locations. Each
+    model's distributions go to ``consume`` when it is given (see
+    ``_by_model``).
     """
     M, L, S = ensemble.n_models, world.n_locations, world.n_scenarios
     _check_budget(n_samples, L, include_covariate)
@@ -343,16 +380,13 @@ def infer_observations(world: TrueWorld, ensemble: ModelEnsemble,
         observations.append(_draw(observation_fit, float(world.scenario_values[j]),
                                   covariate, counts, rng))
 
-    pooled: dict = {}
-    per_location: dict = {}
-    for m in range(M):
-        for j in range(S):
-            samples = np.repeat(ensemble.projections[m, :, j], counts) - observations[j]
-            _distributions(m, j, samples, counts, pooled,
-                           per_location if include_covariate else None)
-    return InferredObservationResult(include_covariate=include_covariate,
-                                     observation_fit=observation_fit,
-                                     pooled=pooled, per_location=per_location)
+    def samples_of(m, j):
+        return np.repeat(ensemble.projections[m, :, j], counts) - observations[j]
+
+    result = InferredObservationResult(include_covariate=include_covariate,
+                                       observation_fit=observation_fit,
+                                       pooled={}, per_location={})
+    return _by_model(result, M, S, samples_of, counts, consume)
 
 
 def implied_observations(result: InferredErrorResult, ensemble: ModelEnsemble,

@@ -21,21 +21,25 @@ Everything a report number needs is recomputable from the data CSVs plus
 the seeded sampling procedure; re-running the same config produces byte
 identical data files.
 
-``evaluate`` scores each strategy variant as soon as it is estimated: it
-turns the variant's distributions into their table rows, hands them to the
-run's ``ReportWriter`` and drops them before the next variant starts, so a
-run holds one variant's samples at a time and keeps no row it has handed
-over. The ``EvaluationReport`` it returns holds ``report.csv``'s rows, which
-``scenario-eval run`` prints, and no strategy result. Callers who want the
-distributions themselves call the strategy functions of ``approaches``.
+``evaluate`` scores strategy 1 whole and strategies 2 and 3 one model at a
+time: each model's distributions go to the scorer as soon as they are drawn
+(``approaches``' ``consume`` callback), which turns them into table rows,
+the KS test of each pooled vector reading the sorted copy its summary was
+made from, and drops them before the next model is drawn. So a run holds
+one model's samples at a time. Each strategy's rows, its variants in
+order, go to the run's ``ReportWriter`` in one batch, and a run keeps no
+row it has handed over. The ``EvaluationReport`` it returns holds
+``report.csv``'s rows, which ``scenario-eval run`` prints, and no strategy
+result. Callers who want the distributions themselves call the strategy
+functions of ``approaches``.
 
 This module alone owns the table format. Row values are ``int``, ``float``
 or ``str`` (flags "true"/"false", missing values ""), never numpy scalars,
 and go straight to ``csv.writer.writerows``: floats by ``repr``, the rest
 by ``str``. One ``ReportWriter`` writes them. ``run`` hands it
 ``world.csv`` and ``projections.csv`` as soon as the world is generated and
-each variant's rows as soon as they are built. Every batch is appended in a
-forked background process (``fanout.Chain``) while the next variant is
+each strategy's rows as soon as they are built. Every batch is appended in a
+forked background process (``fanout.Chain``) while the next strategy is
 estimated; each append waits for the one before it, so every file keeps its
 row order. ``write_report`` then builds ``decomposition.csv``, and the
 calling process writes it while the last append drains and only then waits
@@ -57,6 +61,8 @@ import json
 import os
 from dataclasses import asdict, dataclass, field, fields, replace
 from datetime import datetime, timezone
+from itertools import groupby
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -235,8 +241,8 @@ def load_settings(path) -> RunSettings:
 class EvaluationReport:
     """In-memory result of a run: its inputs, the true errors and
     ``report.csv``'s rows. Every other table went to the writer as it was
-    built, and no strategy result is kept: each variant's distributions are
-    scored as soon as they are estimated and then released."""
+    built, and no strategy result is kept: each model's distributions are
+    scored as soon as they are drawn and then released."""
 
     settings: RunSettings
     world: world_gen.TrueWorld
@@ -249,41 +255,53 @@ def evaluate(settings: RunSettings, writer: ReportWriter) -> EvaluationReport:
     """Run the whole experiment, handing its tables to ``writer``.
 
     ``writer`` is handed ``world.csv`` and ``projections.csv`` once the world
-    is generated, then the rows of each of ``approaches.VARIANTS`` once they
-    are built. Each variant is estimated, turned into its table rows, handed
-    over and released before the next starts, so only one variant's samples
-    are alive at a time. Only ``report.csv``'s rows are kept, in ``VARIANTS``
-    order, for the report."""
+    is generated, then one batch per strategy: the rows of its variants in
+    ``approaches.VARIANTS``, once they are built. Strategy 1 is scored whole;
+    strategies 2 and 3 hand each model's distributions to the scorer as they
+    are built, which turns them into rows and drops them, so only one
+    model's samples are alive at a time. Only ``report.csv``'s rows are kept,
+    in ``VARIANTS`` order, for the report."""
     config = settings.experiment
     world, ensemble = world_gen.generate(config)
     writer.add(_world_tables(world, ensemble))
     errs = world_gen.true_errors(world, ensemble)
     spec = SplineSpec(basis_dim=settings.basis_dim)
-    seed = config.seed
+    true_errors = errs.tolist()   # [m][l][j], once for every builder call
 
     report_rows = []
     # Strategies and builders are looked up at call time, so span wrappers
     # swapped in after import (benchmarks/spans.py) see every call.
-    for approach_id, variant in approaches.VARIANTS:
-        if approach_id == APPROACH_PLAUSIBLE:
-            result = approaches.evaluate_plausible(world, ensemble,
-                                                   settings.plausibility_threshold)
-        else:
-            infer = (approaches.infer_error_distribution
-                     if approach_id == APPROACH_ERROR_REGRESSION
-                     else approaches.infer_observations)
-            result = infer(world, ensemble, variant == VARIANT_COVARIATE,
-                           settings.n_samples, seed, spec)
-        scored = (approach_id, variant, result)
-        batch = {"report.csv": _report_rows(world, errs, *scored),
-                 "approach_estimates.csv": _estimate_rows(*scored),
-                 "a1_deviation.csv": _a1_deviation_rows(errs, *scored),
-                 "implied_obs_ks.csv": _implied_obs_rows(world, ensemble, *scored),
-                 "location_mae.csv": _location_mae_rows(errs, *scored)}
-        del result, scored   # else they stay alive through the next estimate
+    for approach_id, variants in groupby(approaches.VARIANTS, itemgetter(0)):
+        batch = {name: [] for name in _STRATEGY_FILES}
+        for _, variant in variants:
+            located = []   # per-location estimates, written after the pooled
+
+            def score(result, ordered):
+                """Add the rows of ``result``'s distributions to the batch;
+                ``ordered`` maps (m, j) to its pooled samples, sorted."""
+                scored = (approach_id, variant, result)
+                batch["report.csv"] += _report_rows(world, errs, ordered, *scored)
+                estimates = _estimate_rows(*scored)
+                pooled = sum(dist is not None for dist in result.pooled.values())
+                batch["approach_estimates.csv"] += estimates[:pooled]
+                located.extend(estimates[pooled:])
+                batch["a1_deviation.csv"] += _a1_deviation_rows(true_errors, *scored)
+                batch["implied_obs_ks.csv"] += _implied_obs_rows(world, ensemble, *scored)
+                batch["location_mae.csv"] += _location_mae_rows(true_errors, *scored)
+
+            if approach_id == APPROACH_PLAUSIBLE:
+                score(approaches.evaluate_plausible(
+                    world, ensemble, settings.plausibility_threshold), {})
+            else:
+                infer = (approaches.infer_error_distribution
+                         if approach_id == APPROACH_ERROR_REGRESSION
+                         else approaches.infer_observations)
+                infer(world, ensemble, variant == VARIANT_COVARIATE,
+                      settings.n_samples, config.seed, spec, score)
+            batch["approach_estimates.csv"] += located
         report_rows += batch["report.csv"]
         writer.add(batch)
-        del batch            # as do the rows, once handed over
+        del batch   # else its rows stay alive through the next strategy
 
     return EvaluationReport(settings=settings, world=world, ensemble=ensemble,
                             true_errors=errs, report_rows=report_rows)
@@ -294,26 +312,26 @@ REPORT_HEADER = ("approach", "variant", "model_id", "scenario_index", "scenario_
                  "ks_d", "ks_n", "ks_m", "ks_critical", "ks_significant")
 
 
-def _report_rows(world, errs, approach_id, variant, result):
+def _report_rows(world, errs, ordered, approach_id, variant, result):
+    """One row per pooled distribution, in (m, j) order; the KS test takes
+    the sorted samples from ``ordered`` where it has them."""
     rows = []
-    for m in range(errs.shape[0]):
-        for j in range(world.n_scenarios):
-            dist = result.pooled[(m, j)]
-            true_vec = errs[m, :, j]
-            base = (approach_id, variant, m, j, float(world.scenario_values[j]))
-            if dist is None:
-                rows.append(base + (0, "", float(true_vec.mean()), "",
-                                    "", "", "", "", ""))
-                continue
-            mae = metrics.mae_of_means(dist.summary.mean, true_vec)
-            if dist.samples.size >= 5:
-                ks = metrics.ks_two_sample(dist.samples, true_vec)
-                ks_part = (ks.statistic, ks.n, ks.m, ks.critical_value,
-                           "true" if ks.significant else "false")
-            else:
-                ks_part = ("", "", "", "", "")
-            rows.append(base + (dist.samples.size, dist.summary.mean,
-                                float(true_vec.mean()), mae) + ks_part)
+    for (m, j), dist in sorted(result.pooled.items()):
+        true_vec = errs[m, :, j]
+        base = (approach_id, variant, m, j, float(world.scenario_values[j]))
+        if dist is None:
+            rows.append(base + (0, "", float(true_vec.mean()), "",
+                                "", "", "", "", ""))
+            continue
+        mae = metrics.mae_of_means(dist.summary.mean, true_vec)
+        if dist.samples.size >= 5:
+            ks = metrics.ks_two_sample(ordered.get((m, j), dist.samples), true_vec)
+            ks_part = (ks.statistic, ks.n, ks.m, ks.critical_value,
+                       "true" if ks.significant else "false")
+        else:
+            ks_part = ("", "", "", "", "")
+        rows.append(base + (dist.samples.size, dist.summary.mean,
+                            float(true_vec.mean()), mae) + ks_part)
     return rows
 
 
@@ -339,6 +357,7 @@ ESTIMATE_HEADER = ("approach", "variant", "model_id", "scenario_index",
 
 
 def _estimate_rows(approach_id, variant, result):
+    """The pooled rows in (m, j) order, then the per-location rows."""
     rows = []
     for (m, j), dist in sorted(result.pooled.items()):
         if dist is not None:
@@ -373,12 +392,12 @@ A1_DEVIATION_HEADER = ("model_id", "location_id", "plausible_scenario",
                        "abs_difference")
 
 
-def _a1_deviation_rows(errs, approach_id, variant, result):
-    """Strategy 1's rows; none for the other strategies."""
+def _a1_deviation_rows(true_errors, approach_id, variant, result):
+    """Strategy 1's rows; none for the other strategies. ``true_errors`` is
+    the true error array as nested lists."""
     if approach_id != APPROACH_PLAUSIBLE:
         return []
     deviation = result.selection.deviation
-    true_errors = errs.tolist()
     rows = []
     for m, j, l, est in _plausible_points(result):
         true = true_errors[m][l][j]
@@ -395,12 +414,11 @@ def _implied_obs_rows(world, ensemble, approach_id, variant, result):
     if approach_id != APPROACH_ERROR_REGRESSION:
         return []
     rows = []
-    for m in range(ensemble.n_models):
-        for j in range(world.n_scenarios):
-            implied = approaches.implied_observations(result, ensemble, world, m, j)
-            ks = metrics.ks_two_sample(implied, world.y_counterfactual[:, j])
-            rows.append((variant, m, j, ks.statistic, ks.critical_value,
-                         "true" if ks.significant else "false"))
+    for m, j in sorted(result.pooled):
+        implied = approaches.implied_observations(result, ensemble, world, m, j)
+        ks = metrics.ks_two_sample(implied, world.y_counterfactual[:, j])
+        rows.append((variant, m, j, ks.statistic, ks.critical_value,
+                     "true" if ks.significant else "false"))
     return rows
 
 
@@ -408,13 +426,13 @@ LOCATION_MAE_HEADER = ("approach", "variant", "model_id", "scenario_index",
                        "location_id", "est_mean", "true_error", "abs_difference")
 
 
-def _location_mae_rows(errs, approach_id, variant, result):
+def _location_mae_rows(true_errors, approach_id, variant, result):
+    """``true_errors`` is the true error array as nested lists."""
     if approach_id == APPROACH_PLAUSIBLE:
         estimates = _plausible_points(result)
     else:
         estimates = ((m, j, l, dist.summary.mean)
                      for (m, j, l), dist in result.per_location.items())
-    true_errors = errs.tolist()
     rows = []
     for m, j, l, est in estimates:
         true = true_errors[m][l][j]
@@ -458,6 +476,10 @@ def _projection_rows(world, ensemble):
             for (kind, x, y), y_model in zip(points[l], ys):
                 yield (m, l, kind, x, y_model, y)
 
+
+# The files each strategy's batch adds rows to, in the order they are built.
+_STRATEGY_FILES = ("report.csv", "approach_estimates.csv", "a1_deviation.csv",
+                  "implied_obs_ks.csv", "location_mae.csv")
 
 _HEADERS = {
     "world.csv": WORLD_HEADER,

@@ -17,9 +17,10 @@ and ``decomposition.csv``, plus ``world.csv`` and ``projections.csv`` for the
 true errors) is read once, in one streaming pass that checks the field count
 of every row, the rows a figure drops included, and keeps only the columns
 that figure draws, as tuples of strings. A missing
-file, column or row, a row with a missing or extra field, an unparsable or
-non-finite (nan, inf) number in a drawn column, or a ``scenario_index``
-outside ``[0, n_scenarios)`` raises ConfigError naming the file. For a
+file, column or row, a row with a missing or extra field, a field over
+``csv``'s size limit, an unparsable or non-finite (nan, inf) number in a
+drawn column, or a ``scenario_index`` outside ``[0, n_scenarios)`` raises
+ConfigError naming the file. For a
 pooled estimate ``n_scenarios`` is the number of scenario kinds in
 ``projections.csv``; for ``report.csv`` and ``decomposition.csv`` it is the
 number of distinct indices the file holds.
@@ -105,14 +106,15 @@ def _check_scenarios(indices, n_scenarios: int) -> None:
 
 @contextmanager
 def _reading(path: Path):
-    """Raise a missing column or key, an unparsable or non-finite value or a
-    scenario index out of range met while using the rows of ``path`` as a
-    ConfigError naming that file."""
+    """Raise a missing column or key, an unparsable or non-finite value, a
+    scenario index out of range or a field that ``csv`` cannot read (one over
+    its size limit) met while using the rows of ``path`` as a ConfigError
+    naming that file."""
     try:
         yield
     except ScenarioEvalError:
         raise
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
+    except (KeyError, IndexError, TypeError, ValueError, csv.Error) as exc:
         raise ConfigError(f"malformed report file ({type(exc).__name__}: {exc})",
                           str(path)) from exc
 

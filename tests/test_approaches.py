@@ -426,6 +426,35 @@ class TestDistributionContainers:
         assert implied[:first.size] == pytest.approx(expected, abs=1e-14)
 
 
+@pytest.mark.parametrize("infer", [infer_error_distribution, infer_observations])
+@pytest.mark.parametrize("include_covariate", [False, True])
+def test_consume_gets_each_model_as_it_is_built(medium_world, infer, include_covariate):
+    # The parts handed to consume, model by model, hold exactly what the
+    # collected result holds, with each pooled vector's sorted copy; the
+    # result returned alongside them holds no distribution.
+    world, ensemble = medium_world
+    collected = infer(world, ensemble, include_covariate, 500, seed=4)
+    parts = []
+    consumed = infer(world, ensemble, include_covariate, 500, seed=4,
+                     consume=lambda part, ordered: parts.append((part, ordered)))
+    assert consumed.pooled == {} and consumed.per_location == {}
+    assert len(parts) == ensemble.n_models
+    pooled, per_location = {}, {}
+    for m, (part, ordered) in enumerate(parts):
+        assert type(part) is type(collected)
+        assert {key[0] for key in part.pooled} == {m}
+        assert ordered.keys() == part.pooled.keys()
+        for key, dist in part.pooled.items():
+            assert np.array_equal(ordered[key], np.sort(dist.samples))
+        pooled.update(part.pooled)
+        per_location.update(part.per_location)
+    for mine, theirs in ((pooled, collected.pooled),
+                         (per_location, collected.per_location)):
+        assert list(mine) == list(theirs)
+        assert all(np.array_equal(mine[key].samples, theirs[key].samples)
+                   and mine[key].summary == theirs[key].summary for key in theirs)
+
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 

@@ -108,7 +108,7 @@ def _digests(out_dir):
 @pytest.mark.parametrize("case", ["three_cpus", "one_cpu", "no_fork", "live_thread"])
 def test_fan_out_and_serial_fallbacks_write_golden_bytes(tmp_path, monkeypatch, case, entry):
     # Fanned over three processes: two forks for the solve, and one
-    # background append for each of the six batches. Each serial path must
+    # background append for each of the four batches. Each serial path must
     # not fork at all.
     use_cpus(monkeypatch, 1 if case == "one_cpu" else 3)
     forks = []
@@ -140,7 +140,7 @@ def test_fan_out_and_serial_fallbacks_write_golden_bytes(tmp_path, monkeypatch, 
         if case == "live_thread":
             thread.join(10)
     assert not thread.is_alive()
-    assert len(forks) == (2 + 6 if case == "three_cpus" else 0)
+    assert len(forks) == (2 + 4 if case == "three_cpus" else 0)
     assert _digests(tmp_path) == DEFAULT_DIGESTS
     assert_no_child_processes()
 
@@ -156,9 +156,9 @@ def test_run_with_every_batch_in_the_background_writes_golden_bytes(
     monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
     harness.run(_config_path(tmp_path, config), tmp_path / "out")
     # One fork for the solve and one background append per batch: world and
-    # projections, then each of the five variants. The parent writes
-    # decomposition.csv and computes the digests itself.
-    assert len(forks) == 1 + 6
+    # projections, then each of the three strategies with all its variants.
+    # The parent writes decomposition.csv and computes the digests itself.
+    assert len(forks) == 1 + 4
     assert _digests(tmp_path / "out") == expected
     assert_no_child_processes()
 
@@ -188,6 +188,6 @@ def test_parent_writes_decomposition_before_joining_the_appends(tmp_path, monkey
               (line.split(" ") for line in log.read_text().splitlines()) if names]
     assert writes[0] == (True, "decomposition.csv")
     assert writes[1] == (False, "world.csv,projections.csv")
-    assert [by_caller for by_caller, _ in writes[2:]] == [False] * 5
+    assert [by_caller for by_caller, _ in writes[2:]] == [False] * 3
     assert _digests(out) == DEFAULT_DIGESTS
     assert_no_child_processes()

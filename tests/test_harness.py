@@ -390,6 +390,28 @@ def test_evaluate_holds_one_variant_of_samples_at_a_time():
     assert len(writer.tables["report.csv"]) == len(report.report_rows)
 
 
+def test_evaluate_holds_one_model_of_samples_at_a_time():
+    # Strategies 2 and 3 hand each model's distributions to the scorer as
+    # they are built, so the traced peak is a few times one model's pooled
+    # samples (S x n_samples float64): its samples and their sorted copies,
+    # strategy 3's shared observations and a sort's scratch. Holding a whole
+    # variant's (M = 10 models) would peak above ten times that.
+    settings = harness.RunSettings(n_samples=200_000)
+    config = settings.experiment
+    one_model = len(config.scenario_values) * settings.n_samples * 8
+    assert config.n_models == 10
+    harness.evaluate(harness.RunSettings(), CollectingWriter())   # warm-up
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        report = harness.evaluate(settings, CollectingWriter())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - before < 5 * one_model
+    assert len(report.report_rows) == 5 * config.n_models * len(config.scenario_values)
+
+
 # 100 locations x 30 models and 200 samples: many rows, few samples.
 MANY_ROWS_CONFIG = """\
 [experiment]
@@ -459,6 +481,14 @@ def _cut_last_row(text, n_fields):
     """``text`` with its last CSV row cut to its first ``n_fields`` fields."""
     head, last = text.rstrip("\n").rsplit("\n", 1)
     return head + "\n" + ",".join(last.split(",")[:n_fields]) + "\n"
+
+
+def _append_to_line(text, index, suffix):
+    """``text`` with ``suffix`` appended to its line ``index`` (0 is the
+    header)."""
+    lines = text.splitlines()
+    lines[index] += suffix
+    return "\n".join(lines) + "\n"
 
 
 def _set_field(column, value, match=lambda row: True):
@@ -636,13 +666,16 @@ class TestCli:
         # are checked all the same.
         ("approach_estimates.csv",
          _set_field("n_samples", "1,2", lambda row: not _pooled(row))),
+        # A field over the csv module's size limit (131,072 characters).
+        ("report.csv", lambda text: _append_to_line(text, 3, ',"' + "x" * 200_000 + '"')),
     ], ids=["garbage_world", "empty_world", "unknown_location", "shifted_value",
             "short_row", "no_rows", "short_world_row", "short_projection_row",
             "inf_mae", "nan_ks_d", "inf_ks_critical", "negative_report_scenario",
             "wrapped_pooled_scenario", "pooled_scenario_past_last", "nan_pooled_q95",
             "inf_truth", "nan_projection", "inf_decomposition",
             "negative_decomposition_scenario", "decomposition_scenario_gap",
-            "huge_projection", "huge_mae", "extra_field_in_dropped_row"])
+            "huge_projection", "huge_mae", "extra_field_in_dropped_row",
+            "overlong_field"])
     def test_malformed_report_exit_2(self, run_dir, tmp_path, capsys, name, edit):
         report = tmp_path / "report"
         _copy_report(run_dir[0] / "out", report, name, edit)
@@ -693,7 +726,7 @@ class TestWorkerFailures:
     def test_blocked_background_append_exits_2_as_when_serial(
             self, tmp_path, monkeypatch, capsys, name):
         # Every batch goes to its own append: projections.csv is in the
-        # first, location_mae.csv in each variant's. No append after the
+        # first, location_mae.csv in each strategy's. No append after the
         # failed one writes, so no file is written out of order.
         config = write_config(tmp_path, FAST_CONFIG)
         errors, written = [], []
@@ -758,13 +791,13 @@ class TestWorkerFailures:
     @pytest.mark.parametrize("failure", ["raises", "killed"])
     def test_failed_last_append_leaves_the_files_of_a_serial_run(
             self, tmp_path, monkeypatch, capsys, failure):
-        # The last variant's append fails while the parent writes
+        # The last strategy's append fails while the parent writes
         # decomposition.csv; that file is removed again, so the directory
         # holds what a run that failed in that append serially holds.
         caller, append = os.getpid(), harness._append
 
-        def fail_last_variant(parts):
-            last = any(path.name == "report.csv" and rows[0][:2] == (3, "covariate")
+        def fail_last_strategy(parts):
+            last = any(path.name == "report.csv" and rows[0][0] == 3
                        for path, _, rows in parts)
             if last and failure == "killed" and os.getpid() != caller:
                 os.kill(os.getpid(), signal.SIGKILL)
@@ -772,7 +805,7 @@ class TestWorkerFailures:
                 raise OSError("last append failed")
             append(parts)
 
-        monkeypatch.setattr(harness, "_append", fail_last_variant)
+        monkeypatch.setattr(harness, "_append", fail_last_strategy)
         config = write_config(tmp_path, FAST_CONFIG)
         written = []
         for cpus in (1, 2) if failure == "raises" else (2,):
@@ -798,16 +831,14 @@ class TestWorkerFailures:
             if os.getpid() != caller:
                 time.sleep(60)
 
-        def fail_on_fourth_variant(*args):
-            calls.append(args)
-            if len(calls) == 4:
+        def fail_in_last_strategy(*args):
+            if args[-3] == 3:
                 raise RuntimeError("builder failed")
             return builder(*args)
 
-        calls = []
         monkeypatch.setattr(harness, "_append", hang_in_worker)
         if failure == "builder_raises":
-            monkeypatch.setattr(harness, "_location_mae_rows", fail_on_fourth_variant)
+            monkeypatch.setattr(harness, "_location_mae_rows", fail_in_last_strategy)
         config = write_config(tmp_path, FAST_CONFIG)
         start = time.monotonic()
         expected = RuntimeError if failure == "builder_raises" else TimeoutError

@@ -194,3 +194,19 @@ def test_ks_matches_pooled_reference_bitwise(pair, seed):
         expected = np.float64(_pooled_ks_statistic(x, y)).tobytes()
         assert np.float64(ks_two_sample(x, y).statistic).tobytes() == expected
         assert np.float64(ks_two_sample(y, x).statistic).tobytes() == expected
+
+
+_signed_zeros = st.sampled_from([0.0, -0.0, 1.0, -1.0])   # ties of +0.0 and -0.0
+
+
+@settings(max_examples=150, deadline=1000)
+@given(elements=st.sampled_from([_finite, _tied, _signed_zeros]),
+       sizes=st.tuples(st.integers(5, 300), st.integers(5, 300)), data=st.data())
+def test_presorted_sample_gives_the_same_result(elements, sizes, data):
+    # A sample already in ascending order skips the sort; every field of the
+    # result must be what the unsorted sample gives, on either side.
+    a, b = (data.draw(hnp.arrays(np.float64, size, elements=elements)) for size in sizes)
+    expected = dataclasses.astuple(ks_two_sample(a, b))
+    assert dataclasses.astuple(ks_two_sample(np.sort(a), b)) == expected
+    assert dataclasses.astuple(ks_two_sample(a, np.sort(b))) == expected
+    assert dataclasses.astuple(ks_two_sample(np.sort(a), np.sort(b))) == expected
