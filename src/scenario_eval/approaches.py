@@ -26,11 +26,8 @@ locations and, with the covariate, keeps per-location distributions as row
 views of it, which is therefore read-only. Sampling uses keyed
 substreams: strategy 2 keys include the model, strategy 3 deliberately does
 not, so a single set of inferred observations is shared by all models.
-Both build their distributions one model at a time (``_by_model``). By
-default every model's are collected into the result; a ``consume`` callback
-is handed each model's instead, with the sorted copy of each pooled vector,
-as soon as they are built, so a caller that scores and drops them holds one
-model's samples at a time (``harness.evaluate`` does).
+Both build their distributions one model at a time and can hand each
+model's to a ``consume`` callback instead of the result (``_by_model``).
 
 Every distribution carries a ``DistributionSummary`` (mean and five
 quantiles). ``summarize_rows`` computes the summaries of a block of
@@ -256,57 +253,94 @@ def _check_budget(n_samples: int, n_locations: int, include_covariate: bool) -> 
             f"for one sample per location, got {n_samples}")
 
 
+def _runs(counts: np.ndarray):
+    """For each run of equal chunk lengths in ``counts`` (non-increasing):
+    its locations and the slice of the location-ordered samples they cover."""
+    start = 0
+    for length in np.unique(counts)[::-1]:
+        locations = np.flatnonzero(counts == length)
+        yield locations, slice(start, start + locations.size * length)
+        start += locations.size * length
+
+
+def _by_location(op, values: np.ndarray, samples: np.ndarray, counts: np.ndarray,
+                 out: np.ndarray) -> np.ndarray:
+    """``op(values[l], s)`` into ``out`` for every sample ``s`` in location
+    ``l``'s chunk of ``samples`` (chunk lengths ``counts``), broadcast over
+    each run of equal lengths, with no repeated copy of ``values``."""
+    for locations, span in _runs(counts):
+        shape = (locations.size, -1)
+        op(values[locations, None], samples[span].reshape(shape),
+           out=out[span].reshape(shape))
+    return out
+
+
 def _draw(fitted: FittedSpline, x_j: float, covariate: np.ndarray | None,
           counts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Predictive samples at scenario coverage ``x_j`` in location-ordered
     chunks of lengths ``counts``: one location-generic draw without the
-    covariate, a per-location mean and sd with it."""
+    covariate, a per-location mean and sd with it, applied in place as
+    ``mean + sd * z``, the bits of ``rng.normal(means, sds)``."""
     if covariate is None:
         return spline_fit.sample_predictive(fitted, x_j, None, counts.sum(), rng)
     means, sds = spline_fit.predict_many(fitted, np.full(covariate.size, x_j), covariate)
-    return rng.normal(np.repeat(means, counts), np.repeat(sds, counts))
+    z = rng.normal(0.0, 1.0, counts.sum())
+    _by_location(np.multiply, sds, z, counts, z)
+    return _by_location(np.add, means, z, counts, z)
 
 
 def _distributions(m: int, j: int, samples: np.ndarray, counts: np.ndarray,
-                   pooled: dict, per_location: dict | None) -> np.ndarray:
+                   pooled: dict, per_location: dict | None,
+                   scratch: np.ndarray) -> np.ndarray:
     """Add (m, j)'s pooled distribution and, unless ``per_location`` is None,
     its per-location ones over read-only row views of chunk lengths
-    ``counts`` (non-increasing), one summary block per run of equal lengths.
-    Returns the sorted copy of ``samples`` that summarized the pooled one."""
+    ``counts``, one summary block per run of equal lengths. The sorts go to
+    ``scratch``: the pooled one, returned, to row 0, the per-location to 1."""
     samples.flags.writeable = False
-    ordered = np.sort(samples)
+    ordered = scratch[0]
+    ordered[...] = samples
+    ordered.sort()
     (summary,) = summarize_rows(samples[None, :], ordered[None, :])
     pooled[(m, j)] = ErrorDistribution.make(samples, summary)
     if per_location is None:
         return ordered
-    start = 0
-    for length in np.unique(counts)[::-1]:
-        locations = np.flatnonzero(counts == length)
-        rows = samples[start:start + locations.size * length].reshape(
-            locations.size, length)
-        for l, row, summary in zip(locations.tolist(), rows, summarize_rows(rows)):
+    for locations, span in _runs(counts):
+        rows = samples[span].reshape(locations.size, -1)
+        rows_ordered = scratch[1, span].reshape(rows.shape)
+        rows_ordered[...] = rows
+        rows_ordered.sort()
+        for l, row, summary in zip(locations.tolist(), rows,
+                                   summarize_rows(rows, rows_ordered)):
             per_location[(m, j, l)] = ErrorDistribution.make(row, summary)
-        start += rows.size
     return ordered
 
 
 def _by_model(result, n_models: int, n_scenarios: int, samples_of,
               counts: np.ndarray, consume):
-    """Build the distributions of ``samples_of(m, j)`` in (m, j) order, one
-    model at a time, into ``result``'s empty ``pooled`` and ``per_location``
-    dicts (the latter only with the covariate); returns ``result``.
+    """Build the distributions of the samples ``samples_of(m, j, out)``
+    writes to ``out``, in (m, j) order, one model at a time, into
+    ``result``'s empty ``pooled`` and ``per_location`` dicts (the latter only
+    with the covariate); returns ``result``.
 
-    With ``consume``, each model's go to ``consume(part, ordered)`` instead,
-    once its scenarios are built: ``part`` is ``result`` holding that model's
-    distributions only, and ``ordered`` maps each of its (m, j) to the
-    sorted copy of the pooled samples. ``result``'s dicts then stay empty,
-    and nothing keeps a model's samples once ``consume`` has returned."""
+    With ``consume``, each model's go to ``consume(part, ordered)`` instead:
+    ``part`` is ``result`` holding that model's distributions only, and
+    ``ordered`` maps each of its (m, j) to the sorted pooled samples. These
+    arrays are buffers made once per call, one per scenario, that the next
+    model overwrites, so they are valid only until ``consume`` returns; fresh
+    ones would be freed after each model, and the heap shrink and fault in
+    again. Without ``consume`` the result keeps fresh arrays."""
+    n, rows = counts.sum(), 3 if result.include_covariate else 2
+    buffers = [np.empty((rows, n)) for _ in range(n_scenarios)] if consume else None
     for m in range(n_models):
         part = replace(result, pooled={}, per_location={})
         located = part.per_location if result.include_covariate else None
-        ordered = {(m, j): _distributions(m, j, samples_of(m, j), counts,
-                                          part.pooled, located)
-                   for j in range(n_scenarios)}
+        ordered = {}
+        for j in range(n_scenarios):
+            kept, scratch = ((buffers[j][0], buffers[j][1:]) if consume
+                             else (np.empty(n), np.empty((rows - 1, n))))
+            samples_of(m, j, kept)
+            ordered[(m, j)] = _distributions(m, j, kept, counts, part.pooled,
+                                             located, scratch)
         if consume is None:
             result.pooled.update(part.pooled)
             result.per_location.update(part.per_location)
@@ -342,9 +376,9 @@ def infer_error_distribution(world: TrueWorld, ensemble: ModelEnsemble,
 
     counts = _sample_counts(n_samples, L)
 
-    def samples_of(m, j):
+    def samples_of(m, j, out):
         rng = substream(seed, KIND_ERROR_SAMPLING, variant_key, m, j)
-        return _draw(fits[m], float(world.scenario_values[j]), covariate, counts, rng)
+        out[...] = _draw(fits[m], float(world.scenario_values[j]), covariate, counts, rng)
 
     result = InferredErrorResult(include_covariate=include_covariate,
                                  realized_errors=realized_errors, fits=fits,
@@ -380,8 +414,9 @@ def infer_observations(world: TrueWorld, ensemble: ModelEnsemble,
         observations.append(_draw(observation_fit, float(world.scenario_values[j]),
                                   covariate, counts, rng))
 
-    def samples_of(m, j):
-        return np.repeat(ensemble.projections[m, :, j], counts) - observations[j]
+    def samples_of(m, j, out):
+        _by_location(np.subtract, ensemble.projections[m, :, j], observations[j],
+                     counts, out)
 
     result = InferredObservationResult(include_covariate=include_covariate,
                                        observation_fit=observation_fit,
@@ -398,4 +433,5 @@ def implied_observations(result: InferredErrorResult, ensemble: ModelEnsemble,
     distributions; this makes that visible."""
     samples = result.pooled[(model_id, scenario_index)].samples
     counts = _sample_counts(samples.size, world.n_locations)
-    return np.repeat(ensemble.projections[model_id, :, scenario_index], counts) - samples
+    return _by_location(np.subtract, ensemble.projections[model_id, :, scenario_index],
+                        samples, counts, np.empty_like(samples))

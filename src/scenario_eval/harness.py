@@ -5,51 +5,41 @@ A run executes: world generation -> the three estimation strategies
 accuracy metrics, and writes a directory of CSV tables plus a manifest:
 
     world.csv              ground truth per location and scenario point
-    projections.csv        per (model, location, scenario point) projections
+    projections.csv        per (model, location, scenario point) projections;
+                           the coverage and truth are world.csv's
     approach_estimates.csv quantile summaries of every estimated distribution
     report.csv             MAE-of-means and KS test per (approach, variant,
                            model, scenario)
     decomposition.csv      observed deviation split into calibration and
                            scenario-specification error per (model, location,
-                           scenario)
+                           scenario); the calibration error is the true error
     a1_deviation.csv       strategy-1 estimate accuracy vs scenario deviation
     implied_obs_ks.csv     KS of strategy-2 implied observations vs truth
     location_mae.csv       per-location estimate accuracy
     manifest.json          config hash, seed, version, file digests
 
+A per-location value is written to one data file only: the coverage and
+truth of a scenario point are ``world.csv``'s, the per-location estimates
+``approach_estimates.csv``'s means and the true errors
+``decomposition.csv``'s ``calibration_error``; the other files leave them out.
 Everything a report number needs is recomputable from the data CSVs plus
 the seeded sampling procedure; re-running the same config produces byte
 identical data files.
 
-``evaluate`` scores strategy 1 whole and strategies 2 and 3 one model at a
-time: each model's distributions go to the scorer as soon as they are drawn
-(``approaches``' ``consume`` callback), which turns them into table rows,
-the KS test of each pooled vector reading the sorted copy its summary was
-made from, and drops them before the next model is drawn. So a run holds
-one model's samples at a time. Each strategy's rows, its variants in
-order, go to the run's ``ReportWriter`` in one batch, and a run keeps no
-row it has handed over. The ``EvaluationReport`` it returns holds
-``report.csv``'s rows, which ``scenario-eval run`` prints, and no strategy
-result. Callers who want the distributions themselves call the strategy
-functions of ``approaches``.
+``evaluate`` scores each strategy's distributions as they are drawn, one
+model at a time for strategies 2 and 3, and hands the rows to the run's
+``ReportWriter``, keeping only ``report.csv``'s, which ``scenario-eval run``
+prints. Callers who want the distributions themselves call the strategy
+functions of ``approaches``. The writer appends each batch in a forked
+background process (``fanout.Chain``), in order, and serially where
+``fanout`` runs serially; which process writes a batch changes none of the
+bytes. The manifest is written last, and a run removes an old one before
+its first write, so a run that fails leaves none.
 
 This module alone owns the table format. Row values are ``int``, ``float``
 or ``str`` (flags "true"/"false", missing values ""), never numpy scalars,
 and go straight to ``csv.writer.writerows``: floats by ``repr``, the rest
-by ``str``. One ``ReportWriter`` writes them. ``run`` hands it
-``world.csv`` and ``projections.csv`` as soon as the world is generated and
-each strategy's rows as soon as they are built. Every batch is appended in a
-forked background process (``fanout.Chain``) while the next strategy is
-estimated; each append waits for the one before it, so every file keeps its
-row order. ``write_report`` then builds ``decomposition.csv``, and the
-calling process writes it while the last append drains and only then waits
-for the appends; should the writing or the wait fail, it removes
-``decomposition.csv`` again, so the directory holds what a serial run that
-failed there would hold. The calling process then digests the data files
-for the manifest. All of it runs serially where ``fanout`` does, and which
-process writes a batch changes none of the bytes. The manifest is written
-last, and a run removes an old one before its first write, so a run that
-fails leaves none.
+by ``str``.
 """
 
 from __future__ import annotations
@@ -239,31 +229,28 @@ def load_settings(path) -> RunSettings:
 
 @dataclass(frozen=True)
 class EvaluationReport:
-    """In-memory result of a run: its inputs, the true errors and
-    ``report.csv``'s rows. Every other table went to the writer as it was
-    built, and no strategy result is kept: each model's distributions are
-    scored as soon as they are drawn and then released."""
+    """In-memory result of a run: its inputs and ``report.csv``'s rows.
+    Every other table went to the writer as it was built, and no strategy
+    result is kept: each model's distributions are scored as soon as they
+    are drawn and then released."""
 
     settings: RunSettings
     world: world_gen.TrueWorld
     ensemble: world_gen.ModelEnsemble
-    true_errors: np.ndarray
     report_rows: list
 
 
 def evaluate(settings: RunSettings, writer: ReportWriter) -> EvaluationReport:
-    """Run the whole experiment, handing its tables to ``writer``.
-
-    ``writer`` is handed ``world.csv`` and ``projections.csv`` once the world
-    is generated, then one batch per strategy: the rows of its variants in
-    ``approaches.VARIANTS``, once they are built. Strategy 1 is scored whole;
-    strategies 2 and 3 hand each model's distributions to the scorer as they
-    are built, which turns them into rows and drops them, so only one
-    model's samples are alive at a time. Only ``report.csv``'s rows are kept,
-    in ``VARIANTS`` order, for the report."""
+    """Run the whole experiment, handing its tables to ``writer``:
+    ``world.csv`` and ``projections.csv`` once the world is generated, then
+    one batch per strategy, the rows of its variants in
+    ``approaches.VARIANTS``. Strategies 2 and 3 hand each model's
+    distributions to the scorer as they are built, which turns them into
+    rows and drops them, so only one model's samples are alive at a time."""
     config = settings.experiment
     world, ensemble = world_gen.generate(config)
-    writer.add(_world_tables(world, ensemble))
+    writer.add({"world.csv": _world_rows(world),   # rows made while written
+                "projections.csv": _projection_rows(world, ensemble)})
     errs = world_gen.true_errors(world, ensemble)
     spec = SplineSpec(basis_dim=settings.basis_dim)
     true_errors = errs.tolist()   # [m][l][j], once for every builder call
@@ -304,7 +291,7 @@ def evaluate(settings: RunSettings, writer: ReportWriter) -> EvaluationReport:
         del batch   # else its rows stay alive through the next strategy
 
     return EvaluationReport(settings=settings, world=world, ensemble=ensemble,
-                            true_errors=errs, report_rows=report_rows)
+                            report_rows=report_rows)
 
 
 REPORT_HEADER = ("approach", "variant", "model_id", "scenario_index", "scenario_x",
@@ -345,11 +332,8 @@ def _plausible_points(result):
             yield m, j, l, errors[l]
 
 
-def _summary(dist):
-    """(mean, median, q25, q75, q05, q95, n_samples) of a distribution."""
-    s = dist.summary
-    return (s.mean, s.median, s.q25, s.q75, s.q05, s.q95, s.n_samples)
-
+# (mean, median, q25, q75, q05, q95, n_samples) of a DistributionSummary.
+_SUMMARY = itemgetter(0, 1, 3, 4, 2, 5, 6)
 
 ESTIMATE_HEADER = ("approach", "variant", "model_id", "scenario_index",
                    "location_id", "mean", "median", "q25", "q75", "q05", "q95",
@@ -361,19 +345,19 @@ def _estimate_rows(approach_id, variant, result):
     rows = []
     for (m, j), dist in sorted(result.pooled.items()):
         if dist is not None:
-            rows.append((approach_id, variant, m, j, POOLED) + _summary(dist))
+            rows.append((approach_id, variant, m, j, POOLED) + _SUMMARY(dist.summary))
     if approach_id == APPROACH_PLAUSIBLE:
         for m, j, l, e in _plausible_points(result):
             rows.append((approach_id, variant, m, j, l, e, e, e, e, e, e, 1))
     else:   # inserted in (m, j, l) order by approaches._distributions
         for (m, j, l), dist in result.per_location.items():
-            rows.append((approach_id, variant, m, j, l) + _summary(dist))
+            rows.append((approach_id, variant, m, j, l) + _SUMMARY(dist.summary))
     return rows
 
 
-DECOMPOSITION_HEADER = ("model_id", "location_id", "scenario_index", "projected",
-                        "counterfactual_obs", "realized_obs", "observed_deviation",
-                        "calibration_error", "scenario_spec_error", "total_error")
+DECOMPOSITION_HEADER = ("model_id", "location_id", "scenario_index",
+                        "observed_deviation", "calibration_error",
+                        "scenario_spec_error", "total_error")
 
 
 def _decomposition_rows(world, ensemble):
@@ -388,8 +372,7 @@ def _decomposition_rows(world, ensemble):
 
 
 A1_DEVIATION_HEADER = ("model_id", "location_id", "plausible_scenario",
-                       "deviation", "estimated_error", "true_error",
-                       "abs_difference")
+                       "deviation", "abs_difference")
 
 
 def _a1_deviation_rows(true_errors, approach_id, variant, result):
@@ -397,12 +380,9 @@ def _a1_deviation_rows(true_errors, approach_id, variant, result):
     the true error array as nested lists."""
     if approach_id != APPROACH_PLAUSIBLE:
         return []
-    deviation = result.selection.deviation
-    rows = []
-    for m, j, l, est in _plausible_points(result):
-        true = true_errors[m][l][j]
-        rows.append((m, l, j, float(deviation[l]), est, true, abs(est - true)))
-    return rows
+    deviation = result.selection.deviation.tolist()
+    return [(m, l, j, deviation[l], abs(est - true_errors[m][l][j]))
+            for m, j, l, est in _plausible_points(result)]
 
 
 IMPLIED_OBS_HEADER = ("variant", "model_id", "scenario_index", "ks_d",
@@ -416,6 +396,7 @@ def _implied_obs_rows(world, ensemble, approach_id, variant, result):
     rows = []
     for m, j in sorted(result.pooled):
         implied = approaches.implied_observations(result, ensemble, world, m, j)
+        implied.sort()   # in place: the KS test then needs no sorted copy
         ks = metrics.ks_two_sample(implied, world.y_counterfactual[:, j])
         rows.append((variant, m, j, ks.statistic, ks.critical_value,
                      "true" if ks.significant else "false"))
@@ -423,7 +404,7 @@ def _implied_obs_rows(world, ensemble, approach_id, variant, result):
 
 
 LOCATION_MAE_HEADER = ("approach", "variant", "model_id", "scenario_index",
-                       "location_id", "est_mean", "true_error", "abs_difference")
+                       "location_id", "abs_difference")
 
 
 def _location_mae_rows(true_errors, approach_id, variant, result):
@@ -433,48 +414,45 @@ def _location_mae_rows(true_errors, approach_id, variant, result):
     else:
         estimates = ((m, j, l, dist.summary.mean)
                      for (m, j, l), dist in result.per_location.items())
-    rows = []
-    for m, j, l, est in estimates:
-        true = true_errors[m][l][j]
-        rows.append((approach_id, variant, m, j, l, est, true, abs(est - true)))
-    return rows
+    return [(approach_id, variant, m, j, l, abs(est - true_errors[m][l][j]))
+            for m, j, l, est in estimates]
 
 
 WORLD_HEADER = ("location_id", "r0_true", "alpha_true", "x_kind", "x_value",
                 "y_value")
 
 
-def _scenario_points(world):
-    """Per location, the (x_kind, x_value, true y) of each modeled scenario
-    and then of the realized coverage."""
-    L, S = world.n_locations, world.n_scenarios
-    kinds = (["scenario_low", "scenario_high"] if S == 2
-             else [f"scenario_{j}" for j in range(S)]) + ["realized"]
-    x = np.column_stack([np.broadcast_to(world.scenario_values, (L, S)), world.x_realized])
-    y = np.column_stack([world.y_counterfactual, world.y_observed])
-    return [list(zip(kinds, xs, ys)) for xs, ys in zip(x.tolist(), y.tolist())]
+def _x_kinds(n_scenarios: int) -> list:
+    """The x_kind of each modeled scenario point, then of the realized one."""
+    return (["scenario_low", "scenario_high"] if n_scenarios == 2
+            else [f"scenario_{j}" for j in range(n_scenarios)]) + ["realized"]
 
 
 def _world_rows(world):
+    """Per location, the (x_kind, x_value, true y) of each modeled scenario
+    and then of the realized coverage."""
+    L, S = world.n_locations, world.n_scenarios
+    x = np.column_stack([np.broadcast_to(world.scenario_values, (L, S)), world.x_realized])
+    y = np.column_stack([world.y_counterfactual, world.y_observed])
+    kinds = _x_kinds(S)
     r0, alpha = world.r0_true.tolist(), world.alpha_true.tolist()
-    for l, points in enumerate(_scenario_points(world)):
-        for point in points:
+    for l, (xs, ys) in enumerate(zip(x.tolist(), y.tolist())):
+        for point in zip(kinds, xs, ys):
             yield (l, r0[l], alpha[l]) + point
 
 
-PROJECTIONS_HEADER = ("model_id", "location_id", "x_kind", "x_value",
-                      "y_projected", "y_observed_or_counterfactual")
+PROJECTIONS_HEADER = ("model_id", "location_id", "x_kind", "y_projected")
 
 
 def _projection_rows(world, ensemble):
     """Each model's projection at every scenario point of every location;
     its honest reprojection at the realized one."""
-    points = _scenario_points(world)
+    kinds = _x_kinds(world.n_scenarios)
     modeled = np.concatenate([ensemble.projections, ensemble.reprojection[..., None]], axis=2)
     for m, per_location in enumerate(modeled.tolist()):
         for l, ys in enumerate(per_location):
-            for (kind, x, y), y_model in zip(points[l], ys):
-                yield (m, l, kind, x, y_model, y)
+            for kind, y_model in zip(kinds, ys):
+                yield (m, l, kind, y_model)
 
 
 # The files each strategy's batch adds rows to, in the order they are built.
@@ -491,12 +469,6 @@ _HEADERS = {
     "implied_obs_ks.csv": IMPLIED_OBS_HEADER,
     "location_mae.csv": LOCATION_MAE_HEADER,
 }
-
-def _world_tables(world, ensemble) -> dict:
-    """``world.csv`` and ``projections.csv``; the rows are made while
-    written, never held whole."""
-    return {"world.csv": _world_rows(world),
-            "projections.csv": _projection_rows(world, ensemble)}
 
 
 def _append(parts) -> None:

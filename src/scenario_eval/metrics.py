@@ -34,9 +34,6 @@ from .errors import ParameterDomainError
 
 @dataclass(frozen=True)
 class Decomposition:
-    projected: float
-    counterfactual_obs: float
-    realized_obs: float
     observed_deviation: float
     calibration_error: float
     scenario_spec_error: float
@@ -53,9 +50,6 @@ def decompose(projected, counterfactual_obs, realized_obs) -> Decomposition:
     calibration = projected - counterfactual_obs
     scenario_spec = counterfactual_obs - realized_obs
     return Decomposition(
-        projected=projected,
-        counterfactual_obs=counterfactual_obs,
-        realized_obs=realized_obs,
         observed_deviation=projected - realized_obs,
         calibration_error=calibration,
         scenario_spec_error=scenario_spec,

@@ -12,18 +12,18 @@ identical reports yield byte-identical files:
 The SVG is hand assembled (fixed coordinate formatting, no timestamps or
 generated ids) to keep output deterministic.
 
-Each of the five source files (``approach_estimates.csv``, ``report.csv``
-and ``decomposition.csv``, plus ``world.csv`` and ``projections.csv`` for the
-true errors) is read once, in one streaming pass that checks the field count
-of every row, the rows a figure drops included, and keeps only the columns
-that figure draws, as tuples of strings. A missing
-file, column or row, a row with a missing or extra field, a field over
-``csv``'s size limit, an unparsable or non-finite (nan, inf) number in a
-drawn column, or a ``scenario_index`` outside ``[0, n_scenarios)`` raises
-ConfigError naming the file. For a
-pooled estimate ``n_scenarios`` is the number of scenario kinds in
-``projections.csv``; for ``report.csv`` and ``decomposition.csv`` it is the
-number of distinct indices the file holds.
+Each of the four source files is read once, in one streaming pass that
+checks the field count of every row, the rows a figure drops included, and
+keeps only the columns a figure draws, as tuples of strings.
+``decomposition.csv`` serves two figures: its ``calibration_error`` is the
+true error of the density figure, whose panels ``world.csv``'s ``x_kind``
+labels. A missing file, column or row, a row with a missing or extra field, a
+field over ``csv``'s size limit, an unparsable or non-finite (nan, inf)
+number in a drawn column, a ``scenario_index`` outside ``[0, n_scenarios)``,
+a scenario without ``decomposition.csv`` rows, or ``world.csv`` locations
+that list different scenario kinds raises ConfigError naming the file.
+``n_scenarios`` is the number of scenario kinds each location lists in
+``world.csv``, except for ``report.csv``: the distinct indices it holds.
 """
 
 from __future__ import annotations
@@ -82,16 +82,9 @@ def _read_csv(path: Path, columns: tuple[str, ...], where=None) -> list[tuple]:
         return kept
 
 
-def _number(text: str) -> float:
-    """A drawn value: ``text`` as a float, where nan or inf raises ValueError."""
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(f"non-finite value {text!r}")
-    return value
-
-
-def _finite(values: np.ndarray) -> np.ndarray:
-    """``values``, where a nan or inf among them raises ValueError."""
+def _finite(values):
+    """``values`` (a float or an array), where a nan or inf among them raises
+    ValueError."""
     if not np.isfinite(values).all():
         raise ValueError("non-finite value")
     return values
@@ -162,41 +155,53 @@ def _density(samples: np.ndarray, grid: np.ndarray) -> np.ndarray:
     return _finite(dens)
 
 
-def _true_error_table(report_dir: Path) -> dict:
-    """Recompute true errors per (model, scenario) from the data CSVs."""
-    world_path = report_dir / "world.csv"
-    with _reading(world_path):
-        counterfactual = {
-            (int(location), kind): _number(y)
-            for location, kind, y in _read_csv(world_path, ("location_id", "x_kind", "y_value"))
-            if kind.startswith("scenario")}
-    if not counterfactual:
-        raise ConfigError("no scenario rows", str(world_path))
-    projections_path = report_dir / "projections.csv"
-    errors: dict = {}
-    with _reading(projections_path):
-        for model, location, kind, projected in _read_csv(
-                projections_path, ("model_id", "location_id", "x_kind", "y_projected")):
-            if kind.startswith("scenario"):
-                errors.setdefault((int(model), kind), []).append(
-                    float(projected) - counterfactual[(int(location), kind)])
-        if not errors:
-            raise ConfigError("no scenario rows", str(projections_path))
-        return {key: _finite(np.asarray(vals)) for key, vals in errors.items()}
+def _scenario_kinds(path: Path) -> list[str]:
+    """The scenario x_kinds of ``world.csv``, in file order, which every
+    location must list alike; the realized rows are left out."""
+    listed: dict = {}
+    for location, kind in _read_csv(path, ("location_id", "x_kind")):
+        if kind.startswith("scenario"):
+            listed.setdefault(location, []).append(kind)
+    distinct = set(map(tuple, listed.values()))
+    if len(distinct) != 1:
+        raise ValueError(f"locations list different scenario kinds {sorted(distinct)}"
+                         if distinct else "no scenario rows")
+    return list(distinct.pop())
 
 
-def plot_error_densities(report_dir: Path, out_path: Path) -> None:
+# decomposition.csv's drawn columns, with their colours in its figure.
+COMPONENTS = (("calibration_error", "#30609e"), ("scenario_spec_error", "#c05090"),
+              ("observed_deviation", "#777777"), ("total_error", "#202020"))
+
+
+def _components(path: Path, n_scenarios: int) -> list[list[np.ndarray]]:
+    """Per scenario index in ``[0, n_scenarios)``, one finite vector per
+    COMPONENTS column of ``decomposition.csv``, in file order; an index
+    outside that range or one without rows raises ValueError."""
+    groups: dict = {}   # scenario -> its rows, in file order
+    for j, *values in _read_csv(path, ("scenario_index", *(name for name, _ in COMPONENTS))):
+        groups.setdefault(int(j), []).append(values)
+    _check_scenarios(groups, n_scenarios)
+    if len(groups) < n_scenarios:
+        raise ValueError(f"no rows for scenario_index {min(set(range(n_scenarios)) - set(groups))}")
+    # One contiguous vector per component, in file order, so each mean
+    # keeps the pairwise summation, and the bits, of np.mean over a list.
+    return [[_finite(np.array(list(map(float, column)))) for column in zip(*groups[j])]
+            for j in range(n_scenarios)]
+
+
+def plot_error_densities(report_dir: Path, out_path: Path, kinds: list[str],
+                         true_errors: list[np.ndarray]) -> None:
+    """Panel j, labelled ``kinds[j]``: pooled estimates vs ``true_errors[j]``."""
     pooled = _read_csv(report_dir / "approach_estimates.csv",
                        ("approach", "variant", "scenario_index", "mean", "q05", "q95"),
                        where=("location_id", "-1"))
-    true_errors = _true_error_table(report_dir)
-    kinds = list(dict.fromkeys(kind for _, kind in true_errors))   # file order
     n_panels = len(kinds)
     # (mean, q05, q95) of each pooled row, per (approach, variant, scenario).
     estimates: dict = {}
     for approach, variant, j, *summary in pooled:
         estimates.setdefault((approach, variant, int(j)), []).append(
-            tuple(map(_number, summary)))
+            tuple(_finite(float(value)) for value in summary))
     _check_scenarios({j for _, _, j in estimates}, n_panels)
 
     # Pooled estimate summaries approximate each variant's density through a
@@ -204,7 +209,7 @@ def plot_error_densities(report_dir: Path, out_path: Path) -> None:
     # averaged over models. That keeps this plot a pure function of the CSVs.
     body = []
     panel_w = (WIDTH - MARGIN_L - MARGIN_R) / n_panels
-    all_true = np.concatenate(list(true_errors.values()))
+    all_true = np.concatenate(true_errors)
     lo = float(all_true.min()) - 0.05
     hi = float(all_true.max()) + 0.05
     grid = np.linspace(lo, hi, 241)
@@ -217,10 +222,8 @@ def plot_error_densities(report_dir: Path, out_path: Path) -> None:
         def to_x(v):
             return x0 + (v - lo) / (hi - lo) * (x1 - x0)
 
-        truth = np.concatenate([vals for (m, k), vals in true_errors.items()
-                                if k == kind])
-        with _reading(report_dir / "projections.csv"):
-            curves = [(TRUE_COLOR, _density(truth, grid), "true")]
+        with _reading(report_dir / "decomposition.csv"):
+            curves = [(TRUE_COLOR, _density(true_errors[panel], grid), "true")]
         for approach, variant, color in VARIANT_ORDER:
             rows = estimates.get((approach, variant, panel))
             if not rows:
@@ -267,7 +270,7 @@ def plot_accuracy_summary(report_dir: Path, out_path: Path) -> None:
     models = [int(row[2]) for row in rows]
     scenarios = [int(row[3]) for row in rows]
     # Each score column as floats, None where the report leaves it empty.
-    scores = {name: [None if row[k] == "" else _number(row[k]) for row in rows]
+    scores = {name: [None if row[k] == "" else _finite(float(row[k])) for row in rows]
               for k, name in enumerate(("mae_of_means", "ks_d", "ks_critical"), 4)}
     distinct = set(scenarios)
     _check_scenarios(distinct, len(distinct))
@@ -323,34 +326,20 @@ def plot_accuracy_summary(report_dir: Path, out_path: Path) -> None:
                         encoding="utf-8")
 
 
-def plot_decomposition(report_dir: Path, out_path: Path) -> None:
-    path = report_dir / "decomposition.csv"
-    components = (("calibration_error", "#30609e"), ("scenario_spec_error", "#c05090"),
-                  ("observed_deviation", "#777777"), ("total_error", "#202020"))
-    groups: dict = {}   # scenario -> its rows, in file order
-    for row in _read_csv(path, ("scenario_index", *(name for name, _ in components))):
-        groups.setdefault(int(row[0]), []).append(row)
-    if not groups:
-        raise ConfigError("no rows", str(path))
-    _check_scenarios(groups, len(groups))
-    scenarios = sorted(groups)
+def plot_decomposition(out_path: Path, components: list[list[np.ndarray]]) -> None:
+    """One panel per scenario: the mean absolute value of each component."""
     body = []
-    panel_w = (WIDTH - MARGIN_L - MARGIN_R) / len(scenarios)
-    values = {}
-    for j in scenarios:
-        # One contiguous vector per component, in file order, so each mean
-        # keeps the pairwise summation, and the bits, of np.mean over a list.
-        columns = (_finite(np.array(list(map(float, column))))
-                   for column in list(zip(*groups[j]))[1:])
-        values[j] = [float(_finite(np.mean(np.abs(column)))) for column in columns]
-    vmax = max(max(v) for v in values.values()) * 1.2 or 1.0
+    panel_w = (WIDTH - MARGIN_L - MARGIN_R) / len(components)
+    values = [[float(_finite(np.mean(np.abs(column)))) for column in columns]
+              for columns in components]
+    vmax = max(max(v) for v in values) * 1.2 or 1.0
     y0, y1 = HEIGHT - MARGIN_B, MARGIN_T + 16.0
-    for p, j in enumerate(scenarios):
-        x0 = MARGIN_L + p * panel_w
+    for j, row in enumerate(values):
+        x0 = MARGIN_L + j * panel_w
         x1 = x0 + panel_w - 50.0
-        bar_w = (x1 - x0) / len(components) * 0.7
-        for k, ((name, color), value) in enumerate(zip(components, values[j])):
-            x = x0 + (k + 0.15) / len(components) * (x1 - x0)
+        bar_w = (x1 - x0) / len(COMPONENTS) * 0.7
+        for k, ((name, color), value) in enumerate(zip(COMPONENTS, row)):
+            x = x0 + (k + 0.15) / len(COMPONENTS) * (x1 - x0)
             h = value / vmax * (y0 - y1)
             body.append(f'<rect x="{_fmt(x)}" y="{_fmt(y0 - h)}" '
                         f'width="{_fmt(bar_w)}" height="{_fmt(h)}" fill="{color}"/>')
@@ -368,15 +357,24 @@ def plot_report_dir(report_dir, out_dir=None) -> list[Path]:
     report_dir = Path(report_dir)
     out = Path(out_dir) if out_dir is not None else report_dir
     out.mkdir(parents=True, exist_ok=True)
+    world, decomposition = report_dir / "world.csv", report_dir / "decomposition.csv"
+    with _reading(world):
+        kinds = _scenario_kinds(world)
+    with _reading(decomposition):
+        components = _components(decomposition, len(kinds))
+    true_errors = [columns[0] for columns in components]   # calibration_error
     written = []
-    for name, fn, source in (
-            ("error_densities.svg", plot_error_densities, "approach_estimates.csv"),
-            ("accuracy_summary.svg", plot_accuracy_summary, "report.csv"),
-            ("decomposition.svg", plot_decomposition, "decomposition.csv")):
+    for name, source, draw in (
+            ("error_densities.svg", "approach_estimates.csv",
+             lambda path: plot_error_densities(report_dir, path, kinds, true_errors)),
+            ("accuracy_summary.svg", "report.csv",
+             lambda path: plot_accuracy_summary(report_dir, path)),
+            ("decomposition.svg", "decomposition.csv",
+             lambda path: plot_decomposition(path, components))):
         path = out / name
         # A huge finite value can overflow to inf or nan, which the checks
         # reject, so numpy need not warn of it.
         with _reading(report_dir / source), np.errstate(over="ignore", invalid="ignore"):
-            fn(report_dir, path)
+            draw(path)
         written.append(path)
     return written

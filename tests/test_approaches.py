@@ -424,6 +424,11 @@ class TestDistributionContainers:
         first = result.per_location[(0, 0, 0)].samples
         expected = ensemble.projections[0, 0, 0] - first
         assert implied[:first.size] == pytest.approx(expected, abs=1e-14)
+        # Every chunk, with the bits of subtracting a repeated projection.
+        samples = result.pooled[(0, 0)].samples
+        counts = approaches._sample_counts(samples.size, world.n_locations)
+        repeated = np.repeat(ensemble.projections[0, :, 0], counts) - samples
+        assert implied.tobytes() == repeated.tobytes()
 
 
 @pytest.mark.parametrize("infer", [infer_error_distribution, infer_observations])
@@ -431,28 +436,32 @@ class TestDistributionContainers:
 def test_consume_gets_each_model_as_it_is_built(medium_world, infer, include_covariate):
     # The parts handed to consume, model by model, hold exactly what the
     # collected result holds, with each pooled vector's sorted copy; the
-    # result returned alongside them holds no distribution.
+    # result returned alongside them holds no distribution. The next model
+    # reuses the arrays handed over, so each part is checked, and its
+    # samples copied, while consume runs.
     world, ensemble = medium_world
     collected = infer(world, ensemble, include_covariate, 500, seed=4)
-    parts = []
-    consumed = infer(world, ensemble, include_covariate, 500, seed=4,
-                     consume=lambda part, ordered: parts.append((part, ordered)))
-    assert consumed.pooled == {} and consumed.per_location == {}
-    assert len(parts) == ensemble.n_models
-    pooled, per_location = {}, {}
-    for m, (part, ordered) in enumerate(parts):
+    models, pooled, per_location = [], {}, {}
+
+    def consume(part, ordered):
         assert type(part) is type(collected)
-        assert {key[0] for key in part.pooled} == {m}
+        models.append({key[0] for key in part.pooled})
         assert ordered.keys() == part.pooled.keys()
         for key, dist in part.pooled.items():
             assert np.array_equal(ordered[key], np.sort(dist.samples))
-        pooled.update(part.pooled)
-        per_location.update(part.per_location)
+        for kept, dists in ((pooled, part.pooled), (per_location, part.per_location)):
+            for key, dist in dists.items():
+                assert not dist.samples.flags.writeable
+                kept[key] = (dist.samples.copy(), dist.summary)
+
+    consumed = infer(world, ensemble, include_covariate, 500, seed=4, consume=consume)
+    assert consumed.pooled == {} and consumed.per_location == {}
+    assert models == [{m} for m in range(ensemble.n_models)]
     for mine, theirs in ((pooled, collected.pooled),
                          (per_location, collected.per_location)):
         assert list(mine) == list(theirs)
-        assert all(np.array_equal(mine[key].samples, theirs[key].samples)
-                   and mine[key].summary == theirs[key].summary for key in theirs)
+        assert all(np.array_equal(mine[key][0], theirs[key].samples)
+                   and mine[key][1] == theirs[key].summary for key in theirs)
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"

@@ -21,23 +21,23 @@ from conftest import assert_no_child_processes, time_limit, use_cpus
 
 DEFAULT_DIGESTS = {
     "world.csv": "87cd5fb61e2e9c5078f23f9eb0b5271c30a431938b55b5b4035c70614cc0d6c6",
-    "projections.csv": "31fde3895406cd9d9a29c03c50e15ee8d577901a868a563eb9da66778009226e",
+    "projections.csv": "dfef766af4d8d72ea0b36575bc6d4fdc355a3ed4ac8a46a10a9616e4c7b6616e",
     "approach_estimates.csv": "d65d9be03303ac6f4db45fb1fa2eb3a61abe97828ea16eee0ef7a9270fa43eef",
     "report.csv": "071cfe21b24e7815aaadc053541dca655b46a2ee2d48f051ebacc38cc799b61e",
-    "decomposition.csv": "d6bcb55bc77dd7d7d511da7e74461d14d1fe25f61cd82314970c4851729442f8",
-    "a1_deviation.csv": "69e91d11a7104193fffe7a3337da349c0a4662dbf1263c8cc5b45eb2c73f52d9",
+    "decomposition.csv": "f55ec8c664aef46e07393aca72a29df6d98077589fb7bc5e85e3ea689180ca02",
+    "a1_deviation.csv": "1c9d54f98f15e859ddf64f628c6b1879ec8b8f81ace80f3d89ff7d553b23dc3e",
     "implied_obs_ks.csv": "6d404e9cd2e09e821eed67317ff1dd7c097f8c12f888d1592cfb608b120e6c7e",
-    "location_mae.csv": "4544f8d1fd46ef6fe96d47094ce1efda4286fc8d28127d1cb5405f247aefe415",
+    "location_mae.csv": "2d8ac00e4e8938cbee0a685882db4b9c9f9e5d6f7e3da127c9a7082669a2f247",
 }
 THREE_SCENARIO_DIGESTS = {
     "world.csv": "f84e18d00903960eac26c3a9d19e7dbe8235fea3cb0be0924ff0ba73ca8ab41b",
-    "projections.csv": "58a5c370d4354069e6483f1617a20612a119768e7cb4fbf343c5d601d6271388",
+    "projections.csv": "143cce38d9651c900044d010bd37d73d9f05ebeeebfc4f600ffc91800f9b74db",
     "approach_estimates.csv": "c7ea5ec0f0749e4bdbd64d3a1d1aec824c2ac5ac0a6eafedfafe9f80b92b20e2",
     "report.csv": "5d6a7f390644ed5ecfb927a84d7d4c2d237a5ada447a26a4adde9db2e32d5edc",
-    "decomposition.csv": "a5c97233d8394583bbe31978885e77b137ca979f4959be8f03ceb30d2b118286",
-    "a1_deviation.csv": "5a9d9d124d250a47bc202bde4cc1c23f977b1b6a14b549738f4409116aa08f98",
+    "decomposition.csv": "a58c4d8ff1ff75a875d366d7c5d57f5bf8a0d09c22496c218f2ca3681934e912",
+    "a1_deviation.csv": "388dc9f4b061de62ea437261b93821ebff000dbd055931930e7f3b9e3f34c0a9",
     "implied_obs_ks.csv": "8400da85b71a7e3e919d34eb0b3d27c321ea1534cdd0d2c41ec395b8e8239a48",
-    "location_mae.csv": "823a23285edbf5581675c9f9a25b7ce246d8afa20a826fd4c5778620df8f2453",
+    "location_mae.csv": "aed61d1303034ba31e8f6c3321caf599d97fc435d41a03b6f92432b737f4d4a2",
 }
 SVG_DIGESTS = {
     "default": {

@@ -173,6 +173,13 @@ plausibility_threshold = 0.08
         with pytest.raises(ConfigError):
             harness.load_settings(tmp_path / "nope.cfg")
 
+    def test_readme_report_files_list_the_written_columns(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+            encoding="utf-8")
+        listed = dict(re.findall(r"^\| `([a-z_0-9]+\.csv)` \| `([^`]*)`", readme, re.M))
+        assert listed == {name: ", ".join(harness._HEADERS[name])
+                          for name in harness.DATA_FILES}
+
     def test_basis_dim_below_cubic_exits_2_before_any_solve(self, tmp_path, monkeypatch,
                                                           capsys):
         def no_world(config):
@@ -260,22 +267,14 @@ class TestRunOutputs:
                 assert abs(observed - parts) <= 1e-12
 
     def test_report_recomputable_from_data_files(self, run_dir):
-        # true means in report.csv must be derivable from projections.csv +
-        # world.csv alone; estimate means from approach_estimates.csv.
+        # true means in report.csv must be derivable from decomposition.csv's
+        # calibration errors alone; estimate means from approach_estimates.csv.
         tmp, _, _ = run_dir
         out = tmp / "out"
-        with open(out / "world.csv", encoding="utf-8") as handle:
-            cf = {(int(r["location_id"]), r["x_kind"]): float(r["y_value"])
-                  for r in csv.DictReader(handle) if r["x_kind"] != "realized"}
-        with open(out / "projections.csv", encoding="utf-8") as handle:
-            true_means = {}
-            for r in csv.DictReader(handle):
-                if r["x_kind"] == "realized":
-                    continue
-                key = (int(r["model_id"]), r["x_kind"])
-                err = float(r["y_projected"]) - cf[(int(r["location_id"]), r["x_kind"])]
-                true_means.setdefault(key, []).append(err)
-        kind_of = {0: "scenario_low", 1: "scenario_high"}
+        true_means = {}
+        for r in _csv_rows(out / "decomposition.csv"):
+            true_means.setdefault((int(r["model_id"]), int(r["scenario_index"])),
+                                  []).append(float(r["calibration_error"]))
         with open(out / "approach_estimates.csv", encoding="utf-8") as handle:
             est_means = {(r["approach"], r["variant"], int(r["model_id"]),
                           int(r["scenario_index"])): float(r["mean"])
@@ -287,11 +286,78 @@ class TestRunOutputs:
                     continue
                 m = int(r["model_id"])
                 j = int(r["scenario_index"])
-                expected_true = np.mean(true_means[(m, kind_of[j])])
+                expected_true = np.mean(true_means[(m, j)])
                 assert float(r["true_mean"]) == pytest.approx(expected_true, abs=1e-12)
                 est = est_means[(r["approach"], r["variant"], m, j)]
                 assert float(r["mae_of_means"]) == pytest.approx(
                     abs(est - expected_true), abs=1e-12)
+
+
+    def test_dropped_columns_recomputable_bit_for_bit(self, run_dir):
+        # Each value a data file leaves out because another file holds it
+        # is recomputed from the files that remain, with the same bits as
+        # the run's own arrays.
+        tmp, _, report = run_dir
+        out, world, ensemble = tmp / "out", report.world, report.ensemble
+        kinds = harness._x_kinds(world.n_scenarios)
+        points = {(int(r["location_id"]), r["x_kind"]): (float(r["x_value"]),
+                                                          float(r["y_value"]))
+                  for r in _csv_rows(out / "world.csv")}
+        for (l, kind), (x, y) in points.items():
+            j = kinds.index(kind)
+            if kind == "realized":
+                assert (x, y) == (world.x_realized[l], world.y_observed[l])
+            else:
+                assert (x, y) == (world.scenario_values[j], world.y_counterfactual[l, j])
+        projected = {}
+        for r in _csv_rows(out / "projections.csv"):
+            m, l, j = int(r["model_id"]), int(r["location_id"]), kinds.index(r["x_kind"])
+            projected[(m, l, j)] = float(r["y_projected"])
+            modeled = (ensemble.reprojection[m, l] if r["x_kind"] == "realized"
+                       else ensemble.projections[m, l, j])
+            assert projected[(m, l, j)] == modeled
+        errs = world_gen.true_errors(world, ensemble)
+        calibration = {}
+        for r in _csv_rows(out / "decomposition.csv"):
+            m, l, j = (int(r[name]) for name in ("model_id", "location_id", "scenario_index"))
+            y_model = projected[(m, l, j)]
+            counterfactual = points[(l, kinds[j])][1]
+            realized = points[(l, "realized")][1]
+            calibration[(m, l, j)] = float(r["calibration_error"])
+            assert calibration[(m, l, j)] == y_model - counterfactual == errs[m, l, j]
+            assert float(r["scenario_spec_error"]) == counterfactual - realized
+            assert float(r["observed_deviation"]) == y_model - realized
+            assert float(r["total_error"]) == (abs(calibration[(m, l, j)])
+                                               + abs(counterfactual - realized))
+        located = {}   # per-location estimate means
+        for r in _csv_rows(out / "approach_estimates.csv"):
+            if r["location_id"] != "-1":
+                key = (r["approach"], r["variant"], *(int(r[name]) for name in (
+                    "model_id", "scenario_index", "location_id")))
+                located[key] = float(r["mean"])
+        mae_keys = []
+        for r in _csv_rows(out / "location_mae.csv"):
+            key = (r["approach"], r["variant"], *(int(r[name]) for name in (
+                "model_id", "scenario_index", "location_id")))
+            mae_keys.append(key)
+            assert float(r["abs_difference"]) == abs(
+                located[key] - calibration[(key[2], key[4], key[3])])
+        assert mae_keys == list(located)
+        a1_keys = []
+        for r in _csv_rows(out / "a1_deviation.csv"):
+            m, l, j = (int(r[name]) for name in ("model_id", "location_id",
+                                                 "plausible_scenario"))
+            a1_keys.append(("1", "plausible", m, j, l))
+            assert float(r["abs_difference"]) == abs(
+                located[("1", "plausible", m, j, l)] - calibration[(m, l, j)])
+            assert float(r["deviation"]) == abs(points[(l, "realized")][0]
+                                                - points[(l, kinds[j])][0])
+        assert sorted(a1_keys) == sorted(key for key in located if key[0] == "1")
+
+
+def _csv_rows(path):
+    with open(path, encoding="utf-8") as handle:
+        return list(csv.DictReader(handle))
 
 
 def small_world(**overrides):
@@ -306,17 +372,11 @@ class TestTables:
         rows = list(harness._projection_rows(world, ensemble))
         # one row per (model, location, scenario point + realized)
         assert len(rows) == 3 * 8 * (2 + 1)
+        assert {len(row) for row in rows} == {len(harness.PROJECTIONS_HEADER)}
         kinds = {row[2] for row in rows}
         assert kinds == {"scenario_low", "scenario_high", "realized"}
-        first = rows[0]
-        assert first[0] == 0 and first[1] == 0 and first[2] == "scenario_low"
-        assert first[3] == 0.30
-        assert first[4] == ensemble.projections[0, 0, 0]
-        assert first[5] == world.y_counterfactual[0, 0]
-        realized = rows[2]
-        assert realized[2] == "realized"
-        assert realized[4] == ensemble.reprojection[0, 0]
-        assert realized[5] == world.y_observed[0]
+        assert rows[0] == (0, 0, "scenario_low", ensemble.projections[0, 0, 0])
+        assert rows[2] == (0, 0, "realized", ensemble.reprojection[0, 0])
 
     def test_projection_rows_three_scenario_labels(self):
         world, ensemble = small_world(scenario_values=(0.2, 0.3, 0.4))
@@ -349,8 +409,7 @@ class TestTables:
                     d = metrics.decompose(float(ensemble.projections[m, l, j]),
                                           float(world.y_counterfactual[l, j]),
                                           float(world.y_observed[l]))
-                    expected.append((m, l, j, d.projected, d.counterfactual_obs,
-                                     d.realized_obs, d.observed_deviation,
+                    expected.append((m, l, j, d.observed_deviation,
                                      d.calibration_error, d.scenario_spec_error,
                                      d.total_error))
         assert repr(harness._decomposition_rows(world, ensemble)) == repr(expected)
@@ -636,12 +695,12 @@ class TestCli:
     @pytest.mark.parametrize("name, edit", [
         ("world.csv", lambda text: "garbage\n"),
         ("world.csv", lambda text: text.splitlines()[0] + "\n"),
-        ("projections.csv", lambda text: text.replace("\n0,0,", "\n0,999,", 1)),
+        ("decomposition.csv", _set_field("scenario_index", "2")),
         ("approach_estimates.csv", lambda text: text.replace(",-1,", ",-1,abc,", 1)),
         ("report.csv", lambda text: text.rsplit(",", 3)[0] + "\n"),
         ("decomposition.csv", lambda text: text.splitlines()[0] + "\n"),
         ("world.csv", lambda text: _cut_last_row(text, 2)),
-        ("projections.csv", lambda text: _cut_last_row(text, 2)),
+        ("decomposition.csv", lambda text: _cut_last_row(text, 2)),
         # A drawn value that is not finite, or a scenario index outside
         # [0, n_scenarios), which a pooled estimate would wrap to the last
         # scenario with; each edited row is one a figure draws.
@@ -652,14 +711,14 @@ class TestCli:
         ("approach_estimates.csv", _set_field("scenario_index", "-1", _pooled)),
         ("approach_estimates.csv", _set_field("scenario_index", "2", _pooled)),
         ("approach_estimates.csv", _set_field("q95", "nan", _pooled)),
-        ("world.csv", _set_field("y_value", "inf")),
-        ("projections.csv", _set_field("y_projected", "nan")),
+        ("world.csv", _set_field("x_kind", "scenario_typo")),
+        ("decomposition.csv", _set_field("calibration_error", "nan")),
         ("decomposition.csv", _set_field("total_error", "inf")),
         ("decomposition.csv", _set_field("scenario_index", "-1")),
         ("decomposition.csv", _set_field("scenario_index", "5")),
         # Finite, but the true errors' spread overflows: the density figure
         # would draw nan, and numpy warn, which the test config makes an error.
-        ("projections.csv", _set_field("y_projected", "1e308")),
+        ("decomposition.csv", _set_field("calibration_error", "1e308")),
         # Finite, but 1.15 times it, the accuracy panel's scale, is not.
         ("report.csv", _set_field("mae_of_means", "1.7e308")),
         # The density figure keeps only the pooled rows; the rows it drops
@@ -668,13 +727,14 @@ class TestCli:
          _set_field("n_samples", "1,2", lambda row: not _pooled(row))),
         # A field over the csv module's size limit (131,072 characters).
         ("report.csv", lambda text: _append_to_line(text, 3, ',"' + "x" * 200_000 + '"')),
-    ], ids=["garbage_world", "empty_world", "unknown_location", "shifted_value",
-            "short_row", "no_rows", "short_world_row", "short_projection_row",
-            "inf_mae", "nan_ks_d", "inf_ks_critical", "negative_report_scenario",
-            "wrapped_pooled_scenario", "pooled_scenario_past_last", "nan_pooled_q95",
-            "inf_truth", "nan_projection", "inf_decomposition",
+    ], ids=["garbage_world", "empty_world", "decomposition_scenario_past_last",
+            "shifted_value", "short_row", "no_rows", "short_world_row",
+            "short_decomposition_row", "inf_mae", "nan_ks_d", "inf_ks_critical",
+            "negative_report_scenario", "wrapped_pooled_scenario",
+            "pooled_scenario_past_last", "nan_pooled_q95", "malformed_x_kind",
+            "nan_calibration_error", "inf_decomposition",
             "negative_decomposition_scenario", "decomposition_scenario_gap",
-            "huge_projection", "huge_mae", "extra_field_in_dropped_row",
+            "huge_calibration_error", "huge_mae", "extra_field_in_dropped_row",
             "overlong_field"])
     def test_malformed_report_exit_2(self, run_dir, tmp_path, capsys, name, edit):
         report = tmp_path / "report"
@@ -1024,9 +1084,25 @@ class TestPlots:
         monkeypatch.setattr(plots, "_read_csv", recorded)
         plots.plot_report_dir(plotted, tmp_path)
         assert sorted(path.name for path in paths) == sorted((
-            "approach_estimates.csv", "world.csv", "projections.csv", "report.csv",
-            "decomposition.csv"))
+            "approach_estimates.csv", "world.csv", "report.csv", "decomposition.csv"))
         assert all(path.parent == plotted and path.stat().st_size for path in paths)
+
+    def test_true_errors_drawn_are_world_gen_true_errors(self, run_dir, tmp_path,
+                                                         monkeypatch):
+        # The density figure's true errors, read from decomposition.csv,
+        # have the bits of world_gen.true_errors, scenario by scenario in
+        # (model, location) order, and its panels world.csv's scenario kinds.
+        tmp, _, report = run_dir
+        drawn = {}
+        monkeypatch.setattr(plots, "plot_error_densities",
+                            lambda report_dir, path, kinds, true_errors:
+                            drawn.update(kinds=kinds, true_errors=true_errors))
+        plots.plot_report_dir(tmp / "out", tmp_path)
+        errs = world_gen.true_errors(report.world, report.ensemble)
+        assert drawn["kinds"] == ["scenario_low", "scenario_high"]
+        assert len(drawn["true_errors"]) == errs.shape[2]
+        for j, truth in enumerate(drawn["true_errors"]):
+            assert truth.tobytes() == errs[:, :, j].ravel().tobytes()
 
     def test_replot_byte_identical(self, plotted, tmp_path):
         plots.plot_report_dir(plotted, tmp_path / "again")
