@@ -26,8 +26,13 @@ locations and, with the covariate, keeps per-location distributions as row
 views of it, which is therefore read-only. Sampling uses keyed
 substreams: strategy 2 keys include the model, strategy 3 deliberately does
 not, so a single set of inferred observations is shared by all models.
-Both build their distributions one model at a time and can hand each
-model's to a ``consume`` callback instead of the result (``_by_model``).
+Both build their distributions one model at a time (``_by_model``). By
+default every model's are collected into the result; a ``consume`` callback
+is handed each model's instead, with the sorted copy of each pooled vector,
+as soon as they are built, so a caller that scores and drops them holds one
+model's samples at a time (``harness.evaluate`` does). Every array either
+hands out is fresh, unless the caller lends ``sample_buffers``: the samples
+and sorts then go to those, and the next model overwrites them.
 
 Every distribution carries a ``DistributionSummary`` (mean and five
 quantiles). ``summarize_rows`` computes the summaries of a block of
@@ -315,8 +320,17 @@ def _distributions(m: int, j: int, samples: np.ndarray, counts: np.ndarray,
     return ordered
 
 
+def sample_buffers(n_scenarios: int, n_samples: int) -> list:
+    """Arrays to lend ``infer_error_distribution`` and ``infer_observations``
+    so that they draw and sort into the same memory for every model and
+    call, instead of freeing the arrays after each model and faulting the
+    heap in again: one (3, n_samples) array per scenario, the kept samples
+    in row 0 and their sorts in rows 1 and 2."""
+    return [np.empty((3, n_samples)) for _ in range(n_scenarios)]
+
+
 def _by_model(result, n_models: int, n_scenarios: int, samples_of,
-              counts: np.ndarray, consume):
+              counts: np.ndarray, consume, buffers):
     """Build the distributions of the samples ``samples_of(m, j, out)``
     writes to ``out``, in (m, j) order, one model at a time, into
     ``result``'s empty ``pooled`` and ``per_location`` dicts (the latter only
@@ -324,20 +338,18 @@ def _by_model(result, n_models: int, n_scenarios: int, samples_of,
 
     With ``consume``, each model's go to ``consume(part, ordered)`` instead:
     ``part`` is ``result`` holding that model's distributions only, and
-    ``ordered`` maps each of its (m, j) to the sorted pooled samples. These
-    arrays are buffers made once per call, one per scenario, that the next
-    model overwrites, so they are valid only until ``consume`` returns; fresh
-    ones would be freed after each model, and the heap shrink and fault in
-    again. Without ``consume`` the result keeps fresh arrays."""
-    n, rows = counts.sum(), 3 if result.include_covariate else 2
-    buffers = [np.empty((rows, n)) for _ in range(n_scenarios)] if consume else None
+    ``ordered`` maps each of its (m, j) to the sorted pooled samples.
+    ``out`` and the sorts' scratch rows are the scenario's ``buffers`` when
+    lent (``sample_buffers``), else fresh arrays, as the result or
+    ``consume`` may keep the samples and sorts."""
+    n = counts.sum()
     for m in range(n_models):
         part = replace(result, pooled={}, per_location={})
         located = part.per_location if result.include_covariate else None
         ordered = {}
         for j in range(n_scenarios):
-            kept, scratch = ((buffers[j][0], buffers[j][1:]) if consume
-                             else (np.empty(n), np.empty((rows - 1, n))))
+            kept, scratch = ((buffers[j][0], buffers[j][1:]) if buffers is not None
+                             else (np.empty(n), np.empty((2, n))))
             samples_of(m, j, kept)
             ordered[(m, j)] = _distributions(m, j, kept, counts, part.pooled,
                                              located, scratch)
@@ -353,7 +365,7 @@ def _by_model(result, n_models: int, n_scenarios: int, samples_of,
 def infer_error_distribution(world: TrueWorld, ensemble: ModelEnsemble,
                              include_covariate: bool, n_samples: int = 10_000,
                              seed: int = 0, spec: SplineSpec = SplineSpec(),
-                             consume=None) -> InferredErrorResult:
+                             consume=None, buffers=None) -> InferredErrorResult:
     """Strategy 2: regress realized-scenario errors on realized coverage.
 
     Fits one regression per model of e_m(x*) = reprojection - observation on
@@ -363,6 +375,10 @@ def infer_error_distribution(world: TrueWorld, ensemble: ModelEnsemble,
     budget is split equally across locations before pooling; without it, a
     single location-generic predictive distribution is sampled. Each model's
     distributions go to ``consume`` when it is given (see ``_by_model``).
+    With lent ``buffers`` (``sample_buffers(S, n_samples)``) the samples
+    and sorted copies handed to ``consume``, read-only as they are, are
+    overwritten by the next model, so the caller must copy what it keeps
+    before ``consume`` returns.
     """
     M, L, S = ensemble.n_models, world.n_locations, world.n_scenarios
     _check_budget(n_samples, L, include_covariate)
@@ -376,20 +392,20 @@ def infer_error_distribution(world: TrueWorld, ensemble: ModelEnsemble,
 
     counts = _sample_counts(n_samples, L)
 
-    def samples_of(m, j, out):
+    def samples_of(m, j, out):   # copied to out so that the fresh draw is freed at once
         rng = substream(seed, KIND_ERROR_SAMPLING, variant_key, m, j)
         out[...] = _draw(fits[m], float(world.scenario_values[j]), covariate, counts, rng)
 
     result = InferredErrorResult(include_covariate=include_covariate,
                                  realized_errors=realized_errors, fits=fits,
                                  pooled={}, per_location={})
-    return _by_model(result, M, S, samples_of, counts, consume)
+    return _by_model(result, M, S, samples_of, counts, consume, buffers)
 
 
 def infer_observations(world: TrueWorld, ensemble: ModelEnsemble,
                        include_covariate: bool, n_samples: int = 10_000,
                        seed: int = 0, spec: SplineSpec = SplineSpec(),
-                       consume=None) -> InferredObservationResult:
+                       consume=None, buffers=None) -> InferredObservationResult:
     """Strategy 3: estimate what would have been observed at each scenario.
 
     Fits one regression of the realized observations on realized coverage
@@ -398,7 +414,10 @@ def infer_observations(world: TrueWorld, ensemble: ModelEnsemble,
     that do not involve the model, and each model's error samples are its
     projections minus those shared samples, pooled across locations. Each
     model's distributions go to ``consume`` when it is given (see
-    ``_by_model``).
+    ``_by_model``). With lent ``buffers`` (``sample_buffers(S, n_samples)``)
+    the samples and sorted copies handed to ``consume``, read-only as they
+    are, are overwritten by the next model, so the caller must copy what it
+    keeps before ``consume`` returns.
     """
     M, L, S = ensemble.n_models, world.n_locations, world.n_scenarios
     _check_budget(n_samples, L, include_covariate)
@@ -421,7 +440,7 @@ def infer_observations(world: TrueWorld, ensemble: ModelEnsemble,
     result = InferredObservationResult(include_covariate=include_covariate,
                                        observation_fit=observation_fit,
                                        pooled={}, per_location={})
-    return _by_model(result, M, S, samples_of, counts, consume)
+    return _by_model(result, M, S, samples_of, counts, consume, buffers)
 
 
 def implied_observations(result: InferredErrorResult, ensemble: ModelEnsemble,

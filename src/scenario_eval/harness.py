@@ -26,20 +26,36 @@ Everything a report number needs is recomputable from the data CSVs plus
 the seeded sampling procedure; re-running the same config produces byte
 identical data files.
 
-``evaluate`` scores each strategy's distributions as they are drawn, one
-model at a time for strategies 2 and 3, and hands the rows to the run's
-``ReportWriter``, keeping only ``report.csv``'s, which ``scenario-eval run``
-prints. Callers who want the distributions themselves call the strategy
-functions of ``approaches``. The writer appends each batch in a forked
-background process (``fanout.Chain``), in order, and serially where
-``fanout`` runs serially; which process writes a batch changes none of the
-bytes. The manifest is written last, and a run removes an old one before
-its first write, so a run that fails leaves none.
+``evaluate`` scores strategy 1 whole and strategies 2 and 3 one model at a
+time: each model's distributions go to the scorer as soon as they are drawn
+(``approaches``' ``consume`` callback), which turns them into table rows,
+the KS test of each pooled vector reading the sorted copy its summary was
+made from, and drops them before the next model is drawn. So a run holds
+one model's samples at a time, drawn and sorted into buffers it lends to
+every strategy call (``approaches.sample_buffers``). Each strategy's rows,
+its variants in order, go to the run's ``ReportWriter`` in one batch, and a
+run keeps no row it has handed over. The ``EvaluationReport`` it returns
+holds ``report.csv``'s rows, which ``scenario-eval run`` prints, and no
+strategy result. Callers who want the distributions themselves call the
+strategy functions of ``approaches``.
 
 This module alone owns the table format. Row values are ``int``, ``float``
 or ``str`` (flags "true"/"false", missing values ""), never numpy scalars,
 and go straight to ``csv.writer.writerows``: floats by ``repr``, the rest
-by ``str``.
+by ``str``. One ``ReportWriter`` writes them. ``run`` hands it
+``world.csv`` and ``projections.csv`` as soon as the world is generated and
+each strategy's rows as soon as they are built. Every batch is appended in a
+forked background process (``fanout.Chain``) while the next strategy is
+estimated; each append waits for the one before it, so every file keeps its
+row order. ``write_report`` then builds ``decomposition.csv``, and the
+calling process writes it while the last append drains and only then waits
+for the appends; should the writing or the wait fail, it removes
+``decomposition.csv`` again, so the directory holds what a serial run that
+failed there would hold. The calling process then digests the data files
+for the manifest. All of it runs serially where ``fanout`` does, and which
+process writes a batch changes none of the bytes. The manifest is written
+last, and a run removes an old one before its first write, so a run that
+fails leaves none.
 """
 
 from __future__ import annotations
@@ -241,19 +257,24 @@ class EvaluationReport:
 
 
 def evaluate(settings: RunSettings, writer: ReportWriter) -> EvaluationReport:
-    """Run the whole experiment, handing its tables to ``writer``:
-    ``world.csv`` and ``projections.csv`` once the world is generated, then
-    one batch per strategy, the rows of its variants in
-    ``approaches.VARIANTS``. Strategies 2 and 3 hand each model's
-    distributions to the scorer as they are built, which turns them into
-    rows and drops them, so only one model's samples are alive at a time."""
+    """Run the whole experiment, handing its tables to ``writer``.
+
+    ``writer`` is handed ``world.csv`` and ``projections.csv`` once the world
+    is generated, then one batch per strategy: the rows of its variants in
+    ``approaches.VARIANTS``, once they are built. Strategy 1 is scored whole;
+    strategies 2 and 3 hand each model's distributions to the scorer as they
+    are built, which turns them into rows and drops them, so only one
+    model's samples are alive at a time. Only ``report.csv``'s rows are kept,
+    in ``VARIANTS`` order, for the report."""
     config = settings.experiment
     world, ensemble = world_gen.generate(config)
-    writer.add({"world.csv": _world_rows(world),   # rows made while written
-                "projections.csv": _projection_rows(world, ensemble)})
+    writer.add(_world_tables(world, ensemble))
     errs = world_gen.true_errors(world, ensemble)
     spec = SplineSpec(basis_dim=settings.basis_dim)
     true_errors = errs.tolist()   # [m][l][j], once for every builder call
+    # Lent to every call of strategies 2 and 3: ``score`` copies what it
+    # keeps into rows before the next model overwrites them.
+    buffers = approaches.sample_buffers(world.n_scenarios, settings.n_samples)
 
     report_rows = []
     # Strategies and builders are looked up at call time, so span wrappers
@@ -284,7 +305,7 @@ def evaluate(settings: RunSettings, writer: ReportWriter) -> EvaluationReport:
                          if approach_id == APPROACH_ERROR_REGRESSION
                          else approaches.infer_observations)
                 infer(world, ensemble, variant == VARIANT_COVARIATE,
-                      settings.n_samples, config.seed, spec, score)
+                      settings.n_samples, config.seed, spec, score, buffers)
             batch["approach_estimates.csv"] += located
         report_rows += batch["report.csv"]
         writer.add(batch)
@@ -332,8 +353,11 @@ def _plausible_points(result):
             yield m, j, l, errors[l]
 
 
-# (mean, median, q25, q75, q05, q95, n_samples) of a DistributionSummary.
-_SUMMARY = itemgetter(0, 1, 3, 4, 2, 5, 6)
+def _summary(dist):
+    """(mean, median, q25, q75, q05, q95, n_samples) of a distribution."""
+    s = dist.summary
+    return (s.mean, s.median, s.q25, s.q75, s.q05, s.q95, s.n_samples)
+
 
 ESTIMATE_HEADER = ("approach", "variant", "model_id", "scenario_index",
                    "location_id", "mean", "median", "q25", "q75", "q05", "q95",
@@ -345,13 +369,13 @@ def _estimate_rows(approach_id, variant, result):
     rows = []
     for (m, j), dist in sorted(result.pooled.items()):
         if dist is not None:
-            rows.append((approach_id, variant, m, j, POOLED) + _SUMMARY(dist.summary))
+            rows.append((approach_id, variant, m, j, POOLED) + _summary(dist))
     if approach_id == APPROACH_PLAUSIBLE:
         for m, j, l, e in _plausible_points(result):
             rows.append((approach_id, variant, m, j, l, e, e, e, e, e, e, 1))
     else:   # inserted in (m, j, l) order by approaches._distributions
         for (m, j, l), dist in result.per_location.items():
-            rows.append((approach_id, variant, m, j, l) + _SUMMARY(dist.summary))
+            rows.append((approach_id, variant, m, j, l) + _summary(dist))
     return rows
 
 
@@ -469,6 +493,13 @@ _HEADERS = {
     "implied_obs_ks.csv": IMPLIED_OBS_HEADER,
     "location_mae.csv": LOCATION_MAE_HEADER,
 }
+
+
+def _world_tables(world, ensemble) -> dict:
+    """``world.csv`` and ``projections.csv``; the rows are made while
+    written, never held whole."""
+    return {"world.csv": _world_rows(world),
+            "projections.csv": _projection_rows(world, ensemble)}
 
 
 def _append(parts) -> None:

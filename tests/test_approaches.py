@@ -436,32 +436,65 @@ class TestDistributionContainers:
 def test_consume_gets_each_model_as_it_is_built(medium_world, infer, include_covariate):
     # The parts handed to consume, model by model, hold exactly what the
     # collected result holds, with each pooled vector's sorted copy; the
-    # result returned alongside them holds no distribution. The next model
-    # reuses the arrays handed over, so each part is checked, and its
-    # samples copied, while consume runs.
+    # result returned alongside them holds no distribution.
     world, ensemble = medium_world
     collected = infer(world, ensemble, include_covariate, 500, seed=4)
-    models, pooled, per_location = [], {}, {}
-
-    def consume(part, ordered):
+    parts = []
+    consumed = infer(world, ensemble, include_covariate, 500, seed=4,
+                     consume=lambda part, ordered: parts.append((part, ordered)))
+    assert consumed.pooled == {} and consumed.per_location == {}
+    assert len(parts) == ensemble.n_models
+    pooled, per_location = {}, {}
+    for m, (part, ordered) in enumerate(parts):
         assert type(part) is type(collected)
-        models.append({key[0] for key in part.pooled})
+        assert {key[0] for key in part.pooled} == {m}
         assert ordered.keys() == part.pooled.keys()
         for key, dist in part.pooled.items():
             assert np.array_equal(ordered[key], np.sort(dist.samples))
-        for kept, dists in ((pooled, part.pooled), (per_location, part.per_location)):
-            for key, dist in dists.items():
-                assert not dist.samples.flags.writeable
-                kept[key] = (dist.samples.copy(), dist.summary)
-
-    consumed = infer(world, ensemble, include_covariate, 500, seed=4, consume=consume)
-    assert consumed.pooled == {} and consumed.per_location == {}
-    assert models == [{m} for m in range(ensemble.n_models)]
+        pooled.update(part.pooled)
+        per_location.update(part.per_location)
     for mine, theirs in ((pooled, collected.pooled),
                          (per_location, collected.per_location)):
         assert list(mine) == list(theirs)
-        assert all(np.array_equal(mine[key][0], theirs[key].samples)
-                   and mine[key][1] == theirs[key].summary for key in theirs)
+        assert all(np.array_equal(mine[key].samples, theirs[key].samples)
+                   and mine[key].summary == theirs[key].summary for key in theirs)
+
+
+@pytest.mark.parametrize("infer", [infer_error_distribution, infer_observations])
+@pytest.mark.parametrize("include_covariate", [False, True])
+def test_lent_buffers_hold_each_model_until_consume_returns(medium_world, infer,
+                                                           include_covariate):
+    # With sample_buffers lent, every part holds the collected result's
+    # distributions while consume runs. The next model then overwrites the
+    # lent arrays: samples or a sorted copy kept past consume read the last
+    # model's.
+    world, ensemble = medium_world
+    M, S = ensemble.n_models, world.n_scenarios
+    collected = infer(world, ensemble, include_covariate, 500, seed=4)
+    parts = []
+
+    def consume(part, ordered):
+        for kept, theirs in ((part.pooled, collected.pooled),
+                             (part.per_location, collected.per_location)):
+            assert all(np.array_equal(dist.samples, theirs[key].samples)
+                       and dist.summary == theirs[key].summary
+                       for key, dist in kept.items())
+        for key, dist in part.pooled.items():
+            assert np.array_equal(ordered[key], np.sort(dist.samples))
+        parts.append((part, ordered))
+
+    buffers = approaches.sample_buffers(S, 500)
+    infer(world, ensemble, include_covariate, 500, seed=4, consume=consume,
+          buffers=buffers)
+    assert len(parts) == M
+    first, ordered = parts[0]
+    for j in range(S):
+        last = collected.pooled[(M - 1, j)].samples
+        assert np.array_equal(ordered[(0, j)], np.sort(last))
+        assert not np.array_equal(ordered[(0, j)],
+                                  np.sort(collected.pooled[(0, j)].samples))
+        assert np.array_equal(first.pooled[(0, j)].samples, last)
+        assert np.shares_memory(first.pooled[(0, j)].samples, buffers[j])
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"

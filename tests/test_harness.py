@@ -550,6 +550,18 @@ def _append_to_line(text, index, suffix):
     return "\n".join(lines) + "\n"
 
 
+def _set_column(column, value):
+    """An edit of a report file's text that sets ``column`` to ``value`` in
+    every row."""
+    def edit(text):
+        lines = [line.split(",") for line in text.splitlines()]
+        at = lines[0].index(column)
+        for fields in lines[1:]:
+            fields[at] = value
+        return "\n".join(",".join(fields) for fields in lines) + "\n"
+    return edit
+
+
 def _set_field(column, value, match=lambda row: True):
     """An edit of a report file's text that sets ``column`` to ``value`` in
     the first row ``match`` accepts (a dict of the row's fields)."""
@@ -715,7 +727,8 @@ class TestCli:
         ("decomposition.csv", _set_field("calibration_error", "nan")),
         ("decomposition.csv", _set_field("total_error", "inf")),
         ("decomposition.csv", _set_field("scenario_index", "-1")),
-        ("decomposition.csv", _set_field("scenario_index", "5")),
+        # Every row in scenario 0: scenario 1 has none to draw.
+        ("decomposition.csv", _set_column("scenario_index", "0")),
         # Finite, but the true errors' spread overflows: the density figure
         # would draw nan, and numpy warn, which the test config makes an error.
         ("decomposition.csv", _set_field("calibration_error", "1e308")),
@@ -733,7 +746,7 @@ class TestCli:
             "negative_report_scenario", "wrapped_pooled_scenario",
             "pooled_scenario_past_last", "nan_pooled_q95", "malformed_x_kind",
             "nan_calibration_error", "inf_decomposition",
-            "negative_decomposition_scenario", "decomposition_scenario_gap",
+            "negative_decomposition_scenario", "decomposition_scenario_without_rows",
             "huge_calibration_error", "huge_mae", "extra_field_in_dropped_row",
             "overlong_field"])
     def test_malformed_report_exit_2(self, run_dir, tmp_path, capsys, name, edit):
