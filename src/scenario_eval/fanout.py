@@ -19,16 +19,14 @@ forked worker, whose siblings already hold the other CPUs) or
 when ``split`` returns fewer than two shares. Callers split their work so
 that results do not depend on how many shares it went into.
 
-A ``Chain`` runs calls one after another in forked background workers while
-the caller goes on: ``start(fn, arg)`` forks a worker for ``fn(arg)`` and
-returns. The worker first waits on a pipe until the worker started before it
-reports that its call returned; if that worker failed or was killed, it
-returns an error without calling ``fn``. So no call acts before the one
-started before it has succeeded, and none acts after it failed. ``join``
-returns the results in start order, or raises the exception of the first
-call that failed, after reaping every worker. Where ``fan_out`` would run
-serially, ``start`` joins the calls before it and then calls ``fn(arg)``
-itself.
+A ``Background`` runs one call at a time in a forked worker while the
+caller goes on: ``start(fn, arg)`` first waits for the call started before
+it, raising that call's failure, and then forks a worker for ``fn(arg)``
+and returns. So no call acts before the one started before it has
+succeeded, and none acts after it failed; calls in order cannot overlap,
+so a call forked any earlier would only wait. ``wait`` waits for the pending
+call and raises its failure. Where ``fan_out`` would run serially,
+``start`` calls ``fn(arg)`` itself.
 """
 
 from __future__ import annotations
@@ -70,72 +68,36 @@ def fan_out(fn, split) -> list:
     return _collect(workers) + [last]
 
 
-_DONE = b"\x01"   # what a chained worker writes to its successor once its call returned
-
-
-class Chain:
-    """Calls run one after another in background workers, in start order.
+class Background:
+    """At most one call at a time in a background worker, in start order.
 
     Use it as a context manager: leaving the block kills and reaps the
-    workers not yet joined, so an exception in the caller leaves no child
-    process behind."""
+    pending worker, so an exception in the caller leaves no child process
+    behind."""
 
     def __init__(self):
-        self._results = []   # results of the calls already run here or joined
-        self._workers = []   # (pid, result pipe) of the calls forked since
-        self._after = None   # read end of the last forked worker's _DONE pipe
+        self._pending = []   # (pid, result pipe) of the call not yet waited for
 
     def __enter__(self):
         return self
 
     def __exit__(self, *exc_info):
-        workers, self._workers = self._workers, []
-        _end(workers, kill=True)
-        self._close_after()
+        pending, self._pending = self._pending, []
+        _end(pending, kill=True)
 
     def start(self, fn, arg) -> None:
-        """Call ``fn(arg)`` once every call started before has returned:
-        in a forked worker, or here after joining them."""
+        """Wait for the call started before, then call ``fn(arg)``: in a
+        forked worker, or here where ``fan_out`` would run serially."""
+        self.wait()
         if _processes() == 1:
-            self._results += self._join_workers()
-            self._results.append(fn(arg))
-            return
-        after = self._after
-        done_read, done_write = os.pipe()
+            fn(arg)
+        else:
+            self._pending = [_fork(fn, arg)]
 
-        def call(arg):
-            if after is not None and os.read(after, 1) != _DONE:
-                raise WorkerError("not run: the call started before it failed")
-            result = fn(arg)
-            os.write(done_write, _DONE)
-            return result
-
-        try:
-            self._workers.append(_fork(call, arg))
-        except BaseException:
-            os.close(done_read)
-            raise
-        finally:
-            os.close(done_write)
-        self._close_after()
-        self._after = done_read
-
-    def join(self) -> list:
-        """Wait for every call started; their results in start order."""
-        results, self._results = self._results + self._join_workers(), []
-        return results
-
-    def _join_workers(self) -> list:
-        workers, self._workers = self._workers, []
-        try:
-            return _collect(workers)
-        finally:
-            self._close_after()
-
-    def _close_after(self):
-        if self._after is not None:
-            os.close(self._after)
-            self._after = None
+    def wait(self) -> None:
+        """Wait for the pending call; raise its failure."""
+        pending, self._pending = self._pending, []
+        _collect(pending)
 
 
 def _collect(workers) -> list:

@@ -42,20 +42,12 @@ strategy functions of ``approaches``.
 This module alone owns the table format. Row values are ``int``, ``float``
 or ``str`` (flags "true"/"false", missing values ""), never numpy scalars,
 and go straight to ``csv.writer.writerows``: floats by ``repr``, the rest
-by ``str``. One ``ReportWriter`` writes them. ``run`` hands it
+by ``str``. One ``ReportWriter`` writes them: ``run`` hands it
 ``world.csv`` and ``projections.csv`` as soon as the world is generated and
-each strategy's rows as soon as they are built. Every batch is appended in a
-forked background process (``fanout.Chain``) while the next strategy is
-estimated; each append waits for the one before it, so every file keeps its
-row order. ``write_report`` then builds ``decomposition.csv``, and the
-calling process writes it while the last append drains and only then waits
-for the appends; should the writing or the wait fail, it removes
-``decomposition.csv`` again, so the directory holds what a serial run that
-failed there would hold. The calling process then digests the data files
-for the manifest. All of it runs serially where ``fanout`` does, and which
-process writes a batch changes none of the bytes. The manifest is written
-last, and a run removes an old one before its first write, so a run that
-fails leaves none.
+each strategy's rows as soon as they are built, and ``write_report`` then
+hands it ``decomposition.csv`` and writes the manifest. Which process writes
+a batch, and when, is described once in README.md, "Report files"; it
+changes none of the bytes.
 """
 
 from __future__ import annotations
@@ -198,6 +190,8 @@ def load_settings(path) -> RunSettings:
             parser.read_file(handle)
     except OSError as exc:
         raise ConfigError(str(exc), str(path)) from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"not valid UTF-8 text ({exc.reason})", str(path)) from exc
     except configparser.Error as exc:
         raise ConfigError(str(exc).replace("\n", " "), str(path)) from exc
 
@@ -525,17 +519,17 @@ def _sha256(path: Path) -> str:
 class ReportWriter:
     """Writes the data files of one report directory, batch by batch.
 
-    A batch maps file names to rows. ``add`` hands each batch to one
-    background append (``fanout.Chain``) and returns; appends run in the
-    order they were handed, so each file keeps its row order. ``close``
-    writes ``decomposition.csv``, waits for the appends and returns every
-    data file's digest. Leaving a ``with`` block kills the appends still
-    running."""
+    A batch maps file names to rows. ``add`` waits for the append of the
+    batch before it, raising its failure, then starts this batch's append
+    in the background (``fanout.Background``) and returns; so each file
+    keeps its row order. ``close`` writes ``decomposition.csv``, waits for
+    the last append and returns every data file's digest. Leaving a
+    ``with`` block kills the append still running."""
 
     def __init__(self, out_dir):
         self.out = Path(out_dir)
         self._opened = set()  # files handed out with their header
-        self._appends = fanout.Chain()
+        self._appends = fanout.Background()
 
     def __enter__(self):
         return self
@@ -563,14 +557,14 @@ class ReportWriter:
 
     def close(self, decomposition) -> dict:
         """Write ``decomposition.csv``'s rows while the last append drains,
-        wait for the appends; the SHA-256 digest of each data file by name.
+        wait for it; the SHA-256 digest of each data file by name.
 
         If the writing or the wait fails, ``decomposition.csv`` is removed
         again, as a serial run that failed there would not have written it."""
         path = self.out / "decomposition.csv"
         try:
             _append(self._parts({path.name: decomposition}))
-            self._appends.join()
+            self._appends.wait()
         except BaseException:
             if path.is_file():   # a directory in its place stays
                 path.unlink()

@@ -1,5 +1,5 @@
-"""The fork fan-out helpers: results in share or start order, errors, and
-reaping."""
+"""The fork fan-out helpers: results in share order, calls in start order,
+errors, and reaping."""
 
 import os
 import signal
@@ -17,6 +17,18 @@ from conftest import assert_no_child_processes, time_limit, use_cpus
 
 def _forbidden_fork():
     raise AssertionError("forked on a serial path")
+
+
+def _counting_forks(monkeypatch):
+    """The pids of the processes that called ``os.fork`` from now on."""
+    forks, real_fork = [], os.fork
+
+    def counting_fork():
+        forks.append(os.getpid())
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return forks
 
 
 def test_results_come_back_in_share_order(monkeypatch):
@@ -80,13 +92,7 @@ def test_fan_out_inside_a_worker_runs_serially(monkeypatch):
     # computes every share itself and forks nothing. Forks are counted per
     # process, so each share reports the forks its own process made.
     use_cpus(monkeypatch, 2)
-    forks, real_fork = [], os.fork
-
-    def counting_fork():
-        forks.append(os.getpid())
-        return real_fork()
-
-    monkeypatch.setattr(os, "fork", counting_fork)
+    forks = _counting_forks(monkeypatch)
     caller = os.getpid()
 
     def outer(k):
@@ -103,52 +109,72 @@ def test_fan_out_inside_a_worker_runs_serially(monkeypatch):
     assert_no_child_processes()
 
 
-def test_chain_returns_results_in_start_order(monkeypatch):
-    use_cpus(monkeypatch, 2)
+def _logger(path):
+    """A call that appends ``(k, ran in a worker)`` to ``path`` as a line."""
     caller = os.getpid()
-    with time_limit(20), fanout.Chain() as chain:
-        for k in range(3):   # each call runs in a worker, not in the caller
-            chain.start(lambda k: (k, os.getpid() != caller), k)
-        assert chain.join() == [(0, True), (1, True), (2, True)]
-        chain.start(lambda k: k, 3)   # a joined chain starts again
-        assert chain.join() == [3]
+
+    def log(k):
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write(f"{k} {os.getpid() != caller}\n")
+
+    return log
+
+
+def test_background_runs_each_call_in_a_worker_in_start_order(monkeypatch, tmp_path):
+    use_cpus(monkeypatch, 2)
+    forks, log = _counting_forks(monkeypatch), tmp_path / "log"
+    with time_limit(20), fanout.Background() as background:
+        for k in range(3):
+            background.start(_logger(log), k)
+        background.wait()
+        assert log.read_text() == "0 True\n1 True\n2 True\n"
+        background.start(_logger(log), 3)   # a waited-for Background starts again
+        background.wait()
+        background.wait()                   # nothing pending: returns at once
+    assert log.read_text().splitlines()[-1] == "3 True"
+    assert len(forks) == 4
     assert_no_child_processes()
 
 
-def test_chain_raises_the_first_failure_in_start_order(monkeypatch):
+def test_background_raises_a_failure_at_the_next_start_or_wait(monkeypatch):
     use_cpus(monkeypatch, 2)
 
     def fn(k):
         if k > 0:
             raise KeyError(f"call {k}")
-        return k
 
-    with time_limit(20), fanout.Chain() as chain:
-        for k in range(3):
-            chain.start(fn, k)
+    with time_limit(20), fanout.Background() as background:
+        background.start(fn, 0)
+        background.start(fn, 1)
         with pytest.raises(KeyError, match="call 1"):
-            chain.join()
+            background.start(fn, 2)
+        background.wait()   # the raised failure is no longer pending
+        background.start(fn, 3)
+        with pytest.raises(KeyError, match="call 3"):
+            background.wait()
     assert_no_child_processes()
 
 
-def test_chained_call_waits_for_its_predecessor(monkeypatch, tmp_path):
+def test_started_call_waits_for_its_predecessor(monkeypatch, tmp_path):
     use_cpus(monkeypatch, 2)
-    first_done = tmp_path / "first"
+    first_done, seen = tmp_path / "first", tmp_path / "seen"
 
     def first(_):
         time.sleep(0.5)
         first_done.write_text("done")
 
-    with time_limit(20), fanout.Chain() as chain:
-        chain.start(first, None)
-        chain.start(lambda _: first_done.exists(), None)
-        assert chain.join() == [None, True]
+    with time_limit(20), fanout.Background() as background:
+        background.start(first, None)
+        background.start(lambda _: seen.write_text(str(first_done.exists())), None)
+        background.wait()
+    assert seen.read_text() == "True"
     assert_no_child_processes()
 
 
 @pytest.mark.parametrize("failure", ["raises", "killed"])
-def test_chained_call_after_a_failure_does_nothing(monkeypatch, tmp_path, failure):
+def test_call_after_a_failure_raises_it_and_never_forks(monkeypatch, tmp_path, failure):
     use_cpus(monkeypatch, 2)
+    forks = _counting_forks(monkeypatch)
 
     def first(_):
         time.sleep(0.3)
@@ -161,32 +187,33 @@ def test_chained_call_after_a_failure_does_nothing(monkeypatch, tmp_path, failur
 
     expected = (OSError, "first call failed") if failure == "raises" else \
         (WorkerError, "killed by signal 9")
-    with time_limit(20), fanout.Chain() as chain:
-        chain.start(first, None)
-        chain.start(second, None)
+    with time_limit(20), fanout.Background() as background:
+        background.start(first, None)
         with pytest.raises(expected[0], match=expected[1]):
-            chain.join()
+            background.start(second, None)
     assert not (tmp_path / "second").exists()
+    assert len(forks) == 1
     assert_no_child_processes()
 
 
 @pytest.mark.parametrize("failure", ["raises", "time_limit"])
-def test_leaving_a_chain_kills_and_reaps_its_workers(monkeypatch, failure):
+def test_leaving_a_background_block_kills_and_reaps_its_worker(monkeypatch, failure):
+    # A caller that raises leaves one call pending; a hang guard cuts the
+    # second start while it waits for the first call.
     use_cpus(monkeypatch, 2)
     start = time.monotonic()
     with pytest.raises(RuntimeError if failure == "raises" else TimeoutError):
-        with time_limit(1), fanout.Chain() as chain:
-            chain.start(time.sleep, 60)
-            chain.start(time.sleep, 60)
+        with time_limit(1), fanout.Background() as background:
+            background.start(time.sleep, 60)
             if failure == "raises":
                 raise RuntimeError("caller failed")
-            chain.join()
+            background.start(time.sleep, 60)
     assert time.monotonic() - start < 10
     assert_no_child_processes()
 
 
 @pytest.mark.parametrize("case", ["one_cpu", "no_fork", "live_thread"])
-def test_chain_runs_serially_where_fan_out_does(monkeypatch, case):
+def test_background_runs_serially_where_fan_out_does(monkeypatch, case):
     use_cpus(monkeypatch, 1 if case == "one_cpu" else 2)
     if case == "no_fork":
         monkeypatch.delattr(os, "fork")
@@ -198,11 +225,13 @@ def test_chain_runs_serially_where_fan_out_does(monkeypatch, case):
         thread.start()
     calls = []
     try:
-        with fanout.Chain() as chain:
+        with fanout.Background() as background:
             for k in range(3):
-                chain.start(lambda k: calls.append(k) or k * 2, k)
+                background.start(calls.append, k)
                 assert calls == list(range(k + 1))   # ran before start returned
-            assert chain.join() == [0, 2, 4]
+            background.wait()
+            with pytest.raises(KeyError, match="serial call"):
+                background.start(lambda k: {}[k], "serial call")
     finally:
         release.set()
         if case == "live_thread":
@@ -210,22 +239,16 @@ def test_chain_runs_serially_where_fan_out_does(monkeypatch, case):
     assert not thread.is_alive()
 
 
-def test_chain_inside_a_worker_runs_serially(monkeypatch):
+def test_background_inside_a_worker_runs_serially(monkeypatch):
     use_cpus(monkeypatch, 2)
-    forks, real_fork = [], os.fork
-
-    def counting_fork():
-        forks.append(os.getpid())
-        return real_fork()
-
-    monkeypatch.setattr(os, "fork", counting_fork)
+    forks = _counting_forks(monkeypatch)
 
     def outer(k):
-        me = os.getpid()
-        with fanout.Chain() as chain:
-            chain.start(lambda i: os.getpid(), 0)
-            chain.start(lambda i: os.getpid(), 1)
-            pids = chain.join()
+        me, pids = os.getpid(), []
+        with fanout.Background() as background:
+            background.start(lambda i: pids.append(os.getpid()), 0)
+            background.start(lambda i: pids.append(os.getpid()), 1)
+            background.wait()
         return pids == [me, me], forks.count(me)
 
     with time_limit(20):

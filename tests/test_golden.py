@@ -163,17 +163,21 @@ def test_run_with_every_batch_in_the_background_writes_golden_bytes(
     assert_no_child_processes()
 
 
-def test_parent_writes_decomposition_before_joining_the_appends(tmp_path, monkeypatch):
-    # Each append waits until the parent has logged its own write: a parent
-    # that joined the appends before writing decomposition.csv would leave
-    # them waiting out their 10 s and log them first.
+def test_parent_writes_decomposition_before_waiting_for_the_last_append(
+        tmp_path, monkeypatch):
+    # Only strategy 3's append is pending when decomposition.csv is written.
+    # It waits until the parent has logged its own write: a parent that
+    # waited for it before writing decomposition.csv would leave it waiting
+    # out its 10 s and log it first.
     use_cpus(monkeypatch, 2)
     caller, append = os.getpid(), harness._append
     log, out = tmp_path / "appends.log", tmp_path / "out"
     log.touch()
 
     def logged(parts):
-        if os.getpid() != caller:
+        last = any(path.name == "report.csv" and rows[0][0] == 3
+                   for path, _, rows in parts)
+        if last and os.getpid() != caller:
             deadline = time.monotonic() + 10
             while f"{caller} " not in log.read_text() and time.monotonic() < deadline:
                 time.sleep(0.01)
@@ -186,8 +190,8 @@ def test_parent_writes_decomposition_before_joining_the_appends(tmp_path, monkey
         harness.run(None, out)
     writes = [(pid == str(caller), names) for pid, names in
               (line.split(" ") for line in log.read_text().splitlines()) if names]
-    assert writes[0] == (True, "decomposition.csv")
-    assert writes[1] == (False, "world.csv,projections.csv")
-    assert [by_caller for by_caller, _ in writes[2:]] == [False] * 3
+    assert writes[0] == (False, "world.csv,projections.csv")
+    assert [by_caller for by_caller, _ in writes] == [False] * 3 + [True, False]
+    assert writes[3] == (True, "decomposition.csv")
     assert _digests(out) == DEFAULT_DIGESTS
     assert_no_child_processes()

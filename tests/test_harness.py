@@ -55,6 +55,7 @@ step = 0.5
 # can never succeed.
 BAD_CONFIGS = [
     "[experiment]\nn_locations = -2\n",
+    b"[experiment]\nseed = 5\n# \xff\n",
     "[approaches]\nthreads = 1\n",
     "[approaches]\nrun_approach1 = false\n",
     "[approaches]\nrun_approach2 = false\n",
@@ -91,7 +92,10 @@ BAD_CONFIGS = [
 
 def write_config(tmp_path, text, name="run.cfg"):
     path = tmp_path / name
-    path.write_text(text, encoding="utf-8")
+    if isinstance(text, bytes):
+        path.write_bytes(text)
+    else:
+        path.write_text(text, encoding="utf-8")
     return path
 
 
@@ -146,6 +150,7 @@ plausibility_threshold = 0.08
         ("[experiment]\nmystery = 3\n", "mystery"),
         ("[mystery]\nseed = 1\n", "unknown section"),
         ("not an ini file at all", "contains no section"),
+        (b"[experiment]\nseed = 5\n# \xff\n", "run.cfg: not valid UTF-8 text"),
         ("[experiment]\nseed = -4\n", "seed"),
         ("[approaches]\nn_samples = 30\n", "approaches.n_samples"),
         ("[approaches]\nplausibility_threshold = nan\n", "plausibility_threshold"),
@@ -896,12 +901,17 @@ class TestWorkerFailures:
     @pytest.mark.parametrize("failure", ["builder_raises", "time_limit"])
     def test_caller_failure_kills_and_reaps_the_background_appends(
             self, tmp_path, monkeypatch, failure):
-        # The appends hang, so a run that waited for them would hang too.
+        # The append pending when the strategy-3 builder raises, strategy
+        # 2's, hangs, so a run that waited for it would hang too. Under the
+        # hang guard every append hangs, and the run is cut while the
+        # second batch waits for the first.
         use_cpus(monkeypatch, 2)
         caller, builder = os.getpid(), harness._location_mae_rows
 
         def hang_in_worker(parts):
-            if os.getpid() != caller:
+            pending = failure == "time_limit" or any(
+                path.name == "report.csv" and rows[0][0] == 2 for path, _, rows in parts)
+            if pending and os.getpid() != caller:
                 time.sleep(60)
 
         def fail_in_last_strategy(*args):
