@@ -27,12 +27,12 @@ views of it, which is therefore read-only. Sampling uses keyed
 substreams: strategy 2 keys include the model, strategy 3 deliberately does
 not, so a single set of inferred observations is shared by all models.
 Both build their distributions one model at a time (``_by_model``). By
-default every model's are collected into the result; a ``consume`` callback
-is handed each model's instead, with the sorted copy of each pooled vector,
-as soon as they are built, so a caller that scores and drops them holds one
-model's samples at a time (``harness.evaluate`` does). Every array either
-hands out is fresh, unless the caller lends ``sample_buffers``: the samples
-and sorts then go to those, and the next model overwrites them.
+default every model's are collected into the result, each in fresh arrays; a
+``consume`` callback is handed each model's instead, with the sorted copy of
+each pooled vector, as soon as they are built, so a caller that scores them
+holds one model's samples at a time (``harness.evaluate`` does). The arrays
+handed to ``consume`` are drawn and sorted into the same memory for every
+model of the call, so the next model overwrites them.
 
 Every distribution carries a ``DistributionSummary`` (mean and five
 quantiles). ``summarize_rows`` computes the summaries of a block of
@@ -301,6 +301,7 @@ def _distributions(m: int, j: int, samples: np.ndarray, counts: np.ndarray,
     its per-location ones over read-only row views of chunk lengths
     ``counts``, one summary block per run of equal lengths. The sorts go to
     ``scratch``: the pooled one, returned, to row 0, the per-location to 1."""
+    samples = samples.view()   # read-only, while the next model may write the array
     samples.flags.writeable = False
     ordered = scratch[0]
     ordered[...] = samples
@@ -320,17 +321,8 @@ def _distributions(m: int, j: int, samples: np.ndarray, counts: np.ndarray,
     return ordered
 
 
-def sample_buffers(n_scenarios: int, n_samples: int) -> list:
-    """Arrays to lend ``infer_error_distribution`` and ``infer_observations``
-    so that they draw and sort into the same memory for every model and
-    call, instead of freeing the arrays after each model and faulting the
-    heap in again: one (3, n_samples) array per scenario, the kept samples
-    in row 0 and their sorts in rows 1 and 2."""
-    return [np.empty((3, n_samples)) for _ in range(n_scenarios)]
-
-
 def _by_model(result, n_models: int, n_scenarios: int, samples_of,
-              counts: np.ndarray, consume, buffers):
+              counts: np.ndarray, consume):
     """Build the distributions of the samples ``samples_of(m, j, out)``
     writes to ``out``, in (m, j) order, one model at a time, into
     ``result``'s empty ``pooled`` and ``per_location`` dicts (the latter only
@@ -338,18 +330,18 @@ def _by_model(result, n_models: int, n_scenarios: int, samples_of,
 
     With ``consume``, each model's go to ``consume(part, ordered)`` instead:
     ``part`` is ``result`` holding that model's distributions only, and
-    ``ordered`` maps each of its (m, j) to the sorted pooled samples.
-    ``out`` and the sorts' scratch rows are the scenario's ``buffers`` when
-    lent (``sample_buffers``), else fresh arrays, as the result or
-    ``consume`` may keep the samples and sorts."""
+    ``ordered`` maps each of its (m, j) to the sorted pooled samples. Every
+    model then draws and sorts into the same arrays per scenario, made once
+    per call, so ``consume`` must copy what it keeps before it returns.
+    Without it, each model gets fresh arrays, as the result keeps them."""
     n = counts.sum()
     for m in range(n_models):
+        if m == 0 or consume is None:   # else this model overwrites the last one's
+            arrays = [(np.empty(n), np.empty((2, n))) for _ in range(n_scenarios)]
         part = replace(result, pooled={}, per_location={})
         located = part.per_location if result.include_covariate else None
         ordered = {}
-        for j in range(n_scenarios):
-            kept, scratch = ((buffers[j][0], buffers[j][1:]) if buffers is not None
-                             else (np.empty(n), np.empty((2, n))))
+        for j, (kept, scratch) in enumerate(arrays):
             samples_of(m, j, kept)
             ordered[(m, j)] = _distributions(m, j, kept, counts, part.pooled,
                                              located, scratch)
@@ -358,14 +350,13 @@ def _by_model(result, n_models: int, n_scenarios: int, samples_of,
             result.per_location.update(part.per_location)
         else:
             consume(part, ordered)
-        del ordered   # else the sorted copies live on while the next model is built
     return result
 
 
 def infer_error_distribution(world: TrueWorld, ensemble: ModelEnsemble,
                              include_covariate: bool, n_samples: int = 10_000,
                              seed: int = 0, spec: SplineSpec = SplineSpec(),
-                             consume=None, buffers=None) -> InferredErrorResult:
+                             consume=None) -> InferredErrorResult:
     """Strategy 2: regress realized-scenario errors on realized coverage.
 
     Fits one regression per model of e_m(x*) = reprojection - observation on
@@ -374,11 +365,9 @@ def infer_error_distribution(world: TrueWorld, ensemble: ModelEnsemble,
     the covariate the prediction is made per location and the ``n_samples``
     budget is split equally across locations before pooling; without it, a
     single location-generic predictive distribution is sampled. Each model's
-    distributions go to ``consume`` when it is given (see ``_by_model``).
-    With lent ``buffers`` (``sample_buffers(S, n_samples)``) the samples
-    and sorted copies handed to ``consume``, read-only as they are, are
-    overwritten by the next model, so the caller must copy what it keeps
-    before ``consume`` returns.
+    distributions go to ``consume`` when it is given; the samples and sorted
+    copies it is handed, read-only as they are, are overwritten by the next
+    model, so it must copy what it keeps (see ``_by_model``).
     """
     M, L, S = ensemble.n_models, world.n_locations, world.n_scenarios
     _check_budget(n_samples, L, include_covariate)
@@ -399,13 +388,13 @@ def infer_error_distribution(world: TrueWorld, ensemble: ModelEnsemble,
     result = InferredErrorResult(include_covariate=include_covariate,
                                  realized_errors=realized_errors, fits=fits,
                                  pooled={}, per_location={})
-    return _by_model(result, M, S, samples_of, counts, consume, buffers)
+    return _by_model(result, M, S, samples_of, counts, consume)
 
 
 def infer_observations(world: TrueWorld, ensemble: ModelEnsemble,
                        include_covariate: bool, n_samples: int = 10_000,
                        seed: int = 0, spec: SplineSpec = SplineSpec(),
-                       consume=None, buffers=None) -> InferredObservationResult:
+                       consume=None) -> InferredObservationResult:
     """Strategy 3: estimate what would have been observed at each scenario.
 
     Fits one regression of the realized observations on realized coverage
@@ -413,11 +402,9 @@ def infer_observations(world: TrueWorld, ensemble: ModelEnsemble,
     Observation samples are drawn once per (scenario, location) from streams
     that do not involve the model, and each model's error samples are its
     projections minus those shared samples, pooled across locations. Each
-    model's distributions go to ``consume`` when it is given (see
-    ``_by_model``). With lent ``buffers`` (``sample_buffers(S, n_samples)``)
-    the samples and sorted copies handed to ``consume``, read-only as they
-    are, are overwritten by the next model, so the caller must copy what it
-    keeps before ``consume`` returns.
+    model's distributions go to ``consume`` when it is given; the samples
+    and sorted copies it is handed, read-only as they are, are overwritten
+    by the next model, so it must copy what it keeps (see ``_by_model``).
     """
     M, L, S = ensemble.n_models, world.n_locations, world.n_scenarios
     _check_budget(n_samples, L, include_covariate)
@@ -440,7 +427,7 @@ def infer_observations(world: TrueWorld, ensemble: ModelEnsemble,
     result = InferredObservationResult(include_covariate=include_covariate,
                                        observation_fit=observation_fit,
                                        pooled={}, per_location={})
-    return _by_model(result, M, S, samples_of, counts, consume, buffers)
+    return _by_model(result, M, S, samples_of, counts, consume)
 
 
 def implied_observations(result: InferredErrorResult, ensemble: ModelEnsemble,

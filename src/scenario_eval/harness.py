@@ -30,9 +30,8 @@ identical data files.
 time: each model's distributions go to the scorer as soon as they are drawn
 (``approaches``' ``consume`` callback), which turns them into table rows,
 the KS test of each pooled vector reading the sorted copy its summary was
-made from, and drops them before the next model is drawn. So a run holds
-one model's samples at a time, drawn and sorted into buffers it lends to
-every strategy call (``approaches.sample_buffers``). Each strategy's rows,
+made from, and drops them before the next model is drawn into the same
+arrays. So a run holds one model's samples at a time. Each strategy's rows,
 its variants in order, go to the run's ``ReportWriter`` in one batch, and a
 run keeps no row it has handed over. The ``EvaluationReport`` it returns
 holds ``report.csv``'s rows, which ``scenario-eval run`` prints, and no
@@ -42,12 +41,14 @@ strategy functions of ``approaches``.
 This module alone owns the table format. Row values are ``int``, ``float``
 or ``str`` (flags "true"/"false", missing values ""), never numpy scalars,
 and go straight to ``csv.writer.writerows``: floats by ``repr``, the rest
-by ``str``. One ``ReportWriter`` writes them: ``run`` hands it
-``world.csv`` and ``projections.csv`` as soon as the world is generated and
-each strategy's rows as soon as they are built, and ``write_report`` then
-hands it ``decomposition.csv`` and writes the manifest. Which process writes
-a batch, and when, is described once in README.md, "Report files"; it
-changes none of the bytes.
+by ``str``. One ``ReportWriter``, which ``run`` makes, writes them:
+``evaluate`` hands it ``world.csv`` and ``projections.csv`` as soon as the
+world is generated and each strategy's rows as soon as they are built, and
+``write_report`` then hands it ``decomposition.csv`` and writes the
+manifest. ``evaluate`` alone decides which table builders a strategy's
+results go to; each builder turns the values it is given into rows. Which
+process writes a batch, and when, is described once in README.md, "Report
+files"; it changes none of the bytes.
 """
 
 from __future__ import annotations
@@ -182,9 +183,11 @@ def _parse_value(raw: str, kind, context: str):
 def load_settings(path) -> RunSettings:
     """Parse a key = value config file with [experiment], [sir] and
     [approaches] sections; every field is optional and defaults to the
-    built-in experiment. Unknown sections or fields are errors."""
+    built-in experiment. Unknown sections or fields are errors, ``[DEFAULT]``
+    included, and values are taken as written: ``%`` is not interpolated."""
     path = Path(path)
-    parser = configparser.ConfigParser()
+    # No section header can be empty, so "[DEFAULT]" is a section like any other.
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
     try:
         with open(path, encoding="utf-8") as handle:
             parser.read_file(handle)
@@ -266,9 +269,6 @@ def evaluate(settings: RunSettings, writer: ReportWriter) -> EvaluationReport:
     errs = world_gen.true_errors(world, ensemble)
     spec = SplineSpec(basis_dim=settings.basis_dim)
     true_errors = errs.tolist()   # [m][l][j], once for every builder call
-    # Lent to every call of strategies 2 and 3: ``score`` copies what it
-    # keeps into rows before the next model overwrites them.
-    buffers = approaches.sample_buffers(world.n_scenarios, settings.n_samples)
 
     report_rows = []
     # Strategies and builders are looked up at call time, so span wrappers
@@ -276,30 +276,45 @@ def evaluate(settings: RunSettings, writer: ReportWriter) -> EvaluationReport:
     for approach_id, variants in groupby(approaches.VARIANTS, itemgetter(0)):
         batch = {name: [] for name in _STRATEGY_FILES}
         for _, variant in variants:
+            ids = (approach_id, variant)
+            if approach_id == APPROACH_PLAUSIBLE:
+                result = approaches.evaluate_plausible(
+                    world, ensemble, settings.plausibility_threshold)
+                batch["report.csv"] += _report_rows(world, errs, {}, *ids, result.pooled)
+                batch["approach_estimates.csv"] += _estimate_rows(*ids, _pooled(result.pooled))
+                batch["approach_estimates.csv"] += _estimate_rows(*ids, (   # one sample each
+                    (key, (e,) * 6 + (1,)) for key, e in _plausible_points(result)))
+                batch["a1_deviation.csv"] += _a1_deviation_rows(
+                    true_errors, result.selection.deviation.tolist(), _plausible_points(result))
+                batch["location_mae.csv"] += _location_mae_rows(
+                    true_errors, *ids, _plausible_points(result))
+                del result   # else it stays alive through strategies 2 and 3
+                continue
+            # Only strategy 2's error samples imply observations to test.
+            implied = approach_id == APPROACH_ERROR_REGRESSION
             located = []   # per-location estimates, written after the pooled
 
-            def score(result, ordered):
-                """Add the rows of ``result``'s distributions to the batch;
-                ``ordered`` maps (m, j) to its pooled samples, sorted."""
-                scored = (approach_id, variant, result)
-                batch["report.csv"] += _report_rows(world, errs, ordered, *scored)
-                estimates = _estimate_rows(*scored)
-                pooled = sum(dist is not None for dist in result.pooled.values())
-                batch["approach_estimates.csv"] += estimates[:pooled]
-                located.extend(estimates[pooled:])
-                batch["a1_deviation.csv"] += _a1_deviation_rows(true_errors, *scored)
-                batch["implied_obs_ks.csv"] += _implied_obs_rows(world, ensemble, *scored)
-                batch["location_mae.csv"] += _location_mae_rows(true_errors, *scored)
+            def score(part, ordered):
+                """Add the rows of one model's distributions, ``part``, to
+                the batch; ``ordered`` maps (m, j) to its pooled samples,
+                sorted. Their arrays are overwritten by the next model."""
+                batch["report.csv"] += _report_rows(world, errs, ordered, *ids, part.pooled)
+                batch["approach_estimates.csv"] += _estimate_rows(*ids, _pooled(part.pooled))
+                # inserted in (m, j, l) order by approaches._distributions
+                per_location = part.per_location
+                located.extend(_estimate_rows(
+                    *ids, zip(per_location, map(_summary, per_location.values()))))
+                if implied:
+                    batch["implied_obs_ks.csv"] += _implied_obs_rows(
+                        world, ensemble, variant, part)
+                means = [dist.summary.mean for dist in per_location.values()]
+                batch["location_mae.csv"] += _location_mae_rows(
+                    true_errors, *ids, zip(per_location, means))
 
-            if approach_id == APPROACH_PLAUSIBLE:
-                score(approaches.evaluate_plausible(
-                    world, ensemble, settings.plausibility_threshold), {})
-            else:
-                infer = (approaches.infer_error_distribution
-                         if approach_id == APPROACH_ERROR_REGRESSION
-                         else approaches.infer_observations)
-                infer(world, ensemble, variant == VARIANT_COVARIATE,
-                      settings.n_samples, config.seed, spec, score, buffers)
+            infer = (approaches.infer_error_distribution if implied
+                     else approaches.infer_observations)
+            infer(world, ensemble, variant == VARIANT_COVARIATE,
+                  settings.n_samples, config.seed, spec, score)
             batch["approach_estimates.csv"] += located
         report_rows += batch["report.csv"]
         writer.add(batch)
@@ -314,11 +329,12 @@ REPORT_HEADER = ("approach", "variant", "model_id", "scenario_index", "scenario_
                  "ks_d", "ks_n", "ks_m", "ks_critical", "ks_significant")
 
 
-def _report_rows(world, errs, ordered, approach_id, variant, result):
-    """One row per pooled distribution, in (m, j) order; the KS test takes
-    the sorted samples from ``ordered`` where it has them."""
+def _report_rows(world, errs, ordered, approach_id, variant, pooled):
+    """One row per distribution of ``pooled``, (m, j) -> distribution or None
+    (empty), in (m, j) order; the KS test takes the sorted samples from
+    ``ordered`` where it has them."""
     rows = []
-    for (m, j), dist in sorted(result.pooled.items()):
+    for (m, j), dist in sorted(pooled.items()):
         true_vec = errs[m, :, j]
         base = (approach_id, variant, m, j, float(world.scenario_values[j]))
         if dist is None:
@@ -338,13 +354,13 @@ def _report_rows(world, errs, ordered, approach_id, variant, result):
 
 
 def _plausible_points(result):
-    """Strategy-1 point errors as (model, plausible scenario, location,
+    """Strategy-1 point errors as ((model, plausible scenario, location),
     error), model-major, skipping locations without a plausible scenario."""
     located = [(j, l) for l, j in enumerate(result.selection.chosen_index.tolist())
                if j >= 0]
     for m, errors in enumerate(result.point_errors.tolist()):
         for j, l in located:
-            yield m, j, l, errors[l]
+            yield (m, j, l), errors[l]
 
 
 def _summary(dist):
@@ -353,24 +369,23 @@ def _summary(dist):
     return (s.mean, s.median, s.q25, s.q75, s.q05, s.q95, s.n_samples)
 
 
+def _pooled(pooled):
+    """((m, j, POOLED), summary) of each distribution of ``pooled``, in
+    (m, j) order, skipping the empty ones (None)."""
+    return (((m, j, POOLED), _summary(dist)) for (m, j), dist in sorted(pooled.items())
+            if dist is not None)
+
+
 ESTIMATE_HEADER = ("approach", "variant", "model_id", "scenario_index",
                    "location_id", "mean", "median", "q25", "q75", "q05", "q95",
                    "n_samples")
 
 
-def _estimate_rows(approach_id, variant, result):
-    """The pooled rows in (m, j) order, then the per-location rows."""
-    rows = []
-    for (m, j), dist in sorted(result.pooled.items()):
-        if dist is not None:
-            rows.append((approach_id, variant, m, j, POOLED) + _summary(dist))
-    if approach_id == APPROACH_PLAUSIBLE:
-        for m, j, l, e in _plausible_points(result):
-            rows.append((approach_id, variant, m, j, l, e, e, e, e, e, e, 1))
-    else:   # inserted in (m, j, l) order by approaches._distributions
-        for (m, j, l), dist in result.per_location.items():
-            rows.append((approach_id, variant, m, j, l) + _summary(dist))
-    return rows
+def _estimate_rows(approach_id, variant, estimates):
+    """One row per ((m, j, l), summary) of ``estimates``, in their order;
+    the summary is the header's mean to n_samples."""
+    return [(approach_id, variant, m, j, l) + summary
+            for (m, j, l), summary in estimates]
 
 
 DECOMPOSITION_HEADER = ("model_id", "location_id", "scenario_index",
@@ -393,24 +408,21 @@ A1_DEVIATION_HEADER = ("model_id", "location_id", "plausible_scenario",
                        "deviation", "abs_difference")
 
 
-def _a1_deviation_rows(true_errors, approach_id, variant, result):
-    """Strategy 1's rows; none for the other strategies. ``true_errors`` is
-    the true error array as nested lists."""
-    if approach_id != APPROACH_PLAUSIBLE:
-        return []
-    deviation = result.selection.deviation.tolist()
+def _a1_deviation_rows(true_errors, deviation, points):
+    """Strategy 1's rows from its ((m, j, l), point error) ``points``;
+    ``deviation`` is each location's, ``true_errors`` the true error array,
+    both as (nested) lists."""
     return [(m, l, j, deviation[l], abs(est - true_errors[m][l][j]))
-            for m, j, l, est in _plausible_points(result)]
+            for (m, j, l), est in points]
 
 
 IMPLIED_OBS_HEADER = ("variant", "model_id", "scenario_index", "ks_d",
                       "ks_critical", "ks_significant")
 
 
-def _implied_obs_rows(world, ensemble, approach_id, variant, result):
-    """Strategy 2's rows; none for the other strategies."""
-    if approach_id != APPROACH_ERROR_REGRESSION:
-        return []
+def _implied_obs_rows(world, ensemble, variant, result):
+    """Strategy 2's rows: the KS test of the observations each pooled
+    distribution of ``result`` implies."""
     rows = []
     for m, j in sorted(result.pooled):
         implied = approaches.implied_observations(result, ensemble, world, m, j)
@@ -425,15 +437,11 @@ LOCATION_MAE_HEADER = ("approach", "variant", "model_id", "scenario_index",
                        "location_id", "abs_difference")
 
 
-def _location_mae_rows(true_errors, approach_id, variant, result):
-    """``true_errors`` is the true error array as nested lists."""
-    if approach_id == APPROACH_PLAUSIBLE:
-        estimates = _plausible_points(result)
-    else:
-        estimates = ((m, j, l, dist.summary.mean)
-                     for (m, j, l), dist in result.per_location.items())
+def _location_mae_rows(true_errors, approach_id, variant, estimates):
+    """One row per ((m, j, l), estimate) of ``estimates``; ``true_errors``
+    is the true error array as nested lists."""
     return [(approach_id, variant, m, j, l, abs(est - true_errors[m][l][j]))
-            for m, j, l, est in estimates]
+            for (m, j, l), est in estimates]
 
 
 WORLD_HEADER = ("location_id", "r0_true", "alpha_true", "x_kind", "x_value",

@@ -32,7 +32,7 @@ One in-place kernel, ``_rk4``, does every solve. ``final_size_batch`` runs
 it over blocks of BLOCK solves and advances (s, i) only: r feeds neither s
 nor i, and the final size reads only s, so integrating r would change no
 result. ``simulate`` passes the r row too, to return the full trajectory.
-Within a block the stage buffers are allocated once and every step writes
+Within a block the stage arrays are allocated once and every step writes
 into them, so a block's working set stays in cache; each value is rounded
 as in the textbook RK4 formulas, so results do not depend on the block
 size or on whether r is integrated.
@@ -149,7 +149,7 @@ def _rk4(y, beta, alpha, gamma, population, step, n_steps):
     """Advance y = (s, i) or (s, i, r), shape (k, n), by n_steps of RK4 in place.
 
     r feeds neither s nor i, so its row is integrated only when present. The
-    stage buffers are allocated once per call and every ufunc writes into
+    stage arrays are allocated once per call and every ufunc writes into
     them. Each value is rounded exactly as in the textbook form
     s + dt * ds, ds = -beta * s * h(i), di = beta * s * h(i) - gamma * i,
     dr = gamma * i: negation is exact, so ds is taken as (-beta) * s * h(i)

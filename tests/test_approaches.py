@@ -1,4 +1,7 @@
+import collections
+import contextlib
 import dataclasses
+import io
 import re
 from pathlib import Path
 
@@ -350,11 +353,10 @@ class TestDistributionContainers:
             if not with_cov:
                 assert result.per_location == {}
 
-    @pytest.mark.parametrize("approach_id, strategy", [
-        (approaches.APPROACH_ERROR_REGRESSION, infer_error_distribution),
-        (approaches.APPROACH_OBSERVATION_MODEL, infer_observations)])
-    def test_per_location_keys_and_table_rows_come_sorted(self, approach_id, strategy):
-        # The table builders walk per_location in insertion order, so the
+    @pytest.mark.parametrize("strategy", [infer_error_distribution,
+                                          infer_observations])
+    def test_per_location_keys_come_sorted(self, strategy):
+        # The table rows follow per_location's insertion order, so the
         # strategies must insert in sorted (m, j, l) order, also when the
         # first n_samples % n_locations locations get a longer chunk.
         world = random_world(11, seed=6)
@@ -364,13 +366,31 @@ class TestDistributionContainers:
         result = strategy(world, ensemble, True, 40, seed=3)   # 40 % 11 == 7
         keys = list(result.per_location)
         assert keys == sorted(keys) and len(keys) == 3 * 2 * 11
-        scored = (approach_id, approaches.VARIANT_COVARIATE, result)
-        estimates = harness._estimate_rows(*scored)
-        location_mae = harness._location_mae_rows(true_errors(world, ensemble), *scored)
-        pooled = [row[2:4] for row in estimates if row[4] == approaches.POOLED]
-        assert pooled == sorted(result.pooled)
-        assert [row[2:5] for row in estimates if row[4] != approaches.POOLED] == keys
-        assert [row[2:5] for row in location_mae] == keys
+
+    def test_table_rows_come_sorted(self):
+        # Per variant of strategies 2 and 3, approach_estimates.csv holds
+        # the pooled rows in (m, j) order, then the per-location rows in
+        # (m, j, l) order, the order of location_mae.csv's rows.
+        config = ExperimentConfig(n_locations=11, n_models=3, seed=6,
+                                  horizon=300.0, step=0.5)
+        tables = collections.defaultdict(list)
+
+        class Writer:
+            def add(self, batch):
+                for name, rows in batch.items():
+                    tables[name] += rows
+
+        harness.evaluate(harness.RunSettings(experiment=config, n_samples=40), Writer())
+        for ids in approaches.VARIANTS[1:]:
+            estimates = [row[2:5] for row in tables["approach_estimates.csv"]
+                         if row[:2] == ids]
+            pooled = [(m, j, approaches.POOLED) for m in range(3) for j in range(2)]
+            located = [(m, j, l) for m in range(3) for j in range(2) for l in range(11)]
+            if ids[1] == approaches.VARIANT_NO_COVARIATE:
+                located = []
+            assert estimates == pooled + located
+            assert [row[2:5] for row in tables["location_mae.csv"]
+                    if row[:2] == ids] == located
 
     def test_block_draws_match_per_location_draws(self):
         # Reference: one rng.normal call per location, in location order, as
@@ -433,49 +453,25 @@ class TestDistributionContainers:
 
 @pytest.mark.parametrize("infer", [infer_error_distribution, infer_observations])
 @pytest.mark.parametrize("include_covariate", [False, True])
-def test_consume_gets_each_model_as_it_is_built(medium_world, infer, include_covariate):
-    # The parts handed to consume, model by model, hold exactly what the
-    # collected result holds, with each pooled vector's sorted copy; the
-    # result returned alongside them holds no distribution.
-    world, ensemble = medium_world
-    collected = infer(world, ensemble, include_covariate, 500, seed=4)
-    parts = []
-    consumed = infer(world, ensemble, include_covariate, 500, seed=4,
-                     consume=lambda part, ordered: parts.append((part, ordered)))
-    assert consumed.pooled == {} and consumed.per_location == {}
-    assert len(parts) == ensemble.n_models
-    pooled, per_location = {}, {}
-    for m, (part, ordered) in enumerate(parts):
-        assert type(part) is type(collected)
-        assert {key[0] for key in part.pooled} == {m}
-        assert ordered.keys() == part.pooled.keys()
-        for key, dist in part.pooled.items():
-            assert np.array_equal(ordered[key], np.sort(dist.samples))
-        pooled.update(part.pooled)
-        per_location.update(part.per_location)
-    for mine, theirs in ((pooled, collected.pooled),
-                         (per_location, collected.per_location)):
-        assert list(mine) == list(theirs)
-        assert all(np.array_equal(mine[key].samples, theirs[key].samples)
-                   and mine[key].summary == theirs[key].summary for key in theirs)
-
-
-@pytest.mark.parametrize("infer", [infer_error_distribution, infer_observations])
-@pytest.mark.parametrize("include_covariate", [False, True])
-def test_lent_buffers_hold_each_model_until_consume_returns(medium_world, infer,
-                                                           include_covariate):
-    # With sample_buffers lent, every part holds the collected result's
-    # distributions while consume runs. The next model then overwrites the
-    # lent arrays: samples or a sorted copy kept past consume read the last
-    # model's.
+def test_consume_gets_each_model_in_the_same_arrays(medium_world, infer,
+                                                    include_covariate):
+    # While consume runs, the part it is handed holds exactly the collected
+    # result's distributions of that model, in order, with each pooled
+    # vector's sorted copy; the result returned alongside holds none. Every
+    # model is drawn and sorted into the same arrays per scenario, so what
+    # consume keeps past its return reads the last model's.
     world, ensemble = medium_world
     M, S = ensemble.n_models, world.n_scenarios
     collected = infer(world, ensemble, include_covariate, 500, seed=4)
     parts = []
 
     def consume(part, ordered):
+        m = len(parts)
+        assert type(part) is type(collected)
+        assert ordered.keys() == part.pooled.keys()
         for kept, theirs in ((part.pooled, collected.pooled),
                              (part.per_location, collected.per_location)):
+            assert list(kept) == [key for key in theirs if key[0] == m]
             assert all(np.array_equal(dist.samples, theirs[key].samples)
                        and dist.summary == theirs[key].summary
                        for key, dist in kept.items())
@@ -483,21 +479,59 @@ def test_lent_buffers_hold_each_model_until_consume_returns(medium_world, infer,
             assert np.array_equal(ordered[key], np.sort(dist.samples))
         parts.append((part, ordered))
 
-    buffers = approaches.sample_buffers(S, 500)
-    infer(world, ensemble, include_covariate, 500, seed=4, consume=consume,
-          buffers=buffers)
+    consumed = infer(world, ensemble, include_covariate, 500, seed=4, consume=consume)
+    assert consumed.pooled == {} and consumed.per_location == {}
     assert len(parts) == M
-    first, ordered = parts[0]
+    first, first_ordered = parts[0]
     for j in range(S):
-        last = collected.pooled[(M - 1, j)].samples
-        assert np.array_equal(ordered[(0, j)], np.sort(last))
-        assert not np.array_equal(ordered[(0, j)],
-                                  np.sort(collected.pooled[(0, j)].samples))
-        assert np.array_equal(first.pooled[(0, j)].samples, last)
-        assert np.shares_memory(first.pooled[(0, j)].samples, buffers[j])
+        samples, ordered = first.pooled[(0, j)].samples, first_ordered[(0, j)]
+        for m, (part, later_ordered) in enumerate(parts):
+            assert np.shares_memory(part.pooled[(m, j)].samples, samples)
+            assert np.shares_memory(later_ordered[(m, j)], ordered)
+        assert not any(np.shares_memory(samples, first.pooled[(0, k)].samples)
+                       for k in range(S) if k != j)
+        assert np.array_equal(samples, collected.pooled[(M - 1, j)].samples)
+        assert np.array_equal(ordered, np.sort(samples))
+
+
+@pytest.mark.parametrize("infer", [infer_error_distribution, infer_observations])
+@pytest.mark.parametrize("include_covariate", [False, True])
+def test_collected_models_keep_their_own_samples(medium_world, infer, include_covariate):
+    # Without consume every model is drawn into fresh arrays: no two pooled
+    # vectors share memory, and each re-summarizes to its own summary.
+    world, ensemble = medium_world
+    pooled = list(infer(world, ensemble, include_covariate, 500, seed=4).pooled.values())
+    assert len(pooled) == ensemble.n_models * world.n_scenarios
+    for k, dist in enumerate(pooled):
+        assert_summary_recomputed(dist)
+        assert not any(np.shares_memory(dist.samples, other.samples)
+                       for other in pooled[k + 1:])
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_library_use_runs():
+    # The Python blocks of README "Library use" run in order, as a reader
+    # would paste them, and print what they say; the consume example keeps
+    # copies that outlive the models drawn after them.
+    section = README.read_text(encoding="utf-8").split("\n## Library use\n")[1]
+    blocks = re.findall(r"```python\n(.*?)```", section.split("\n## ")[0], re.S)
+    assert len(blocks) == 2
+    namespace = {}
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        for block in blocks:
+            exec(compile(block, str(README), "exec"), namespace)
+    world, ensemble = namespace["world"], namespace["ensemble"]
+    lines = out.getvalue().splitlines()
+    assert lines[0].startswith("DistributionSummary(mean=")
+    assert lines[1].endswith(" 200")
+    assert [line.split()[:2] for line in lines[2:]] == [
+        [str(m), str(j)] for m in range(ensemble.n_models) for j in range(world.n_scenarios)]
+    collected = infer_observations(world, ensemble, False, 10_000, seed=7)
+    assert namespace["largest"].keys() == collected.pooled.keys()
+    for key, dist in collected.pooled.items():
+        assert np.array_equal(namespace["largest"][key], np.sort(dist.samples)[-10:])
 
 
 class TestNamedTupleRecords:

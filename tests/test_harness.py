@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scenario_eval import cli, harness, metrics, plots, sir_core, world_gen
+from scenario_eval import approaches, cli, harness, metrics, plots, sir_core, world_gen
 from scenario_eval.errors import ConfigError
 
 from conftest import assert_no_child_processes, time_limit, use_cpus
@@ -87,6 +87,9 @@ BAD_CONFIGS = [
     "[experiment]\nseed = 18446744073709551616\n",
     "[experiment]\nn_locations = 9999999999999999999999999\n",
     "[approaches]\nn_samples = 9999999999999999999999999\n",
+    "[experiment]\nseed = 5%\n",
+    "[experiment]\nn_models = %(x)s\n",
+    "[DEFAULT]\nseed = 3\n",
 ]
 
 
@@ -160,6 +163,13 @@ plausibility_threshold = 0.08
         ("[approaches]\nrun_approach3 = false\n", "unknown field 'run_approach3'"),
         ("[approaches]\ncovariate_variants = false\n",
          "unknown field 'covariate_variants'"),
+        # Values are not interpolated, and [DEFAULT] is an unknown section.
+        ("[experiment]\nseed = 5%\n", "run.cfg:[experiment] seed: invalid literal"),
+        ("[experiment]\nn_models = %(x)s\n", "run.cfg:[experiment] n_models"),
+        ("[DEFAULT]\nseed = 3\n", "run.cfg: unknown section [DEFAULT]"),
+        ("[DEFAULT]\nbogus = 3\n", "run.cfg: unknown section [DEFAULT]"),
+        ("[experiment]\nseed = 4\n[DEFAULT]\nseed = 3\n",
+         "run.cfg: unknown section [DEFAULT]"),
     ])
     def test_diagnostics(self, tmp_path, text, fragment):
         with pytest.raises(ConfigError) as info:
@@ -492,22 +502,33 @@ n_samples = 200
 
 
 def test_run_keeps_no_row_it_has_handed_to_the_writer(tmp_path, monkeypatch):
-    # One variant's rows are what the traced memory grows by while its five
+    # One variant's rows are what the traced memory grows by while its
     # builders run. A run that kept the rows it has handed to the writer
     # would peak above about six variants' rows.
     grown = collections.Counter()
+    scored = []   # (strategy, option) of each strategy call: the variant being scored
 
     def measured(builder):
         def build(*args):
             start = tracemalloc.get_traced_memory()[0]
             rows = builder(*args)
-            grown[args[-3:-1]] += tracemalloc.get_traced_memory()[0] - start
+            grown[scored[-1]] += tracemalloc.get_traced_memory()[0] - start
             return rows
         return build
+
+    def scoring(approach_id, strategy):
+        # Strategy 1's option is its threshold, strategies 2 and 3's the covariate.
+        def run(world, ensemble, option, *args):
+            scored.append((approach_id, option))
+            return strategy(world, ensemble, option, *args)
+        return run
 
     for name in ("_report_rows", "_estimate_rows", "_a1_deviation_rows",
                  "_implied_obs_rows", "_location_mae_rows"):
         monkeypatch.setattr(harness, name, measured(getattr(harness, name)))
+    for approach_id, name in enumerate(("evaluate_plausible", "infer_error_distribution",
+                                        "infer_observations"), 1):
+        monkeypatch.setattr(approaches, name, scoring(approach_id, getattr(approaches, name)))
     harness.run(write_config(tmp_path, FAST_CONFIG), tmp_path / "warm")   # imports
     config = write_config(tmp_path, MANY_ROWS_CONFIG)
     grown.clear()
@@ -1018,7 +1039,7 @@ PROPERTY_FIELDS = [(section, key) for section, fields in (
     ("experiment", harness._EXPERIMENT_FIELDS), ("sir", harness._SIR_FIELDS),
     ("approaches", harness._APPROACH_FIELDS)) for key in fields]
 PROPERTY_VALUES = ["0", "-1", "nan", "inf", "-inf", "1e308", "1e-300", "0.5", "2",
-                   "9999999999999999999999999"]
+                   "9999999999999999999999999", "5%"]
 
 
 def _quiet_main(argv):
