@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import NumericalInstabilityError, ScenarioEvalError
+from .errors import ConfigError, NumericalInstabilityError, ScenarioEvalError
 from .harness import REPORT_HEADER, resolve_out_dir, run
 from .plots import plot_report_dir
 
@@ -44,8 +44,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _directory(value: str | None, flag: str) -> str | None:
+    """``value`` of a directory flag; an empty one is an error rather than
+    the current directory."""
+    if value == "":
+        raise ConfigError("must name a directory, got an empty string", flag)
+    return value
+
+
 def _cmd_run(args) -> int:
-    out_dir = resolve_out_dir(args.out)
+    out_dir = resolve_out_dir(_directory(args.out, "--out"))
     report = run(args.config, out_dir, seed=args.seed)
     n_rows = len(report.report_rows)
     print(f"wrote report to {out_dir} "
@@ -60,7 +68,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_plot(args) -> int:
-    written = plot_report_dir(args.report_dir, args.out)
+    written = plot_report_dir(_directory(args.report_dir, "--in"),
+                              _directory(args.out, "--out"))
     for path in written:
         print(f"wrote {path}")
     return EXIT_OK

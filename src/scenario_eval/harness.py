@@ -39,22 +39,26 @@ strategy result. Callers who want the distributions themselves call the
 strategy functions of ``approaches``.
 
 This module alone owns the table format. Row values are ``int``, ``float``
-or ``str`` (flags "true"/"false", missing values ""), never numpy scalars,
-and go straight to ``csv.writer.writerows``: floats by ``repr``, the rest
-by ``str``. One ``ReportWriter``, which ``run`` makes, writes them:
-``evaluate`` hands it ``world.csv`` and ``projections.csv`` as soon as the
-world is generated and each strategy's rows as soon as they are built, and
-``write_report`` then hands it ``decomposition.csv`` and writes the
-manifest. ``evaluate`` alone decides which table builders a strategy's
-results go to; each builder turns the values it is given into rows. Which
-process writes a batch, and when, is described once in README.md, "Report
-files"; it changes none of the bytes.
+or ``str``, never numpy scalars, and every ``str`` is a bare token of
+letters, digits and underscores (labels, flags "true"/"false", missing
+values ""), so no field needs quoting. Each table has one line template,
+``"%s,...,%s\\n"`` with a ``%s`` per header column, and each row fills it:
+floats by ``repr`` (which is their ``str``), the rest by ``str``, the bytes
+``csv.writer`` with ``"\\n"`` line endings would write. One ``ReportWriter``,
+which ``run`` makes, writes them: ``evaluate`` hands it each strategy's
+rows as soon as they are built, strategy 1's together with ``world.csv``
+and ``projections.csv``, and ``write_report`` then hands it
+``decomposition.csv`` and writes the manifest. On two CPUs a run forks one
+solve worker and three background appends, one per strategy.
+``evaluate`` alone decides which table builders a strategy's results go
+to; each builder turns the values it is given into rows. Which process
+writes a batch, and when, is described once in README.md, "Report files";
+it changes none of the bytes.
 """
 
 from __future__ import annotations
 
 import configparser
-import csv
 import hashlib
 import json
 import os
@@ -256,21 +260,23 @@ class EvaluationReport:
 def evaluate(settings: RunSettings, writer: ReportWriter) -> EvaluationReport:
     """Run the whole experiment, handing its tables to ``writer``.
 
-    ``writer`` is handed ``world.csv`` and ``projections.csv`` once the world
-    is generated, then one batch per strategy: the rows of its variants in
-    ``approaches.VARIANTS``, once they are built. Strategy 1 is scored whole;
-    strategies 2 and 3 hand each model's distributions to the scorer as they
-    are built, which turns them into rows and drops them, so only one
-    model's samples are alive at a time. Only ``report.csv``'s rows are kept,
-    in ``VARIANTS`` order, for the report."""
+    ``writer`` is handed one batch per strategy: the rows of its variants in
+    ``approaches.VARIANTS``, once they are built. Strategy 1's batch also
+    carries ``world.csv`` and ``projections.csv``: it is scored in a few
+    milliseconds, so the world's tables go out with it rather than in a
+    batch of their own that the next would wait on. Strategy 1 is scored
+    whole; strategies 2 and 3 hand each model's distributions to the scorer
+    as they are built, which turns them into rows and drops them, so only
+    one model's samples are alive at a time. Only ``report.csv``'s rows are
+    kept, in ``VARIANTS`` order, for the report."""
     config = settings.experiment
     world, ensemble = world_gen.generate(config)
-    writer.add(_world_tables(world, ensemble))
     errs = world_gen.true_errors(world, ensemble)
     spec = SplineSpec(basis_dim=settings.basis_dim)
     true_errors = errs.tolist()   # [m][l][j], once for every builder call
 
     report_rows = []
+    world_tables = _world_tables(world, ensemble)   # handed over with strategy 1
     # Strategies and builders are looked up at call time, so span wrappers
     # swapped in after import (benchmarks/spans.py) see every call.
     for approach_id, variants in groupby(approaches.VARIANTS, itemgetter(0)):
@@ -317,7 +323,8 @@ def evaluate(settings: RunSettings, writer: ReportWriter) -> EvaluationReport:
                   settings.n_samples, config.seed, spec, score)
             batch["approach_estimates.csv"] += located
         report_rows += batch["report.csv"]
-        writer.add(batch)
+        writer.add(world_tables | batch)
+        world_tables = {}
         del batch   # else its rows stay alive through the next strategy
 
     return EvaluationReport(settings=settings, world=world, ensemble=ensemble,
@@ -506,13 +513,15 @@ def _world_tables(world, ensemble) -> dict:
 
 def _append(parts) -> None:
     """Write each (path, new, rows) part: a new file starts with its
-    header, any other is appended to."""
+    header, any other is appended to. Each row fills its table's one line
+    template, so a row of another length, or a list, raises ``TypeError``."""
     for path, new, rows in parts:
+        header = _HEADERS[path.name]
+        line = ",".join(["%s"] * len(header)) + "\n"
         with open(path, "w" if new else "a", encoding="utf-8", newline="\n") as handle:
-            writer = csv.writer(handle, lineterminator="\n")
             if new:
-                writer.writerow(_HEADERS[path.name])
-            writer.writerows(rows)
+                handle.write(line % header)
+            handle.writelines(map(line.__mod__, rows))
 
 
 def _sha256(path: Path) -> str:

@@ -33,9 +33,13 @@ it over blocks of BLOCK solves and advances (s, i) only: r feeds neither s
 nor i, and the final size reads only s, so integrating r would change no
 result. ``simulate`` passes the r row too, to return the full trajectory.
 Within a block the stage arrays are allocated once and every step writes
-into them, so a block's working set stays in cache; each value is rounded
-as in the textbook RK4 formulas, so results do not depend on the block
-size or on whether r is integrated.
+into them, so a block's working set stays in cache: BLOCK = 16,384 is the
+largest power of two whose dozen float64 arrays fit a 2 MiB per-core L2.
+Each step costs 46 ufunc calls whatever the block's length, so a batch is
+best solved in as few blocks as fit: the 12,300-solve share of a
+24,600-solve batch on two CPUs is one. Each value is rounded as in the
+textbook RK4 formulas, so results do not depend on the block size or on
+whether r is integrated.
 
 The final epidemic size is reported relative to the initially susceptible
 (post-vaccination) population: (s(0) - s(end)) / s(0), the attack fraction
@@ -78,9 +82,15 @@ DEFAULT_HORIZON = 548.0            # days, one and a half years
 DEFAULT_STEP = 0.5                 # days; time-step error <= 4.2e-10 (see module doc)
 MAX_STEPS = 1_000_000              # largest accepted horizon / step
 FINAL_SIZE_TOL = 1e-9              # accepted excursion of a final size outside [0, 1]
-# Solves per kernel call: the dozen float64 arrays a block works on
-# (64 KB each) stay inside a 2 MiB per-core L2 cache through all its steps.
-BLOCK = 8192
+# Solves per kernel call: the largest power of two whose dozen float64
+# arrays (y, slope, total and stage of two rows each, power, neg_recovery,
+# beta, alpha) fit a 2 MiB per-core L2 cache, so a block stays in it through
+# all its steps: 12 x 16,384 x 8 B = 1.5 MiB. Medians of 15 on the default
+# grid, 2-vCPU Xeon VM, at BLOCK 8,192 / 12,288 / 16,384 / 24,576: one
+# process, 24,576 solves: 61.3 / 57.3 / 57.1 / 63.8 us per solve (24,576
+# spills the L2); 24,600 solves fanned over both CPUs, shares of 12,300:
+# 36.9 / 36.8 / 33.6 / 33.2 (BENCH_critical_path.json).
+BLOCK = 1 << (((2 << 20) // (12 * 8)).bit_length() - 1)
 # Fewest solves in each range of a split batch. Two processes on a 2-vCPU
 # machine break even at about 512 solves on the default grid (2 solves:
 # 54 ms serial, 96 ms fanned; 4,096: 244 against 184 ms;

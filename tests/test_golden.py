@@ -108,8 +108,8 @@ def _digests(out_dir):
 @pytest.mark.parametrize("case", ["three_cpus", "one_cpu", "no_fork", "live_thread"])
 def test_fan_out_and_serial_fallbacks_write_golden_bytes(tmp_path, monkeypatch, case, entry):
     # Fanned over three processes: two forks for the solve, and one
-    # background append for each of the four batches. Each serial path must
-    # not fork at all.
+    # background append for each of the three batches. Each serial path
+    # must not fork at all.
     use_cpus(monkeypatch, 1 if case == "one_cpu" else 3)
     forks = []
     real_fork = os.fork
@@ -140,7 +140,7 @@ def test_fan_out_and_serial_fallbacks_write_golden_bytes(tmp_path, monkeypatch, 
         if case == "live_thread":
             thread.join(10)
     assert not thread.is_alive()
-    assert len(forks) == (2 + 4 if case == "three_cpus" else 0)
+    assert len(forks) == (2 + 3 if case == "three_cpus" else 0)
     assert _digests(tmp_path) == DEFAULT_DIGESTS
     assert_no_child_processes()
 
@@ -155,10 +155,11 @@ def test_run_with_every_batch_in_the_background_writes_golden_bytes(
     forks, real_fork = [], os.fork
     monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
     harness.run(_config_path(tmp_path, config), tmp_path / "out")
-    # One fork for the solve and one background append per batch: world and
-    # projections, then each of the three strategies with all its variants.
-    # The parent writes decomposition.csv and computes the digests itself.
-    assert len(forks) == 1 + 4
+    # One fork for the solve and one background append per batch: each of
+    # the three strategies with all its variants, world and projections
+    # with strategy 1. The parent writes decomposition.csv and computes the
+    # digests itself.
+    assert len(forks) == 1 + 3
     assert _digests(tmp_path / "out") == expected
     assert_no_child_processes()
 
@@ -190,8 +191,9 @@ def test_parent_writes_decomposition_before_waiting_for_the_last_append(
         harness.run(None, out)
     writes = [(pid == str(caller), names) for pid, names in
               (line.split(" ") for line in log.read_text().splitlines()) if names]
-    assert writes[0] == (False, "world.csv,projections.csv")
-    assert [by_caller for by_caller, _ in writes] == [False] * 3 + [True, False]
-    assert writes[3] == (True, "decomposition.csv")
+    assert writes[0] == (False, "world.csv,projections.csv,report.csv,approach_estimates.csv,"
+                                "a1_deviation.csv,implied_obs_ks.csv,location_mae.csv")
+    assert [by_caller for by_caller, _ in writes] == [False] * 2 + [True, False]
+    assert writes[2] == (True, "decomposition.csv")
     assert _digests(out) == DEFAULT_DIGESTS
     assert_no_child_processes()

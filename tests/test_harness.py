@@ -399,9 +399,9 @@ class TestTables:
         assert kinds == {"scenario_0", "scenario_1", "scenario_2", "realized"}
 
     def test_values_are_csv_scalars(self):
-        # The csv module writes these exactly: float by repr, int and str by
-        # str. A bool would be written "True" and a numpy float as
-        # "np.float64(...)".
+        # The row templates write these as csv.writer would: float by repr,
+        # int and str by str (tests/test_row_format.py). A bool would be
+        # written "True", not as the flag "true".
         writer = CollectingWriter()
         report = harness.evaluate(harness.RunSettings(), writer)
         tables = writer.tables
@@ -560,6 +560,9 @@ class TestEnvOverride:
         monkeypatch.setenv(harness.OUT_DIR_ENV, str(tmp_path / "env_out"))
         assert harness.resolve_out_dir(None) == tmp_path / "env_out"
         assert harness.resolve_out_dir("explicit") == Path("explicit")
+        # An empty variable counts as unset (README, "Command line").
+        monkeypatch.setenv(harness.OUT_DIR_ENV, "")
+        assert harness.resolve_out_dir(None) == Path("scenario_eval_report")
 
 
 def _cut_last_row(text, n_fields):
@@ -727,6 +730,22 @@ class TestCli:
         assert code == 2
         assert "i/o error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["run", "--out", ""], "--out"),
+        (["plot", "--in", ""], "--in"),
+        (["plot", "--in", "report", "--out", ""], "--out"),
+    ], ids=["run_out", "plot_in", "plot_out"])
+    def test_empty_directory_flag_exit_2(self, tmp_path, monkeypatch, capsys, argv, flag):
+        # An empty path would mean the current directory: run would write
+        # its nine report files there and plot read and write there.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "report").mkdir()
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"configuration error: {flag}: must name a directory, got an empty string\n")
+        assert [path.name for path in tmp_path.iterdir()] == ["report"]
+        assert not any((tmp_path / "report").iterdir())
+
     def test_missing_plot_inputs_exit_2(self, tmp_path, capsys):
         assert cli.main(["plot", "--in", str(tmp_path / "empty")]) == 2
 
@@ -825,8 +844,9 @@ class TestWorkerFailures:
     def test_blocked_background_append_exits_2_as_when_serial(
             self, tmp_path, monkeypatch, capsys, name):
         # Every batch goes to its own append: projections.csv is in the
-        # first, location_mae.csv in each strategy's. No append after the
-        # failed one writes, so no file is written out of order.
+        # first, with strategy 1's tables, location_mae.csv in each
+        # strategy's. No write after the failed one happens, so no file is
+        # written out of order.
         config = write_config(tmp_path, FAST_CONFIG)
         errors, written = [], []
         for cpus in (1, 2):
@@ -844,7 +864,7 @@ class TestWorkerFailures:
         first_batch = ["projections.csv", "world.csv"]
         if name == "projections.csv":
             assert written[0] == first_batch
-        else:   # the first variant's other tables, and nothing later
+        else:   # the first batch's other tables, and nothing later
             assert written[0] == sorted(first_batch + [
                 "a1_deviation.csv", "approach_estimates.csv", "implied_obs_ks.csv",
                 "location_mae.csv", "report.csv"])
@@ -953,8 +973,9 @@ class TestWorkerFailures:
         assert_no_child_processes()
 
     def test_failed_run_leaves_no_manifest_of_an_earlier_run(self, tmp_path, monkeypatch):
-        # The failed run has already replaced world.csv and projections.csv,
-        # so the earlier manifest's digests no longer hold.
+        # Strategy 2's builder fails after the first batch has replaced
+        # world.csv, projections.csv and strategy 1's tables, so the earlier
+        # manifest's digests no longer hold.
         config = write_config(tmp_path, FAST_CONFIG)
         out = tmp_path / "o"
         harness.run(config, out)
@@ -963,10 +984,33 @@ class TestWorkerFailures:
         def fail(*args):
             raise RuntimeError("builder failed")
 
-        monkeypatch.setattr(harness, "_report_rows", fail)
+        monkeypatch.setattr(harness, "_implied_obs_rows", fail)
         with pytest.raises(RuntimeError):
             harness.run(config, out)
         assert not (out / harness.MANIFEST_FILE).exists()
+        assert_no_child_processes()
+
+    def test_failed_strategy_1_leaves_the_earlier_report_untouched(
+            self, tmp_path, monkeypatch):
+        # Strategy 1 is scored before the first batch is handed over, so a
+        # failure there writes nothing: the earlier report and its manifest
+        # stay, and the manifest's digests still hold.
+        config = write_config(tmp_path, FAST_CONFIG)
+        out = tmp_path / "o"
+        harness.run(write_config(tmp_path, FAST_CONFIG.replace("seed = 3", "seed = 4"),
+                                 "earlier.cfg"), out)
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+
+        def fail(*args):
+            raise RuntimeError("builder failed")
+
+        monkeypatch.setattr(harness, "_a1_deviation_rows", fail)
+        with pytest.raises(RuntimeError, match="builder failed"):
+            harness.run(config, out)
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+        manifest = json.loads(before[harness.MANIFEST_FILE])
+        assert manifest["files"] == {name: harness._sha256(out / name)
+                                     for name in harness.DATA_FILES}
         assert_no_child_processes()
 
     def test_run_leaves_no_child_process(self, tmp_path, monkeypatch):

@@ -290,9 +290,15 @@ REF_GRID = dict(horizon=100.0, step=0.5)
 REF_STEPS = 200
 
 
+def _around_blocks(*ends):
+    """Batch sizes k * b + d for each (k, d) of ``ends`` and b the block
+    size and half of it: the same sizes end inside a block and across one,
+    and results must not depend on the block size."""
+    return sorted({k * b + d for b in (sir_core.BLOCK // 2, sir_core.BLOCK) for k, d in ends})
+
+
 class TestKernelMatchesReference:
-    @pytest.mark.parametrize("n", [1, sir_core.BLOCK - 1, sir_core.BLOCK,
-                                   sir_core.BLOCK + 1, 2 * sir_core.BLOCK + 5])
+    @pytest.mark.parametrize("n", [1] + _around_blocks((1, -1), (1, 0), (1, 1), (2, 5)))
     def test_batch_bitwise(self, n):
         rng = np.random.default_rng(n)
         r0, alpha, v = _random_draws(n, rng)
@@ -341,8 +347,7 @@ class TestBlockBoundaryErrors:
 
 
 class TestFanOut:
-    @pytest.mark.parametrize("n", [1, 2, 3, sir_core.BLOCK - 1, sir_core.BLOCK + 1,
-                                   2 * sir_core.BLOCK + 3])
+    @pytest.mark.parametrize("n", [1, 2, 3] + _around_blocks((1, -1), (1, 1), (2, 3)))
     def test_split_solve_equals_serial(self, monkeypatch, n):
         # Ranges of a single solve, so that tiny batches still really fork.
         monkeypatch.setattr(sir_core, "MIN_SHARE", 1)
