@@ -20,13 +20,21 @@ h(0) = 0 by definition for every alpha > 0.
 
 Initial state: s(0) = 1 - v, i(0) = i0, r(0) = v - i0 (vaccinated individuals
 start recovered). Integration is classic fixed-step RK4, chosen over an
-adaptive scheme for bitwise reproducibility. The default step of 0.5 days
-keeps the time-step error of a final size at most 4.2e-10 against a step of
-0.0625 on the benchmark's 24,600 solves, far below the up to 0.10 that the
-finite horizon leaves out (see below) and the model errors of about 0.05
-this package measures; the test suite checks the step against a quarter of
-it. Drawn alphas up to about 1.5 stay accurate at the default step; larger
-ones make the solve stiff.
+adaptive scheme for bitwise reproducibility. The default step of 1 day
+keeps the time-step error of a final size at most 6.8e-9 against a step of
+0.0625 on the benchmark's 24,600 solves (4.2e-10 at the earlier default of
+0.5), seven orders of magnitude below the up to 0.10 that the finite
+horizon leaves out (see below) and the model errors of about 0.05 this
+package measures; the test suite checks the step against a quarter of it.
+Drawn alphas up to about 1.45 stay accurate at the default step (within
+2e-6 of an eighth of it for r0 2 to 3.5 and v 0.3 to 0.5). From about 1.5
+the solve turns stiff: a final size leaves [0, 1], which raises (see
+below), or, undetected, stays inside it far from the finer solve's.
+
+The grid takes the fewest steps of at most ``step`` that reach the horizon:
+ceil(horizon / step) steps of horizon / ceil(horizon / step) each. A step
+that divides the horizon, to within rounding of the ratio (relative
+GRID_TOL), is used as given.
 
 One in-place kernel, ``_rk4``, does every solve. ``final_size_batch`` runs
 it over blocks of BLOCK solves and advances (s, i) only: r feeds neither s
@@ -50,7 +58,7 @@ epidemics are still running at the horizon. No convergence stop is applied.
 
 A grid of more than MAX_STEPS = 1,000,000 steps (horizon / step) is rejected
 with ParameterDomainError, so no horizon or step can make a solve run
-effectively forever; the default grid has 1,096 steps. A step too coarse for
+effectively forever; the default grid has 548 steps. A step too coarse for
 RK4 to stay stable shows as a final size outside [0, 1] (by more than
 FINAL_SIZE_TOL = 1e-9) and raises NumericalInstabilityError.
 
@@ -68,6 +76,7 @@ Results do not depend on the split.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,23 +88,25 @@ DEFAULT_INFECTIOUS_PERIOD = 10.0   # days
 DEFAULT_I0 = 0.001                 # initial infected fraction
 DEFAULT_POPULATION = 1000.0        # reference count scale for the heterogeneity term
 DEFAULT_HORIZON = 548.0            # days, one and a half years
-DEFAULT_STEP = 0.5                 # days; time-step error <= 4.2e-10 (see module doc)
+DEFAULT_STEP = 1.0                 # days; time-step error <= 6.8e-9 (see module doc)
 MAX_STEPS = 1_000_000              # largest accepted horizon / step
+GRID_TOL = 1e-12                   # horizon / step this close to an integer (relative) is one
 FINAL_SIZE_TOL = 1e-9              # accepted excursion of a final size outside [0, 1]
 # Solves per kernel call: the largest power of two whose dozen float64
 # arrays (y, slope, total and stage of two rows each, power, neg_recovery,
 # beta, alpha) fit a 2 MiB per-core L2 cache, so a block stays in it through
 # all its steps: 12 x 16,384 x 8 B = 1.5 MiB. Medians of 15 on the default
-# grid, 2-vCPU Xeon VM, at BLOCK 8,192 / 12,288 / 16,384 / 24,576: one
-# process, 24,576 solves: 61.3 / 57.3 / 57.1 / 63.8 us per solve (24,576
-# spills the L2); 24,600 solves fanned over both CPUs, shares of 12,300:
-# 36.9 / 36.8 / 33.6 / 33.2 (BENCH_critical_path.json).
+# 548-step grid, 2-vCPU Xeon VM, at BLOCK 8,192 / 12,288 / 16,384 / 24,576:
+# one process, 24,576 solves: 29.9 / 31.6 / 28.4 / 36.8 us per solve
+# (24,576 spills the L2); 24,600 solves fanned over both CPUs, shares of
+# 12,300: 20.4 / 21.2 / 17.5 / 17.9 (BENCH_day_step.json).
 BLOCK = 1 << (((2 << 20) // (12 * 8)).bit_length() - 1)
 # Fewest solves in each range of a split batch. Two processes on a 2-vCPU
-# machine break even at about 512 solves on the default grid (2 solves:
-# 54 ms serial, 96 ms fanned; 4,096: 244 against 184 ms;
-# BENCH_sorted_quantiles.json), as per-step ufunc overhead, which a split
-# does not halve, dominates smaller batches.
+# machine break even between 512 and 825 solves on the default grid
+# (medians of 15, serial against fanned: 2 solves 31 against 53 ms, 512:
+# 47 against 50, 825: 58 against 53, 1,650: 75 against 66, 4,096: 134
+# against 102; BENCH_day_step.json), as per-step ufunc overhead, which a
+# split does not halve, dominates smaller batches.
 MIN_SHARE = 256
 
 
@@ -142,17 +153,23 @@ class SirTrajectory:
         return (s0 - float(self.s[-1])) / s0
 
 
-def _validate_grid(horizon: float, step: float) -> int:
+def _grid(horizon: float, step: float) -> tuple[int, float]:
+    """Number and length of the steps from 0 to ``horizon``: the fewest
+    steps of at most ``step`` that end at the horizon."""
     if not 0 < horizon < np.inf:
         raise ParameterDomainError(f"horizon must be finite and > 0, got {horizon}")
     if not 0 < step <= horizon:
         raise ParameterDomainError(
             f"step must lie in (0, horizon] = (0, {horizon}], got {step}")
-    n_steps = horizon / step
-    if not n_steps <= MAX_STEPS:
+    ratio = horizon / step
+    if not ratio <= MAX_STEPS:
         raise ParameterDomainError(
             f"horizon / step must be <= {MAX_STEPS} steps, got {horizon} / {step}")
-    return int(round(n_steps))
+    n_steps = round(ratio)
+    if abs(ratio - n_steps) <= GRID_TOL * n_steps:
+        return n_steps, step
+    n_steps = math.ceil(ratio)
+    return n_steps, horizon / n_steps
 
 
 def _rk4(y, beta, alpha, gamma, population, step, n_steps):
@@ -221,7 +238,7 @@ def simulate(params: SirParams, horizon: float = DEFAULT_HORIZON,
         ParameterDomainError: Invalid parameters or grid.
         NumericalInstabilityError: Non-finite state produced during integration.
     """
-    n_steps = _validate_grid(horizon, step)
+    n_steps, step = _grid(horizon, step)
     beta = np.array([params.r0]) / params.infectious_period
     alpha = np.array([params.alpha])
     gamma = 1.0 / params.infectious_period
@@ -263,7 +280,7 @@ def final_size_batch(r0: np.ndarray, alpha: np.ndarray, v: np.ndarray, *,
     if not (r0.shape == alpha.shape == v.shape and r0.ndim == 1):
         raise ParameterDomainError("r0, alpha and v must be 1-d arrays of equal length")
     _validate_batch(r0, alpha, v, i0, infectious_period, population)
-    n_steps = _validate_grid(horizon, step)
+    n_steps, step = _grid(horizon, step)
     beta = r0 / infectious_period
     gamma = 1.0 / infectious_period
     s0 = 1.0 - v

@@ -1,5 +1,5 @@
 """Golden SHA-256 digests of every data file, and of the three figures
-``plot`` draws from them, for two fixed configs.
+``plot`` draws from them, for three fixed configs.
 
 A refactor must leave these bytes unchanged; a change that moves them is a
 numerics change and has to say so. The digests depend on numpy's RNG
@@ -20,6 +20,19 @@ from scenario_eval.world_gen import ExperimentConfig
 from conftest import assert_no_child_processes, time_limit, use_cpus
 
 DEFAULT_DIGESTS = {
+    "world.csv": "ef909d0183a1f717b4ab741b07c73275b1ba67b405120bb54435629b46fa6752",
+    "projections.csv": "873064c65d4a8d1d3f69ca539d51482b069040960603424318638c65f3f08ada",
+    "approach_estimates.csv": "c831e52b0d561d7c44f4d90ecf2a2dcaf8334af85e186d5f503e33c8a65702c3",
+    "report.csv": "2bb9d2b7f00a4e620b40b2b04cfb4cba3f6703040887ae598997f91fa00b3d01",
+    "decomposition.csv": "97b3253cc74387748606938c32c058f8caf6d3100293fe63618fe4407da149cd",
+    "a1_deviation.csv": "50c9bceac1a9ee1af6b48dfd492d41cd7f58653ac60f023f99d6f5152f4532bf",
+    "implied_obs_ks.csv": "6d404e9cd2e09e821eed67317ff1dd7c097f8c12f888d1592cfb608b120e6c7e",
+    "location_mae.csv": "2b845f16d011d6ec11c1c30dfb22f4a250d66b736a1f6c81242f7816f6f13d1a",
+}
+# The default config at step 0.5, the default step before 1.0: the bytes
+# the default config wrote then, so the default step is the only thing
+# that moved them, and the grid still steps exactly 0.5 days.
+HALF_DAY_STEP_DIGESTS = {
     "world.csv": "87cd5fb61e2e9c5078f23f9eb0b5271c30a431938b55b5b4035c70614cc0d6c6",
     "projections.csv": "dfef766af4d8d72ea0b36575bc6d4fdc355a3ed4ac8a46a10a9616e4c7b6616e",
     "approach_estimates.csv": "d65d9be03303ac6f4db45fb1fa2eb3a61abe97828ea16eee0ef7a9270fa43eef",
@@ -30,17 +43,22 @@ DEFAULT_DIGESTS = {
     "location_mae.csv": "2d8ac00e4e8938cbee0a685882db4b9c9f9e5d6f7e3da127c9a7082669a2f247",
 }
 THREE_SCENARIO_DIGESTS = {
-    "world.csv": "f84e18d00903960eac26c3a9d19e7dbe8235fea3cb0be0924ff0ba73ca8ab41b",
-    "projections.csv": "143cce38d9651c900044d010bd37d73d9f05ebeeebfc4f600ffc91800f9b74db",
-    "approach_estimates.csv": "c7ea5ec0f0749e4bdbd64d3a1d1aec824c2ac5ac0a6eafedfafe9f80b92b20e2",
-    "report.csv": "5d6a7f390644ed5ecfb927a84d7d4c2d237a5ada447a26a4adde9db2e32d5edc",
-    "decomposition.csv": "a58c4d8ff1ff75a875d366d7c5d57f5bf8a0d09c22496c218f2ca3681934e912",
-    "a1_deviation.csv": "388dc9f4b061de62ea437261b93821ebff000dbd055931930e7f3b9e3f34c0a9",
+    "world.csv": "03198ff49bc0fcbe05720e3c1c214c2aa89cdebaa7cd4f2fc6c1f4d636eca12a",
+    "projections.csv": "f1af4ea16b3f80b0b7e41a9c51516f4461d63b223e15900a11fa0ecb3b100bde",
+    "approach_estimates.csv": "99f51f143c10f374f04b59582c493930c99a11f0b3ec2068d16616a8e4f7b284",
+    "report.csv": "0a0e3fb7e1b2f01fe717b05c03277e2dff3f12bf40b545868603da96dbb2f38e",
+    "decomposition.csv": "d323fc553d315767087c43236c030041e9bfa50a794b3d68b60b72674b1cea1c",
+    "a1_deviation.csv": "fa602496c784e13947a6e22386a13946333d0090ef7048a15cfa894dae7e0a82",
     "implied_obs_ks.csv": "8400da85b71a7e3e919d34eb0b3d27c321ea1534cdd0d2c41ec395b8e8239a48",
-    "location_mae.csv": "aed61d1303034ba31e8f6c3321caf599d97fc435d41a03b6f92432b737f4d4a2",
+    "location_mae.csv": "2a007c715dda37ffe5e6988ebf95255a47e78b67e0e4ad3db0a6c055a5a91c3e",
 }
 SVG_DIGESTS = {
     "default": {
+        "error_densities.svg": "2580663bd605d0f90898e6820381524a013db5a27a0ba6fd967db9fbb365275a",
+        "accuracy_summary.svg": "92c416d41ef4f6c0d0eda06d2030071ba4f7f16e647cea253dbb02d3e0c42380",
+        "decomposition.svg": "b68bbf671fddbb09dbd79795a583999fd57ef4f0d4c49969bcc838fb3efc64e8",
+    },
+    "half_day_step": {
         "error_densities.svg": "fd1f584ac78f05147caa42c1f34c525a7ff9473a7af1116595da9c1de33e9309",
         "accuracy_summary.svg": "92c416d41ef4f6c0d0eda06d2030071ba4f7f16e647cea253dbb02d3e0c42380",
         "decomposition.svg": "b68bbf671fddbb09dbd79795a583999fd57ef4f0d4c49969bcc838fb3efc64e8",
@@ -66,22 +84,33 @@ n_models = 4
 n_samples = 2000
 """
 
+HALF_DAY_STEP_SETTINGS = harness.RunSettings(experiment=ExperimentConfig(step=0.5))
+
+HALF_DAY_STEP_CONFIG = """\
+[sir]
+step = 0.5
+"""
+
+SETTINGS = {THREE_SCENARIO_CONFIG: THREE_SCENARIO_SETTINGS,
+            HALF_DAY_STEP_CONFIG: HALF_DAY_STEP_SETTINGS}
+
 
 def _config_path(tmp_path, config):
     """``config`` written to a file in ``tmp_path``; None for the built-in
     config."""
     if config is None:
         return None
-    path = tmp_path / "three.cfg"
+    path = tmp_path / "golden.cfg"
     path.write_text(config, encoding="utf-8")
-    assert harness.load_settings(path) == THREE_SCENARIO_SETTINGS
+    assert harness.load_settings(path) == SETTINGS[config]
     return path
 
 
 @pytest.mark.parametrize("config, expected", [
     (None, DEFAULT_DIGESTS),
     (THREE_SCENARIO_CONFIG, THREE_SCENARIO_DIGESTS),
-], ids=["default", "three_scenarios"])
+    (HALF_DAY_STEP_CONFIG, HALF_DAY_STEP_DIGESTS),
+], ids=["default", "three_scenarios", "half_day_step"])
 def test_data_files_match_golden_digests(tmp_path, config, expected):
     harness.run(_config_path(tmp_path, config), tmp_path / "out")
     assert tuple(expected) == harness.DATA_FILES
@@ -91,7 +120,8 @@ def test_data_files_match_golden_digests(tmp_path, config, expected):
 @pytest.mark.parametrize("config, expected", [
     (None, SVG_DIGESTS["default"]),
     (THREE_SCENARIO_CONFIG, SVG_DIGESTS["three_scenarios"]),
-], ids=["default", "three_scenarios"])
+    (HALF_DAY_STEP_CONFIG, SVG_DIGESTS["half_day_step"]),
+], ids=["default", "three_scenarios", "half_day_step"])
 def test_figures_match_golden_digests(tmp_path, config, expected):
     harness.run(_config_path(tmp_path, config), tmp_path / "out")
     written = plots.plot_report_dir(tmp_path / "out")

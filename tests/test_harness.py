@@ -670,6 +670,18 @@ class TestCli:
         assert "alpha 1.95427" in err and "smaller [sir] step" in err
         assert "Traceback" not in err
 
+    def test_stiff_world_at_default_step_exits_3(self, tmp_path, capsys):
+        # Alphas drawn about 1.5 (model centres up to 1.55) are too stiff for
+        # the default step; the same world at 1.45 runs.
+        config = write_config(tmp_path, "[experiment]\nalpha_true_mean = 1.5\n"
+                              "alpha_center_low = 1.5\nalpha_center_high = 1.55\n")
+        assert cli.main(["run", "--config", str(config),
+                         "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert f"step {sir_core.DEFAULT_STEP} is too large" in err
+        assert "try a smaller [sir] step" in err
+        assert "Traceback" not in err
+
     def test_perfect_models_ignore_model_alpha_spread(self, tmp_path):
         config = write_config(tmp_path, "[experiment]\nalpha_model_sd = 0.6\n"
                               "perfect_models = true\n" + CLI_SMALL)

@@ -82,6 +82,28 @@ class TestParamValidation:
                 final_size(params, horizon=horizon, step=step)
 
 
+class TestGrid:
+    @pytest.mark.parametrize("horizon, step, n_steps", [
+        (10.0, 6.0, 2), (10.0, 4.0, 3), (100.0, 0.3, 334), (548.0, 0.7, 783)])
+    def test_steps_end_at_the_horizon(self, horizon, step, n_steps):
+        # No step divides its horizon: round(horizon / step) steps of
+        # ``step`` would end at 12, 8, 99.9 and 548.1.
+        params = SirParams(r0=2.5, alpha=0.975, v=0.3)
+        traj = simulate(params, horizon=horizon, step=step)
+        assert len(traj.times) == n_steps + 1
+        assert traj.times[-1] == pytest.approx(horizon, rel=1e-12)
+        assert np.max(np.diff(traj.times)) <= step
+        assert final_size(params, horizon=horizon, step=step) == traj.final_size
+
+    @pytest.mark.parametrize("horizon, step, n_steps", [
+        (548.0, 1.0, 548), (548.0, 0.5, 1096), (1.1, 0.1, 11), (0.7, 0.1, 7)])
+    def test_dividing_step_is_taken_as_given(self, horizon, step, n_steps):
+        # 1.1 / 0.1 and 0.7 / 0.1 are 11.000000000000002 and
+        # 6.999999999999999 in floating point: within rounding of an integer.
+        traj = simulate(SirParams(r0=2.5, alpha=0.975, v=0.3), horizon=horizon, step=step)
+        assert _bits(traj.times) == _bits(np.arange(n_steps + 1) * step)
+
+
 @settings(max_examples=200, deadline=None)
 @given(horizon=st.floats(allow_nan=True, allow_infinity=True),
        step=st.floats(allow_nan=True, allow_infinity=True))
@@ -122,7 +144,7 @@ class TestFinalSizeOracle:
     def test_default_world_within_step_error_budget(self, default_world):
         # Every solve of the default world (truth and models, at each
         # scenario and the realized coverage; alpha 0.92-1.03) at the shipped
-        # step against a quarter of it. Measured 3.8e-10; the bound sits far
+        # step against a quarter of it. Measured 6.1e-9; the bound sits far
         # below the model errors of about 0.05 that the package measures.
         world, ensemble = default_world
         grid = (ensemble.n_models + 1, world.n_locations, world.n_scenarios + 1)
@@ -255,6 +277,17 @@ class TestBatch:
 
 
 class TestInstability:
+    def test_stiffness_bound_at_default_step(self):
+        # Measured at r0 2-3 and v 0.3-0.5: alpha 1.1-1.5 within 1.6e-6 of
+        # an eighth of the default step; alpha 1.55 and above is unstable.
+        r0, v = (a.ravel() for a in np.meshgrid([2.0, 2.5, 3.0], [0.3, 0.4, 0.5]))
+        alpha = np.full(len(r0), 1.4)
+        coarse = final_size_batch(r0, alpha, v)
+        fine = final_size_batch(r0, alpha, v, step=sir_core.DEFAULT_STEP / 8)
+        assert np.max(np.abs(coarse - fine)) <= 1e-5
+        with pytest.raises(NumericalInstabilityError, match="outside"):
+            final_size_batch(r0, np.full(len(r0), 1.6), v)
+
     def test_blowup_raises(self):
         # An absurd transmission rate with a strongly superlinear infection
         # term overflows the fixed-step integrator.
