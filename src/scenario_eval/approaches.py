@@ -23,16 +23,17 @@ Strategies 2 and 3 share one predictive draw (``_draw``) in location-ordered
 chunks, the first ``n_samples % n_locations`` locations one sample longer,
 and one builder (``_distributions``) that pools each sample vector across
 locations and, with the covariate, keeps per-location distributions as row
-views of it, which is therefore read-only. Sampling uses keyed
+views of it, which is therefore read-only. Both return an
+``InferredResult(pooled, per_location)``. Sampling uses keyed
 substreams: strategy 2 keys include the model, strategy 3 deliberately does
 not, so a single set of inferred observations is shared by all models.
 Both build their distributions one model at a time (``_by_model``). By
 default every model's are collected into the result, each in fresh arrays; a
 ``consume`` callback is handed each model's instead, with the sorted copy of
-each pooled vector, as soon as they are built, so a caller that scores them
-holds one model's samples at a time (``harness.evaluate`` does). The arrays
-handed to ``consume`` are drawn and sorted into the same memory for every
-model of the call, so the next model overwrites them.
+each scenario's pooled vector, as soon as they are built, so a caller that
+scores them holds one model's samples at a time (``harness.evaluate`` does).
+The arrays handed to ``consume`` are drawn and sorted into the same memory
+for every model of the call, so the next model overwrites them.
 
 Every distribution carries a ``DistributionSummary`` (mean and five
 quantiles). ``summarize_rows`` computes the summaries of a block of
@@ -49,7 +50,7 @@ bits as one ``np.quantile`` and one ``mean`` call per vector.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import repeat
 from typing import NamedTuple
 
@@ -89,13 +90,14 @@ class DistributionSummary(NamedTuple):
     ``np.quantile(samples, QUANTILES)``, though the quantiles come from a
     sort (see ``summarize_rows``). An immutable named tuple: a run
     builds one per distribution, at about a third of a frozen dataclass's
-    cost."""
+    cost. The fields are in ``approach_estimates.csv``'s column order, so a
+    summary is the tail of its table row."""
 
     mean: float
     median: float
-    q05: float
     q25: float
     q75: float
+    q05: float
     q95: float
     n_samples: int
 
@@ -141,7 +143,7 @@ def summarize_rows(rows: np.ndarray,
         quantiles[odd] = np.quantile(rows[odd], QUANTILES, axis=1).T
     q05, q25, median, q75, q95 = quantiles.T.tolist()
     means = rows.mean(axis=1).tolist()
-    return list(map(DistributionSummary, means, median, q05, q25, q75, q95, repeat(n)))
+    return list(map(DistributionSummary, means, median, q25, q75, q05, q95, repeat(n)))
 
 
 class ErrorDistribution(NamedTuple):
@@ -177,18 +179,9 @@ class PlausibleScenarioResult:
 
 
 @dataclass(frozen=True)
-class InferredErrorResult:
-    include_covariate: bool
-    realized_errors: np.ndarray          # (M, L)
-    fits: tuple[FittedSpline, ...]       # one per model
-    pooled: dict                         # (m, j) -> ErrorDistribution
-    per_location: dict                   # (m, j, l) -> ErrorDistribution (covariate only)
+class InferredResult:
+    """Strategy 2's or 3's distributions, each dict in key order."""
 
-
-@dataclass(frozen=True)
-class InferredObservationResult:
-    include_covariate: bool
-    observation_fit: FittedSpline
     pooled: dict                         # (m, j) -> ErrorDistribution
     per_location: dict                   # (m, j, l) -> ErrorDistribution (covariate only)
 
@@ -321,34 +314,32 @@ def _distributions(m: int, j: int, samples: np.ndarray, counts: np.ndarray,
     return ordered
 
 
-def _by_model(result, n_models: int, n_scenarios: int, samples_of,
-              counts: np.ndarray, consume):
+def _by_model(n_models: int, n_scenarios: int, samples_of, counts: np.ndarray,
+              located: bool, consume) -> InferredResult:
     """Build the distributions of the samples ``samples_of(m, j, out)``
-    writes to ``out``, in (m, j) order, one model at a time, into
-    ``result``'s empty ``pooled`` and ``per_location`` dicts (the latter only
-    with the covariate); returns ``result``.
+    writes to ``out``, in (m, j) order, one model at a time, the
+    per-location ones only when ``located``; returns them as one result.
 
-    With ``consume``, each model's go to ``consume(part, ordered)`` instead:
-    ``part`` is ``result`` holding that model's distributions only, and
-    ``ordered`` maps each of its (m, j) to the sorted pooled samples. Every
-    model then draws and sorts into the same arrays per scenario, made once
-    per call, so ``consume`` must copy what it keeps before it returns.
-    Without it, each model gets fresh arrays, as the result keeps them."""
+    With ``consume``, each model's go to ``consume(part, ordered)`` instead,
+    and the result returned holds none: ``part`` holds that model's
+    distributions only, and ``ordered[j]`` is scenario j's pooled samples,
+    sorted. Every model then draws and sorts into the same arrays per
+    scenario, made once per call, so ``consume`` must copy what it keeps
+    before it returns. Without it, each model gets fresh arrays, as the
+    result keeps them."""
     n = counts.sum()
+    result = InferredResult(pooled={}, per_location={})
     for m in range(n_models):
         if m == 0 or consume is None:   # else this model overwrites the last one's
             arrays = [(np.empty(n), np.empty((2, n))) for _ in range(n_scenarios)]
-        part = replace(result, pooled={}, per_location={})
-        located = part.per_location if result.include_covariate else None
-        ordered = {}
+        part = result if consume is None else InferredResult(pooled={}, per_location={})
+        ordered = []
         for j, (kept, scratch) in enumerate(arrays):
             samples_of(m, j, kept)
-            ordered[(m, j)] = _distributions(m, j, kept, counts, part.pooled,
-                                             located, scratch)
-        if consume is None:
-            result.pooled.update(part.pooled)
-            result.per_location.update(part.per_location)
-        else:
+            ordered.append(_distributions(m, j, kept, counts, part.pooled,
+                                          part.per_location if located else None,
+                                          scratch))
+        if consume is not None:
             consume(part, ordered)
     return result
 
@@ -356,7 +347,7 @@ def _by_model(result, n_models: int, n_scenarios: int, samples_of,
 def infer_error_distribution(world: TrueWorld, ensemble: ModelEnsemble,
                              include_covariate: bool, n_samples: int = 10_000,
                              seed: int = 0, spec: SplineSpec = SplineSpec(),
-                             consume=None) -> InferredErrorResult:
+                             consume=None) -> InferredResult:
     """Strategy 2: regress realized-scenario errors on realized coverage.
 
     Fits one regression per model of e_m(x*) = reprojection - observation on
@@ -365,9 +356,10 @@ def infer_error_distribution(world: TrueWorld, ensemble: ModelEnsemble,
     the covariate the prediction is made per location and the ``n_samples``
     budget is split equally across locations before pooling; without it, a
     single location-generic predictive distribution is sampled. Each model's
-    distributions go to ``consume`` when it is given; the samples and sorted
-    copies it is handed, read-only as they are, are overwritten by the next
-    model, so it must copy what it keeps (see ``_by_model``).
+    distributions go to ``consume(part, ordered)`` when it is given; the
+    samples and sorted copies it is handed, read-only as they are, are
+    overwritten by the next model, so it must copy what it keeps (see
+    ``_by_model``).
     """
     M, L, S = ensemble.n_models, world.n_locations, world.n_scenarios
     _check_budget(n_samples, L, include_covariate)
@@ -385,16 +377,13 @@ def infer_error_distribution(world: TrueWorld, ensemble: ModelEnsemble,
         rng = substream(seed, KIND_ERROR_SAMPLING, variant_key, m, j)
         out[...] = _draw(fits[m], float(world.scenario_values[j]), covariate, counts, rng)
 
-    result = InferredErrorResult(include_covariate=include_covariate,
-                                 realized_errors=realized_errors, fits=fits,
-                                 pooled={}, per_location={})
-    return _by_model(result, M, S, samples_of, counts, consume)
+    return _by_model(M, S, samples_of, counts, include_covariate, consume)
 
 
 def infer_observations(world: TrueWorld, ensemble: ModelEnsemble,
                        include_covariate: bool, n_samples: int = 10_000,
                        seed: int = 0, spec: SplineSpec = SplineSpec(),
-                       consume=None) -> InferredObservationResult:
+                       consume=None) -> InferredResult:
     """Strategy 3: estimate what would have been observed at each scenario.
 
     Fits one regression of the realized observations on realized coverage
@@ -402,9 +391,10 @@ def infer_observations(world: TrueWorld, ensemble: ModelEnsemble,
     Observation samples are drawn once per (scenario, location) from streams
     that do not involve the model, and each model's error samples are its
     projections minus those shared samples, pooled across locations. Each
-    model's distributions go to ``consume`` when it is given; the samples
-    and sorted copies it is handed, read-only as they are, are overwritten
-    by the next model, so it must copy what it keeps (see ``_by_model``).
+    model's distributions go to ``consume(part, ordered)`` when it is given;
+    the samples and sorted copies it is handed, read-only as they are, are
+    overwritten by the next model, so it must copy what it keeps (see
+    ``_by_model``).
     """
     M, L, S = ensemble.n_models, world.n_locations, world.n_scenarios
     _check_budget(n_samples, L, include_covariate)
@@ -424,13 +414,10 @@ def infer_observations(world: TrueWorld, ensemble: ModelEnsemble,
         _by_location(np.subtract, ensemble.projections[m, :, j], observations[j],
                      counts, out)
 
-    result = InferredObservationResult(include_covariate=include_covariate,
-                                       observation_fit=observation_fit,
-                                       pooled={}, per_location={})
-    return _by_model(result, M, S, samples_of, counts, consume)
+    return _by_model(M, S, samples_of, counts, include_covariate, consume)
 
 
-def implied_observations(result: InferredErrorResult, ensemble: ModelEnsemble,
+def implied_observations(result: InferredResult, ensemble: ModelEnsemble,
                          world: TrueWorld, model_id: int,
                          scenario_index: int) -> np.ndarray:
     """Observations implied by a strategy-2 error estimate: projection minus

@@ -26,17 +26,21 @@ Everything a report number needs is recomputable from the data CSVs plus
 the seeded sampling procedure; re-running the same config produces byte
 identical data files.
 
-``evaluate`` scores strategy 1 whole and strategies 2 and 3 one model at a
-time: each model's distributions go to the scorer as soon as they are drawn
-(``approaches``' ``consume`` callback), which turns them into table rows,
-the KS test of each pooled vector reading the sorted copy its summary was
-made from, and drops them before the next model is drawn into the same
-arrays. So a run holds one model's samples at a time. Each strategy's rows,
-its variants in order, go to the run's ``ReportWriter`` in one batch, and a
-run keeps no row it has handed over. The ``EvaluationReport`` it returns
-holds ``report.csv``'s rows, which ``scenario-eval run`` prints, and no
-strategy result. Callers who want the distributions themselves call the
-strategy functions of ``approaches``.
+``evaluate`` scores all five variants with one scorer, one model at a
+time: it turns a model's distributions and per-location estimates into
+``report.csv``, ``approach_estimates.csv`` and ``location_mae.csv`` rows;
+only ``a1_deviation.csv`` (strategy 1) and ``implied_obs_ks.csv``
+(strategy 2) have builders of their own. Strategies 2 and 3 hand each
+model's distributions to the scorer as soon as they are drawn
+(``approaches``' ``consume`` callback), the KS test of each pooled vector
+reading the sorted copy its summary was made from, and drop them before the
+next model is drawn into the same arrays. So a run holds one model's
+samples at a time. Each strategy's rows, its variants in order, go to the
+run's ``ReportWriter`` in one batch, and a run keeps no row it has handed
+over. The ``EvaluationReport`` it returns holds ``report.csv``'s rows,
+which ``scenario-eval run`` prints, and no strategy result. Callers who
+want the distributions themselves call the strategy functions of
+``approaches``.
 
 This module alone owns the table format. Row values are ``int``, ``float``
 or ``str``, never numpy scalars, and every ``str`` is a bare token of
@@ -264,11 +268,13 @@ def evaluate(settings: RunSettings, writer: ReportWriter) -> EvaluationReport:
     ``approaches.VARIANTS``, once they are built. Strategy 1's batch also
     carries ``world.csv`` and ``projections.csv``: it is scored in a few
     milliseconds, so the world's tables go out with it rather than in a
-    batch of their own that the next would wait on. Strategy 1 is scored
-    whole; strategies 2 and 3 hand each model's distributions to the scorer
-    as they are built, which turns them into rows and drops them, so only
-    one model's samples are alive at a time. Only ``report.csv``'s rows are
-    kept, in ``VARIANTS`` order, for the report."""
+    batch of their own that the next would wait on. One scorer turns a
+    model's distributions into the report, estimate and ``location_mae.csv``
+    rows of every variant: strategy 1 calls it once per model, and
+    strategies 2 and 3 hand it each model's distributions as they are
+    built and then drop them, so only one model's samples are alive at a
+    time. Only ``report.csv``'s rows are kept, in ``VARIANTS`` order, for
+    the report."""
     config = settings.experiment
     world, ensemble = world_gen.generate(config)
     errs = world_gen.true_errors(world, ensemble)
@@ -283,44 +289,58 @@ def evaluate(settings: RunSettings, writer: ReportWriter) -> EvaluationReport:
         batch = {name: [] for name in _STRATEGY_FILES}
         for _, variant in variants:
             ids = (approach_id, variant)
-            if approach_id == APPROACH_PLAUSIBLE:
-                result = approaches.evaluate_plausible(
-                    world, ensemble, settings.plausibility_threshold)
-                batch["report.csv"] += _report_rows(world, errs, {}, *ids, result.pooled)
-                batch["approach_estimates.csv"] += _estimate_rows(*ids, _pooled(result.pooled))
-                batch["approach_estimates.csv"] += _estimate_rows(*ids, (   # one sample each
-                    (key, (e,) * 6 + (1,)) for key, e in _plausible_points(result)))
-                batch["a1_deviation.csv"] += _a1_deviation_rows(
-                    true_errors, result.selection.deviation.tolist(), _plausible_points(result))
-                batch["location_mae.csv"] += _location_mae_rows(
-                    true_errors, *ids, _plausible_points(result))
-                del result   # else it stays alive through strategies 2 and 3
-                continue
-            # Only strategy 2's error samples imply observations to test.
-            implied = approach_id == APPROACH_ERROR_REGRESSION
             located = []   # per-location estimates, written after the pooled
 
-            def score(part, ordered):
-                """Add the rows of one model's distributions, ``part``, to
-                the batch; ``ordered`` maps (m, j) to its pooled samples,
-                sorted. Their arrays are overwritten by the next model."""
-                batch["report.csv"] += _report_rows(world, errs, ordered, *ids, part.pooled)
-                batch["approach_estimates.csv"] += _estimate_rows(*ids, _pooled(part.pooled))
-                # inserted in (m, j, l) order by approaches._distributions
-                per_location = part.per_location
-                located.extend(_estimate_rows(
-                    *ids, zip(per_location, map(_summary, per_location.values()))))
-                if implied:
-                    batch["implied_obs_ks.csv"] += _implied_obs_rows(
-                        world, ensemble, variant, part)
-                means = [dist.summary.mean for dist in per_location.values()]
-                batch["location_mae.csv"] += _location_mae_rows(
-                    true_errors, *ids, zip(per_location, means))
+            def score(pooled, ordered, estimates):
+                """Add the rows of one model's distributions to the batch and
+                return its per-location estimate rows: ``pooled`` maps its
+                (m, j) to a distribution or None (empty), ``ordered[j]``
+                holds scenario j's pooled samples, sorted or not, and
+                ``estimates`` yields its ((m, j, l), summary) per-location
+                estimates. It is read once, so no list of them is held
+                beside their rows: one raised many_models' peak memory."""
+                batch["report.csv"] += _report_rows(world, errs, ordered, *ids, pooled)
+                batch["approach_estimates.csv"] += _estimate_rows(*ids, (
+                    ((m, j, POOLED), dist.summary) for (m, j), dist in pooled.items()
+                    if dist is not None))
+                rows = _estimate_rows(*ids, estimates)
+                located.extend(rows)
+                batch["location_mae.csv"] += _location_mae_rows(true_errors, rows)
+                return rows
 
-            infer = (approaches.infer_error_distribution if implied
-                     else approaches.infer_observations)
-            infer(world, ensemble, variant == VARIANT_COVARIATE,
-                  settings.n_samples, config.seed, spec, score)
+            if approach_id == APPROACH_PLAUSIBLE:
+                def plausible(result):
+                    """Score strategy 1 one model at a time, its point errors
+                    as one-sample estimates; what it holds goes on return."""
+                    chosen = [(j, l) for l, j in
+                              enumerate(result.selection.chosen_index.tolist()) if j >= 0]
+                    deviation = result.selection.deviation.tolist()
+                    for m, errors in enumerate(result.point_errors.tolist()):
+                        pooled = {(m, j): result.pooled[(m, j)]
+                                  for j in range(world.n_scenarios)}
+                        samples = [None if dist is None else dist.samples
+                                   for dist in pooled.values()]
+                        points = (((m, j, l), (errors[l],) * 6 + (1,)) for j, l in chosen)
+                        batch["a1_deviation.csv"] += _a1_deviation_rows(
+                            true_errors, deviation, score(pooled, samples, points))
+
+                plausible(approaches.evaluate_plausible(
+                    world, ensemble, settings.plausibility_threshold))
+            else:
+                # Only strategy 2's error samples imply observations to test.
+                implied = approach_id == APPROACH_ERROR_REGRESSION
+
+                def consume(part, ordered):
+                    score(part.pooled, ordered, (
+                        (key, dist.summary) for key, dist in part.per_location.items()))
+                    if implied:
+                        batch["implied_obs_ks.csv"] += _implied_obs_rows(
+                            world, ensemble, variant, part)
+
+                infer = (approaches.infer_error_distribution if implied
+                         else approaches.infer_observations)
+                infer(world, ensemble, variant == VARIANT_COVARIATE,
+                      settings.n_samples, config.seed, spec, consume)
             batch["approach_estimates.csv"] += located
         report_rows += batch["report.csv"]
         writer.add(world_tables | batch)
@@ -338,10 +358,10 @@ REPORT_HEADER = ("approach", "variant", "model_id", "scenario_index", "scenario_
 
 def _report_rows(world, errs, ordered, approach_id, variant, pooled):
     """One row per distribution of ``pooled``, (m, j) -> distribution or None
-    (empty), in (m, j) order; the KS test takes the sorted samples from
-    ``ordered`` where it has them."""
+    (empty), in its order; the KS test reads scenario j's samples from
+    ``ordered[j]``."""
     rows = []
-    for (m, j), dist in sorted(pooled.items()):
+    for (m, j), dist in pooled.items():
         true_vec = errs[m, :, j]
         base = (approach_id, variant, m, j, float(world.scenario_values[j]))
         if dist is None:
@@ -350,7 +370,7 @@ def _report_rows(world, errs, ordered, approach_id, variant, pooled):
             continue
         mae = metrics.mae_of_means(dist.summary.mean, true_vec)
         if dist.samples.size >= 5:
-            ks = metrics.ks_two_sample(ordered.get((m, j), dist.samples), true_vec)
+            ks = metrics.ks_two_sample(ordered[j], true_vec)
             ks_part = (ks.statistic, ks.n, ks.m, ks.critical_value,
                        "true" if ks.significant else "false")
         else:
@@ -360,29 +380,6 @@ def _report_rows(world, errs, ordered, approach_id, variant, pooled):
     return rows
 
 
-def _plausible_points(result):
-    """Strategy-1 point errors as ((model, plausible scenario, location),
-    error), model-major, skipping locations without a plausible scenario."""
-    located = [(j, l) for l, j in enumerate(result.selection.chosen_index.tolist())
-               if j >= 0]
-    for m, errors in enumerate(result.point_errors.tolist()):
-        for j, l in located:
-            yield (m, j, l), errors[l]
-
-
-def _summary(dist):
-    """(mean, median, q25, q75, q05, q95, n_samples) of a distribution."""
-    s = dist.summary
-    return (s.mean, s.median, s.q25, s.q75, s.q05, s.q95, s.n_samples)
-
-
-def _pooled(pooled):
-    """((m, j, POOLED), summary) of each distribution of ``pooled``, in
-    (m, j) order, skipping the empty ones (None)."""
-    return (((m, j, POOLED), _summary(dist)) for (m, j), dist in sorted(pooled.items())
-            if dist is not None)
-
-
 ESTIMATE_HEADER = ("approach", "variant", "model_id", "scenario_index",
                    "location_id", "mean", "median", "q25", "q75", "q05", "q95",
                    "n_samples")
@@ -390,7 +387,9 @@ ESTIMATE_HEADER = ("approach", "variant", "model_id", "scenario_index",
 
 def _estimate_rows(approach_id, variant, estimates):
     """One row per ((m, j, l), summary) of ``estimates``, in their order;
-    the summary is the header's mean to n_samples."""
+    the summary, a ``DistributionSummary`` or a tuple in its field order,
+    is the header's mean to n_samples. ``_location_mae_rows`` and
+    ``_a1_deviation_rows`` read these rows."""
     return [(approach_id, variant, m, j, l) + summary
             for (m, j, l), summary in estimates]
 
@@ -415,12 +414,13 @@ A1_DEVIATION_HEADER = ("model_id", "location_id", "plausible_scenario",
                        "deviation", "abs_difference")
 
 
-def _a1_deviation_rows(true_errors, deviation, points):
-    """Strategy 1's rows from its ((m, j, l), point error) ``points``;
-    ``deviation`` is each location's, ``true_errors`` the true error array,
-    both as (nested) lists."""
-    return [(m, l, j, deviation[l], abs(est - true_errors[m][l][j]))
-            for (m, j, l), est in points]
+def _a1_deviation_rows(true_errors, deviation, estimate_rows):
+    """Strategy 1's rows from its per-location ``approach_estimates.csv``
+    rows, whose mean is the point error; ``deviation`` is each location's,
+    ``true_errors`` the true error array, both as (nested) lists. Each
+    estimate row is unpacked whole, faster than a starred target."""
+    return [(m, l, j, deviation[l], abs(mean - true_errors[m][l][j]))
+            for _, _, m, j, l, mean, _, _, _, _, _, _ in estimate_rows]
 
 
 IMPLIED_OBS_HEADER = ("variant", "model_id", "scenario_index", "ks_d",
@@ -431,7 +431,7 @@ def _implied_obs_rows(world, ensemble, variant, result):
     """Strategy 2's rows: the KS test of the observations each pooled
     distribution of ``result`` implies."""
     rows = []
-    for m, j in sorted(result.pooled):
+    for m, j in result.pooled:
         implied = approaches.implied_observations(result, ensemble, world, m, j)
         implied.sort()   # in place: the KS test then needs no sorted copy
         ks = metrics.ks_two_sample(implied, world.y_counterfactual[:, j])
@@ -444,11 +444,13 @@ LOCATION_MAE_HEADER = ("approach", "variant", "model_id", "scenario_index",
                        "location_id", "abs_difference")
 
 
-def _location_mae_rows(true_errors, approach_id, variant, estimates):
-    """One row per ((m, j, l), estimate) of ``estimates``; ``true_errors``
-    is the true error array as nested lists."""
-    return [(approach_id, variant, m, j, l, abs(est - true_errors[m][l][j]))
-            for (m, j, l), est in estimates]
+def _location_mae_rows(true_errors, estimate_rows):
+    """One row per per-location ``approach_estimates.csv`` row of
+    ``estimate_rows``: how far its mean is from the true error;
+    ``true_errors`` is the true error array as nested lists. Each estimate
+    row is unpacked whole, faster than a starred target."""
+    return [(approach_id, variant, m, j, l, abs(mean - true_errors[m][l][j]))
+            for approach_id, variant, m, j, l, mean, _, _, _, _, _, _ in estimate_rows]
 
 
 WORLD_HEADER = ("location_id", "r0_true", "alpha_true", "x_kind", "x_value",

@@ -28,8 +28,11 @@ horizon leaves out (see below) and the model errors of about 0.05 this
 package measures; the test suite checks the step against a quarter of it.
 Drawn alphas up to about 1.45 stay accurate at the default step (within
 2e-6 of an eighth of it for r0 2 to 3.5 and v 0.3 to 0.5). From about 1.5
-the solve turns stiff: a final size leaves [0, 1], which raises (see
-below), or, undetected, stays inside it far from the finer solve's.
+the solve turns stiff: a final size leaves [0, 1], or it stays inside and
+the infected fraction ends below 0; both raise (see below). In a sweep of
+10,480 solves (r0 2 to 3.5, alpha 0.9 to 2.2, v 0.3 to 0.5, at steps 1.0
+and 0.5, each against a step of 0.125) every final size inside [0, 1]
+off by more than 1e-3 ended with i < 0, and no other did.
 
 The grid takes the fewest steps of at most ``step`` that reach the horizon:
 ceil(horizon / step) steps of horizon / ceil(horizon / step) each. A step
@@ -60,13 +63,14 @@ A grid of more than MAX_STEPS = 1,000,000 steps (horizon / step) is rejected
 with ParameterDomainError, so no horizon or step can make a solve run
 effectively forever; the default grid has 548 steps. A step too coarse for
 RK4 to stay stable shows as a final size outside [0, 1] (by more than
-FINAL_SIZE_TOL = 1e-9) and raises NumericalInstabilityError.
+FINAL_SIZE_TOL = 1e-9) or an infected fraction below 0 at the end, and
+raises NumericalInstabilityError.
 
 ``final_size_batch`` uses every CPU this process may run on: it splits its
 solves into contiguous ranges, one per CPU but none shorter than MIN_SHARE,
 and solves all but the last range in forked worker processes (``fanout``),
-each range still in BLOCKs; the finite and [0, 1] checks run once on the
-merged end states, so the indices they report are global. It solves
+each range still in BLOCKs; the finite, [0, 1] and i >= 0 checks run once
+on the merged end states, so the indices they report are global. It solves
 serially, without forking, on one CPU, where ``os.fork`` does not exist,
 when the calling process has more than one live thread, and for fewer than
 2 * MIN_SHARE solves, where a fork costs more than the split saves.
@@ -309,11 +313,15 @@ def final_size_batch(r0: np.ndarray, alpha: np.ndarray, v: np.ndarray, *,
         raise NumericalInstabilityError(
             f"non-finite state at batch indices {listed(bad)}", tuple(bad))
     sizes = (s0 - s_end) / s0
-    bad = np.flatnonzero((sizes < -FINAL_SIZE_TOL) | (sizes > 1 + FINAL_SIZE_TOL)).tolist()
+    # A stiff solve can swing i below 0, where h(i) stops transmission, and
+    # end inside [0, 1] far from the true size; it then ends with i < 0.
+    bad = np.flatnonzero((sizes < -FINAL_SIZE_TOL) | (sizes > 1 + FINAL_SIZE_TOL)
+                         | (i_end < 0)).tolist()
     if bad:
         raise NumericalInstabilityError(
-            f"final sizes outside [0, 1] at batch indices {listed(bad)} "
-            f"(step {step} is too large for a stable RK4 solve)", tuple(bad))
+            f"final sizes outside [0, 1] or infected fractions below 0 at batch "
+            f"indices {listed(bad)} (step {step} is too large for a stable RK4 solve)",
+            tuple(bad))
     return sizes
 
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scenario_eval import approaches, harness, sir_core, world_gen
+from scenario_eval import approaches, harness, sir_core, spline_fit, world_gen
 from scenario_eval.approaches import (
     evaluate_plausible,
     implied_observations,
@@ -19,7 +19,7 @@ from scenario_eval.approaches import (
     select_plausible,
 )
 from scenario_eval.errors import ParameterDomainError
-from scenario_eval.spline_fit import predict_many
+from scenario_eval.spline_fit import predict_many, sample_predictive
 from scenario_eval.streams import KIND_ERROR_SAMPLING, KIND_OBS_SAMPLING, substream
 from scenario_eval.world_gen import ExperimentConfig, generate, true_errors
 
@@ -128,10 +128,17 @@ class TestPlausibleStrategy:
 
 class TestErrorRegressionStrategy:
     def test_realized_errors_definition(self, medium_world):
+        # Without the covariate each model's samples are one predictive draw
+        # from a fit of its realized errors, reprojection - observation.
         world, ensemble = medium_world
         result = infer_error_distribution(world, ensemble, False, 500, seed=1)
-        assert np.array_equal(result.realized_errors,
-                              ensemble.reprojection - world.y_observed[None, :])
+        for m in range(ensemble.n_models):
+            fitted = spline_fit.fit(world.x_realized,
+                                    ensemble.reprojection[m] - world.y_observed)
+            for j, x_j in enumerate(world.scenario_values):
+                rng = substream(1, KIND_ERROR_SAMPLING, 0, m, j)
+                drawn = sample_predictive(fitted, x_j, None, 500, rng)
+                assert drawn.tobytes() == result.pooled[(m, j)].samples.tobytes()
 
     def test_perfect_models_estimate_zero(self, medium_world):
         world, _ = medium_world
@@ -156,11 +163,17 @@ class TestErrorRegressionStrategy:
         world, _ = medium_world
         ensemble = perfect_ensemble(world, n_models=2)
         result = infer_error_distribution(world, ensemble, True, 1_000, seed=7)
-        m0, s0 = predict_many(result.fits[0], np.full(world.n_locations, 0.3),
-                              world.r0_true)
-        m1, s1 = predict_many(result.fits[1], np.full(world.n_locations, 0.3),
-                              world.r0_true)
+        fits = [spline_fit.fit(world.x_realized,
+                               ensemble.reprojection[m] - world.y_observed, world.r0_true)
+                for m in range(2)]
+        m0, s0 = predict_many(fits[0], np.full(world.n_locations, 0.3), world.r0_true)
+        m1, s1 = predict_many(fits[1], np.full(world.n_locations, 0.3), world.r0_true)
         assert np.array_equal(m0, m1) and np.array_equal(s0, s1)
+        # Model 1's samples are model 0's fit drawn with model 1's key.
+        counts = approaches._sample_counts(1_000, world.n_locations)
+        drawn = approaches._draw(fits[0], 0.3, world.r0_true, counts,
+                                 substream(7, KIND_ERROR_SAMPLING, 1, 1, 0))
+        assert drawn.tobytes() == result.pooled[(1, 0)].samples.tobytes()
 
     def test_sample_budget_split(self, medium_world):
         world, ensemble = medium_world
@@ -221,10 +234,11 @@ class TestObservationStrategy:
             start += int(counts[l])
 
     def test_in_sample_coverage(self, medium_world):
-        world, ensemble = medium_world
-        result = infer_observations(world, ensemble, True, 500, seed=2)
-        means, sds = predict_many(result.observation_fit, world.x_realized,
-                                  world.r0_true)
+        # The fit strategy 3 draws its observations from.
+        world, _ = medium_world
+        observation_fit = spline_fit.fit(world.x_realized, world.y_observed,
+                                         world.r0_true)
+        means, sds = predict_many(observation_fit, world.x_realized, world.r0_true)
         covered = np.abs(means - world.y_observed) <= 2.0 * sds
         assert covered.mean() >= 0.9
 
@@ -368,9 +382,11 @@ class TestDistributionContainers:
         assert keys == sorted(keys) and len(keys) == 3 * 2 * 11
 
     def test_table_rows_come_sorted(self):
-        # Per variant of strategies 2 and 3, approach_estimates.csv holds
-        # the pooled rows in (m, j) order, then the per-location rows in
-        # (m, j, l) order, the order of location_mae.csv's rows.
+        # Per variant, approach_estimates.csv holds the pooled rows in
+        # (m, j) order, then the per-location rows in (m, j, l) order, the
+        # order of location_mae.csv's rows. Strategy 1's per-location rows
+        # are in (m, l) order, j each location's plausible scenario, in
+        # a1_deviation.csv too.
         config = ExperimentConfig(n_locations=11, n_models=3, seed=6,
                                   horizon=300.0, step=0.5)
         tables = collections.defaultdict(list)
@@ -381,28 +397,39 @@ class TestDistributionContainers:
                     tables[name] += rows
 
         harness.evaluate(harness.RunSettings(experiment=config, n_samples=40), Writer())
-        for ids in approaches.VARIANTS[1:]:
+        chosen = select_plausible(generate(config)[0]).chosen_index.tolist()
+        assert sorted(set(chosen)) == [0, 1]
+        pooled = [(m, j, approaches.POOLED) for m in range(3) for j in range(2)]
+        plausible = [(m, j, l) for m in range(3) for l, j in enumerate(chosen)]
+        assert [(m, j, l) for m, l, j, *_ in tables["a1_deviation.csv"]] == plausible
+        for ids in approaches.VARIANTS:
             estimates = [row[2:5] for row in tables["approach_estimates.csv"]
                          if row[:2] == ids]
-            pooled = [(m, j, approaches.POOLED) for m in range(3) for j in range(2)]
             located = [(m, j, l) for m in range(3) for j in range(2) for l in range(11)]
             if ids[1] == approaches.VARIANT_NO_COVARIATE:
                 located = []
+            elif ids[0] == approaches.APPROACH_PLAUSIBLE:
+                located = plausible
             assert estimates == pooled + located
             assert [row[2:5] for row in tables["location_mae.csv"]
                     if row[:2] == ids] == located
 
     def test_block_draws_match_per_location_draws(self):
         # Reference: one rng.normal call per location, in location order, as
-        # the samplers drew before the block draw.
+        # the samplers drew before the block draw, from a fit of model 0's
+        # realized errors (reprojection - observation) for strategy 2 and of
+        # the observations for strategy 3.
         world = random_world(11, seed=2)
         ensemble = perfect_ensemble(world)
         counts = approaches._sample_counts(30, 11)
         errors = infer_error_distribution(world, ensemble, True, 30, seed=5)
         observed = infer_observations(world, ensemble, True, 30, seed=5)
+        error_fit = spline_fit.fit(world.x_realized,
+                                   ensemble.reprojection[0] - world.y_observed, world.r0_true)
+        observation_fit = spline_fit.fit(world.x_realized, world.y_observed, world.r0_true)
         for j, x_j in enumerate(world.scenario_values):
-            fit_rng = [(errors.fits[0], substream(5, KIND_ERROR_SAMPLING, 1, 0, j)),
-                       (observed.observation_fit, substream(5, KIND_OBS_SAMPLING, 1, j))]
+            fit_rng = [(error_fit, substream(5, KIND_ERROR_SAMPLING, 1, 0, j)),
+                       (observation_fit, substream(5, KIND_OBS_SAMPLING, 1, j))]
             drawn = []
             for fitted, rng in fit_rng:
                 means, sds = predict_many(fitted, np.full(11, x_j), world.r0_true)
@@ -456,10 +483,10 @@ class TestDistributionContainers:
 def test_consume_gets_each_model_in_the_same_arrays(medium_world, infer,
                                                     include_covariate):
     # While consume runs, the part it is handed holds exactly the collected
-    # result's distributions of that model, in order, with each pooled
-    # vector's sorted copy; the result returned alongside holds none. Every
-    # model is drawn and sorted into the same arrays per scenario, so what
-    # consume keeps past its return reads the last model's.
+    # result's distributions of that model, in order, with each scenario's
+    # sorted pooled vector at its index; the result returned alongside holds
+    # none. Every model is drawn and sorted into the same arrays per
+    # scenario, so what consume keeps past its return reads the last model's.
     world, ensemble = medium_world
     M, S = ensemble.n_models, world.n_scenarios
     collected = infer(world, ensemble, include_covariate, 500, seed=4)
@@ -467,16 +494,16 @@ def test_consume_gets_each_model_in_the_same_arrays(medium_world, infer,
 
     def consume(part, ordered):
         m = len(parts)
-        assert type(part) is type(collected)
-        assert ordered.keys() == part.pooled.keys()
+        assert type(part) is type(collected) is approaches.InferredResult
+        assert list(part.pooled) == [(m, j) for j in range(S)] and len(ordered) == S
         for kept, theirs in ((part.pooled, collected.pooled),
                              (part.per_location, collected.per_location)):
             assert list(kept) == [key for key in theirs if key[0] == m]
             assert all(np.array_equal(dist.samples, theirs[key].samples)
                        and dist.summary == theirs[key].summary
                        for key, dist in kept.items())
-        for key, dist in part.pooled.items():
-            assert np.array_equal(ordered[key], np.sort(dist.samples))
+        for (_, j), dist in part.pooled.items():
+            assert np.array_equal(ordered[j], np.sort(dist.samples))
         parts.append((part, ordered))
 
     consumed = infer(world, ensemble, include_covariate, 500, seed=4, consume=consume)
@@ -484,10 +511,10 @@ def test_consume_gets_each_model_in_the_same_arrays(medium_world, infer,
     assert len(parts) == M
     first, first_ordered = parts[0]
     for j in range(S):
-        samples, ordered = first.pooled[(0, j)].samples, first_ordered[(0, j)]
+        samples, ordered = first.pooled[(0, j)].samples, first_ordered[j]
         for m, (part, later_ordered) in enumerate(parts):
             assert np.shares_memory(part.pooled[(m, j)].samples, samples)
-            assert np.shares_memory(later_ordered[(m, j)], ordered)
+            assert np.shares_memory(later_ordered[j], ordered)
         assert not any(np.shares_memory(samples, first.pooled[(0, k)].samples)
                        for k in range(S) if k != j)
         assert np.array_equal(samples, collected.pooled[(M - 1, j)].samples)
@@ -543,10 +570,10 @@ class TestNamedTupleRecords:
 
     def test_fields_by_name_and_position(self, dist):
         s = dist.summary
-        assert approaches.DistributionSummary._fields == (
-            "mean", "median", "q05", "q25", "q75", "q95", "n_samples")
+        assert approaches.DistributionSummary._fields == harness.ESTIMATE_HEADER[5:] == (
+            "mean", "median", "q25", "q75", "q05", "q95", "n_samples")
         assert approaches.ErrorDistribution._fields == ("samples", "summary")
-        assert (s.mean, s.median, s.q05, s.q25, s.q75, s.q95, s.n_samples) == tuple(s)
+        assert (s.mean, s.median, s.q25, s.q75, s.q05, s.q95, s.n_samples) == tuple(s)
         assert dist.samples is dist[0] and dist.summary is dist[1]
         assert s.n_samples == dist.samples.size == 10_000
         assert_summary_recomputed(dist)

@@ -967,10 +967,10 @@ class TestWorkerFailures:
             if pending and os.getpid() != caller:
                 time.sleep(60)
 
-        def fail_in_last_strategy(*args):
-            if args[-3] == 3:
+        def fail_in_last_strategy(true_errors, estimate_rows):
+            if any(row[0] == 3 for row in estimate_rows):
                 raise RuntimeError("builder failed")
-            return builder(*args)
+            return builder(true_errors, estimate_rows)
 
         monkeypatch.setattr(harness, "_append", hang_in_worker)
         if failure == "builder_raises":
@@ -1054,35 +1054,42 @@ print(json.dumps({"code": code, "names": sorted({span[0] for span in tracer.span
 def test_benchmark_tracer_sees_every_stage(tmp_path):
     # benchmarks/spans.py swaps package attributes by name; a rename or an
     # early-bound call would drop spans or counts from a traced run.
-    config = write_config(tmp_path, FAST_CONFIG)
-    env = dict(os.environ, PYTHONPATH=f"{ROOT / 'src'}{os.pathsep}{ROOT / 'benchmarks'}")
-    done = subprocess.run([sys.executable, "-c", TRACED_RUN, str(config),
-                           str(tmp_path / "out")], env=env, capture_output=True,
-                          text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
-    traced = json.loads(done.stdout.splitlines()[-1])
-    assert traced["code"] == 0
-    expected = [f"harness.{name}" for name in traced["builders"]] + [
-        "approaches.evaluate_plausible", "approaches.infer_error_distribution",
-        "approaches.infer_observations"]
-    assert set(expected) <= set(traced["names"])
-    # FAST_CONFIG: L = 12 locations, M = 2 models, S = 2 scenarios, every
-    # location with a plausible scenario (no threshold).
+    # FAST_CONFIG: L = 12 locations, M = 2 models, S = 2 scenarios. Without
+    # a threshold every location has a plausible scenario (P = 12); at 0.03
+    # only location 3 has, scenario 1, so strategy 1's (0, 0) and (1, 0) are
+    # None (E = 2 empty distributions).
     L, M, S = 12, 2, 2
-    # report 5MS, estimates 5MS pooled + ML plausible points + 2MSL
-    # per-location, decomposition MLS, a1 ML, implied 2MS, location_mae
-    # ML + 2MSL.
-    rows = 5*M*S + (5*M*S + M*L + 2*M*S*L) + M*L*S + M*L + 2*M*S + (M*L + 2*M*S*L)
-    # 5MS pooled, 2MSL per-location (the two covariate variants).
-    distributions = 5*M*S + 2*M*S*L
-    # world_gen: L truths + ML model locations + M models; strategy 2 MS
-    # per variant, strategy 3 S per variant.
-    substreams = L + M*L + M + 2*M*S + 2*S
-    assert (rows, distributions, substreams) == (360, 116, 50)
-    counts = traced["counts"]
-    assert counts["harness.rows"] == rows
-    assert counts["approaches.distributions"] == distributions
-    assert counts["streams.substreams"] == substreams
+    env = dict(os.environ, PYTHONPATH=f"{ROOT / 'src'}{os.pathsep}{ROOT / 'benchmarks'}")
+    for label, extra, P, E, expected in (
+            ("all", "", L, 0, (360, 116, 50)),
+            ("threshold", "plausibility_threshold = 0.03\n", 1, 2, (292, 114, 50))):
+        config = write_config(tmp_path, FAST_CONFIG + extra, f"{label}.cfg")
+        done = subprocess.run([sys.executable, "-c", TRACED_RUN, str(config),
+                               str(tmp_path / label)], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        traced = json.loads(done.stdout.splitlines()[-1])
+        assert traced["code"] == 0
+        expected_names = [f"harness.{name}" for name in traced["builders"]] + [
+            "approaches.evaluate_plausible", "approaches.infer_error_distribution",
+            "approaches.infer_observations"]
+        assert set(expected_names) <= set(traced["names"])
+        # report 5MS, estimates 5MS - E pooled + MP plausible points + 2MSL
+        # per-location, decomposition MLS, a1 MP, implied 2MS, location_mae
+        # MP + 2MSL.
+        rows = (5*M*S + (5*M*S - E + M*P + 2*M*S*L) + M*L*S + M*P + 2*M*S
+                + (M*P + 2*M*S*L))
+        # 5MS - E pooled, 2MSL per-location (the two covariate variants).
+        distributions = 5*M*S - E + 2*M*S*L
+        # world_gen: L truths + ML model locations + M models; strategy 2 MS
+        # per variant, strategy 3 S per variant.
+        substreams = L + M*L + M + 2*M*S + 2*S
+        assert (rows, distributions, substreams) == expected
+        counts = traced["counts"]
+        assert counts["harness.rows"] == rows
+        assert counts["approaches.distributions"] == distributions
+        assert counts["streams.substreams"] == substreams
+        assert counts["approaches.empty_plausible"] == E
 
 
 # Small base config for the CLI properties; hypothesis overrides its fields.

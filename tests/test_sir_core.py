@@ -288,6 +288,16 @@ class TestInstability:
         with pytest.raises(NumericalInstabilityError, match="outside"):
             final_size_batch(r0, np.full(len(r0), 1.6), v)
 
+    def test_stiff_solve_inside_unit_interval_raises(self):
+        # At the default step this solve ends at 0.004 where an eighth of the
+        # step gives 1.0: i swings below 0, the h(i) guard stops transmission
+        # and the final size stays inside [0, 1]. It ends with i < 0.
+        params = SirParams(r0=3.5, alpha=1.52, v=0.3)
+        assert final_size(params, step=sir_core.DEFAULT_STEP / 8) == pytest.approx(1.0)
+        with pytest.raises(NumericalInstabilityError,
+                           match=f"outside.*step {sir_core.DEFAULT_STEP} is too large"):
+            final_size(params)
+
     def test_blowup_raises(self):
         # An absurd transmission rate with a strongly superlinear infection
         # term overflows the fixed-step integrator.
