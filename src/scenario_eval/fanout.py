@@ -19,18 +19,17 @@ forked worker, whose siblings already hold the other CPUs) or
 when ``split`` returns fewer than two shares. Callers split their work so
 that results do not depend on how many shares it went into.
 
-A ``Background`` runs one call at a time in a forked worker while the
-caller goes on: ``start(fn, arg)`` first waits for the call started before
-it, raising that call's failure, and then forks a worker for ``fn(arg)``
-and returns. So no call acts before the one started before it has
-succeeded, and none acts after it failed; calls in order cannot overlap,
-so a call forked any earlier would only wait. ``wait`` waits for the pending
-call and raises its failure. Where ``fan_out`` would run serially,
-``start`` calls ``fn(arg)`` itself.
+A ``Feed`` hands messages, in the order sent, to one sink in a forked
+worker that runs beside the caller until the feed is closed. The worker
+makes the sink itself, so the sink may start from large data and
+generators in the caller's memory, which the caller then drops; only the
+messages travel, pickled into a pipe. Where ``fan_out`` would run
+serially, the caller makes the sink and calls it itself.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
 import pickle
 import signal
@@ -38,6 +37,10 @@ import threading
 
 from .errors import WorkerError
 
+# A feed's pipe holds this much, so its caller may run this far ahead of
+# the worker before ``send`` blocks: on many_models strategy 1 hands over
+# its 40 models in a burst while the writer is busy with the world's tables.
+PIPE_BYTES = 1 << 20
 _in_worker = False   # set only in a forked worker, which never returns to its caller
 
 
@@ -68,36 +71,91 @@ def fan_out(fn, split) -> list:
     return _collect(workers) + [last]
 
 
-class Background:
-    """At most one call at a time in a background worker, in start order.
+class Feed:
+    """Messages for one sink, taken in the order sent by a forked worker.
 
-    Use it as a context manager: leaving the block kills and reaps the
-    pending worker, so an exception in the caller leaves no child process
-    behind."""
+    The worker calls ``make()`` for the sink, ``sink.take(message)`` for
+    each message sent and, at ``close``, ``sink.close()``, whose result it
+    returns. It stops at its first failure, or if the pipe ends without
+    ``close``; the next ``send``, or ``close``, raises that failure
+    (``WorkerError`` if the worker died), never the broken pipe. Use it as
+    a context manager: leaving the block kills and reaps a worker still
+    running, so an exception in the caller leaves no child process behind."""
 
-    def __init__(self):
-        self._pending = []   # (pid, result pipe) of the call not yet waited for
+    def __init__(self, make):
+        self._worker = []   # (pid, result pipe) of the worker not yet waited for
+        if _processes() == 1:
+            self._sink = make()
+            return
+        self._sink = None
+        read_fd, write_fd = os.pipe()
+        try:
+            self._worker = [_fork(_serve, (make, read_fd, write_fd))]
+        except BaseException:
+            os.close(write_fd)
+            raise
+        finally:
+            os.close(read_fd)
+        import fcntl   # here, not at the top: it is Unix only, like os.fork
+        with contextlib.suppress(AttributeError, OSError):   # Linux only; else 64 KiB
+            fcntl.fcntl(write_fd, fcntl.F_SETPIPE_SZ, PIPE_BYTES)
+        self._pipe = open(write_fd, "wb")
 
     def __enter__(self):
         return self
 
     def __exit__(self, *exc_info):
-        pending, self._pending = self._pending, []
-        _end(pending, kill=True)
+        worker, self._worker = self._worker, []
+        _end(worker, kill=True)
+        if self._sink is None:
+            with contextlib.suppress(OSError):   # what a killed worker left unread
+                self._pipe.close()
 
-    def start(self, fn, arg) -> None:
-        """Wait for the call started before, then call ``fn(arg)``: in a
-        forked worker, or here where ``fan_out`` would run serially."""
-        self.wait()
-        if _processes() == 1:
-            fn(arg)
+    def send(self, message) -> None:
+        """Hand ``message`` to the sink's ``take``."""
+        if self._sink is not None:
+            self._sink.take(message)
         else:
-            self._pending = [_fork(fn, arg)]
+            self._put(message)
 
-    def wait(self) -> None:
-        """Wait for the pending call; raise its failure."""
-        pending, self._pending = self._pending, []
-        _collect(pending)
+    def close(self):
+        """The sink's ``close()``, called once every message is taken."""
+        if self._sink is not None:
+            return self._sink.close()
+        self._put(_Close)
+        return self._result()
+
+    def _put(self, message) -> None:
+        try:
+            pickle.dump(message, self._pipe, pickle.HIGHEST_PROTOCOL)
+            self._pipe.flush()
+        except BrokenPipeError:
+            self._result()   # the worker stopped reading: this raises why
+            raise
+
+    def _result(self):
+        """Close the pipe and wait for the worker: its result, or its
+        failure raised."""
+        worker, self._worker = self._worker, []
+        with contextlib.suppress(BrokenPipeError):
+            self._pipe.close()
+        return _collect(worker)[0]
+
+
+class _Close:
+    """The message that ends a feed's pipe."""
+
+
+def _serve(job):
+    """A ``Feed``'s worker: make the sink, hand it each message up to
+    ``_Close`` and return its ``close()``."""
+    make, read_fd, write_fd = job
+    os.close(write_fd)
+    sink = make()
+    with open(read_fd, "rb") as pipe:
+        while (message := pickle.load(pipe)) is not _Close:
+            sink.take(message)
+    return sink.close()
 
 
 def _collect(workers) -> list:

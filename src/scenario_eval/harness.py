@@ -35,9 +35,9 @@ model's distributions to the scorer as soon as they are drawn
 (``approaches``' ``consume`` callback), the KS test of each pooled vector
 reading the sorted copy its summary was made from, and drop them before the
 next model is drawn into the same arrays. So a run holds one model's
-samples at a time. Each strategy's rows, its variants in order, go to the
-run's ``ReportWriter`` in one batch, and a run keeps no row it has handed
-over. The ``EvaluationReport`` it returns holds ``report.csv``'s rows,
+samples at a time, and one model's rows: each model's go to the run's
+``ReportWriter`` as soon as they are built, and a run keeps no row it has
+handed over. The ``EvaluationReport`` it returns holds ``report.csv``'s rows,
 which ``scenario-eval run`` prints, and no strategy result. Callers who
 want the distributions themselves call the strategy functions of
 ``approaches``.
@@ -49,15 +49,14 @@ values ""), so no field needs quoting. Each table has one line template,
 ``"%s,...,%s\\n"`` with a ``%s`` per header column, and each row fills it:
 floats by ``repr`` (which is their ``str``), the rest by ``str``, the bytes
 ``csv.writer`` with ``"\\n"`` line endings would write. One ``ReportWriter``,
-which ``run`` makes, writes them: ``evaluate`` hands it each strategy's
-rows as soon as they are built, strategy 1's together with ``world.csv``
-and ``projections.csv``, and ``write_report`` then hands it
-``decomposition.csv`` and writes the manifest. On two CPUs a run forks one
-solve worker and three background appends, one per strategy.
-``evaluate`` alone decides which table builders a strategy's results go
-to; each builder turns the values it is given into rows. Which process
-writes a batch, and when, is described once in README.md, "Report files";
-it changes none of the bytes.
+which ``run`` makes, writes them: ``evaluate`` starts it right after the
+world is generated, and its one writer process formats, writes and hashes
+every data file, ``decomposition.csv`` last; ``write_report`` closes it
+and writes the manifest. On two CPUs a run forks one solve worker and the
+writer. ``evaluate`` alone decides which table builders a strategy's
+results go to; each builder turns the values it is given into rows. Which
+process writes the rows, and when, is described once in README.md,
+"Report files"; it changes none of the bytes.
 """
 
 from __future__ import annotations
@@ -65,11 +64,10 @@ from __future__ import annotations
 import configparser
 import hashlib
 import json
+import math
 import os
 from dataclasses import asdict, dataclass, field, fields, replace
 from datetime import datetime, timezone
-from itertools import groupby
-from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -264,88 +262,89 @@ class EvaluationReport:
 def evaluate(settings: RunSettings, writer: ReportWriter) -> EvaluationReport:
     """Run the whole experiment, handing its tables to ``writer``.
 
-    ``writer`` is handed one batch per strategy: the rows of its variants in
-    ``approaches.VARIANTS``, once they are built. Strategy 1's batch also
-    carries ``world.csv`` and ``projections.csv``: it is scored in a few
-    milliseconds, so the world's tables go out with it rather than in a
-    batch of their own that the next would wait on. One scorer turns a
-    model's distributions into the report, estimate and ``location_mae.csv``
-    rows of every variant: strategy 1 calls it once per model, and
-    strategies 2 and 3 hand it each model's distributions as they are
-    built and then drop them, so only one model's samples are alive at a
-    time. Only ``report.csv``'s rows are kept, in ``VARIANTS`` order, for
-    the report."""
+    Right after the world is generated, ``writer.start`` gets the row
+    iterators of ``world.csv`` and ``projections.csv`` and the rows of
+    ``decomposition.csv``, which the run then drops. Then ``writer.add`` gets
+    each model's rows as soon as they are scored, the five variants of
+    ``approaches.VARIANTS`` in turn, and ``writer.end_variant`` follows each
+    variant. One scorer turns a model's distributions into the report,
+    estimate and ``location_mae.csv`` rows of every variant: strategy 1
+    calls it once per model, and strategies 2 and 3 hand it each model's
+    distributions as they are built and then drop them, so only one model's
+    samples and rows are alive at a time. Only ``report.csv``'s rows are
+    kept, in ``VARIANTS`` order, for the report."""
     config = settings.experiment
     world, ensemble = world_gen.generate(config)
     errs = world_gen.true_errors(world, ensemble)
     spec = SplineSpec(basis_dim=settings.basis_dim)
     true_errors = errs.tolist()   # [m][l][j], once for every builder call
+    writer.start(_world_tables(world, ensemble), _decomposition_rows(world, ensemble))
 
     report_rows = []
-    world_tables = _world_tables(world, ensemble)   # handed over with strategy 1
+
+    def hand_over(tables, located):
+        report_rows.extend(tables["report.csv"])
+        writer.add(tables, located)
+
     # Strategies and builders are looked up at call time, so span wrappers
     # swapped in after import (benchmarks/spans.py) see every call.
-    for approach_id, variants in groupby(approaches.VARIANTS, itemgetter(0)):
-        batch = {name: [] for name in _STRATEGY_FILES}
-        for _, variant in variants:
-            ids = (approach_id, variant)
-            located = []   # per-location estimates, written after the pooled
+    for approach_id, variant in approaches.VARIANTS:
+        ids = (approach_id, variant)
 
-            def score(pooled, ordered, estimates):
-                """Add the rows of one model's distributions to the batch and
-                return its per-location estimate rows: ``pooled`` maps its
-                (m, j) to a distribution or None (empty), ``ordered[j]``
-                holds scenario j's pooled samples, sorted or not, and
-                ``estimates`` yields its ((m, j, l), summary) per-location
-                estimates. It is read once, so no list of them is held
-                beside their rows: one raised many_models' peak memory."""
-                batch["report.csv"] += _report_rows(world, errs, ordered, *ids, pooled)
-                batch["approach_estimates.csv"] += _estimate_rows(*ids, (
+        def score(pooled, ordered, estimates):
+            """One model's report, pooled estimate and ``location_mae.csv``
+            rows by file name, and its per-location estimate rows:
+            ``pooled`` maps its (m, j) to a distribution or None (empty),
+            ``ordered[j]`` holds scenario j's pooled samples, sorted or not,
+            and ``estimates`` yields its ((m, j, l), summary) per-location
+            estimates. It is read once, so no list of them is held beside
+            their rows: one raised many_models' peak memory."""
+            tables = {
+                "report.csv": _report_rows(world, errs, ordered, *ids, pooled),
+                "approach_estimates.csv": _estimate_rows(*ids, (
                     ((m, j, POOLED), dist.summary) for (m, j), dist in pooled.items()
-                    if dist is not None))
-                rows = _estimate_rows(*ids, estimates)
-                located.extend(rows)
-                batch["location_mae.csv"] += _location_mae_rows(true_errors, rows)
-                return rows
+                    if dist is not None))}
+            located = _estimate_rows(*ids, estimates)
+            tables["location_mae.csv"] = _location_mae_rows(true_errors, located)
+            return tables, located
 
-            if approach_id == APPROACH_PLAUSIBLE:
-                def plausible(result):
-                    """Score strategy 1 one model at a time, its point errors
-                    as one-sample estimates; what it holds goes on return."""
-                    chosen = [(j, l) for l, j in
-                              enumerate(result.selection.chosen_index.tolist()) if j >= 0]
-                    deviation = result.selection.deviation.tolist()
-                    for m, errors in enumerate(result.point_errors.tolist()):
-                        pooled = {(m, j): result.pooled[(m, j)]
-                                  for j in range(world.n_scenarios)}
-                        samples = [None if dist is None else dist.samples
-                                   for dist in pooled.values()]
-                        points = (((m, j, l), (errors[l],) * 6 + (1,)) for j, l in chosen)
-                        batch["a1_deviation.csv"] += _a1_deviation_rows(
-                            true_errors, deviation, score(pooled, samples, points))
+        if approach_id == APPROACH_PLAUSIBLE:
+            def plausible(result):
+                """Score strategy 1 one model at a time, its point errors
+                as one-sample estimates; what it holds goes on return."""
+                chosen = [(j, l) for l, j in
+                          enumerate(result.selection.chosen_index.tolist()) if j >= 0]
+                deviation = result.selection.deviation.tolist()
+                for m, errors in enumerate(result.point_errors.tolist()):
+                    pooled = {(m, j): result.pooled[(m, j)]
+                              for j in range(world.n_scenarios)}
+                    samples = [None if dist is None else dist.samples
+                               for dist in pooled.values()]
+                    points = (((m, j, l), (errors[l],) * 6 + (1,)) for j, l in chosen)
+                    tables, located = score(pooled, samples, points)
+                    tables["a1_deviation.csv"] = _a1_deviation_rows(
+                        true_errors, deviation, located)
+                    hand_over(tables, located)
 
-                plausible(approaches.evaluate_plausible(
-                    world, ensemble, settings.plausibility_threshold))
-            else:
-                # Only strategy 2's error samples imply observations to test.
-                implied = approach_id == APPROACH_ERROR_REGRESSION
+            plausible(approaches.evaluate_plausible(
+                world, ensemble, settings.plausibility_threshold))
+        else:
+            # Only strategy 2's error samples imply observations to test.
+            implied = approach_id == APPROACH_ERROR_REGRESSION
 
-                def consume(part, ordered):
-                    score(part.pooled, ordered, (
-                        (key, dist.summary) for key, dist in part.per_location.items()))
-                    if implied:
-                        batch["implied_obs_ks.csv"] += _implied_obs_rows(
-                            world, ensemble, variant, part)
+            def consume(part, ordered):
+                tables, located = score(part.pooled, ordered, (
+                    (key, dist.summary) for key, dist in part.per_location.items()))
+                if implied:
+                    tables["implied_obs_ks.csv"] = _implied_obs_rows(
+                        world, ensemble, variant, part)
+                hand_over(tables, located)
 
-                infer = (approaches.infer_error_distribution if implied
-                         else approaches.infer_observations)
-                infer(world, ensemble, variant == VARIANT_COVARIATE,
-                      settings.n_samples, config.seed, spec, consume)
-            batch["approach_estimates.csv"] += located
-        report_rows += batch["report.csv"]
-        writer.add(world_tables | batch)
-        world_tables = {}
-        del batch   # else its rows stay alive through the next strategy
+            infer = (approaches.infer_error_distribution if implied
+                     else approaches.infer_observations)
+            infer(world, ensemble, variant == VARIANT_COVARIATE,
+                  settings.n_samples, config.seed, spec, consume)
+        writer.end_variant()
 
     return EvaluationReport(settings=settings, world=world, ensemble=ensemble,
                             report_rows=report_rows)
@@ -401,13 +400,30 @@ DECOMPOSITION_HEADER = ("model_id", "location_id", "scenario_index",
 
 def _decomposition_rows(world, ensemble):
     """One row per (model, location, scenario), model-major, from a single
-    elementwise ``metrics.decompose`` over the projection array."""
+    elementwise ``metrics.decompose`` over the projection array. The rows
+    are made only as they are read, so the run holds the four columns as
+    arrays, not its M x L x S rows."""
     shape = ensemble.projections.shape
     d = metrics.decompose(ensemble.projections,
                           np.broadcast_to(world.y_counterfactual, shape),
                           np.broadcast_to(world.y_observed[:, None], shape))
-    columns = (getattr(d, f.name).ravel().tolist() for f in fields(d))
-    return [ids + values for ids, values in zip(np.ndindex(shape), zip(*columns))]
+    return _Rows(shape, [getattr(d, f.name).ravel() for f in fields(d)])
+
+
+class _Rows:
+    """The rows ``ids + values`` of a table: ``ids`` each index of
+    ``shape`` in row-major order, ``values`` the matching entries of the
+    flat ``columns``. ``len`` counts them; iterating makes them."""
+
+    def __init__(self, shape: tuple, columns: list):
+        self.shape, self.columns = shape, columns
+
+    def __len__(self) -> int:
+        return math.prod(self.shape)
+
+    def __iter__(self):
+        values = zip(*(column.tolist() for column in self.columns))
+        return (ids + row for ids, row in zip(np.ndindex(self.shape), values))
 
 
 A1_DEVIATION_HEADER = ("model_id", "location_id", "plausible_scenario",
@@ -490,10 +506,6 @@ def _projection_rows(world, ensemble):
                 yield (m, l, kind, y_model)
 
 
-# The files each strategy's batch adds rows to, in the order they are built.
-_STRATEGY_FILES = ("report.csv", "approach_estimates.csv", "a1_deviation.csv",
-                  "implied_obs_ks.csv", "location_mae.csv")
-
 _HEADERS = {
     "world.csv": WORLD_HEADER,
     "projections.csv": PROJECTIONS_HEADER,
@@ -507,96 +519,127 @@ _HEADERS = {
 
 
 def _world_tables(world, ensemble) -> dict:
-    """``world.csv`` and ``projections.csv``; the rows are made while
-    written, never held whole."""
+    """``world.csv`` and ``projections.csv``; the rows are made as the
+    writer formats them, never held as rows."""
     return {"world.csv": _world_rows(world),
             "projections.csv": _projection_rows(world, ensemble)}
 
 
-def _append(parts) -> None:
-    """Write each (path, new, rows) part: a new file starts with its
-    header, any other is appended to. Each row fills its table's one line
-    template, so a row of another length, or a list, raises ``TypeError``."""
-    for path, new, rows in parts:
-        header = _HEADERS[path.name]
-        line = ",".join(["%s"] * len(header)) + "\n"
-        with open(path, "w" if new else "a", encoding="utf-8", newline="\n") as handle:
-            if new:
-                handle.write(line % header)
-            handle.writelines(map(line.__mod__, rows))
+def _lines(name: str, rows) -> bytes:
+    """``rows`` as the lines of table ``name``, UTF-8 encoded. Each row
+    fills the table's one line template, so a row of another length, or a
+    list, raises ``TypeError``."""
+    line = ",".join(["%s"] * len(_HEADERS[name])) + "\n"
+    return "".join(map(line.__mod__, rows)).encode()
 
 
-def _sha256(path: Path) -> str:
-    """Digest of a file read 1 MiB at a time, so no file is held whole."""
-    digest = hashlib.sha256()
-    with open(path, "rb") as handle:
-        for chunk in iter(lambda: handle.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
+def _table(name: str, rows) -> bytes:
+    """Table ``name`` whole: its header line, then ``rows``."""
+    return _lines(name, (_HEADERS[name],)) + _lines(name, rows)
 
 
 class ReportWriter:
-    """Writes the data files of one report directory, batch by batch.
+    """The run's one writer, fed one model's rows at a time.
 
-    A batch maps file names to rows. ``add`` waits for the append of the
-    batch before it, raising its failure, then starts this batch's append
-    in the background (``fanout.Background``) and returns; so each file
-    keeps its row order. ``close`` writes ``decomposition.csv``, waits for
-    the last append and returns every data file's digest. Leaving a
-    ``with`` block kills the append still running."""
+    ``start`` forks the writer process (``fanout.Feed``), which makes a
+    ``_ReportFiles`` from the world's row iterators and
+    ``decomposition.csv``'s rows in its copy of the run's memory; nothing of
+    them is pickled. ``add`` then pickles one model's rows into its pipe and
+    returns. The first ``add`` makes the directory and removes an old
+    manifest, which would list files this run is replacing. ``close`` waits
+    for the writer to write ``decomposition.csv`` and returns every data
+    file's SHA-256 digest. A failure of the writer is raised by the next
+    ``add``, ``end_variant`` or ``close``; leaving a ``with`` block kills a
+    writer still running."""
 
     def __init__(self, out_dir):
         self.out = Path(out_dir)
-        self._opened = set()  # files handed out with their header
-        self._appends = fanout.Background()
+        self._feed = None
+        self._fresh = True   # no rows handed over yet
 
     def __enter__(self):
         return self
 
     def __exit__(self, *exc_info):
-        self._appends.__exit__(*exc_info)
+        if self._feed is not None:
+            self._feed.__exit__(*exc_info)
 
-    def _parts(self, batch: dict) -> list:
-        """The parts ``_append`` writes for ``batch``, leaving out files
-        with nothing to add unless they are new. The first call removes an
-        old manifest, which would list files this run is replacing."""
-        self.out.mkdir(parents=True, exist_ok=True)
-        if not self._opened:
+    def start(self, tables: dict, decomposition) -> None:
+        """Start the writer: ``tables`` maps ``world.csv`` and
+        ``projections.csv`` to their row iterators, written at the first
+        ``add``; ``decomposition`` is ``decomposition.csv``'s rows, written
+        at ``close``."""
+        self._feed = fanout.Feed(lambda: _ReportFiles(self.out, tables, decomposition))
+
+    def add(self, tables: dict, located: list) -> None:
+        """One model's rows: ``tables`` maps file names to rows written now,
+        ``located`` is its per-location ``approach_estimates.csv`` rows,
+        written after every model's pooled rows, at ``end_variant``."""
+        if self._fresh:
+            self.out.mkdir(parents=True, exist_ok=True)
             (self.out / MANIFEST_FILE).unlink(missing_ok=True)
-        parts = []
-        for name, rows in batch.items():
-            new = name not in self._opened
-            if rows or new:
-                parts.append((self.out / name, new, rows))
-                self._opened.add(name)
-        return parts
+            self._fresh = False
+        self._feed.send((tables, located))
 
-    def add(self, batch: dict) -> None:
-        self._appends.start(_append, self._parts(batch))
+    def end_variant(self) -> None:
+        self._feed.send(None)
 
-    def close(self, decomposition) -> dict:
-        """Write ``decomposition.csv``'s rows while the last append drains,
-        wait for it; the SHA-256 digest of each data file by name.
+    def close(self) -> dict:
+        """The SHA-256 digest of each data file by name, once all are written."""
+        return self._feed.close()
 
-        If the writing or the wait fails, ``decomposition.csv`` is removed
-        again, as a serial run that failed there would not have written it."""
-        path = self.out / "decomposition.csv"
-        try:
-            _append(self._parts({path.name: decomposition}))
-            self._appends.wait()
-        except BaseException:
-            if path.is_file():   # a directory in its place stays
-                path.unlink()
-            raise
-        return {name: _sha256(self.out / name) for name in DATA_FILES}
+
+class _ReportFiles:
+    """The writer's side of a ``ReportWriter``: it formats, writes and
+    hashes every data file, in the writer process or, where ``fanout`` runs
+    serially, in the run's own. It holds two things as text until they are
+    due: the current variant's per-location estimate rows and
+    ``decomposition.csv``, which is formatted as the writer starts and
+    written last. Each write opens its file and closes it again, so a
+    failed run leaves no file open."""
+
+    def __init__(self, out: Path, tables: dict, decomposition):
+        self.out = out
+        self._tables = tables
+        self._decomposition = _table("decomposition.csv", decomposition)
+        self._digests = {}   # file name -> SHA-256 of the bytes written so far
+        self._held = []      # the current variant's per-location estimate lines
+
+    def _write(self, name: str, data: bytes, mode: str = "ab") -> None:
+        with open(self.out / name, mode) as handle:
+            handle.write(data)
+        self._digests.setdefault(name, hashlib.sha256()).update(data)
+
+    def take(self, message) -> None:
+        """Write one ``ReportWriter.add``'s rows, or at None, the end of a
+        variant, its held per-location estimates. The first call creates
+        every file but ``decomposition.csv``, in ``DATA_FILES`` order, and
+        writes ``world.csv`` and ``projections.csv`` whole."""
+        if not self._digests:
+            for name in DATA_FILES:
+                if name != "decomposition.csv":
+                    self._write(name, _table(name, self._tables.get(name, ())), "wb")
+            self._tables = None
+        if message is None:
+            self._write("approach_estimates.csv", b"".join(self._held))
+            self._held = []
+            return
+        tables, located = message
+        for name, rows in tables.items():
+            self._write(name, _lines(name, rows))
+        self._held.append(_lines("approach_estimates.csv", located))
+
+    def close(self) -> dict:
+        self._write("decomposition.csv", self._decomposition, "wb")
+        return {name: self._digests[name].hexdigest() for name in DATA_FILES}
 
 
 def write_report(report: EvaluationReport, writer: ReportWriter,
                  config_bytes: bytes | None = None) -> dict:
-    """Finish the report ``evaluate`` fed to ``writer``: hand it
-    ``decomposition.csv``, close it and write the manifest to its
-    directory; returns the manifest dict."""
-    digests = writer.close(_decomposition_rows(report.world, report.ensemble))
+    """Finish the report ``evaluate`` fed to ``writer``: close it and
+    write the manifest, with its digests, to its directory; returns the
+    manifest dict."""
+    digests = writer.close()
 
     settings_dict = asdict(report.settings)
     config_digest = hashlib.sha256(

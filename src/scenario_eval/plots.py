@@ -14,7 +14,9 @@ generated ids) to keep output deterministic.
 
 Each of the four source files is read once, in one streaming pass that
 checks the field count of every row, the rows a figure drops included, and
-keeps only the columns a figure draws, as tuples of strings.
+keeps only the columns a figure draws: as tuples of strings, except for
+``decomposition.csv``, whose drawn columns are parsed to floats as they are
+read, grouped by scenario.
 ``decomposition.csv`` serves two figures: its ``calibration_error`` is the
 true error of the density figure, whose panels ``world.csv``'s ``x_kind``
 labels. A missing file, column or row, a row with a missing or extra field, a
@@ -30,6 +32,8 @@ from __future__ import annotations
 
 import csv
 import math
+from array import array
+from collections import defaultdict
 from contextlib import contextmanager
 from operator import itemgetter
 from pathlib import Path
@@ -58,12 +62,15 @@ def _fmt(value: float) -> str:
     return f"{value:.2f}"
 
 
-def _read_csv(path: Path, columns: tuple[str, ...], where=None) -> list[tuple]:
+def _read_csv(path: Path, columns: tuple[str, ...], where=None, by=None):
     """The ``columns`` (two or more) of each row of a report file, as tuples
     of strings in file order; with ``where=(column, value)`` only the rows
-    whose ``column`` reads ``value``. Every row is checked before it is
-    filtered: a missing or extra field raises ConfigError. A missing column
-    raises ValueError, which ``_reading`` reports."""
+    whose ``column`` reads ``value``. With ``by=column`` instead, a dict from
+    each integer that column holds to an ``array("d")`` of its rows'
+    ``columns`` parsed as floats, row after row in file order, so no string
+    of them is kept. Every row is checked before it is filtered: a missing
+    or extra field raises ConfigError. A missing column or an unparsable
+    value raises ValueError, which ``_reading`` reports."""
     if not path.exists():
         raise ConfigError(f"missing report file {path.name}", str(path))
     with open(path, encoding="utf-8") as handle:
@@ -71,15 +78,18 @@ def _read_csv(path: Path, columns: tuple[str, ...], where=None) -> list[tuple]:
         header = next(rows, [])
         pick = itemgetter(*map(header.index, columns))
         at, value = (header.index(where[0]), where[1]) if where else (0, None)
+        key = header.index(by) if by else None
         width = len(header)
-        kept = []
+        kept, groups = [], defaultdict(lambda: array("d"))
         for row in rows:
             if len(row) != width:
                 raise ConfigError(f"line {rows.line_num} has {len(row)} fields, "
                                   f"expected {width}", str(path))
-            if value is None or row[at] == value:
+            if key is not None:
+                groups[int(row[key])].extend(map(float, pick(row)))
+            elif value is None or row[at] == value:
                 kept.append(pick(row))
-        return kept
+        return kept if key is None else groups
 
 
 def _finite(values):
@@ -178,15 +188,14 @@ def _components(path: Path, n_scenarios: int) -> list[list[np.ndarray]]:
     """Per scenario index in ``[0, n_scenarios)``, one finite vector per
     COMPONENTS column of ``decomposition.csv``, in file order; an index
     outside that range or one without rows raises ValueError."""
-    groups: dict = {}   # scenario -> its rows, in file order
-    for j, *values in _read_csv(path, ("scenario_index", *(name for name, _ in COMPONENTS))):
-        groups.setdefault(int(j), []).append(values)
+    groups = _read_csv(path, tuple(name for name, _ in COMPONENTS), by="scenario_index")
     _check_scenarios(groups, n_scenarios)
     if len(groups) < n_scenarios:
         raise ValueError(f"no rows for scenario_index {min(set(range(n_scenarios)) - set(groups))}")
     # One contiguous vector per component, in file order, so each mean
     # keeps the pairwise summation, and the bits, of np.mean over a list.
-    return [[_finite(np.array(list(map(float, column)))) for column in zip(*groups[j])]
+    return [[_finite(column.copy()) for column in
+             np.frombuffer(groups[j]).reshape(-1, len(COMPONENTS)).T]
             for j in range(n_scenarios)]
 
 

@@ -392,9 +392,23 @@ class TestDistributionContainers:
         tables = collections.defaultdict(list)
 
         class Writer:
-            def add(self, batch):
+            """Keeps the rows in the order ``harness.ReportWriter`` writes
+            them: a variant's per-location estimates after its pooled ones."""
+
+            def __init__(self):
+                self.held = []
+
+            def start(self, world_tables, decomposition):
+                pass
+
+            def add(self, batch, located):
                 for name, rows in batch.items():
                     tables[name] += rows
+                self.held += located
+
+            def end_variant(self):
+                tables["approach_estimates.csv"] += self.held
+                self.held = []
 
         harness.evaluate(harness.RunSettings(experiment=config, n_samples=40), Writer())
         chosen = select_plausible(generate(config)[0]).chosen_index.tolist()

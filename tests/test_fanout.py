@@ -1,5 +1,5 @@
-"""The fork fan-out helpers: results in share order, calls in start order,
-errors, and reaping."""
+"""The fork fan-out helpers: results in share order, a feed's messages in
+the order sent, errors, and reaping."""
 
 import os
 import signal
@@ -109,88 +109,106 @@ def test_fan_out_inside_a_worker_runs_serially(monkeypatch):
     assert_no_child_processes()
 
 
-def _logger(path):
-    """A call that appends ``(k, ran in a worker)`` to ``path`` as a line."""
-    caller = os.getpid()
+class _Sink:
+    """A feed's sink: ``take`` appends each message, after ``before(message)``
+    when given; ``close`` returns them with the taker's pid."""
 
-    def log(k):
-        with open(path, "a", encoding="utf-8") as handle:
-            handle.write(f"{k} {os.getpid() != caller}\n")
+    def __init__(self, start=(), before=None):
+        self.taken, self.before = list(start), before
 
-    return log
+    def take(self, message):
+        if self.before is not None:
+            self.before(message)
+        self.taken.append(message)
+
+    def close(self):
+        return self.taken, os.getpid()
 
 
-def test_background_runs_each_call_in_a_worker_in_start_order(monkeypatch, tmp_path):
+def test_background_runs_each_call_in_a_worker_in_start_order(monkeypatch):
+    # One worker takes every message in the order sent. It makes its sink
+    # from the caller's memory, here a generator, which no pipe could carry.
     use_cpus(monkeypatch, 2)
-    forks, log = _counting_forks(monkeypatch), tmp_path / "log"
-    with time_limit(20), fanout.Background() as background:
-        for k in range(3):
-            background.start(_logger(log), k)
-        background.wait()
-        assert log.read_text() == "0 True\n1 True\n2 True\n"
-        background.start(_logger(log), 3)   # a waited-for Background starts again
-        background.wait()
-        background.wait()                   # nothing pending: returns at once
-    assert log.read_text().splitlines()[-1] == "3 True"
-    assert len(forks) == 4
+    forks, caller = _counting_forks(monkeypatch), os.getpid()
+    start = (k for k in ("a", "b"))
+    with time_limit(20), fanout.Feed(lambda: _Sink(start)) as feed:
+        for k in range(5):
+            feed.send(k)
+        taken, taker = feed.close()
+    assert taken == ["a", "b", 0, 1, 2, 3, 4] and taker != caller
+    assert list(start) == ["a", "b"]   # the caller's copy was never read
+    assert len(forks) == 1
     assert_no_child_processes()
 
 
-def test_background_raises_a_failure_at_the_next_start_or_wait(monkeypatch):
-    use_cpus(monkeypatch, 2)
-
-    def fn(k):
-        if k > 0:
+def _fail_at(k):
+    def before(message):
+        if message == k:
             raise KeyError(f"call {k}")
+    return before
 
-    with time_limit(20), fanout.Background() as background:
-        background.start(fn, 0)
-        background.start(fn, 1)
+
+def test_background_raises_a_failure_at_the_next_start_or_wait(monkeypatch):
+    # A failed take stops the worker. A send that finds it gone raises the
+    # failure, never the broken pipe; a failure close finds pending is
+    # raised by close.
+    use_cpus(monkeypatch, 2)
+    with time_limit(20), fanout.Feed(lambda: _Sink(before=_fail_at(1))) as feed:
+        feed.send(0)
+        feed.send(1)   # returns before the worker takes it
         with pytest.raises(KeyError, match="call 1"):
-            background.start(fn, 2)
-        background.wait()   # the raised failure is no longer pending
-        background.start(fn, 3)
-        with pytest.raises(KeyError, match="call 3"):
-            background.wait()
+            while True:
+                feed.send(2)
+    with time_limit(20), fanout.Feed(lambda: _Sink(before=_fail_at(1))) as feed:
+        feed.send(1)
+        with pytest.raises(KeyError, match="call 1"):
+            feed.close()
     assert_no_child_processes()
 
 
 def test_started_call_waits_for_its_predecessor(monkeypatch, tmp_path):
+    # The worker takes one message at a time, so the second finds the
+    # first finished.
     use_cpus(monkeypatch, 2)
     first_done, seen = tmp_path / "first", tmp_path / "seen"
 
-    def first(_):
-        time.sleep(0.5)
-        first_done.write_text("done")
+    def before(message):
+        if message == "first":
+            time.sleep(0.5)
+            first_done.write_text("done")
+        else:
+            seen.write_text(str(first_done.exists()))
 
-    with time_limit(20), fanout.Background() as background:
-        background.start(first, None)
-        background.start(lambda _: seen.write_text(str(first_done.exists())), None)
-        background.wait()
+    with time_limit(20), fanout.Feed(lambda: _Sink(before=before)) as feed:
+        feed.send("first")
+        feed.send("second")
+        feed.close()
     assert seen.read_text() == "True"
     assert_no_child_processes()
 
 
 @pytest.mark.parametrize("failure", ["raises", "killed"])
 def test_call_after_a_failure_raises_it_and_never_forks(monkeypatch, tmp_path, failure):
+    # The first take fails. The next send, larger than the pipe, can only
+    # end when the worker is gone, and raises its failure; the message
+    # after the failed one is never taken, and no second worker is forked.
     use_cpus(monkeypatch, 2)
     forks = _counting_forks(monkeypatch)
 
-    def first(_):
-        time.sleep(0.3)
-        if failure == "killed":
-            os.kill(os.getpid(), signal.SIGKILL)
-        raise OSError("first call failed")
-
-    def second(_):
+    def before(message):
+        if message == "first":
+            time.sleep(0.3)
+            if failure == "killed":
+                os.kill(os.getpid(), signal.SIGKILL)
+            raise OSError("first call failed")
         (tmp_path / "second").write_text("ran")
 
     expected = (OSError, "first call failed") if failure == "raises" else \
         (WorkerError, "killed by signal 9")
-    with time_limit(20), fanout.Background() as background:
-        background.start(first, None)
+    with time_limit(20), fanout.Feed(lambda: _Sink(before=before)) as feed:
+        feed.send("first")
         with pytest.raises(expected[0], match=expected[1]):
-            background.start(second, None)
+            feed.send("x" * (2 * fanout.PIPE_BYTES))
     assert not (tmp_path / "second").exists()
     assert len(forks) == 1
     assert_no_child_processes()
@@ -198,16 +216,16 @@ def test_call_after_a_failure_raises_it_and_never_forks(monkeypatch, tmp_path, f
 
 @pytest.mark.parametrize("failure", ["raises", "time_limit"])
 def test_leaving_a_background_block_kills_and_reaps_its_worker(monkeypatch, failure):
-    # A caller that raises leaves one call pending; a hang guard cuts the
-    # second start while it waits for the first call.
+    # The worker hangs on its first message. A caller that raises leaves it
+    # running; a hang guard cuts close while it waits for the worker.
     use_cpus(monkeypatch, 2)
     start = time.monotonic()
     with pytest.raises(RuntimeError if failure == "raises" else TimeoutError):
-        with time_limit(1), fanout.Background() as background:
-            background.start(time.sleep, 60)
+        with time_limit(1), fanout.Feed(lambda: _Sink(before=time.sleep)) as feed:
+            feed.send(60)
             if failure == "raises":
                 raise RuntimeError("caller failed")
-            background.start(time.sleep, 60)
+            feed.close()
     assert time.monotonic() - start < 10
     assert_no_child_processes()
 
@@ -223,15 +241,15 @@ def test_background_runs_serially_where_fan_out_does(monkeypatch, case):
     thread = threading.Thread(target=release.wait, args=(60,))
     if case == "live_thread":
         thread.start()
-    calls = []
     try:
-        with fanout.Background() as background:
+        sink = _Sink(before=_fail_at("serial call"))
+        with fanout.Feed(lambda: sink) as feed:
             for k in range(3):
-                background.start(calls.append, k)
-                assert calls == list(range(k + 1))   # ran before start returned
-            background.wait()
+                feed.send(k)
+                assert sink.taken == list(range(k + 1))   # taken before send returned
+            assert feed.close() == ([0, 1, 2], os.getpid())
             with pytest.raises(KeyError, match="serial call"):
-                background.start(lambda k: {}[k], "serial call")
+                feed.send("serial call")
     finally:
         release.set()
         if case == "live_thread":
@@ -244,12 +262,12 @@ def test_background_inside_a_worker_runs_serially(monkeypatch):
     forks = _counting_forks(monkeypatch)
 
     def outer(k):
-        me, pids = os.getpid(), []
-        with fanout.Background() as background:
-            background.start(lambda i: pids.append(os.getpid()), 0)
-            background.start(lambda i: pids.append(os.getpid()), 1)
-            background.wait()
-        return pids == [me, me], forks.count(me)
+        me = os.getpid()
+        with fanout.Feed(_Sink) as feed:
+            feed.send(0)
+            feed.send(1)
+            taken, taker = feed.close()
+        return taken == [0, 1] and taker == me, forks.count(me)
 
     with time_limit(20):
         (worker_serial, worker_forks), _ = fanout.fan_out(outer, lambda p: [0, 1])

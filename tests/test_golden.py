@@ -10,7 +10,6 @@ streams and its pairwise summation order, and were recorded with numpy
 import hashlib
 import os
 import threading
-import time
 
 import pytest
 
@@ -137,9 +136,8 @@ def _digests(out_dir):
 @pytest.mark.parametrize("entry", ["write_report", "run"])
 @pytest.mark.parametrize("case", ["three_cpus", "one_cpu", "no_fork", "live_thread"])
 def test_fan_out_and_serial_fallbacks_write_golden_bytes(tmp_path, monkeypatch, case, entry):
-    # Fanned over three processes: two forks for the solve, and one
-    # background append for each of the three batches. Each serial path
-    # must not fork at all.
+    # Fanned over three processes: two forks for the solve and one for the
+    # writer. Each serial path must not fork at all.
     use_cpus(monkeypatch, 1 if case == "one_cpu" else 3)
     forks = []
     real_fork = os.fork
@@ -170,7 +168,7 @@ def test_fan_out_and_serial_fallbacks_write_golden_bytes(tmp_path, monkeypatch, 
         if case == "live_thread":
             thread.join(10)
     assert not thread.is_alive()
-    assert len(forks) == (2 + 3 if case == "three_cpus" else 0)
+    assert len(forks) == (2 + 1 if case == "three_cpus" else 0)
     assert _digests(tmp_path) == DEFAULT_DIGESTS
     assert_no_child_processes()
 
@@ -185,45 +183,34 @@ def test_run_with_every_batch_in_the_background_writes_golden_bytes(
     forks, real_fork = [], os.fork
     monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
     harness.run(_config_path(tmp_path, config), tmp_path / "out")
-    # One fork for the solve and one background append per batch: each of
-    # the three strategies with all its variants, world and projections
-    # with strategy 1. The parent writes decomposition.csv and computes the
-    # digests itself.
-    assert len(forks) == 1 + 3
+    # One fork for the solve and one for the writer, which is handed every
+    # row and writes and hashes every data file.
+    assert len(forks) == 1 + 1
     assert _digests(tmp_path / "out") == expected
     assert_no_child_processes()
 
 
-def test_parent_writes_decomposition_before_waiting_for_the_last_append(
-        tmp_path, monkeypatch):
-    # Only strategy 3's append is pending when decomposition.csv is written.
-    # It waits until the parent has logged its own write: a parent that
-    # waited for it before writing decomposition.csv would leave it waiting
-    # out its 10 s and log it first.
-    use_cpus(monkeypatch, 2)
-    caller, append = os.getpid(), harness._append
-    log, out = tmp_path / "appends.log", tmp_path / "out"
-    log.touch()
+def test_writer_writes_decomposition_last(tmp_path, monkeypatch):
+    # One writer writes every data file: in a process of its own on two
+    # CPUs, in the caller on one. decomposition.csv is written once, after
+    # every other row.
+    caller, write = os.getpid(), harness._ReportFiles._write
+    for cpus in (1, 2):
+        use_cpus(monkeypatch, cpus)
+        log, out = tmp_path / f"writes{cpus}.log", tmp_path / f"out{cpus}"
 
-    def logged(parts):
-        last = any(path.name == "report.csv" and rows[0][0] == 3
-                   for path, _, rows in parts)
-        if last and os.getpid() != caller:
-            deadline = time.monotonic() + 10
-            while f"{caller} " not in log.read_text() and time.monotonic() < deadline:
-                time.sleep(0.01)
-        append(parts)
-        with open(log, "a", encoding="utf-8") as handle:
-            handle.write(f"{os.getpid()} {','.join(path.name for path, _, _ in parts)}\n")
+        def logged(self, name, data, mode="ab", log=log):
+            write(self, name, data, mode)
+            with open(log, "a", encoding="utf-8") as handle:
+                handle.write(f"{os.getpid() != caller} {name}\n")
 
-    monkeypatch.setattr(harness, "_append", logged)
-    with time_limit(60):
-        harness.run(None, out)
-    writes = [(pid == str(caller), names) for pid, names in
-              (line.split(" ") for line in log.read_text().splitlines()) if names]
-    assert writes[0] == (False, "world.csv,projections.csv,report.csv,approach_estimates.csv,"
-                                "a1_deviation.csv,implied_obs_ks.csv,location_mae.csv")
-    assert [by_caller for by_caller, _ in writes] == [False] * 2 + [True, False]
-    assert writes[2] == (True, "decomposition.csv")
-    assert _digests(out) == DEFAULT_DIGESTS
-    assert_no_child_processes()
+        monkeypatch.setattr(harness._ReportFiles, "_write", logged)
+        with time_limit(60):
+            harness.run(None, out)
+        writes = [line.split(" ") for line in log.read_text().splitlines()]
+        assert {by_writer for by_writer, _ in writes} == {str(cpus == 2)}
+        names = [name for _, name in writes]
+        assert set(names) == set(harness.DATA_FILES)
+        assert names.index("decomposition.csv") == len(names) - 1
+        assert _digests(out) == DEFAULT_DIGESTS
+        assert_no_child_processes()

@@ -405,8 +405,6 @@ class TestTables:
         writer = CollectingWriter()
         report = harness.evaluate(harness.RunSettings(), writer)
         tables = writer.tables
-        tables["decomposition.csv"] = harness._decomposition_rows(report.world,
-                                                                  report.ensemble)
         assert all(tables.values())
         types = {type(value) for rows in tables.values() for row in rows for value in row}
         assert types == {int, float, str}
@@ -427,7 +425,7 @@ class TestTables:
                     expected.append((m, l, j, d.observed_deviation,
                                      d.calibration_error, d.scenario_spec_error,
                                      d.total_error))
-        assert repr(harness._decomposition_rows(world, ensemble)) == repr(expected)
+        assert repr(list(harness._decomposition_rows(world, ensemble))) == repr(expected)
 
 
 class CollectingWriter:
@@ -437,9 +435,16 @@ class CollectingWriter:
     def __init__(self):
         self.tables = {name: [] for name in harness.DATA_FILES}
 
-    def add(self, batch):
-        for name, rows in batch.items():
+    def start(self, tables, decomposition):
+        self.add(dict(tables, **{"decomposition.csv": decomposition}), [])
+
+    def add(self, tables, located):
+        for name, rows in tables.items():
             self.tables[name] += rows
+        self.tables["approach_estimates.csv"] += located
+
+    def end_variant(self):
+        pass
 
 
 def test_evaluate_holds_one_variant_of_samples_at_a_time():
@@ -503,8 +508,10 @@ n_samples = 200
 
 def test_run_keeps_no_row_it_has_handed_to_the_writer(tmp_path, monkeypatch):
     # One variant's rows are what the traced memory grows by while its
-    # builders run. A run that kept the rows it has handed to the writer
-    # would peak above about six variants' rows.
+    # builders run, measured on a run whose writer keeps every row (rows
+    # handed over and freed would be rebuilt from the free lists, untraced).
+    # A run that kept the rows it has handed to the writer would peak above
+    # about six variants' rows.
     grown = collections.Counter()
     scored = []   # (strategy, option) of each strategy call: the variant being scored
 
@@ -523,15 +530,21 @@ def test_run_keeps_no_row_it_has_handed_to_the_writer(tmp_path, monkeypatch):
             return strategy(world, ensemble, option, *args)
         return run
 
-    for name in ("_report_rows", "_estimate_rows", "_a1_deviation_rows",
-                 "_implied_obs_rows", "_location_mae_rows"):
-        monkeypatch.setattr(harness, name, measured(getattr(harness, name)))
-    for approach_id, name in enumerate(("evaluate_plausible", "infer_error_distribution",
-                                        "infer_observations"), 1):
-        monkeypatch.setattr(approaches, name, scoring(approach_id, getattr(approaches, name)))
     harness.run(write_config(tmp_path, FAST_CONFIG), tmp_path / "warm")   # imports
     config = write_config(tmp_path, MANY_ROWS_CONFIG)
-    grown.clear()
+    with monkeypatch.context() as patches:
+        for name in ("_report_rows", "_estimate_rows", "_a1_deviation_rows",
+                     "_implied_obs_rows", "_location_mae_rows"):
+            patches.setattr(harness, name, measured(getattr(harness, name)))
+        for approach_id, name in enumerate(("evaluate_plausible", "infer_error_distribution",
+                                            "infer_observations"), 1):
+            patches.setattr(approaches, name, scoring(approach_id, getattr(approaches, name)))
+        tracemalloc.start()
+        try:
+            harness.evaluate(harness.load_settings(config), CollectingWriter())
+        finally:
+            tracemalloc.stop()
+    one_variant = max(grown.values())
     gc.collect()   # empties the free lists, so every row allocated is traced
     tracemalloc.start()
     try:
@@ -541,7 +554,6 @@ def test_run_keeps_no_row_it_has_handed_to_the_writer(tmp_path, monkeypatch):
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    one_variant = max(grown.values())
     # The peak holds one variant's distributions, about twice its rows,
     # and its rows.
     assert peak - before < 4.5 * one_variant
@@ -550,6 +562,69 @@ def test_run_keeps_no_row_it_has_handed_to_the_writer(tmp_path, monkeypatch):
     assert len(report.report_rows) == 5 * 30 * 2
     assert held - before < 2 * one_variant
     assert_no_child_processes()
+
+
+def _peak_in_strategies_2_and_3(tmp_path, monkeypatch, config):
+    """The traced memory a run adds from the start of strategy 2 to its
+    end, at its peak."""
+    tmp_path.mkdir()
+    infer, base = approaches.infer_error_distribution, []
+
+    def first_call_sets_the_base(*args):
+        if not base:
+            base.append(tracemalloc.get_traced_memory()[0])
+            tracemalloc.reset_peak()
+        return infer(*args)
+
+    monkeypatch.setattr(approaches, "infer_error_distribution", first_call_sets_the_base)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        with time_limit(60):
+            harness.run(write_config(tmp_path, config), tmp_path / "out")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak - base[0]
+
+
+def test_parent_holds_one_model_of_rows_while_strategies_2_and_3_run(tmp_path, monkeypatch):
+    # Each model's rows go to the writer as soon as they are scored, so the
+    # run's peak while strategies 2 and 3 run does not grow with the number
+    # of models; one that held a strategy's rows until it ended would peak
+    # about twice as high at twice the models.
+    use_cpus(monkeypatch, 2)
+    harness.run(write_config(tmp_path, FAST_CONFIG), tmp_path / "warm")   # imports
+    peaks = [_peak_in_strategies_2_and_3(tmp_path / str(models), monkeypatch,
+                                         MANY_ROWS_CONFIG.replace("n_models = 30",
+                                                                  f"n_models = {models}"))
+             for models in (30, 60)]
+    assert peaks[1] < 1.25 * peaks[0], peaks
+    assert_no_child_processes()
+
+
+def test_plot_holds_no_string_table_of_decomposition(tmp_path):
+    # plot parses decomposition.csv's drawn columns to floats as it reads
+    # them, so its traced peak on a many-row report stays below what those
+    # columns take as strings alone, which plot once held whole.
+    harness.run(write_config(tmp_path, MANY_ROWS_CONFIG), tmp_path / "out")
+    columns = ("scenario_index",) + tuple(name for name, _ in plots.COMPONENTS)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        with open(tmp_path / "out" / "decomposition.csv", encoding="utf-8") as handle:
+            rows = csv.reader(handle)
+            header = next(rows)
+            strings = [tuple(row[header.index(name)] for name in columns) for row in rows]
+        table = tracemalloc.get_traced_memory()[0]
+        del strings
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        plots.plot_report_dir(tmp_path / "out", tmp_path / "figures")
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < table
 
 
 class TestEnvOverride:
@@ -855,10 +930,10 @@ class TestWorkerFailures:
     @pytest.mark.parametrize("name", ["projections.csv", "location_mae.csv"])
     def test_blocked_background_append_exits_2_as_when_serial(
             self, tmp_path, monkeypatch, capsys, name):
-        # Every batch goes to its own append: projections.csv is in the
-        # first, with strategy 1's tables, location_mae.csv in each
-        # strategy's. No write after the failed one happens, so no file is
-        # written out of order.
+        # The writer creates every file but decomposition.csv at the first
+        # hand-over, in DATA_FILES order, writing world.csv and
+        # projections.csv whole; location_mae.csv comes last. No write after
+        # the failed one happens, so no file is written out of order.
         config = write_config(tmp_path, FAST_CONFIG)
         errors, written = [], []
         for cpus in (1, 2):
@@ -882,15 +957,17 @@ class TestWorkerFailures:
                 "location_mae.csv", "report.csv"])
 
     def test_killed_background_append_exits_2(self, tmp_path, monkeypatch, capsys):
+        # The writer dies at its first hand-over; the run fails at a later
+        # one or at close, naming the signal.
         use_cpus(monkeypatch, 2)
-        caller, append = os.getpid(), harness._append
+        caller, take = os.getpid(), harness._ReportFiles.take
 
-        def die_in_worker(parts):
+        def die_in_writer(self, message):
             if os.getpid() != caller:
                 os.kill(os.getpid(), signal.SIGKILL)
-            append(parts)
+            take(self, message)
 
-        monkeypatch.setattr(harness, "_append", die_in_worker)
+        monkeypatch.setattr(harness._ReportFiles, "take", die_in_writer)
         config = write_config(tmp_path, FAST_CONFIG)
         with time_limit(20):
             code = cli.main(["run", "--config", str(config), "--out", str(tmp_path / "o")])
@@ -902,8 +979,8 @@ class TestWorkerFailures:
 
     def test_blocked_decomposition_exits_2_with_or_without_pending_appends(
             self, tmp_path, monkeypatch, capsys):
-        # With appends pending at close, the parent writes decomposition.csv
-        # before waiting for them; the failure reads as when it came last.
+        # decomposition.csv is written last, by the writer process on two
+        # CPUs; the failure reads as the serial run's.
         config = write_config(tmp_path, FAST_CONFIG)
         errors = []
         for cpus in (1, 2):
@@ -922,21 +999,20 @@ class TestWorkerFailures:
     @pytest.mark.parametrize("failure", ["raises", "killed"])
     def test_failed_last_append_leaves_the_files_of_a_serial_run(
             self, tmp_path, monkeypatch, capsys, failure):
-        # The last strategy's append fails while the parent writes
-        # decomposition.csv; that file is removed again, so the directory
-        # holds what a run that failed in that append serially holds.
-        caller, append = os.getpid(), harness._append
+        # The writer fails at the last strategy's first model. It writes
+        # decomposition.csv only after every other row, so the directory
+        # holds every other file, as a run that failed there serially does.
+        caller, take = os.getpid(), harness._ReportFiles.take
 
-        def fail_last_strategy(parts):
-            last = any(path.name == "report.csv" and rows[0][0] == 3
-                       for path, _, rows in parts)
+        def fail_last_strategy(self, message):
+            last = message is not None and message[0]["report.csv"][0][0] == 3
             if last and failure == "killed" and os.getpid() != caller:
                 os.kill(os.getpid(), signal.SIGKILL)
             if last:
                 raise OSError("last append failed")
-            append(parts)
+            take(self, message)
 
-        monkeypatch.setattr(harness, "_append", fail_last_strategy)
+        monkeypatch.setattr(harness._ReportFiles, "take", fail_last_strategy)
         config = write_config(tmp_path, FAST_CONFIG)
         written = []
         for cpus in (1, 2) if failure == "raises" else (2,):
@@ -946,6 +1022,7 @@ class TestWorkerFailures:
                 assert cli.main(["run", "--config", str(config), "--out", str(out)]) == 2
             err = capsys.readouterr().err
             assert ("killed by signal 9" if failure == "killed" else "last append failed") in err
+            assert "Traceback" not in err
             written.append(sorted(path.name for path in out.iterdir()))
             assert_no_child_processes()
         assert written[0] == sorted(set(harness.DATA_FILES) - {"decomposition.csv"})
@@ -954,16 +1031,16 @@ class TestWorkerFailures:
     @pytest.mark.parametrize("failure", ["builder_raises", "time_limit"])
     def test_caller_failure_kills_and_reaps_the_background_appends(
             self, tmp_path, monkeypatch, failure):
-        # The append pending when the strategy-3 builder raises, strategy
-        # 2's, hangs, so a run that waited for it would hang too. Under the
-        # hang guard every append hangs, and the run is cut while the
-        # second batch waits for the first.
+        # The writer hangs at strategy 2's first model, so a run that waited
+        # for it when the strategy-3 builder raises would hang too. Under
+        # the hang guard the writer hangs at its first hand-over, and the
+        # run is cut while close waits for it.
         use_cpus(monkeypatch, 2)
         caller, builder = os.getpid(), harness._location_mae_rows
 
-        def hang_in_worker(parts):
-            pending = failure == "time_limit" or any(
-                path.name == "report.csv" and rows[0][0] == 2 for path, _, rows in parts)
+        def hang_in_writer(self, message):
+            pending = failure == "time_limit" or (
+                message is not None and message[0]["report.csv"][0][0] == 2)
             if pending and os.getpid() != caller:
                 time.sleep(60)
 
@@ -972,7 +1049,7 @@ class TestWorkerFailures:
                 raise RuntimeError("builder failed")
             return builder(true_errors, estimate_rows)
 
-        monkeypatch.setattr(harness, "_append", hang_in_worker)
+        monkeypatch.setattr(harness._ReportFiles, "take", hang_in_writer)
         if failure == "builder_raises":
             monkeypatch.setattr(harness, "_location_mae_rows", fail_in_last_strategy)
         config = write_config(tmp_path, FAST_CONFIG)
@@ -985,9 +1062,10 @@ class TestWorkerFailures:
         assert_no_child_processes()
 
     def test_failed_run_leaves_no_manifest_of_an_earlier_run(self, tmp_path, monkeypatch):
-        # Strategy 2's builder fails after the first batch has replaced
-        # world.csv, projections.csv and strategy 1's tables, so the earlier
-        # manifest's digests no longer hold.
+        # Strategy 2's builder fails after strategy 1's rows have gone to
+        # the writer, which replaces world.csv, projections.csv and the
+        # rest, so the earlier manifest's digests no longer hold. The first
+        # hand-over removed it.
         config = write_config(tmp_path, FAST_CONFIG)
         out = tmp_path / "o"
         harness.run(config, out)
@@ -1004,9 +1082,9 @@ class TestWorkerFailures:
 
     def test_failed_strategy_1_leaves_the_earlier_report_untouched(
             self, tmp_path, monkeypatch):
-        # Strategy 1 is scored before the first batch is handed over, so a
-        # failure there writes nothing: the earlier report and its manifest
-        # stay, and the manifest's digests still hold.
+        # A failure while strategy 1's first model is scored comes before
+        # the first hand-over, so nothing is written: the earlier report and
+        # its manifest stay, and the manifest's digests still hold.
         config = write_config(tmp_path, FAST_CONFIG)
         out = tmp_path / "o"
         harness.run(write_config(tmp_path, FAST_CONFIG.replace("seed = 3", "seed = 4"),
@@ -1021,7 +1099,7 @@ class TestWorkerFailures:
             harness.run(config, out)
         assert {path.name: path.read_bytes() for path in out.iterdir()} == before
         manifest = json.loads(before[harness.MANIFEST_FILE])
-        assert manifest["files"] == {name: harness._sha256(out / name)
+        assert manifest["files"] == {name: hashlib.sha256(before[name]).hexdigest()
                                      for name in harness.DATA_FILES}
         assert_no_child_processes()
 

@@ -1,4 +1,4 @@
-"""``harness._append`` fills one line template per table; it must write the
+"""``harness._lines`` fills one line template per table; it must write the
 bytes ``csv.writer(lineterminator="\\n")`` would, for every value a table
 holds."""
 
@@ -47,13 +47,12 @@ def tables(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(tables())
-def test_template_writes_the_bytes_of_csv_writer(tmp_path_factory, table):
+def test_template_writes_the_bytes_of_csv_writer(table):
     name, batches = table
-    path = tmp_path_factory.mktemp("rows") / name
-    for k, rows in enumerate(batches):   # a new file, then appends
-        harness._append([(path, k == 0, rows)])
+    written = harness._table(name, batches[0]) + b"".join(   # a new table, then more rows
+        harness._lines(name, rows) for rows in batches[1:])
     expected = _csv_bytes(HEADERS[name], [row for rows in batches for row in rows])
-    assert path.read_bytes() == expected
+    assert written == expected
 
 
 @pytest.mark.parametrize("run_settings", [harness.RunSettings(), THREE_SCENARIO_SETTINGS],
@@ -62,9 +61,7 @@ def test_every_label_is_a_bare_token(run_settings):
     # csv.writer would quote a field with a comma, quote, space or line
     # break; the template does not, so no written str may hold one.
     writer = CollectingWriter()
-    report = harness.evaluate(run_settings, writer)
-    writer.add({"decomposition.csv": harness._decomposition_rows(report.world,
-                                                                 report.ensemble)})
+    harness.evaluate(run_settings, writer)
     labels = {value for rows in writer.tables.values() for row in rows
               for value in row if isinstance(value, str)}
     assert {"true", "false", "realized"} <= labels
@@ -75,8 +72,7 @@ def test_every_label_is_a_bare_token(run_settings):
 
 @pytest.mark.parametrize("row", [(1, 2, "realized"), (1, 2, "realized", 0.5, 0.5),
                                  [1, 2, "realized", 0.5]], ids=["short", "long", "list"])
-def test_a_row_that_does_not_fill_the_template_raises(tmp_path, row):
-    path = tmp_path / "projections.csv"
+def test_a_row_that_does_not_fill_the_template_raises(row):
     with pytest.raises(TypeError):
-        harness._append([(path, True, [row])])
-    assert path.read_text(encoding="utf-8") == "model_id,location_id,x_kind,y_projected\n"
+        harness._table("projections.csv", [row])
+    assert harness._table("projections.csv", []) == b"model_id,location_id,x_kind,y_projected\n"
