@@ -13,29 +13,31 @@ The SVG is hand assembled (fixed coordinate formatting, no timestamps or
 generated ids) to keep output deterministic.
 
 Each of the four source files is read once, in one streaming pass that
-checks the field count of every row, the rows a figure drops included, and
-keeps only the columns a figure draws: as tuples of strings, except for
+checks every line, the lines a figure drops included, and keeps only the
+columns a figure draws: as tuples of strings, except for
 ``decomposition.csv``, whose drawn columns are parsed to floats as they are
-read, grouped by scenario.
+read, grouped by scenario. The reader splits each line at its commas
+itself, so it takes only lines that the ``csv`` module reads the same way:
+a line with a quote character or a NUL, one over 131,072 characters
+(``csv``'s field size limit), a blank line or one with a missing or extra
+field raises ConfigError naming the file, whichever columns it is in.
 ``decomposition.csv`` serves two figures: its ``calibration_error`` is the
 true error of the density figure, whose panels ``world.csv``'s ``x_kind``
-labels. A missing file, column or row, a row with a missing or extra field, a
-field over ``csv``'s size limit, an unparsable or non-finite (nan, inf)
-number in a drawn column, a ``scenario_index`` outside ``[0, n_scenarios)``,
-a scenario without ``decomposition.csv`` rows, or ``world.csv`` locations
-that list different scenario kinds raises ConfigError naming the file.
+labels. A missing file, column or row, an unparsable or non-finite (nan,
+inf) number in a drawn column, a ``scenario_index`` outside
+``[0, n_scenarios)``, a scenario without ``decomposition.csv`` rows, or
+``world.csv`` locations that list different scenario kinds also raises
+ConfigError naming the file.
 ``n_scenarios`` is the number of scenario kinds each location lists in
 ``world.csv``, except for ``report.csv``: the distinct indices it holds.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from array import array
-from collections import defaultdict
 from contextlib import contextmanager
-from operator import itemgetter
+from itertools import islice, repeat
 from pathlib import Path
 
 import numpy as np
@@ -62,34 +64,108 @@ def _fmt(value: float) -> str:
     return f"{value:.2f}"
 
 
+# The longest line the reader takes: csv's default field size limit, so that
+# no field of a line it takes is one the csv module would refuse.
+LINE_LIMIT = 131_072
+# Lines split and parsed at a time: enough to keep the per-line work in C,
+# few enough that a block's strings stay small beside the plot's own peak.
+BLOCK_LINES = 256
+
+
+def _fault(line: str, width: int) -> str | None:
+    """Why ``line`` is not a row of ``width`` fields that ``csv.reader``
+    reads as ``line.split(",")``, or None."""
+    text = line.removesuffix("\n")
+    if not text:
+        return "is blank"
+    if '"' in text:
+        return "holds a quote character"
+    if "\0" in text:
+        return "holds a NUL character"
+    if len(text) > LINE_LIMIT:
+        return f"is longer than {LINE_LIMIT} characters"
+    if text.count(",") + 1 != width:
+        return f"has {text.count(',') + 1} fields, expected {width}"
+    return None
+
+
+def _checked(path: Path, lines: list[str], first: int, width: int) -> str:
+    """``lines``, which start at line ``first`` of ``path``, joined; the
+    first of them that ``_fault`` finds fault with raises ConfigError naming
+    ``path``. The common case costs a join, two searches and a comma count
+    per line, all in C. Past the header ``width`` is at least two (a read
+    names two or more columns), so a blank line, which has no comma, fails
+    the count."""
+    text = "".join(lines)
+    if ('"' in text or "\0" in text or len(text) > LINE_LIMIT
+            or set(map(str.count, lines, repeat(","))) != {width - 1}):
+        for number, line in enumerate(lines, first):
+            fault = _fault(line, width)
+            if fault:
+                raise ConfigError(f"line {number} {fault}", str(path))
+    return text
+
+
+def _fields(text: str) -> list[str]:
+    """The fields of the checked lines ``text``, row after row in one list."""
+    return text.removesuffix("\n").replace("\n", ",").split(",") if text else []
+
+
 def _read_csv(path: Path, columns: tuple[str, ...], where=None, by=None):
     """The ``columns`` (two or more) of each row of a report file, as tuples
     of strings in file order; with ``where=(column, value)`` only the rows
     whose ``column`` reads ``value``. With ``by=column`` instead, a dict from
-    each integer that column holds to an ``array("d")`` of its rows'
-    ``columns`` parsed as floats, row after row in file order, so no string
-    of them is kept. Every row is checked before it is filtered: a missing
-    or extra field raises ConfigError. A missing column or an unparsable
-    value raises ValueError, which ``_reading`` reports."""
+    each integer that column holds, in order of first appearance, to one
+    float vector per column of ``columns``, its rows in file order, so no
+    string of them is kept. Every line is checked before it is filtered
+    (``_checked``): a quote, a NUL, a line over LINE_LIMIT characters, a
+    blank line or a missing or extra field raises ConfigError. ``csv.reader``
+    splits the lines it takes at every comma, so the values kept are those
+    it gives, parsed by ``float`` and ``int``. Lines are read BLOCK_LINES at
+    a time, and a ``where`` read splits only the lines that can hold
+    ``value`` in ``column``. A missing column or an unparsable value raises
+    ValueError, which ``_reading`` reports."""
     if not path.exists():
         raise ConfigError(f"missing report file {path.name}", str(path))
     with open(path, encoding="utf-8") as handle:
-        rows = csv.reader(handle)
-        header = next(rows, [])
-        pick = itemgetter(*map(header.index, columns))
-        at, value = (header.index(where[0]), where[1]) if where else (0, None)
-        key = header.index(by) if by else None
+        line = handle.readline()
+        header = line.removesuffix("\n").split(",")
         width = len(header)
-        kept, groups = [], defaultdict(lambda: array("d"))
-        for row in rows:
-            if len(row) != width:
-                raise ConfigError(f"line {rows.line_num} has {len(row)} fields, "
-                                  f"expected {width}", str(path))
-            if key is not None:
-                groups[int(row[key])].extend(map(float, pick(row)))
-            elif value is None or row[at] == value:
-                kept.append(pick(row))
-        return kept if key is None else groups
+        _checked(path, [line], 1, width)
+        picks = [header.index(name) for name in columns]
+        at, value = (header.index(where[0]), where[1]) if where else (None, None)
+        # A field between two others that reads value sits between commas.
+        needle = f",{value}," if at and at < width - 1 else value
+        key = header.index(by) if by else None
+        kept, groups, first = [], {}, 2
+        while block := list(islice(handle, BLOCK_LINES)):
+            text = _checked(path, block, first, width)
+            first += len(block)
+            if key is None:
+                fields = _fields(text if at is None else
+                                 "".join([line for line in block if needle in line]))
+                rows = zip(*(fields[k::width] for k in picks))
+                kept.extend(rows if at is None else
+                            (row for row, v in zip(rows, fields[at::width]) if v == value))
+                continue
+            fields = _fields(text)
+            values = [np.fromiter(map(float, fields[k::width]), float, len(block))
+                      for k in picks]
+            # Each distinct key string is parsed once; each row goes to the
+            # group of the integer its key reads, in file order.
+            keys = fields[key::width]
+            ints = {s: int(s) for s in dict.fromkeys(keys)}
+            distinct = list(dict.fromkeys(ints.values()))
+            code = {s: distinct.index(j) for s, j in ints.items()}
+            codes = np.fromiter(map(code.get, keys), np.intp, len(block))
+            for c, j in enumerate(distinct):
+                rows = codes == c
+                for vector, column in zip(groups.setdefault(j, [array("d") for _ in picks]),
+                                          values):
+                    vector.frombytes(column[rows].tobytes())
+    if key is None:
+        return kept
+    return {j: [np.frombuffer(vector) for vector in vectors] for j, vectors in groups.items()}
 
 
 def _finite(values):
@@ -109,15 +185,14 @@ def _check_scenarios(indices, n_scenarios: int) -> None:
 
 @contextmanager
 def _reading(path: Path):
-    """Raise a missing column or key, an unparsable or non-finite value, a
-    scenario index out of range or a field that ``csv`` cannot read (one over
-    its size limit) met while using the rows of ``path`` as a ConfigError
-    naming that file."""
+    """Raise a missing column or key, an unparsable or non-finite value or a
+    scenario index out of range met while using the rows of ``path`` as a
+    ConfigError naming that file."""
     try:
         yield
     except ScenarioEvalError:
         raise
-    except (KeyError, IndexError, TypeError, ValueError, csv.Error) as exc:
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed report file ({type(exc).__name__}: {exc})",
                           str(path)) from exc
 
@@ -160,8 +235,15 @@ def _density(samples: np.ndarray, grid: np.ndarray) -> np.ndarray:
     edges = np.linspace(grid[0], grid[-1], 201)
     counts, _ = np.histogram(samples, bins=edges)
     centers = 0.5 * (edges[:-1] + edges[1:])
-    z = (grid[:, None] - centers[None, :]) / bandwidth
-    dens = (np.exp(-0.5 * z * z) @ counts) / (samples.size * bandwidth * np.sqrt(2 * np.pi))
+    # np.exp(-0.5 * z * z), operation for operation, in place: the grid x
+    # centres matrices (0.37 MB each) are the plot's largest arrays, and at
+    # most two are alive at once instead of three, which keeps plot's peak
+    # near the run's.
+    z = grid[:, None] - centers[None, :]
+    z /= bandwidth
+    kernel = -0.5 * z
+    kernel *= z
+    dens = (np.exp(kernel, out=kernel) @ counts) / (samples.size * bandwidth * np.sqrt(2 * np.pi))
     return _finite(dens)
 
 
@@ -192,11 +274,7 @@ def _components(path: Path, n_scenarios: int) -> list[list[np.ndarray]]:
     _check_scenarios(groups, n_scenarios)
     if len(groups) < n_scenarios:
         raise ValueError(f"no rows for scenario_index {min(set(range(n_scenarios)) - set(groups))}")
-    # One contiguous vector per component, in file order, so each mean
-    # keeps the pairwise summation, and the bits, of np.mean over a list.
-    return [[_finite(column.copy()) for column in
-             np.frombuffer(groups[j]).reshape(-1, len(COMPONENTS)).T]
-            for j in range(n_scenarios)]
+    return [[_finite(column) for column in groups[j]] for j in range(n_scenarios)]
 
 
 def plot_error_densities(report_dir: Path, out_path: Path, kinds: list[str],

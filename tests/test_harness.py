@@ -654,6 +654,14 @@ def _append_to_line(text, index, suffix):
     return "\n".join(lines) + "\n"
 
 
+def _pad_line(text, index, length):
+    """``text`` with its line ``index`` (0 is the header) padded to
+    ``length`` characters by appending to its last field."""
+    lines = text.splitlines()
+    lines[index] += "x" * (length - len(lines[index]))
+    return "\n".join(lines) + "\n"
+
+
 def _set_column(column, value):
     """An edit of a report file's text that sets ``column`` to ``value`` in
     every row."""
@@ -872,6 +880,14 @@ class TestCli:
          _set_field("n_samples", "1,2", lambda row: not _pooled(row))),
         # A field over the csv module's size limit (131,072 characters).
         ("report.csv", lambda text: _append_to_line(text, 3, ',"' + "x" * 200_000 + '"')),
+        # Lines that csv would read otherwise than split at every comma, or
+        # not at all, in columns no figure draws: a quoted field, a NUL, a
+        # line longer than the csv module's field size limit, a blank line.
+        ("approach_estimates.csv",
+         _set_field("median", '"0.5"', lambda row: not _pooled(row))),
+        ("world.csv", _set_field("r0_true", "2\x00")),
+        ("report.csv", lambda text: _pad_line(text, 3, 131_073)),
+        ("decomposition.csv", lambda text: text + "\n"),
     ], ids=["garbage_world", "empty_world", "decomposition_scenario_past_last",
             "shifted_value", "short_row", "no_rows", "short_world_row",
             "short_decomposition_row", "inf_mae", "nan_ks_d", "inf_ks_critical",
@@ -880,7 +896,8 @@ class TestCli:
             "nan_calibration_error", "inf_decomposition",
             "negative_decomposition_scenario", "decomposition_scenario_without_rows",
             "huge_calibration_error", "huge_mae", "extra_field_in_dropped_row",
-            "overlong_field"])
+            "overlong_field", "quote_in_dropped_column", "nul", "overlong_line",
+            "blank_line"])
     def test_malformed_report_exit_2(self, run_dir, tmp_path, capsys, name, edit):
         report = tmp_path / "report"
         _copy_report(run_dir[0] / "out", report, name, edit)
