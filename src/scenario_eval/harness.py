@@ -132,65 +132,56 @@ class RunSettings:
                 f"got {self.n_samples}", "approaches.n_samples")
 
 
-_EXPERIMENT_FIELDS = {
-    "n_locations": int,
-    "n_models": int,
-    "seed": int,
-    "scenario_values": "floats",
-    "perfect_models": "bool",
-    "x_realized_low": float,
-    "x_realized_high": float,
-    "r0_true_low": float,
-    "r0_true_high": float,
-    "alpha_true_mean": float,
-    "alpha_true_sd": float,
-    "global_bias_sd": float,
-    "local_bias_sd": float,
-    "alpha_center_low": float,
-    "alpha_center_high": float,
-    "alpha_model_sd": float,
+# The config file's keys by section, in README's order: [approaches] sets
+# ``RunSettings`` fields, the other two ``ExperimentConfig``'s (``_field_of``).
+CONFIG_FIELDS = {
+    "experiment": ("n_locations", "n_models", "scenario_values", "seed",
+                   "perfect_models", "x_realized_low", "x_realized_high",
+                   "r0_true_low", "r0_true_high", "alpha_true_mean",
+                   "alpha_true_sd", "global_bias_sd", "local_bias_sd",
+                   "alpha_center_low", "alpha_center_high", "alpha_model_sd"),
+    "sir": ("infectious_period", "initial_infected", "population", "horizon", "step"),
+    "approaches": ("n_samples", "basis_dim", "plausibility_threshold"),
 }
-_SIR_FIELDS = {
-    "infectious_period": float,
-    "initial_infected": float,
-    "population": float,
-    "horizon": float,
-    "step": float,
-}
-_APPROACH_FIELDS = {
-    "n_samples": int,
-    "basis_dim": int,
-    "plausibility_threshold": "optional_float",
-}
+_BOOLEANS = configparser.ConfigParser.BOOLEAN_STATES
 
 
-def _parse_value(raw: str, kind, context: str):
+def _field_of(key: str) -> tuple:
+    """The field config ``key`` names, by its own name but for
+    ``initial_infected``, which is ``i0``, and ``<stem>_low``/``_high``, ends
+    0 and 1 of ``<stem>_range``; and the end, None for a whole field."""
+    if key == "initial_infected":
+        return "i0", None
+    stem, _, end = key.rpartition("_")
+    if end in ("low", "high"):
+        return f"{stem}_range", int(end == "high")
+    return key, None
+
+
+def _parse_value(raw: str, default, context: str):
+    """``raw`` as a value of ``default``'s type: ``bool``, ``int``,
+    ``float``, a tuple of floats, or ``None`` for an optional float."""
     try:
-        if kind is int:
-            return int(raw)
-        if kind is float:
-            return float(raw)
-        if kind == "bool":
-            lowered = raw.strip().lower()
-            if lowered in ("true", "yes", "on", "1"):
-                return True
-            if lowered in ("false", "no", "off", "0"):
-                return False
-            raise ValueError(f"not a boolean: {raw!r}")
-        if kind == "floats":
+        if isinstance(default, bool):   # true/yes/on/1 or false/no/off/0
+            if raw.strip().lower() not in _BOOLEANS:
+                raise ValueError(f"not a boolean: {raw!r}")
+            return _BOOLEANS[raw.strip().lower()]
+        if isinstance(default, tuple):
             return tuple(float(part) for part in raw.replace(",", " ").split())
-        if kind == "optional_float":
+        if default is None:
             return float(raw) if raw.strip() else None
-        raise AssertionError(kind)
+        return type(default)(raw)
     except ValueError as exc:
         raise ConfigError(str(exc), context) from exc
 
 
 def load_settings(path) -> RunSettings:
-    """Parse a key = value config file with [experiment], [sir] and
-    [approaches] sections; every field is optional and defaults to the
-    built-in experiment. Unknown sections or fields are errors, ``[DEFAULT]``
-    included, and values are taken as written: ``%`` is not interpolated."""
+    """Parse a key = value config file with the sections and keys of
+    ``CONFIG_FIELDS``; every key is optional, defaults to the built-in
+    experiment and is parsed by the type of its field's default. Unknown
+    sections or fields are errors, ``[DEFAULT]`` included, and values are
+    taken as written: ``%`` is not interpolated. The file is read once, so
+    a pipe such as ``/dev/stdin`` serves as well as a regular file."""
     path = Path(path)
     # No section header can be empty, so "[DEFAULT]" is a section like any other.
     parser = configparser.ConfigParser(interpolation=None, default_section="")
@@ -204,46 +195,25 @@ def load_settings(path) -> RunSettings:
     except configparser.Error as exc:
         raise ConfigError(str(exc).replace("\n", " "), str(path)) from exc
 
-    known = {"experiment": _EXPERIMENT_FIELDS, "sir": _SIR_FIELDS,
-             "approaches": _APPROACH_FIELDS}
+    defaults = RunSettings()
+    experiment, approaches = {}, {}   # field name -> value read
     for section in parser.sections():
-        if section not in known:
+        if section not in CONFIG_FIELDS:
             raise ConfigError(f"unknown section [{section}]", str(path))
-        for key in parser[section]:
-            if key not in known[section]:
+        owner, read = ((defaults, approaches) if section == "approaches"
+                       else (defaults.experiment, experiment))
+        for key, raw in parser[section].items():
+            if key not in CONFIG_FIELDS[section]:
                 raise ConfigError(f"unknown field {key!r}", f"{path}:[{section}]")
-
-    def section_values(section: str, fields: dict) -> dict:
-        out = {}
-        if parser.has_section(section):
-            for key, kind in fields.items():
-                if parser.has_option(section, key):
-                    out[key] = _parse_value(parser.get(section, key), kind,
-                                            f"{path}:[{section}] {key}")
-        return out
-
-    exp_raw = section_values("experiment", _EXPERIMENT_FIELDS)
-    sir_raw = section_values("sir", _SIR_FIELDS)
-    app_raw = section_values("approaches", _APPROACH_FIELDS)
-
-    exp_kwargs = {}
-    range_pairs = {
-        "x_realized_range": ("x_realized_low", "x_realized_high"),
-        "r0_true_range": ("r0_true_low", "r0_true_high"),
-        "alpha_center_range": ("alpha_center_low", "alpha_center_high"),
-    }
-    defaults = ExperimentConfig()
-    for target, (lo_key, hi_key) in range_pairs.items():
-        if lo_key in exp_raw or hi_key in exp_raw:
-            lo_default, hi_default = getattr(defaults, target)
-            exp_kwargs[target] = (exp_raw.pop(lo_key, lo_default),
-                                  exp_raw.pop(hi_key, hi_default))
-    exp_kwargs.update(exp_raw)
-    sir_renames = {"initial_infected": "i0"}
-    for key, value in sir_raw.items():
-        exp_kwargs[sir_renames.get(key, key)] = value
-    experiment = replace(defaults, **exp_kwargs)
-    return RunSettings(experiment=experiment, **app_raw)
+            name, end = _field_of(key)
+            default = read.get(name, getattr(owner, name))
+            value = _parse_value(raw, default if end is None else default[end],
+                                 f"{path}:[{section}] {key}")
+            if end is not None:
+                value = (value, default[1]) if end == 0 else (default[0], value)
+            read[name] = value
+    return replace(defaults, experiment=replace(defaults.experiment, **experiment),
+                   **approaches)
 
 
 @dataclass(frozen=True)
@@ -634,23 +604,19 @@ class _ReportFiles:
         return {name: self._digests[name].hexdigest() for name in DATA_FILES}
 
 
-def write_report(report: EvaluationReport, writer: ReportWriter,
-                 config_bytes: bytes | None = None) -> dict:
+def write_report(report: EvaluationReport, writer: ReportWriter) -> dict:
     """Finish the report ``evaluate`` fed to ``writer``: close it and
     write the manifest, with its digests, to its directory; returns the
-    manifest dict."""
+    manifest dict. ``config_sha256`` is the SHA-256 of the effective
+    settings, ``asdict(report.settings)`` as JSON with sorted keys, however
+    they were given: a config file, defaults or a ``--seed`` override."""
     digests = writer.close()
-
-    settings_dict = asdict(report.settings)
-    config_digest = hashlib.sha256(
-        config_bytes if config_bytes is not None
-        else json.dumps(settings_dict, sort_keys=True, default=str).encode()
-    ).hexdigest()
+    settings = json.dumps(asdict(report.settings), sort_keys=True).encode()
     manifest = {
         "version": __version__,
         "created_utc": datetime.now(timezone.utc).isoformat(),
         "seed": report.settings.experiment.seed,
-        "config_sha256": config_digest,
+        "config_sha256": hashlib.sha256(settings).hexdigest(),
         "n_locations": report.settings.experiment.n_locations,
         "n_models": report.settings.experiment.n_models,
         "redraw_count": report.ensemble.redraw_count,
@@ -663,21 +629,17 @@ def write_report(report: EvaluationReport, writer: ReportWriter,
 
 
 def run(config_path, out_dir, seed: int | None = None) -> EvaluationReport:
-    """Load settings (or defaults when ``config_path`` is None), evaluate,
-    and write the report directory."""
-    config_bytes = None
-    if config_path is None:
-        settings = RunSettings()
-    else:
-        settings = load_settings(config_path)
-        config_bytes = Path(config_path).read_bytes()
+    """Load settings (or defaults when ``config_path`` is None), override
+    their seed with ``seed`` if given, evaluate, and write the report
+    directory. The config file is read once; the manifest hashes the
+    settings it gave, not its bytes."""
+    settings = RunSettings() if config_path is None else load_settings(config_path)
     if seed is not None:
         settings = replace(settings,
                            experiment=replace(settings.experiment, seed=seed))
-        config_bytes = None   # overridden seed invalidates the file hash alone
     with ReportWriter(out_dir) as writer:
         report = evaluate(settings, writer)
-        write_report(report, writer, config_bytes)
+        write_report(report, writer)
     return report
 
 

@@ -13,8 +13,8 @@ the uint32 words of the seed and the key:
 
 * the pool and hash constant after ``(seed, *key[:-1])`` are memoized
   (``_pool``, plain integer code);
-* the PCG64 seeds of ``BLOCK`` consecutive final key words are mixed in one
-  pass of uint32 array operations and memoized (``_block``, at most
+* the PCG64 seeds of ``BLOCK`` consecutive final key words are mixed by the
+  same fold, over columns of uint32 keys, and memoized (``_block``, at most
   ``BLOCK_CACHE`` blocks). Callers that walk the final word in order, as
   ``world_gen`` and ``approaches`` do, mix each block once.
 
@@ -140,17 +140,14 @@ def _block(seed: int, prefix: tuple, base: int) -> np.ndarray:
     one row of four uint64 each; ``base`` is a multiple of ``BLOCK``."""
     pool, h = _pool(seed, *prefix)
     low, *high = _uint32s(base)
-    # All keys of a block share the words above the lowest, since BLOCK
-    # divides 2**32.
-    words = [np.arange(low, low + BLOCK, dtype=np.uint32)[:, None],
-             *(np.uint32(w) for w in high)]
-    pool = np.array(pool, dtype=np.uint32)
-    for word in words:
-        consts = _constants(h, _MULT_A, _POOL)
-        h = consts[-1]
-        pool = _mix(pool, _hashmix(word, np.array(consts[:-1], dtype=np.uint32),
-                                   np.array(consts[1:], dtype=np.uint32)))
-    return _seeds(pool)
+    # Each pool and key word is a column of BLOCK uint32 keys: a Python int
+    # overflows numpy's uint32 in _mix, and a numpy uint32 scalar warns when
+    # it wraps. All keys of a block share the words above the lowest, since
+    # BLOCK divides 2**32.
+    words = [np.arange(low, low + BLOCK, dtype=np.uint32),
+             *(np.full(BLOCK, w, np.uint32) for w in high)]
+    pool, _ = _fold([np.full(BLOCK, w, np.uint32) for w in pool], h, words)
+    return _seeds(np.column_stack(pool))
 
 
 class _Seeded(ISeedSequence):

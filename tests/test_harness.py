@@ -1,4 +1,5 @@
 import collections
+import configparser
 import contextlib
 import csv
 import dataclasses
@@ -12,6 +13,7 @@ import signal
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 import tracemalloc
 import xml.etree.ElementTree as ET
@@ -102,6 +104,12 @@ def write_config(tmp_path, text, name="run.cfg"):
     return path
 
 
+def readme_defaults() -> str:
+    """README's "Defaults shown" config block."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    return re.search(r"Defaults shown:\n\n```ini\n(.*?)```", readme, re.S).group(1)
+
+
 def digest_dir(out_dir):
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
             for p in sorted(Path(out_dir).glob("*.csv"))}
@@ -188,6 +196,31 @@ plausibility_threshold = 0.08
         with pytest.raises(ConfigError):
             harness.load_settings(tmp_path / "nope.cfg")
 
+    def test_range_ends_set_apart(self, tmp_path):
+        settings = harness.load_settings(write_config(
+            tmp_path, "[experiment]\nr0_true_high = 4\nalpha_center_high = 1.02\n"
+            "alpha_center_low = 0.9\n"))
+        assert settings.experiment.r0_true_range == (2.0, 4.0)
+        assert settings.experiment.alpha_center_range == (0.9, 1.02)
+
+    def test_config_fields_are_readme_keys_and_reach_every_field_once(self):
+        parser = configparser.ConfigParser(interpolation=None, default_section="")
+        parser.read_string(readme_defaults())
+        assert [(section, tuple(parser[section])) for section in parser.sections()] \
+            == list(harness.CONFIG_FIELDS.items())
+        reached = collections.defaultdict(list)   # (class, field) -> ends reached
+        for section, keys in harness.CONFIG_FIELDS.items():
+            owner = "RunSettings" if section == "approaches" else "ExperimentConfig"
+            for key in keys:
+                name, end = harness._field_of(key)
+                reached[owner, name].append(end)
+        assert sorted(reached) == sorted(
+            [("ExperimentConfig", f.name) for f in dataclasses.fields(world_gen.ExperimentConfig)]
+            + [("RunSettings", f.name) for f in dataclasses.fields(harness.RunSettings)
+               if f.name != "experiment"])
+        assert all(ends in ([None], [0, 1]) for ends in reached.values()), reached
+        assert len(PROPERTY_FIELDS) == 24
+
     def test_readme_report_files_list_the_written_columns(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
             encoding="utf-8")
@@ -239,6 +272,45 @@ def plotted(tmp_path_factory):
     harness.run(config_path, tmp / "out")
     plots.plot_report_dir(tmp / "out")
     return tmp / "out"
+
+
+def _config_sha256(out_dir) -> str:
+    return json.loads((Path(out_dir) / harness.MANIFEST_FILE).read_text())["config_sha256"]
+
+
+class TestConfigHash:
+    # The manifest's config_sha256 is the SHA-256 of the effective settings,
+    # however they were given; run_dir ran FAST_CONFIG from a regular file.
+    def test_comments_key_order_and_defaults_do_not_change_it(self, run_dir, tmp_path):
+        text = ("# FAST_CONFIG, reordered\n[approaches]\nbasis_dim = 5\nn_samples = 600\n"
+                "[sir]\nstep = 0.5\n# a comment\nhorizon = 200\n"
+                "[experiment]\nseed = 3\nn_models = 2\nn_locations = 12\n")
+        harness.run(write_config(tmp_path, text), tmp_path / "out")
+        assert _config_sha256(tmp_path / "out") == _config_sha256(run_dir[0] / "out")
+
+    def test_seed_override_hashes_as_the_file_seed(self, run_dir, tmp_path):
+        config = write_config(tmp_path, FAST_CONFIG.replace("seed = 3", "seed = 9"))
+        harness.run(config, tmp_path / "out", seed=3)
+        assert _config_sha256(tmp_path / "out") == _config_sha256(run_dir[0] / "out")
+
+    def test_defaults_hash_as_readme_defaults(self, tmp_path):
+        harness.run(None, tmp_path / "defaults")
+        harness.run(write_config(tmp_path, readme_defaults()), tmp_path / "readme")
+        settings = json.dumps(dataclasses.asdict(harness.RunSettings()), sort_keys=True)
+        assert _config_sha256(tmp_path / "defaults") == _config_sha256(tmp_path / "readme") \
+            == hashlib.sha256(settings.encode()).hexdigest()
+
+    def test_fifo_hashes_as_a_regular_file(self, run_dir, tmp_path):
+        # The config is read once: a second read of a drained pipe hashed
+        # no bytes at all, or waited for a writer that never came.
+        fifo = tmp_path / "config.fifo"
+        os.mkfifo(fifo)
+        feeder = threading.Thread(target=fifo.write_text, args=(FAST_CONFIG,), daemon=True)
+        feeder.start()
+        with time_limit(30):
+            harness.run(fifo, tmp_path / "out")
+        feeder.join(10)
+        assert _config_sha256(tmp_path / "out") == _config_sha256(run_dir[0] / "out")
 
 
 class TestRunOutputs:
@@ -1193,9 +1265,8 @@ PROPERTY_BASE = {
     "sir": {"horizon": "100", "step": "0.5"},
     "approaches": {"n_samples": "200"},
 }
-PROPERTY_FIELDS = [(section, key) for section, fields in (
-    ("experiment", harness._EXPERIMENT_FIELDS), ("sir", harness._SIR_FIELDS),
-    ("approaches", harness._APPROACH_FIELDS)) for key in fields]
+PROPERTY_FIELDS = [(section, key) for section, keys in harness.CONFIG_FIELDS.items()
+                   for key in keys]
 PROPERTY_VALUES = ["0", "-1", "nan", "inf", "-inf", "1e308", "1e-300", "0.5", "2",
                    "9999999999999999999999999", "5%"]
 
