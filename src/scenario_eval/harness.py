@@ -50,13 +50,13 @@ values ""), so no field needs quoting. Each table has one line template,
 floats by ``repr`` (which is their ``str``), the rest by ``str``, the bytes
 ``csv.writer`` with ``"\\n"`` line endings would write. One ``ReportWriter``,
 which ``run`` makes, writes them: ``evaluate`` starts it right after the
-world is generated, and its one writer process formats, writes and hashes
-every data file, ``decomposition.csv`` last; ``write_report`` closes it
-and writes the manifest. On two CPUs a run forks one solve worker and the
-writer. ``evaluate`` alone decides which table builders a strategy's
-results go to; each builder turns the values it is given into rows. Which
-process writes the rows, and when, is described once in README.md,
-"Report files"; it changes none of the bytes.
+world is generated, and its one writer process writes the world's three
+tables whole, then each model's rows as they come, and hashes every data
+file; ``write_report`` closes it and writes the manifest. On two CPUs a
+run forks one solve worker and the writer. ``evaluate`` alone decides
+which table builders a strategy's results go to; each builder turns the
+values it is given into rows. Which process writes the rows, and when, is
+described once in README.md, "Report files"; it changes none of the bytes.
 """
 
 from __future__ import annotations
@@ -81,18 +81,8 @@ from .approaches import (
 )
 from .errors import ConfigError, InsufficientDataError
 from .spline_fit import SplineSpec
-from .world_gen import MAX_FLOAT64_SIZE, ExperimentConfig
+from .world_gen import MAX_FLOAT64_SIZE, ExperimentConfig, store_typed
 
-DATA_FILES = (
-    "world.csv",
-    "projections.csv",
-    "approach_estimates.csv",
-    "report.csv",
-    "decomposition.csv",
-    "a1_deviation.csv",
-    "implied_obs_ks.csv",
-    "location_mae.csv",
-)
 MANIFEST_FILE = "manifest.json"
 OUT_DIR_ENV = "SCENARIO_EVAL_OUT"
 
@@ -107,6 +97,7 @@ class RunSettings:
     plausibility_threshold: float | None = None
 
     def __post_init__(self):
+        store_typed(self, "approaches.")
         if not 1 <= self.n_samples <= MAX_FLOAT64_SIZE:
             raise ConfigError(f"n_samples must be >= 1 and at most {MAX_FLOAT64_SIZE}, "
                               f"the largest float64 array numpy can address, "
@@ -486,6 +477,7 @@ _HEADERS = {
     "implied_obs_ks.csv": IMPLIED_OBS_HEADER,
     "location_mae.csv": LOCATION_MAE_HEADER,
 }
+DATA_FILES = tuple(_HEADERS)   # in the order the writer creates them
 
 
 def _world_tables(world, ensemble) -> dict:
@@ -511,21 +503,20 @@ def _table(name: str, rows) -> bytes:
 class ReportWriter:
     """The run's one writer, fed one model's rows at a time.
 
-    ``start`` forks the writer process (``fanout.Feed``), which makes a
-    ``_ReportFiles`` from the world's row iterators and
-    ``decomposition.csv``'s rows in its copy of the run's memory; nothing of
-    them is pickled. ``add`` then pickles one model's rows into its pipe and
-    returns. The first ``add`` makes the directory and removes an old
-    manifest, which would list files this run is replacing. ``close`` waits
-    for the writer to write ``decomposition.csv`` and returns every data
-    file's SHA-256 digest. A failure of the writer is raised by the next
-    ``add``, ``end_variant`` or ``close``; leaving a ``with`` block kills a
-    writer still running."""
+    ``start`` makes the directory, removes an old manifest, which would list
+    files this run is replacing, and forks the writer process
+    (``fanout.Feed``). The writer makes a ``_ReportFiles`` from the world's
+    row iterators and ``decomposition.csv``'s rows in its copy of the run's
+    memory, so nothing of them is pickled, and writes those three tables
+    whole as it starts. ``add`` then pickles one model's rows into its pipe
+    and returns. ``close`` waits for the writer to write them all and
+    returns every data file's SHA-256 digest. A failure of the writer is
+    raised by the next ``add``, ``end_variant`` or ``close``; leaving a
+    ``with`` block kills a writer still running."""
 
     def __init__(self, out_dir):
         self.out = Path(out_dir)
         self._feed = None
-        self._fresh = True   # no rows handed over yet
 
     def __enter__(self):
         return self
@@ -536,19 +527,17 @@ class ReportWriter:
 
     def start(self, tables: dict, decomposition) -> None:
         """Start the writer: ``tables`` maps ``world.csv`` and
-        ``projections.csv`` to their row iterators, written at the first
-        ``add``; ``decomposition`` is ``decomposition.csv``'s rows, written
-        at ``close``."""
-        self._feed = fanout.Feed(lambda: _ReportFiles(self.out, tables, decomposition))
+        ``projections.csv`` to their row iterators, ``decomposition`` is
+        ``decomposition.csv``'s rows."""
+        self.out.mkdir(parents=True, exist_ok=True)
+        (self.out / MANIFEST_FILE).unlink(missing_ok=True)
+        tables = {**tables, "decomposition.csv": decomposition}
+        self._feed = fanout.Feed(lambda: _ReportFiles(self.out, tables))
 
     def add(self, tables: dict, located: list) -> None:
         """One model's rows: ``tables`` maps file names to rows written now,
         ``located`` is its per-location ``approach_estimates.csv`` rows,
         written after every model's pooled rows, at ``end_variant``."""
-        if self._fresh:
-            self.out.mkdir(parents=True, exist_ok=True)
-            (self.out / MANIFEST_FILE).unlink(missing_ok=True)
-            self._fresh = False
         self._feed.send((tables, located))
 
     def end_variant(self) -> None:
@@ -562,18 +551,18 @@ class ReportWriter:
 class _ReportFiles:
     """The writer's side of a ``ReportWriter``: it formats, writes and
     hashes every data file, in the writer process or, where ``fanout`` runs
-    serially, in the run's own. It holds two things as text until they are
-    due: the current variant's per-location estimate rows and
-    ``decomposition.csv``, which is formatted as the writer starts and
-    written last. Each write opens its file and closes it again, so a
-    failed run leaves no file open."""
+    serially, in the run's own. It creates every data file as it starts, in
+    ``DATA_FILES`` order, writing the tables it is given whole, then appends
+    each model's rows. It holds the current variant's per-location estimate
+    rows as text until the variant ends. Each write opens its file and
+    closes it again, so a failed run leaves no file open."""
 
-    def __init__(self, out: Path, tables: dict, decomposition):
+    def __init__(self, out: Path, tables: dict):
         self.out = out
-        self._tables = tables
-        self._decomposition = _table("decomposition.csv", decomposition)
         self._digests = {}   # file name -> SHA-256 of the bytes written so far
         self._held = []      # the current variant's per-location estimate lines
+        for name in DATA_FILES:
+            self._write(name, _table(name, tables.get(name, ())), "wb")
 
     def _write(self, name: str, data: bytes, mode: str = "ab") -> None:
         with open(self.out / name, mode) as handle:
@@ -582,14 +571,7 @@ class _ReportFiles:
 
     def take(self, message) -> None:
         """Write one ``ReportWriter.add``'s rows, or at None, the end of a
-        variant, its held per-location estimates. The first call creates
-        every file but ``decomposition.csv``, in ``DATA_FILES`` order, and
-        writes ``world.csv`` and ``projections.csv`` whole."""
-        if not self._digests:
-            for name in DATA_FILES:
-                if name != "decomposition.csv":
-                    self._write(name, _table(name, self._tables.get(name, ())), "wb")
-            self._tables = None
+        variant, its held per-location estimates."""
         if message is None:
             self._write("approach_estimates.csv", b"".join(self._held))
             self._held = []
@@ -600,8 +582,7 @@ class _ReportFiles:
         self._held.append(_lines("approach_estimates.csv", located))
 
     def close(self) -> dict:
-        self._write("decomposition.csv", self._decomposition, "wb")
-        return {name: self._digests[name].hexdigest() for name in DATA_FILES}
+        return {name: digest.hexdigest() for name, digest in self._digests.items()}
 
 
 def write_report(report: EvaluationReport, writer: ReportWriter) -> dict:
@@ -620,7 +601,7 @@ def write_report(report: EvaluationReport, writer: ReportWriter) -> dict:
         "n_locations": report.settings.experiment.n_locations,
         "n_models": report.settings.experiment.n_models,
         "redraw_count": report.ensemble.redraw_count,
-        "files": {name: digests[name] for name in DATA_FILES},
+        "files": digests,
     }
     with open(writer.out / MANIFEST_FILE, "w", encoding="utf-8", newline="\n") as handle:
         json.dump(manifest, handle, indent=2, sort_keys=True)

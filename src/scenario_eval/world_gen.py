@@ -11,6 +11,7 @@ models, per location:
             c_m ~ U(alpha center range)     model alpha center
             a_ml ~ N(c_m, model alpha sd)   model heterogeneity exponent
             R0_ml = R0*_l + b_m + b_ml      (redrawn b_ml if R0_ml <= 0)
+  perfect:  R0_ml = R0*_l, a_ml = a*_l      (no b_ml or a_ml is drawn)
 
 From these, every final size the experiment needs is computed with one SIR
 solve over a (truth + M models) x L locations x (S scenarios + realized)
@@ -30,7 +31,8 @@ into report tables is the harness's job.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -45,6 +47,30 @@ MAX_REDRAWS = 1000
 # Elements of the largest float64 array numpy can address: its byte count
 # must fit in a signed pointer-sized integer.
 MAX_FLOAT64_SIZE = np.iinfo(np.intp).max // np.dtype(np.float64).itemsize
+
+
+def store_typed(owner, context: str = "") -> None:
+    """Store each number field of the frozen dataclass ``owner`` as its
+    default's type, so equal settings hash alike: an int field takes a Python
+    or numpy integer within 64 bits, a float field and each entry of a tuple
+    of floats a finite real number, an optional float any real number or
+    None. Any other value, a bool included, raises ``ConfigError``."""
+    for f in fields(owner):
+        value, several = getattr(owner, f.name), isinstance(f.default, tuple)
+        kind = float if several or f.default is None else type(f.default)
+        entries = value if several else (value,)
+        if kind not in (int, float) or value is None is f.default:
+            continue
+        if not isinstance(entries, (tuple, list, np.ndarray)) or any(isinstance(x, bool) or not
+                isinstance(x, (int, np.integer) if kind is int else numbers.Real) for x in entries):
+            noun = "an integer" if kind is int else "numbers" if several else "a number"
+            raise ConfigError(f"must be {noun}, got {value!r}", context + f.name)
+        typed = tuple(map(kind, entries))
+        if kind is int and not -2**63 <= typed[0] < 2**63:
+            raise ConfigError(f"must fit in a 64-bit integer, got {value}", context + f.name)
+        if f.default is not None and not np.all(np.isfinite(typed)):
+            raise ConfigError(f"must be finite, got {value}", context + f.name)
+        object.__setattr__(owner, f.name, typed if several else typed[0])
 
 
 @dataclass(frozen=True)
@@ -71,23 +97,17 @@ class ExperimentConfig:
     step: float = sir_core.DEFAULT_STEP
 
     def __post_init__(self):
-        for name, value in vars(self).items():
-            if isinstance(value, int):
-                if not -2**63 <= value < 2**63:
-                    raise ConfigError(f"must fit in a 64-bit integer, got {value}", name)
-            elif not np.all(np.isfinite(value)):
-                raise ConfigError(f"must be finite, got {value}", name)
+        store_typed(self)
         if self.n_locations < 2:
             raise ConfigError("n_locations must be >= 2", "n_locations")
         if self.n_models < 1:
             raise ConfigError("n_models must be >= 1", "n_models")
-        values = tuple(float(x) for x in self.scenario_values)
+        values = self.scenario_values
         if len(values) < 1 or any(not 0 <= x < 1 for x in values):
             raise ConfigError("scenario values must lie in [0, 1)", "scenario_values")
         if any(b <= a for a, b in zip(values, values[1:])):
             raise ConfigError("scenario values must be strictly increasing",
                               "scenario_values")
-        object.__setattr__(self, "scenario_values", values)
         for name in ("n_locations", "n_models"):
             if getattr(self, name) > MAX_FLOAT64_SIZE:
                 raise ConfigError(f"must be at most {MAX_FLOAT64_SIZE}, the largest float64 "
@@ -199,33 +219,31 @@ def generate(config: ExperimentConfig) -> tuple[TrueWorld, ModelEnsemble]:
         global_bias[m] = g.normal(0.0, config.global_bias_sd)
         alpha_center[m] = g.uniform(*config.alpha_center_range)
 
-    local_bias = np.empty((M, L))
-    alpha_model = np.empty((M, L))
+    # Perfect models take the truth's R0 and alpha: no pair draws, no redraws.
+    local_bias = np.zeros((M, L))
+    alpha_model = np.tile(alpha_true, (M, 1))
     redraws = 0
-    # Huge bias sds can overflow an R0 sum; such a world is rejected below.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for m in range(M):
-            for l in range(L):
-                g = substream(seed, KIND_PAIR, m, l)
-                local_bias[m, l] = g.normal(0.0, config.local_bias_sd)
-                alpha_model[m, l] = g.normal(alpha_center[m], config.alpha_model_sd)
-                tries = 0
-                while r0_true[l] + global_bias[m] + local_bias[m, l] <= 0:
-                    if tries == MAX_REDRAWS:
-                        raise ConfigError(
-                            f"R0 stays <= 0 after {MAX_REDRAWS} local bias redraws; "
-                            "lower global_bias_sd or raise r0_true_low or local_bias_sd",
-                            f"experiment: model {m}, location {l}")
-                    local_bias[m, l] = g.normal(0.0, config.local_bias_sd)
-                    tries += 1
-                redraws += tries
-
-    if not config.perfect_models:
-        _check_alpha(alpha_model, "alpha_center_range/alpha_model_sd")
+    if config.perfect_models:
+        global_bias[:] = 0.0
     else:
-        global_bias = np.zeros(M)
-        local_bias = np.zeros((M, L))
-        alpha_model = np.broadcast_to(alpha_true, (M, L)).copy()
+        # Huge bias sds can overflow an R0 sum; such a world is rejected below.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for m in range(M):
+                for l in range(L):
+                    g = substream(seed, KIND_PAIR, m, l)
+                    local_bias[m, l] = g.normal(0.0, config.local_bias_sd)
+                    alpha_model[m, l] = g.normal(alpha_center[m], config.alpha_model_sd)
+                    tries = 0
+                    while r0_true[l] + global_bias[m] + local_bias[m, l] <= 0:
+                        if tries == MAX_REDRAWS:
+                            raise ConfigError(
+                                f"R0 stays <= 0 after {MAX_REDRAWS} local bias redraws; "
+                                "lower global_bias_sd or raise r0_true_low or local_bias_sd",
+                                f"experiment: model {m}, location {l}")
+                        local_bias[m, l] = g.normal(0.0, config.local_bias_sd)
+                        tries += 1
+                    redraws += tries
+        _check_alpha(alpha_model, "alpha_center_range/alpha_model_sd")
     with np.errstate(over="ignore", invalid="ignore"):
         r0_model = r0_true[None, :] + global_bias[:, None] + local_bias
     if not np.all(np.isfinite(r0_model)):

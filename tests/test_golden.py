@@ -190,10 +190,10 @@ def test_run_with_every_batch_in_the_background_writes_golden_bytes(
     assert_no_child_processes()
 
 
-def test_writer_writes_decomposition_last(tmp_path, monkeypatch):
+def test_writer_creates_every_file_once_at_start(tmp_path, monkeypatch):
     # One writer writes every data file: in a process of its own on two
-    # CPUs, in the caller on one. decomposition.csv is written once, after
-    # every other row.
+    # CPUs, in the caller on one. It creates each file once, before any
+    # model's rows, in DATA_FILES order; every later write appends.
     caller, write = os.getpid(), harness._ReportFiles._write
     for cpus in (1, 2):
         use_cpus(monkeypatch, cpus)
@@ -202,15 +202,16 @@ def test_writer_writes_decomposition_last(tmp_path, monkeypatch):
         def logged(self, name, data, mode="ab", log=log):
             write(self, name, data, mode)
             with open(log, "a", encoding="utf-8") as handle:
-                handle.write(f"{os.getpid() != caller} {name}\n")
+                handle.write(f"{os.getpid() != caller} {name} {mode}\n")
 
         monkeypatch.setattr(harness._ReportFiles, "_write", logged)
         with time_limit(60):
             harness.run(None, out)
         writes = [line.split(" ") for line in log.read_text().splitlines()]
-        assert {by_writer for by_writer, _ in writes} == {str(cpus == 2)}
-        names = [name for _, name in writes]
-        assert set(names) == set(harness.DATA_FILES)
-        assert names.index("decomposition.csv") == len(names) - 1
+        assert {by_writer for by_writer, _, _ in writes} == {str(cpus == 2)}
+        created = [name for _, name, mode in writes if mode == "wb"]
+        assert created == list(harness.DATA_FILES)
+        assert [name for _, name, _ in writes[:len(created)]] == created
+        assert len(writes) > len(created)
         assert _digests(out) == DEFAULT_DIGESTS
         assert_no_child_processes()

@@ -247,6 +247,13 @@ plausibility_threshold = 0.08
                 experiment=world_gen.ExperimentConfig(n_locations=6))
         assert "n_locations" in str(info.value)
 
+    @pytest.mark.parametrize("field, value", [
+        ("n_samples", 10_000.0), ("basis_dim", True), ("plausibility_threshold", "0.1")])
+    def test_number_field_of_another_type_names_it(self, field, value):
+        with pytest.raises(ConfigError) as info:
+            harness.RunSettings(**{field: value})
+        assert str(info.value).startswith(f"approaches.{field}: must be ")
+
     def test_sample_budget_covers_locations(self):
         experiment = world_gen.ExperimentConfig(n_locations=40)
         with pytest.raises(ConfigError) as info:
@@ -310,6 +317,17 @@ class TestConfigHash:
         with time_limit(30):
             harness.run(fifo, tmp_path / "out")
         feeder.join(10)
+        assert _config_sha256(tmp_path / "out") == _config_sha256(run_dir[0] / "out")
+
+    def test_library_settings_of_other_number_types_hash_alike(self, run_dir, tmp_path):
+        # An int for a float field and a numpy integer for an int field are
+        # stored as the field's type, so equal settings hash alike.
+        given = harness.load_settings(run_dir[1])
+        given = dataclasses.replace(given, n_samples=np.int64(600), experiment=dataclasses.replace(
+            given.experiment, horizon=200, r0_true_range=(2, 3), n_models=np.int32(2)))
+        assert given == harness.load_settings(run_dir[1])
+        with harness.ReportWriter(tmp_path / "out") as writer:
+            harness.write_report(harness.evaluate(given, writer), writer)
         assert _config_sha256(tmp_path / "out") == _config_sha256(run_dir[0] / "out")
 
 
@@ -837,6 +855,17 @@ class TestCli:
         assert "try a smaller [sir] step" in err
         assert "Traceback" not in err
 
+    def test_perfect_models_ignore_a_bias_spread_that_needs_endless_redraws(self, tmp_path):
+        # Imperfect models with this global bias sd give up after the local
+        # bias redraws (exit 2); perfect models would discard every bias.
+        config = write_config(tmp_path, "[experiment]\nglobal_bias_sd = 100\n"
+                              "perfect_models = true\n" + CLI_SMALL)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["run", "--config", str(config),
+                             "--out", str(tmp_path / "o")]) == 0
+        manifest = json.loads((tmp_path / "o" / harness.MANIFEST_FILE).read_text())
+        assert manifest["redraw_count"] == 0
+
     def test_perfect_models_ignore_model_alpha_spread(self, tmp_path):
         config = write_config(tmp_path, "[experiment]\nalpha_model_sd = 0.6\n"
                               "perfect_models = true\n" + CLI_SMALL)
@@ -1019,10 +1048,10 @@ class TestWorkerFailures:
     @pytest.mark.parametrize("name", ["projections.csv", "location_mae.csv"])
     def test_blocked_background_append_exits_2_as_when_serial(
             self, tmp_path, monkeypatch, capsys, name):
-        # The writer creates every file but decomposition.csv at the first
-        # hand-over, in DATA_FILES order, writing world.csv and
-        # projections.csv whole; location_mae.csv comes last. No write after
-        # the failed one happens, so no file is written out of order.
+        # The writer creates every data file as it starts, in DATA_FILES
+        # order, writing world.csv, projections.csv and decomposition.csv
+        # whole; location_mae.csv comes last. No write after the failed one
+        # happens, so no file is written out of order.
         config = write_config(tmp_path, FAST_CONFIG)
         errors, written = [], []
         for cpus in (1, 2):
@@ -1037,13 +1066,10 @@ class TestWorkerFailures:
         assert errors[0] == errors[1]
         assert errors[0].startswith("i/o error: ") and f"OUT/{name}" in errors[0]
         assert written[0] == written[1]
-        first_batch = ["projections.csv", "world.csv"]
         if name == "projections.csv":
-            assert written[0] == first_batch
-        else:   # the first batch's other tables, and nothing later
-            assert written[0] == sorted(first_batch + [
-                "a1_deviation.csv", "approach_estimates.csv", "implied_obs_ks.csv",
-                "location_mae.csv", "report.csv"])
+            assert written[0] == ["projections.csv", "world.csv"]
+        else:   # the last file created: all of them, decomposition.csv included
+            assert written[0] == sorted(harness.DATA_FILES)
 
     def test_killed_background_append_exits_2(self, tmp_path, monkeypatch, capsys):
         # The writer dies at its first hand-over; the run fails at a later
@@ -1068,8 +1094,8 @@ class TestWorkerFailures:
 
     def test_blocked_decomposition_exits_2_with_or_without_pending_appends(
             self, tmp_path, monkeypatch, capsys):
-        # decomposition.csv is written last, by the writer process on two
-        # CPUs; the failure reads as the serial run's.
+        # decomposition.csv is created as the writer starts, by the writer
+        # process on two CPUs; the failure reads as the serial run's.
         config = write_config(tmp_path, FAST_CONFIG)
         errors = []
         for cpus in (1, 2):
@@ -1088,9 +1114,9 @@ class TestWorkerFailures:
     @pytest.mark.parametrize("failure", ["raises", "killed"])
     def test_failed_last_append_leaves_the_files_of_a_serial_run(
             self, tmp_path, monkeypatch, capsys, failure):
-        # The writer fails at the last strategy's first model. It writes
-        # decomposition.csv only after every other row, so the directory
-        # holds every other file, as a run that failed there serially does.
+        # The writer fails at the last strategy's first model. It created
+        # every data file as it started, so the directory holds them all, as
+        # a run that failed there serially does, and no manifest.
         caller, take = os.getpid(), harness._ReportFiles.take
 
         def fail_last_strategy(self, message):
@@ -1113,8 +1139,9 @@ class TestWorkerFailures:
             assert ("killed by signal 9" if failure == "killed" else "last append failed") in err
             assert "Traceback" not in err
             written.append(sorted(path.name for path in out.iterdir()))
+            assert not (out / harness.MANIFEST_FILE).exists()
             assert_no_child_processes()
-        assert written[0] == sorted(set(harness.DATA_FILES) - {"decomposition.csv"})
+        assert written[0] == sorted(harness.DATA_FILES)
         assert written[-1] == written[0]
 
     @pytest.mark.parametrize("failure", ["builder_raises", "time_limit"])
@@ -1153,8 +1180,8 @@ class TestWorkerFailures:
     def test_failed_run_leaves_no_manifest_of_an_earlier_run(self, tmp_path, monkeypatch):
         # Strategy 2's builder fails after strategy 1's rows have gone to
         # the writer, which replaces world.csv, projections.csv and the
-        # rest, so the earlier manifest's digests no longer hold. The first
-        # hand-over removed it.
+        # rest, so the earlier manifest's digests no longer hold. The
+        # writer's start removed it.
         config = write_config(tmp_path, FAST_CONFIG)
         out = tmp_path / "o"
         harness.run(config, out)
@@ -1169,16 +1196,32 @@ class TestWorkerFailures:
         assert not (out / harness.MANIFEST_FILE).exists()
         assert_no_child_processes()
 
-    def test_failed_strategy_1_leaves_the_earlier_report_untouched(
-            self, tmp_path, monkeypatch):
-        # A failure while strategy 1's first model is scored comes before
-        # the first hand-over, so nothing is written: the earlier report and
-        # its manifest stay, and the manifest's digests still hold.
+    def test_stiff_world_leaves_the_earlier_report_untouched(self, tmp_path, capsys):
+        # A world too stiff for its step fails in generate, before the
+        # writer starts, so nothing is written: the earlier report and its
+        # manifest stay, and the manifest's digests still hold.
+        out = tmp_path / "o"
+        harness.run(write_config(tmp_path, FAST_CONFIG, "earlier.cfg"), out)
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        config = write_config(tmp_path, FAST_CONFIG.replace(
+            "seed = 3", "seed = 3\nalpha_true_mean = 1.9"))
+        assert cli.main(["run", "--config", str(config), "--out", str(out)]) == 3
+        assert "numerical failure" in capsys.readouterr().err
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+        manifest = json.loads(before[harness.MANIFEST_FILE])
+        assert manifest["files"] == {name: hashlib.sha256(before[name]).hexdigest()
+                                     for name in harness.DATA_FILES}
+        assert_no_child_processes()
+
+    def test_failed_strategy_1_leaves_no_manifest(self, tmp_path, monkeypatch):
+        # A failure while strategy 1's first model is scored comes after the
+        # writer started and replaced the world's tables, so the earlier
+        # manifest, whose digests no longer hold, is gone.
         config = write_config(tmp_path, FAST_CONFIG)
         out = tmp_path / "o"
         harness.run(write_config(tmp_path, FAST_CONFIG.replace("seed = 3", "seed = 4"),
                                  "earlier.cfg"), out)
-        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        assert (out / harness.MANIFEST_FILE).exists()
 
         def fail(*args):
             raise RuntimeError("builder failed")
@@ -1186,10 +1229,7 @@ class TestWorkerFailures:
         monkeypatch.setattr(harness, "_a1_deviation_rows", fail)
         with pytest.raises(RuntimeError, match="builder failed"):
             harness.run(config, out)
-        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
-        manifest = json.loads(before[harness.MANIFEST_FILE])
-        assert manifest["files"] == {name: hashlib.sha256(before[name]).hexdigest()
-                                     for name in harness.DATA_FILES}
+        assert not (out / harness.MANIFEST_FILE).exists()
         assert_no_child_processes()
 
     def test_run_leaves_no_child_process(self, tmp_path, monkeypatch):

@@ -42,6 +42,31 @@ class TestConfigValidation:
             ExperimentConfig(**kwargs)
         assert next(iter(kwargs)) in str(info.value)
 
+    @pytest.mark.parametrize("kwargs", [
+        dict(n_locations=50.0),
+        dict(n_models=True),
+        dict(seed="38"),
+        dict(alpha_true_mean="0.975"),
+        dict(step=True),
+        dict(horizon=None),
+        dict(scenario_values=0.3),
+        dict(scenario_values=(0.3, "0.5")),
+        dict(r0_true_range=(2.0, False)),
+    ])
+    def test_rejects_a_value_of_another_type(self, kwargs):
+        with pytest.raises(ConfigError) as info:
+            ExperimentConfig(**kwargs)
+        assert str(info.value).startswith(f"{next(iter(kwargs))}: must be ")
+
+    def test_stores_each_number_as_its_field_type(self):
+        config = ExperimentConfig(n_locations=np.int64(20), seed=np.uint8(7), horizon=548,
+                                  r0_true_range=(2, np.int32(3)),
+                                  scenario_values=np.array([0.3, 0.5]))
+        assert config == ExperimentConfig(n_locations=20, seed=7)
+        assert [type(getattr(config, name)) for name in ("n_locations", "seed", "horizon")] \
+            == [int, int, float]
+        assert {type(x) for x in config.r0_true_range + config.scenario_values} == {float}
+
     def test_defaults_valid(self):
         config = ExperimentConfig()
         assert config.n_locations == 50
@@ -112,6 +137,20 @@ class TestPerfectModels:
         assert np.array_equal(ensemble.reprojection,
                               np.broadcast_to(world.y_observed,
                                               ensemble.reprojection.shape))
+
+    def test_draw_no_bias(self):
+        # Imperfect models with this global bias sd give up after the local
+        # bias redraws; perfect models would discard every bias they drew.
+        with pytest.raises(ConfigError, match="redraws"):
+            generate(small_config(seed=31, global_bias_sd=100.0))
+        world, ensemble = generate(small_config(seed=31, perfect_models=True,
+                                                global_bias_sd=100.0))
+        assert ensemble.redraw_count == 0
+        assert np.array_equal(ensemble.r0_model,
+                              np.broadcast_to(world.r0_true, ensemble.r0_model.shape))
+        assert np.array_equal(ensemble.projections,
+                              np.broadcast_to(world.y_counterfactual,
+                                              ensemble.projections.shape))
 
     def test_true_world_matches_imperfect_run(self):
         world_a, _ = generate(small_config(seed=31, perfect_models=True))
