@@ -63,6 +63,7 @@ from __future__ import annotations
 
 import configparser
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -223,50 +224,47 @@ class EvaluationReport:
 def evaluate(settings: RunSettings, writer: ReportWriter) -> EvaluationReport:
     """Run the whole experiment, handing its tables to ``writer``.
 
-    Right after the world is generated, ``writer.start`` gets the row
-    iterators of ``world.csv`` and ``projections.csv`` and the rows of
-    ``decomposition.csv``, which the run then drops. Then ``writer.add`` gets
-    each model's rows as soon as they are scored, the five variants of
-    ``approaches.VARIANTS`` in turn, and ``writer.end_variant`` follows each
-    variant. One scorer turns a model's distributions into the report,
-    estimate and ``location_mae.csv`` rows of every variant: strategy 1
-    calls it once per model, and strategies 2 and 3 hand it each model's
-    distributions as they are built and then drop them, so only one model's
-    samples and rows are alive at a time. Only ``report.csv``'s rows are
-    kept, in ``VARIANTS`` order, for the report."""
+    Right after the world is generated, ``writer.start`` gets the rows of
+    ``world.csv``, ``projections.csv`` and ``decomposition.csv``, made as
+    they are read, which the run then drops. Then ``writer.add`` gets each
+    model's rows by file name as soon as they are scored, the five variants
+    of ``approaches.VARIANTS`` in turn; a model's pooled estimate rows come
+    before its per-location ones. One scorer turns a model's distributions
+    into the report, estimate and ``location_mae.csv`` rows of every
+    variant: strategy 1 calls it once per model, and strategies 2 and 3
+    hand it each model's distributions as they are built and then drop
+    them, so only one model's samples and rows are alive at a time. Only
+    ``report.csv``'s rows are kept, in ``VARIANTS`` order, for the report."""
     config = settings.experiment
     world, ensemble = world_gen.generate(config)
     errs = world_gen.true_errors(world, ensemble)
     spec = SplineSpec(basis_dim=settings.basis_dim)
     true_errors = errs.tolist()   # [m][l][j], once for every builder call
-    writer.start(_world_tables(world, ensemble), _decomposition_rows(world, ensemble))
+    writer.start(_world_tables(world, ensemble))
 
     report_rows = []
-
-    def hand_over(tables, located):
-        report_rows.extend(tables["report.csv"])
-        writer.add(tables, located)
-
     # Strategies and builders are looked up at call time, so span wrappers
     # swapped in after import (benchmarks/spans.py) see every call.
     for approach_id, variant in approaches.VARIANTS:
         ids = (approach_id, variant)
 
         def score(pooled, ordered, estimates):
-            """One model's report, pooled estimate and ``location_mae.csv``
-            rows by file name, and its per-location estimate rows:
-            ``pooled`` maps its (m, j) to a distribution or None (empty),
-            ``ordered[j]`` holds scenario j's pooled samples, sorted or not,
-            and ``estimates`` yields its ((m, j, l), summary) per-location
+            """One model's report, estimate and ``location_mae.csv`` rows by
+            file name, its report rows also kept, and its per-location
+            estimate rows, the slice after its pooled ones: ``pooled`` maps
+            its (m, j) to a distribution or None (empty), ``ordered[j]``
+            holds scenario j's pooled samples, sorted or not, and
+            ``estimates`` yields its ((m, j, l), summary) per-location
             estimates. It is read once, so no list of them is held beside
             their rows: one raised many_models' peak memory."""
-            tables = {
-                "report.csv": _report_rows(world, errs, ordered, *ids, pooled),
-                "approach_estimates.csv": _estimate_rows(*ids, (
-                    ((m, j, POOLED), dist.summary) for (m, j), dist in pooled.items()
-                    if dist is not None))}
-            located = _estimate_rows(*ids, estimates)
-            tables["location_mae.csv"] = _location_mae_rows(true_errors, located)
+            summaries = [((m, j, POOLED), dist.summary)
+                         for (m, j), dist in pooled.items() if dist is not None]
+            rows = _estimate_rows(*ids, itertools.chain(summaries, estimates))
+            located = rows[len(summaries):]
+            tables = {"report.csv": _report_rows(world, errs, ordered, *ids, pooled),
+                      "approach_estimates.csv": rows,
+                      "location_mae.csv": _location_mae_rows(true_errors, located)}
+            report_rows.extend(tables["report.csv"])
             return tables, located
 
         if approach_id == APPROACH_PLAUSIBLE:
@@ -285,7 +283,7 @@ def evaluate(settings: RunSettings, writer: ReportWriter) -> EvaluationReport:
                     tables, located = score(pooled, samples, points)
                     tables["a1_deviation.csv"] = _a1_deviation_rows(
                         true_errors, deviation, located)
-                    hand_over(tables, located)
+                    writer.add(tables)
 
             plausible(approaches.evaluate_plausible(
                 world, ensemble, settings.plausibility_threshold))
@@ -294,18 +292,17 @@ def evaluate(settings: RunSettings, writer: ReportWriter) -> EvaluationReport:
             implied = approach_id == APPROACH_ERROR_REGRESSION
 
             def consume(part, ordered):
-                tables, located = score(part.pooled, ordered, (
+                tables, _ = score(part.pooled, ordered, (
                     (key, dist.summary) for key, dist in part.per_location.items()))
                 if implied:
                     tables["implied_obs_ks.csv"] = _implied_obs_rows(
                         world, ensemble, variant, part)
-                hand_over(tables, located)
+                writer.add(tables)
 
             infer = (approaches.infer_error_distribution if implied
                      else approaches.infer_observations)
             infer(world, ensemble, variant == VARIANT_COVARIATE,
                   settings.n_samples, config.seed, spec, consume)
-        writer.end_variant()
 
     return EvaluationReport(settings=settings, world=world, ensemble=ensemble,
                             report_rows=report_rows)
@@ -481,10 +478,11 @@ DATA_FILES = tuple(_HEADERS)   # in the order the writer creates them
 
 
 def _world_tables(world, ensemble) -> dict:
-    """``world.csv`` and ``projections.csv``; the rows are made as the
-    writer formats them, never held as rows."""
+    """``world.csv``, ``projections.csv`` and ``decomposition.csv``; the
+    rows are made as the writer formats them, never held as rows."""
     return {"world.csv": _world_rows(world),
-            "projections.csv": _projection_rows(world, ensemble)}
+            "projections.csv": _projection_rows(world, ensemble),
+            "decomposition.csv": _decomposition_rows(world, ensemble)}
 
 
 def _lines(name: str, rows) -> bytes:
@@ -506,13 +504,13 @@ class ReportWriter:
     ``start`` makes the directory, removes an old manifest, which would list
     files this run is replacing, and forks the writer process
     (``fanout.Feed``). The writer makes a ``_ReportFiles`` from the world's
-    row iterators and ``decomposition.csv``'s rows in its copy of the run's
-    memory, so nothing of them is pickled, and writes those three tables
-    whole as it starts. ``add`` then pickles one model's rows into its pipe
-    and returns. ``close`` waits for the writer to write them all and
-    returns every data file's SHA-256 digest. A failure of the writer is
-    raised by the next ``add``, ``end_variant`` or ``close``; leaving a
-    ``with`` block kills a writer still running."""
+    three tables in its copy of the run's memory, so nothing of them is
+    pickled, and writes them whole as it starts. ``add`` then pickles one
+    model's ``{file name: rows}`` into its pipe and returns; the writer
+    appends them as they arrive. ``close`` waits for the writer to write
+    them all and returns every data file's SHA-256 digest. A failure of the
+    writer is raised by the next ``add`` or ``close``; leaving a ``with``
+    block kills a writer still running."""
 
     def __init__(self, out_dir):
         self.out = Path(out_dir)
@@ -525,23 +523,17 @@ class ReportWriter:
         if self._feed is not None:
             self._feed.__exit__(*exc_info)
 
-    def start(self, tables: dict, decomposition) -> None:
-        """Start the writer: ``tables`` maps ``world.csv`` and
-        ``projections.csv`` to their row iterators, ``decomposition`` is
-        ``decomposition.csv``'s rows."""
+    def start(self, tables: dict) -> None:
+        """Start the writer: ``tables`` maps the world's three tables to
+        their rows, written whole."""
         self.out.mkdir(parents=True, exist_ok=True)
         (self.out / MANIFEST_FILE).unlink(missing_ok=True)
-        tables = {**tables, "decomposition.csv": decomposition}
         self._feed = fanout.Feed(lambda: _ReportFiles(self.out, tables))
 
-    def add(self, tables: dict, located: list) -> None:
-        """One model's rows: ``tables`` maps file names to rows written now,
-        ``located`` is its per-location ``approach_estimates.csv`` rows,
-        written after every model's pooled rows, at ``end_variant``."""
-        self._feed.send((tables, located))
-
-    def end_variant(self) -> None:
-        self._feed.send(None)
+    def add(self, tables: dict) -> None:
+        """One model's rows: ``tables`` maps file names to rows appended
+        as they come."""
+        self._feed.send(tables)
 
     def close(self) -> dict:
         """The SHA-256 digest of each data file by name, once all are written."""
@@ -553,14 +545,13 @@ class _ReportFiles:
     hashes every data file, in the writer process or, where ``fanout`` runs
     serially, in the run's own. It creates every data file as it starts, in
     ``DATA_FILES`` order, writing the tables it is given whole, then appends
-    each model's rows. It holds the current variant's per-location estimate
-    rows as text until the variant ends. Each write opens its file and
-    closes it again, so a failed run leaves no file open."""
+    each model's rows as they arrive. Between messages it keeps only the
+    digests. Each write opens its file and closes it again, so a failed run
+    leaves no file open."""
 
     def __init__(self, out: Path, tables: dict):
         self.out = out
         self._digests = {}   # file name -> SHA-256 of the bytes written so far
-        self._held = []      # the current variant's per-location estimate lines
         for name in DATA_FILES:
             self._write(name, _table(name, tables.get(name, ())), "wb")
 
@@ -569,17 +560,10 @@ class _ReportFiles:
             handle.write(data)
         self._digests.setdefault(name, hashlib.sha256()).update(data)
 
-    def take(self, message) -> None:
-        """Write one ``ReportWriter.add``'s rows, or at None, the end of a
-        variant, its held per-location estimates."""
-        if message is None:
-            self._write("approach_estimates.csv", b"".join(self._held))
-            self._held = []
-            return
-        tables, located = message
+    def take(self, tables: dict) -> None:
+        """Append one ``ReportWriter.add``'s rows."""
         for name, rows in tables.items():
             self._write(name, _lines(name, rows))
-        self._held.append(_lines("approach_estimates.csv", located))
 
     def close(self) -> dict:
         return {name: digest.hexdigest() for name, digest in self._digests.items()}

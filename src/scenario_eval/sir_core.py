@@ -243,7 +243,8 @@ def simulate(params: SirParams, horizon: float = DEFAULT_HORIZON,
         NumericalInstabilityError: Non-finite state produced during integration.
     """
     n_steps, step = _grid(horizon, step)
-    beta = np.array([params.r0]) / params.infectious_period
+    with np.errstate(over="ignore"):   # an infinite beta fails as a non-finite state
+        beta = np.array([params.r0]) / params.infectious_period
     alpha = np.array([params.alpha])
     gamma = 1.0 / params.infectious_period
     hist = np.empty((n_steps + 1, 3))
@@ -285,7 +286,8 @@ def final_size_batch(r0: np.ndarray, alpha: np.ndarray, v: np.ndarray, *,
         raise ParameterDomainError("r0, alpha and v must be 1-d arrays of equal length")
     _validate_batch(r0, alpha, v, i0, infectious_period, population)
     n_steps, step = _grid(horizon, step)
-    beta = r0 / infectious_period
+    with np.errstate(over="ignore"):   # an infinite beta fails as a non-finite state
+        beta = r0 / infectious_period
     gamma = 1.0 / infectious_period
     s0 = 1.0 - v
     n = len(s0)

@@ -103,6 +103,8 @@ def fit(x, y, covariate=None, spec: SplineSpec = SplineSpec()) -> FittedSpline:
             (e.g. heavily tied x values collapse the quantile knots). A
             covariate that is collinear with the block is tolerated: it is
             effectively dropped by the pseudo-inverse and flagged.
+        NumericalInstabilityError: The design's cross-products overflow
+            (x or covariate values too large, such as an R0 near 1e308).
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -127,6 +129,10 @@ def fit(x, y, covariate=None, spec: SplineSpec = SplineSpec()) -> FittedSpline:
             columns=tied)
 
     design = _design(x, covariate, knots)
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = design.T @ design
+    if not np.all(np.isfinite(gram)):
+        raise NumericalInstabilityError("the spline design's cross-products overflow")
     p = design.shape[1]
     base_rank = np.linalg.matrix_rank(design[:, :1 + spec.basis_dim])
     if base_rank < 1 + spec.basis_dim:
@@ -143,7 +149,7 @@ def fit(x, y, covariate=None, spec: SplineSpec = SplineSpec()) -> FittedSpline:
     residuals = y - design @ coefficients
     dof = len(x) - rank
     residual_sd = float(np.sqrt(residuals @ residuals / dof))
-    xtx_pinv = np.linalg.pinv(design.T @ design)
+    xtx_pinv = np.linalg.pinv(gram)
     return FittedSpline(
         coefficients=coefficients,
         knots=knots,

@@ -49,21 +49,26 @@ MAX_REDRAWS = 1000
 MAX_FLOAT64_SIZE = np.iinfo(np.intp).max // np.dtype(np.float64).itemsize
 
 
+_ACCEPTED = {bool: (bool, np.bool_), int: (int, np.integer), float: numbers.Real}
+
+
 def store_typed(owner, context: str = "") -> None:
-    """Store each number field of the frozen dataclass ``owner`` as its
-    default's type, so equal settings hash alike: an int field takes a Python
-    or numpy integer within 64 bits, a float field and each entry of a tuple
-    of floats a finite real number, an optional float any real number or
-    None. Any other value, a bool included, raises ``ConfigError``."""
+    """Store each bool and number field of the frozen dataclass ``owner`` as
+    its default's type, so equal settings hash alike: a bool field takes a
+    Python or numpy bool, an int field a Python or numpy integer within 64
+    bits, a float field and each entry of a tuple of floats a finite real
+    number, an optional float any real number or None. Any other value, a
+    bool for a number or a number for a bool, raises ``ConfigError``."""
     for f in fields(owner):
         value, several = getattr(owner, f.name), isinstance(f.default, tuple)
         kind = float if several or f.default is None else type(f.default)
         entries = value if several else (value,)
-        if kind not in (int, float) or value is None is f.default:
+        if kind not in _ACCEPTED or value is None is f.default:
             continue
-        if not isinstance(entries, (tuple, list, np.ndarray)) or any(isinstance(x, bool) or not
-                isinstance(x, (int, np.integer) if kind is int else numbers.Real) for x in entries):
-            noun = "an integer" if kind is int else "numbers" if several else "a number"
+        if not isinstance(entries, (tuple, list, np.ndarray)) or any(   # a bool is an int
+                not isinstance(x, _ACCEPTED[kind]) or isinstance(x, bool) and kind is not bool
+                for x in entries):
+            noun = "numbers" if several else {bool: "a boolean", int: "an integer"}.get(kind, "a number")
             raise ConfigError(f"must be {noun}, got {value!r}", context + f.name)
         typed = tuple(map(kind, entries))
         if kind is int and not -2**63 <= typed[0] < 2**63:
@@ -103,7 +108,9 @@ class ExperimentConfig:
         if self.n_models < 1:
             raise ConfigError("n_models must be >= 1", "n_models")
         values = self.scenario_values
-        if len(values) < 1 or any(not 0 <= x < 1 for x in values):
+        if len(values) < 1:
+            raise ConfigError("at least one scenario value is needed", "scenario_values")
+        if any(not 0 <= x < 1 for x in values):
             raise ConfigError("scenario values must lie in [0, 1)", "scenario_values")
         if any(b <= a for a, b in zip(values, values[1:])):
             raise ConfigError("scenario values must be strictly increasing",

@@ -1,4 +1,3 @@
-import collections
 import contextlib
 import dataclasses
 import io
@@ -22,6 +21,8 @@ from scenario_eval.errors import ParameterDomainError
 from scenario_eval.spline_fit import predict_many, sample_predictive
 from scenario_eval.streams import KIND_ERROR_SAMPLING, KIND_OBS_SAMPLING, substream
 from scenario_eval.world_gen import ExperimentConfig, generate, true_errors
+
+from test_harness import CollectingWriter
 
 SIR_KW = dict(horizon=300.0, step=0.5)
 
@@ -382,38 +383,18 @@ class TestDistributionContainers:
         assert keys == sorted(keys) and len(keys) == 3 * 2 * 11
 
     def test_table_rows_come_sorted(self):
-        # Per variant, approach_estimates.csv holds the pooled rows in
-        # (m, j) order, then the per-location rows in (m, j, l) order, the
+        # Per variant and model, approach_estimates.csv holds the pooled
+        # rows in j order, then the per-location rows in (j, l) order, the
         # order of location_mae.csv's rows. Strategy 1's per-location rows
         # are in (m, l) order, j each location's plausible scenario, in
         # a1_deviation.csv too.
         config = ExperimentConfig(n_locations=11, n_models=3, seed=6,
                                   horizon=300.0, step=0.5)
-        tables = collections.defaultdict(list)
-
-        class Writer:
-            """Keeps the rows in the order ``harness.ReportWriter`` writes
-            them: a variant's per-location estimates after its pooled ones."""
-
-            def __init__(self):
-                self.held = []
-
-            def start(self, world_tables, decomposition):
-                pass
-
-            def add(self, batch, located):
-                for name, rows in batch.items():
-                    tables[name] += rows
-                self.held += located
-
-            def end_variant(self):
-                tables["approach_estimates.csv"] += self.held
-                self.held = []
-
-        harness.evaluate(harness.RunSettings(experiment=config, n_samples=40), Writer())
+        writer = CollectingWriter()
+        harness.evaluate(harness.RunSettings(experiment=config, n_samples=40), writer)
+        tables = writer.tables
         chosen = select_plausible(generate(config)[0]).chosen_index.tolist()
         assert sorted(set(chosen)) == [0, 1]
-        pooled = [(m, j, approaches.POOLED) for m in range(3) for j in range(2)]
         plausible = [(m, j, l) for m in range(3) for l, j in enumerate(chosen)]
         assert [(m, j, l) for m, l, j, *_ in tables["a1_deviation.csv"]] == plausible
         for ids in approaches.VARIANTS:
@@ -424,7 +405,9 @@ class TestDistributionContainers:
                 located = []
             elif ids[0] == approaches.APPROACH_PLAUSIBLE:
                 located = plausible
-            assert estimates == pooled + located
+            assert estimates == [key for m in range(3) for key in
+                                 [(m, j, approaches.POOLED) for j in range(2)]
+                                 + [key for key in located if key[0] == m]]
             assert [row[2:5] for row in tables["location_mae.csv"]
                     if row[:2] == ids] == located
 

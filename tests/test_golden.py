@@ -8,12 +8,13 @@ streams and its pairwise summation order, and were recorded with numpy
 """
 
 import hashlib
+import itertools
 import os
 import threading
 
 import pytest
 
-from scenario_eval import harness, plots
+from scenario_eval import approaches, harness, plots
 from scenario_eval.world_gen import ExperimentConfig
 
 from conftest import assert_no_child_processes, time_limit, use_cpus
@@ -21,7 +22,7 @@ from conftest import assert_no_child_processes, time_limit, use_cpus
 DEFAULT_DIGESTS = {
     "world.csv": "ef909d0183a1f717b4ab741b07c73275b1ba67b405120bb54435629b46fa6752",
     "projections.csv": "873064c65d4a8d1d3f69ca539d51482b069040960603424318638c65f3f08ada",
-    "approach_estimates.csv": "c831e52b0d561d7c44f4d90ecf2a2dcaf8334af85e186d5f503e33c8a65702c3",
+    "approach_estimates.csv": "dd9a6f37be48f8f5dbc18f0d8ca8c1cece4970f962956637cf06d18a5ae1d659",
     "report.csv": "2bb9d2b7f00a4e620b40b2b04cfb4cba3f6703040887ae598997f91fa00b3d01",
     "decomposition.csv": "97b3253cc74387748606938c32c058f8caf6d3100293fe63618fe4407da149cd",
     "a1_deviation.csv": "50c9bceac1a9ee1af6b48dfd492d41cd7f58653ac60f023f99d6f5152f4532bf",
@@ -29,12 +30,14 @@ DEFAULT_DIGESTS = {
     "location_mae.csv": "2b845f16d011d6ec11c1c30dfb22f4a250d66b736a1f6c81242f7816f6f13d1a",
 }
 # The default config at step 0.5, the default step before 1.0: the bytes
-# the default config wrote then, so the default step is the only thing
-# that moved them, and the grid still steps exactly 0.5 days.
+# the default config wrote then but for approach_estimates.csv's row order
+# (each model's pooled rows, then its per-location ones), so the default
+# step and that order are the only things that moved them, and the grid
+# still steps exactly 0.5 days.
 HALF_DAY_STEP_DIGESTS = {
     "world.csv": "87cd5fb61e2e9c5078f23f9eb0b5271c30a431938b55b5b4035c70614cc0d6c6",
     "projections.csv": "dfef766af4d8d72ea0b36575bc6d4fdc355a3ed4ac8a46a10a9616e4c7b6616e",
-    "approach_estimates.csv": "d65d9be03303ac6f4db45fb1fa2eb3a61abe97828ea16eee0ef7a9270fa43eef",
+    "approach_estimates.csv": "8ef36f40c10e3f907c411f90cab0d4315a021c1e1c25f2f9d7253eba9b0fd9b2",
     "report.csv": "071cfe21b24e7815aaadc053541dca655b46a2ee2d48f051ebacc38cc799b61e",
     "decomposition.csv": "f55ec8c664aef46e07393aca72a29df6d98077589fb7bc5e85e3ea689180ca02",
     "a1_deviation.csv": "1c9d54f98f15e859ddf64f628c6b1879ec8b8f81ace80f3d89ff7d553b23dc3e",
@@ -44,7 +47,7 @@ HALF_DAY_STEP_DIGESTS = {
 THREE_SCENARIO_DIGESTS = {
     "world.csv": "03198ff49bc0fcbe05720e3c1c214c2aa89cdebaa7cd4f2fc6c1f4d636eca12a",
     "projections.csv": "f1af4ea16b3f80b0b7e41a9c51516f4461d63b223e15900a11fa0ecb3b100bde",
-    "approach_estimates.csv": "99f51f143c10f374f04b59582c493930c99a11f0b3ec2068d16616a8e4f7b284",
+    "approach_estimates.csv": "5484c8f4b3ecbebca4c86625a25f8849d8826cdfb14e428f999baa587d313756",
     "report.csv": "0a0e3fb7e1b2f01fe717b05c03277e2dff3f12bf40b545868603da96dbb2f38e",
     "decomposition.csv": "d323fc553d315767087c43236c030041e9bfa50a794b3d68b60b72674b1cea1c",
     "a1_deviation.csv": "fa602496c784e13947a6e22386a13946333d0090ef7048a15cfa894dae7e0a82",
@@ -213,5 +216,29 @@ def test_writer_creates_every_file_once_at_start(tmp_path, monkeypatch):
         assert created == list(harness.DATA_FILES)
         assert [name for _, name, _ in writes[:len(created)]] == created
         assert len(writes) > len(created)
+        assert _digests(out) == DEFAULT_DIGESTS
+        assert_no_child_processes()
+
+
+def test_each_models_pooled_rows_come_before_its_per_location_rows(tmp_path, monkeypatch):
+    # approach_estimates.csv as written on one CPU and on two: variant by
+    # variant, each model's rows in one block, its pooled rows (location_id
+    # -1) first, then its per-location ones.
+    n_models = harness.RunSettings().experiment.n_models
+    for cpus in (1, 2):
+        use_cpus(monkeypatch, cpus)
+        out = tmp_path / f"out{cpus}"
+        with time_limit(60):
+            harness.run(None, out)
+        lines = (out / "approach_estimates.csv").read_text(encoding="utf-8").splitlines()
+        keys = [line.split(",")[:5] for line in lines[1:]]
+        blocks = [(tuple(ids), [key[4] == "-1" for key in block])
+                  for ids, block in itertools.groupby(keys, key=lambda key: key[:3])]
+        assert [ids for ids, _ in blocks] == [(str(approach), variant, str(m))
+                                              for approach, variant in approaches.VARIANTS
+                                              for m in range(n_models)]
+        for _, pooled in blocks:
+            assert pooled == sorted(pooled, reverse=True) and pooled[0]
+        assert sum(not all(pooled) for _, pooled in blocks) == 3 * n_models
         assert _digests(out) == DEFAULT_DIGESTS
         assert_no_child_processes()

@@ -241,6 +241,14 @@ plausibility_threshold = 0.08
         assert "must be >= 4 for a cubic basis, got 2" in err
         assert not (tmp_path / "o").exists()
 
+    def test_empty_scenario_values_exit_2_asking_for_one(self, tmp_path, capsys):
+        config = write_config(tmp_path, "[experiment]\nscenario_values =\n")
+        assert cli.main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err == ("configuration error: scenario_values: "
+                       "at least one scenario value is needed\n")
+        assert not (tmp_path / "o").exists()
+
     def test_spline_needs_enough_locations(self):
         with pytest.raises(ConfigError) as info:
             harness.RunSettings(
@@ -329,6 +337,19 @@ class TestConfigHash:
         with harness.ReportWriter(tmp_path / "out") as writer:
             harness.write_report(harness.evaluate(given, writer), writer)
         assert _config_sha256(tmp_path / "out") == _config_sha256(run_dir[0] / "out")
+
+    def test_library_numpy_bool_hashes_as_bool(self, run_dir, tmp_path):
+        # A numpy bool kept as such would make json.dumps raise TypeError
+        # in write_report; it is stored as the bool it equals.
+        given = harness.load_settings(run_dir[1])
+        given = dataclasses.replace(given, experiment=dataclasses.replace(
+            given.experiment, perfect_models=np.bool_(True)))
+        with harness.ReportWriter(tmp_path / "out") as writer:
+            harness.write_report(harness.evaluate(given, writer), writer)
+        settings = dataclasses.replace(given, experiment=dataclasses.replace(
+            given.experiment, perfect_models=True))
+        expected = json.dumps(dataclasses.asdict(settings), sort_keys=True).encode()
+        assert _config_sha256(tmp_path / "out") == hashlib.sha256(expected).hexdigest()
 
 
 class TestRunOutputs:
@@ -525,16 +546,12 @@ class CollectingWriter:
     def __init__(self):
         self.tables = {name: [] for name in harness.DATA_FILES}
 
-    def start(self, tables, decomposition):
-        self.add(dict(tables, **{"decomposition.csv": decomposition}), [])
+    def start(self, tables):
+        self.add(tables)
 
-    def add(self, tables, located):
+    def add(self, tables):
         for name, rows in tables.items():
             self.tables[name] += rows
-        self.tables["approach_estimates.csv"] += located
-
-    def end_variant(self):
-        pass
 
 
 def test_evaluate_holds_one_variant_of_samples_at_a_time():
@@ -843,6 +860,18 @@ class TestCli:
         assert "alpha 1.95427" in err and "smaller [sir] step" in err
         assert "Traceback" not in err
 
+    def test_true_r0_too_large_to_fit_exits_3(self, tmp_path, capsys):
+        # The strategy-2 covariate is the true R0; near 1e308 the spline
+        # fit overflows.
+        config = write_config(tmp_path, "[experiment]\nn_locations = 12\nn_models = 2\n"
+                              "r0_true_high = 1e308\nscenario_values = 0\n"
+                              "[sir]\nhorizon = 100\nstep = 0.5\ninfectious_period = 1e308\n"
+                              "[approaches]\nn_samples = 200\n")
+        assert cli.main(["run", "--config", str(config),
+                         "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert err == "numerical failure: the spline design's cross-products overflow\n"
+
     def test_stiff_world_at_default_step_exits_3(self, tmp_path, capsys):
         # Alphas drawn about 1.5 (model centres up to 1.55) are too stiff for
         # the default step; the same world at 1.45 runs.
@@ -1120,7 +1149,7 @@ class TestWorkerFailures:
         caller, take = os.getpid(), harness._ReportFiles.take
 
         def fail_last_strategy(self, message):
-            last = message is not None and message[0]["report.csv"][0][0] == 3
+            last = message["report.csv"][0][0] == 3
             if last and failure == "killed" and os.getpid() != caller:
                 os.kill(os.getpid(), signal.SIGKILL)
             if last:
@@ -1155,8 +1184,7 @@ class TestWorkerFailures:
         caller, builder = os.getpid(), harness._location_mae_rows
 
         def hang_in_writer(self, message):
-            pending = failure == "time_limit" or (
-                message is not None and message[0]["report.csv"][0][0] == 2)
+            pending = failure == "time_limit" or message["report.csv"][0][0] == 2
             if pending and os.getpid() != caller:
                 time.sleep(60)
 

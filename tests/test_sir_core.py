@@ -304,6 +304,15 @@ class TestInstability:
         with pytest.raises(NumericalInstabilityError):
             final_size(SirParams(r0=1e8, alpha=5.0, v=0.3), horizon=50.0, step=0.5)
 
+    def test_overflowing_transmission_rate_raises(self):
+        # r0 / infectious_period overflows to an infinite beta: a non-finite
+        # state, not an overflow warning.
+        params = SirParams(r0=1e308, alpha=1.0, v=0.3, infectious_period=1e-300)
+        with pytest.raises(NumericalInstabilityError, match="non-finite"):
+            final_size(params)
+        with pytest.raises(NumericalInstabilityError, match="non-finite"):
+            simulate(params)
+
     @pytest.mark.parametrize("horizon,step,message", [
         (548.0, 274.0, "outside"), (548.0, 20.0, "outside"),
         (1.4e64, 1.4e64, "non-finite")])

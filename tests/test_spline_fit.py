@@ -148,6 +148,12 @@ class TestErrorPaths:
             fit(x, np.zeros(60))
         assert info.value.columns
 
+    def test_covariate_too_large_to_fit(self, x_grid):
+        # Its cross-products overflow: pinv raised LinAlgError, a raw
+        # traceback from the CLI, after an overflow warning.
+        with pytest.raises(NumericalInstabilityError):
+            fit(x_grid, x_grid, covariate=np.full(x_grid.size, 1e300))
+
     def test_mismatched_lengths(self):
         with pytest.raises(InsufficientDataError):
             fit(np.linspace(0, 1, 20), np.zeros(19))

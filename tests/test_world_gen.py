@@ -52,6 +52,10 @@ class TestConfigValidation:
         dict(scenario_values=0.3),
         dict(scenario_values=(0.3, "0.5")),
         dict(r0_true_range=(2.0, False)),
+        # Not bools: a truthy string would build a perfect-model world, and
+        # 1 would equal True but hash apart from it in the manifest.
+        dict(perfect_models="no"),
+        dict(perfect_models=1),
     ])
     def test_rejects_a_value_of_another_type(self, kwargs):
         with pytest.raises(ConfigError) as info:
@@ -61,10 +65,11 @@ class TestConfigValidation:
     def test_stores_each_number_as_its_field_type(self):
         config = ExperimentConfig(n_locations=np.int64(20), seed=np.uint8(7), horizon=548,
                                   r0_true_range=(2, np.int32(3)),
-                                  scenario_values=np.array([0.3, 0.5]))
-        assert config == ExperimentConfig(n_locations=20, seed=7)
-        assert [type(getattr(config, name)) for name in ("n_locations", "seed", "horizon")] \
-            == [int, int, float]
+                                  scenario_values=np.array([0.3, 0.5]),
+                                  perfect_models=np.bool_(True))
+        assert config == ExperimentConfig(n_locations=20, seed=7, perfect_models=True)
+        names = ("n_locations", "seed", "horizon", "perfect_models")
+        assert [type(getattr(config, name)) for name in names] == [int, int, float, bool]
         assert {type(x) for x in config.r0_true_range + config.scenario_values} == {float}
 
     def test_defaults_valid(self):
