@@ -4,8 +4,28 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from scenario_eval import world_gen
+
+# Tier-1 runs every property test on the same examples each time: the search
+# is derandomized and keeps no example database, so a run cannot fail on an
+# example that only an earlier run happened to draw. The ``search`` profile
+# (pytest --hypothesis-profile=search) draws fresh random examples, ten times
+# each test's tier-1 budget, and prints a blob that replays a failure.
+settings.register_profile("tier1", derandomize=True, database=None)
+TIER1_EXAMPLES = settings.get_profile("tier1").max_examples
+settings.register_profile("search", database=None, print_blob=True,
+                          max_examples=10 * TIER1_EXAMPLES)
+settings.load_profile("tier1")
+
+
+def examples(n: int) -> int:
+    """A property test's example budget: ``n`` under the tier-1 profile,
+    scaled as the loaded profile scales tier-1's default budget. A test's
+    own ``max_examples`` overrides its profile's, so each test takes its
+    budget from here."""
+    return n * settings.default.max_examples // TIER1_EXAMPLES
 
 
 @pytest.fixture(scope="session")

@@ -22,6 +22,7 @@ from scenario_eval.spline_fit import predict_many, sample_predictive
 from scenario_eval.streams import KIND_ERROR_SAMPLING, KIND_OBS_SAMPLING, substream
 from scenario_eval.world_gen import ExperimentConfig, generate, true_errors
 
+from conftest import examples
 from test_harness import CollectingWriter
 
 SIR_KW = dict(horizon=300.0, step=0.5)
@@ -300,7 +301,7 @@ def _sample_block(draw):
     return block
 
 
-@settings(max_examples=200, deadline=1000)
+@settings(max_examples=examples(200), deadline=1000)
 @given(block=_sample_block())
 def test_summarize_rows_matches_numpy_bitwise(block):
     # Contiguous and a column-sliced view; each row's summary against the

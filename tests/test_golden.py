@@ -20,6 +20,19 @@ from scenario_eval.world_gen import ExperimentConfig
 from conftest import assert_no_child_processes, time_limit, use_cpus
 
 DEFAULT_DIGESTS = {
+    "world.csv": "383e2151eb3b4994273729515de6d792edce3abbfa92c3682e8bc7f332c7a215",
+    "projections.csv": "3a2c8b743eda42bdbc587b072898f0c247c31139338757a7a82a4fc5b82cb318",
+    "approach_estimates.csv": "2723fdd6e19fafb928ed9e178b115c534ef41efcbf95a8f66f680dbd167c2c48",
+    "report.csv": "7611ef3fd4067e1f967841ad371b20d14dc50593326e2f6c181f8183a8a61899",
+    "decomposition.csv": "961d21465d0cc61e7ab07ecd10cb872cdf226aad53389bd9b7079b01a1dd9235",
+    "a1_deviation.csv": "76d573d5f5a3d51c03ad36113306936bc73036529ec4db15377369fe1b1bdbec",
+    "implied_obs_ks.csv": "6d404e9cd2e09e821eed67317ff1dd7c097f8c12f888d1592cfb608b120e6c7e",
+    "location_mae.csv": "b28ddff47ba1cd97074aa2690fdd4821c7221cb46a76937466a884983fa1f1ac",
+}
+# The default config at step 1.0, the default step before 2.0: the bytes
+# the default config wrote then, so the default step is the only thing
+# that moved them, and the grid still steps exactly 1 day.
+ONE_DAY_STEP_DIGESTS = {
     "world.csv": "ef909d0183a1f717b4ab741b07c73275b1ba67b405120bb54435629b46fa6752",
     "projections.csv": "873064c65d4a8d1d3f69ca539d51482b069040960603424318638c65f3f08ada",
     "approach_estimates.csv": "dd9a6f37be48f8f5dbc18f0d8ca8c1cece4970f962956637cf06d18a5ae1d659",
@@ -45,17 +58,22 @@ HALF_DAY_STEP_DIGESTS = {
     "location_mae.csv": "2d8ac00e4e8938cbee0a685882db4b9c9f9e5d6f7e3da127c9a7082669a2f247",
 }
 THREE_SCENARIO_DIGESTS = {
-    "world.csv": "03198ff49bc0fcbe05720e3c1c214c2aa89cdebaa7cd4f2fc6c1f4d636eca12a",
-    "projections.csv": "f1af4ea16b3f80b0b7e41a9c51516f4461d63b223e15900a11fa0ecb3b100bde",
-    "approach_estimates.csv": "5484c8f4b3ecbebca4c86625a25f8849d8826cdfb14e428f999baa587d313756",
-    "report.csv": "0a0e3fb7e1b2f01fe717b05c03277e2dff3f12bf40b545868603da96dbb2f38e",
-    "decomposition.csv": "d323fc553d315767087c43236c030041e9bfa50a794b3d68b60b72674b1cea1c",
-    "a1_deviation.csv": "fa602496c784e13947a6e22386a13946333d0090ef7048a15cfa894dae7e0a82",
+    "world.csv": "0c6a9df8be299feb47057de70fac9b9dde1957a2e99bcd5b0271bf4fc32f4529",
+    "projections.csv": "4df7457d885d4f503276db5237f6d14048cd7a96591d17dd0d5327b7da17d859",
+    "approach_estimates.csv": "1e3b86f3ddf3780a99f6a5137cf2d5c5072b365e367be45d810e3370b9d253c5",
+    "report.csv": "ee0dac658dc66d8ee34eb44cbd26724815ef4ff65ce6b248370876ca9e4a5471",
+    "decomposition.csv": "9e2f7a55290f786e656fd599d3c2632f3903ad847a0132a3eb34bb98856c5094",
+    "a1_deviation.csv": "5a3cd0c04b20fe8b8eee617a011d9ce8388cb5d6462ea2dc2e5449d17a317a04",
     "implied_obs_ks.csv": "8400da85b71a7e3e919d34eb0b3d27c321ea1534cdd0d2c41ec395b8e8239a48",
-    "location_mae.csv": "2a007c715dda37ffe5e6988ebf95255a47e78b67e0e4ad3db0a6c055a5a91c3e",
+    "location_mae.csv": "a43642a7c2368e43122599fd771342f74f46a6b210fa09e87cc67f6d643bd127",
 }
 SVG_DIGESTS = {
     "default": {
+        "error_densities.svg": "d706af7e4f84e4b4a9415ce00582e7fd53894351be4e1fd805844975ee632d94",
+        "accuracy_summary.svg": "92c416d41ef4f6c0d0eda06d2030071ba4f7f16e647cea253dbb02d3e0c42380",
+        "decomposition.svg": "b68bbf671fddbb09dbd79795a583999fd57ef4f0d4c49969bcc838fb3efc64e8",
+    },
+    "one_day_step": {
         "error_densities.svg": "2580663bd605d0f90898e6820381524a013db5a27a0ba6fd967db9fbb365275a",
         "accuracy_summary.svg": "92c416d41ef4f6c0d0eda06d2030071ba4f7f16e647cea253dbb02d3e0c42380",
         "decomposition.svg": "b68bbf671fddbb09dbd79795a583999fd57ef4f0d4c49969bcc838fb3efc64e8",
@@ -66,7 +84,7 @@ SVG_DIGESTS = {
         "decomposition.svg": "b68bbf671fddbb09dbd79795a583999fd57ef4f0d4c49969bcc838fb3efc64e8",
     },
     "three_scenarios": {
-        "error_densities.svg": "7dbe97482b5e1a551ef1af4edc5a8ba3abedb665e51f1b9f909f493dd213d866",
+        "error_densities.svg": "59ac1f1dac86413dd243b2dd914276ff69717789914cfee038ff21fffcbd5ef5",
         "accuracy_summary.svg": "c35cc16ea84469365a4820b73c3e81370a2c557546a0d4f929af9a542bef1733",
         "decomposition.svg": "0bc48123f8fe5fc1cda0b2d7182026830790aa82297c36852d63099b9884aefb",
     },
@@ -86,6 +104,13 @@ n_models = 4
 n_samples = 2000
 """
 
+ONE_DAY_STEP_SETTINGS = harness.RunSettings(experiment=ExperimentConfig(step=1.0))
+
+ONE_DAY_STEP_CONFIG = """\
+[sir]
+step = 1.0
+"""
+
 HALF_DAY_STEP_SETTINGS = harness.RunSettings(experiment=ExperimentConfig(step=0.5))
 
 HALF_DAY_STEP_CONFIG = """\
@@ -94,6 +119,7 @@ step = 0.5
 """
 
 SETTINGS = {THREE_SCENARIO_CONFIG: THREE_SCENARIO_SETTINGS,
+            ONE_DAY_STEP_CONFIG: ONE_DAY_STEP_SETTINGS,
             HALF_DAY_STEP_CONFIG: HALF_DAY_STEP_SETTINGS}
 
 
@@ -111,8 +137,9 @@ def _config_path(tmp_path, config):
 @pytest.mark.parametrize("config, expected", [
     (None, DEFAULT_DIGESTS),
     (THREE_SCENARIO_CONFIG, THREE_SCENARIO_DIGESTS),
+    (ONE_DAY_STEP_CONFIG, ONE_DAY_STEP_DIGESTS),
     (HALF_DAY_STEP_CONFIG, HALF_DAY_STEP_DIGESTS),
-], ids=["default", "three_scenarios", "half_day_step"])
+], ids=["default", "three_scenarios", "one_day_step", "half_day_step"])
 def test_data_files_match_golden_digests(tmp_path, config, expected):
     harness.run(_config_path(tmp_path, config), tmp_path / "out")
     assert tuple(expected) == harness.DATA_FILES
@@ -122,8 +149,9 @@ def test_data_files_match_golden_digests(tmp_path, config, expected):
 @pytest.mark.parametrize("config, expected", [
     (None, SVG_DIGESTS["default"]),
     (THREE_SCENARIO_CONFIG, SVG_DIGESTS["three_scenarios"]),
+    (ONE_DAY_STEP_CONFIG, SVG_DIGESTS["one_day_step"]),
     (HALF_DAY_STEP_CONFIG, SVG_DIGESTS["half_day_step"]),
-], ids=["default", "three_scenarios", "half_day_step"])
+], ids=["default", "three_scenarios", "one_day_step", "half_day_step"])
 def test_figures_match_golden_digests(tmp_path, config, expected):
     harness.run(_config_path(tmp_path, config), tmp_path / "out")
     written = plots.plot_report_dir(tmp_path / "out")

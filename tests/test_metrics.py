@@ -10,6 +10,8 @@ from scenario_eval import metrics
 from scenario_eval.errors import ParameterDomainError
 from scenario_eval.metrics import decompose, ks_two_sample, mae_of_means
 
+from conftest import examples
+
 
 class TestDecompose:
     def test_all_zero_components(self):
@@ -183,7 +185,7 @@ def _sample_pair(draw):
             draw(hnp.arrays(np.float64, draw(sizes), elements=elements)))
 
 
-@settings(max_examples=150, deadline=1000)
+@settings(max_examples=examples(150), deadline=1000)
 @given(pair=_sample_pair(), seed=st.integers(0, 2**32 - 1))
 def test_ks_matches_pooled_reference_bitwise(pair, seed):
     a, b = pair
@@ -199,7 +201,7 @@ def test_ks_matches_pooled_reference_bitwise(pair, seed):
 _signed_zeros = st.sampled_from([0.0, -0.0, 1.0, -1.0])   # ties of +0.0 and -0.0
 
 
-@settings(max_examples=150, deadline=1000)
+@settings(max_examples=examples(150), deadline=1000)
 @given(elements=st.sampled_from([_finite, _tied, _signed_zeros]),
        sizes=st.tuples(st.integers(5, 300), st.integers(5, 300)), data=st.data())
 def test_presorted_sample_gives_the_same_result(elements, sizes, data):

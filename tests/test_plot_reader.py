@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from scenario_eval import harness, plots
 from scenario_eval.errors import ConfigError
 
+from conftest import examples
 from test_golden import THREE_SCENARIO_CONFIG
 from test_harness import write_config
 
@@ -139,7 +140,7 @@ def report_texts(draw):
     return end.join(lines) + (end if final else "")
 
 
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=examples(400), deadline=None)
 @given(text=report_texts(),
        read=st.sampled_from([(("a", "b"), None, None), (("a", "c"), ("b", "-1"), None),
                              (("a", "b"), ("c", "-1"), None), (("b", "c"), ("a", "1"), None),

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from scenario_eval import approaches, harness
 
+from conftest import examples
 from test_golden import THREE_SCENARIO_SETTINGS
 from test_harness import CollectingWriter
 
@@ -45,7 +46,7 @@ def tables(draw):
     return name, batches
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=examples(300), deadline=None)
 @given(tables())
 def test_template_writes_the_bytes_of_csv_writer(table):
     name, batches = table

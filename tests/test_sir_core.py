@@ -10,8 +10,8 @@ from scenario_eval import sir_core
 from scenario_eval.errors import NumericalInstabilityError, ParameterDomainError
 from scenario_eval.sir_core import SirParams, final_size, final_size_batch, simulate
 
-from conftest import (assert_no_child_processes, final_size_fixed_point, time_limit,
-                      use_cpus)
+from conftest import (assert_no_child_processes, examples, final_size_fixed_point,
+                      time_limit, use_cpus)
 
 
 def _reference_derivatives(s, i, beta, gamma, alpha, population):
@@ -104,7 +104,7 @@ class TestGrid:
         assert _bits(traj.times) == _bits(np.arange(n_steps + 1) * step)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=examples(200), deadline=None)
 @given(horizon=st.floats(allow_nan=True, allow_infinity=True),
        step=st.floats(allow_nan=True, allow_infinity=True))
 def test_any_grid_returns_or_is_rejected(horizon, step):
@@ -144,8 +144,9 @@ class TestFinalSizeOracle:
     def test_default_world_within_step_error_budget(self, default_world):
         # Every solve of the default world (truth and models, at each
         # scenario and the realized coverage; alpha 0.92-1.03) at the shipped
-        # step against a quarter of it. Measured 6.1e-9; the bound sits far
-        # below the model errors of about 0.05 that the package measures.
+        # step against a quarter of it. Measured 1.01e-7 at the 2-day step
+        # (6.1e-9 at 1 day); the bound sits far below the model errors of
+        # about 0.05 that the package measures.
         world, ensemble = default_world
         grid = (ensemble.n_models + 1, world.n_locations, world.n_scenarios + 1)
         r0 = np.vstack([world.r0_true, ensemble.r0_model])[:, :, None]
@@ -157,7 +158,7 @@ class TestFinalSizeOracle:
         assert len(r0) == 1650
         coarse = final_size_batch(r0, alpha, v, step=sir_core.DEFAULT_STEP)
         fine = final_size_batch(r0, alpha, v, step=sir_core.DEFAULT_STEP / 4)
-        assert np.max(np.abs(coarse - fine)) <= 1e-8
+        assert np.max(np.abs(coarse - fine)) <= 2e-7
 
     def test_subcritical_minor_outbreak(self):
         # R_eff = 2.0 * 0.4 = 0.8 < 1: branching bound i0/(1 - R_eff) = 0.005
@@ -278,24 +279,41 @@ class TestBatch:
 
 class TestInstability:
     def test_stiffness_bound_at_default_step(self):
-        # Measured at r0 2-3 and v 0.3-0.5: alpha 1.1-1.5 within 1.6e-6 of
-        # an eighth of the default step; alpha 1.55 and above is unstable.
+        # Measured at r0 2-3 and v 0.3-0.5, against an eighth of the default
+        # 2-day step: alpha 1.1 within 2.0e-6, 1.3 within 3.9e-5, 1.4 within
+        # 7.1e-5; alpha 1.45 and above raises.
         r0, v = (a.ravel() for a in np.meshgrid([2.0, 2.5, 3.0], [0.3, 0.4, 0.5]))
         alpha = np.full(len(r0), 1.4)
         coarse = final_size_batch(r0, alpha, v)
         fine = final_size_batch(r0, alpha, v, step=sir_core.DEFAULT_STEP / 8)
-        assert np.max(np.abs(coarse - fine)) <= 1e-5
+        assert np.max(np.abs(coarse - fine)) <= 1e-4
         with pytest.raises(NumericalInstabilityError, match="outside"):
             final_size_batch(r0, np.full(len(r0), 1.6), v)
 
     def test_stiff_solve_inside_unit_interval_raises(self):
-        # At the default step this solve ends at 0.004 where an eighth of the
+        # At a 1-day step this solve ends at 0.004 where an eighth of the
         # step gives 1.0: i swings below 0, the h(i) guard stops transmission
         # and the final size stays inside [0, 1]. It ends with i < 0.
         params = SirParams(r0=3.5, alpha=1.52, v=0.3)
-        assert final_size(params, step=sir_core.DEFAULT_STEP / 8) == pytest.approx(1.0)
+        assert final_size(params, step=1.0 / 8) == pytest.approx(1.0)
+        traj = simulate(params, step=1.0)
+        assert 0 <= traj.final_size <= 1 and traj.i[-1] < 0
         with pytest.raises(NumericalInstabilityError,
-                           match=f"outside.*step {sir_core.DEFAULT_STEP} is too large"):
+                           match="outside.*step 1.0 is too large"):
+            final_size(params, step=1.0)
+
+    def test_stiff_solve_whose_susceptible_fraction_rises_raises(self):
+        # At the default step this solve ends at 0.485 where an eighth of the
+        # step gives 1.0, with i > 0 and inside [0, 1]: s falls to 0.033 by
+        # day 26, then the stiff steps raise it to 0.257, which the true s,
+        # never rising, cannot do.
+        params = SirParams(r0=2.9, alpha=1.57, v=0.5)
+        assert final_size(params, step=sir_core.DEFAULT_STEP / 8) == pytest.approx(1.0)
+        traj = simulate(params)
+        assert 0 <= traj.final_size <= 1 and traj.i[-1] >= 0
+        assert traj.s[-1] > np.min(traj.s)
+        with pytest.raises(NumericalInstabilityError,
+                           match=f"rising.*step {sir_core.DEFAULT_STEP} is too large"):
             final_size(params)
 
     def test_blowup_raises(self):

@@ -7,7 +7,7 @@ from scenario_eval import streams
 from scenario_eval.streams import BLOCK, BLOCK_CACHE, substream
 from scenario_eval.world_gen import ExperimentConfig, generate
 
-from conftest import time_limit
+from conftest import examples, time_limit
 
 SEEDS = st.sampled_from([0, 2**32 - 1, 2**32, 2**63 - 1]) | st.integers(0, 2**130)
 WORDS = (st.sampled_from([0, BLOCK - 1, BLOCK, 2**32 - 1, 2**32, 2**64 + 1])
@@ -23,7 +23,7 @@ def assert_same_draws(seed, key):
     assert np.array_equal(ours.normal(size=4), oracle.normal(size=4)), (seed, key)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=examples(300), deadline=None)
 @given(data=st.data())
 def test_draws_equal_seed_sequence_streams(data):
     # Few seeds and prefixes, interleaved: a memo entry read under the wrong
