@@ -12,7 +12,10 @@ been observed had the scenario held.
 2. ``infer_error_distribution``: compute each model's realized-scenario
    error from its honest reprojection, regress that error on the realized
    coverage (optionally plus a linear true-R0 covariate), and sample the
-   fitted predictive distribution at each scenario coverage.
+   fitted predictive distribution at each scenario coverage. Every model
+   shares x and the covariate, so one ``spline_fit.SplineDesign`` per
+   variant, and its prediction rows per scenario, serve all models; each
+   model adds its own least-squares solve and its own matvec per scenario.
 
 3. ``infer_observations``: fit a single model-independent regression of the
    realized observations on coverage (optionally plus linear true-R0),
@@ -40,12 +43,13 @@ quantiles). ``summarize_rows`` computes the summaries of a block of
 equal-length sample vectors with one ``np.sort`` and one ``mean`` pass along
 the rows: one block per pooled vector, per run of equal chunk lengths of a
 (model, scenario)'s per-location vectors, and per scenario across models for
-strategy 1. The quantiles index the two order statistics around each of
-numpy's linear-method positions in the sorted rows and interpolate them as
-``np.quantile`` does; a row with a non-finite value, or one that picks a
-zero order statistic, whose sign sort and partition may place differently,
-goes through ``np.quantile`` itself. Either way the summaries have the same
-bits as one ``np.quantile`` and one ``mean`` call per vector.
+strategy 1. The quantiles come from the sorted rows by
+``spline_fit.linear_quantiles``, which also places the spline knots: it
+interpolates the two order statistics around each of numpy's linear-method
+positions as ``np.quantile`` does, and sends a row with a non-finite value,
+or one that picks a zero order statistic, whose sign sort and partition may
+place differently, through ``np.quantile`` itself. Either way the summaries
+have the same bits as one ``np.quantile`` and one ``mean`` call per vector.
 """
 
 from __future__ import annotations
@@ -58,7 +62,7 @@ import numpy as np
 
 from . import spline_fit
 from .errors import ParameterDomainError
-from .spline_fit import FittedSpline, SplineSpec
+from .spline_fit import FittedSpline, SplineSpec, linear_quantiles
 from .streams import KIND_ERROR_SAMPLING, KIND_OBS_SAMPLING, substream
 from .world_gen import ModelEnsemble, TrueWorld
 
@@ -102,46 +106,21 @@ class DistributionSummary(NamedTuple):
     n_samples: int
 
 
-def _linear_positions(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """numpy's linear-method arithmetic for QUANTILES of n sorted values:
-    the order statistics below and above each position, and the weight of
-    the one above. Positions at or past the last value pick it twice."""
-    virtual = (n - 1) * np.asarray(QUANTILES)
-    below = np.floor(virtual)
-    above = below + 1
-    last = virtual >= n - 1
-    below[last] = above[last] = -1
-    return below.astype(np.intp), above.astype(np.intp), virtual - below
-
-
 def summarize_rows(rows: np.ndarray,
                    ordered: np.ndarray | None = None) -> list[DistributionSummary]:
     """One summary per row of a 2-D block of equal-length sample vectors,
     from a single sort and a single mean pass along the rows; ``ordered``,
     when the caller has sorted the rows already, is that sorted block.
 
-    The quantiles interpolate the order statistics of the sorted copy with
-    ``np.quantile``'s linear rule, ``a + (b - a) * gamma`` or, for gamma
-    >= 0.5, ``b - (b - a) * (1 - gamma)``, so they keep its bits. Sort and
-    partition agree on every order statistic but the sign of a zero, and
-    numpy returns NaN for a row with a NaN, so a row that picks a zero or
-    holds a non-finite value is summarised by ``np.quantile`` itself. The
-    block is made C-contiguous first: numpy then sums each row pairwise,
-    as it sums a single vector, so the means keep its bits."""
+    The quantiles come from ``spline_fit.linear_quantiles``, which keeps
+    ``np.quantile``'s bits. The block is made C-contiguous first: numpy
+    then sums each row pairwise, as it sums a single vector, so the means
+    keep its bits."""
     rows = np.ascontiguousarray(rows)
     n = rows.shape[1]
     if n == 0:
         raise ParameterDomainError("ErrorDistribution requires samples")
-    if ordered is None:
-        ordered = np.sort(rows, axis=1)
-    below, above, gamma = _linear_positions(n)
-    a, b = ordered[:, below], ordered[:, above]
-    step = b - a
-    quantiles = np.where(gamma >= 0.5, b - step * (1 - gamma), a + step * gamma)
-    odd = ((a == 0) | (b == 0)).any(axis=1) | ~np.isfinite(ordered[:, [0, -1]]).all(axis=1)
-    if odd.any():
-        quantiles[odd] = np.quantile(rows[odd], QUANTILES, axis=1).T
-    q05, q25, median, q75, q95 = quantiles.T.tolist()
+    q05, q25, median, q75, q95 = linear_quantiles(rows, QUANTILES, ordered).T.tolist()
     means = rows.mean(axis=1).tolist()
     return list(map(DistributionSummary, means, median, q25, q75, q05, q95, repeat(n)))
 
@@ -255,7 +234,7 @@ def _runs(counts: np.ndarray):
     """For each run of equal chunk lengths in ``counts`` (non-increasing):
     its locations and the slice of the location-ordered samples they cover."""
     start = 0
-    for length in np.unique(counts)[::-1]:
+    for length in dict.fromkeys(counts.tolist()):   # distinct, in descending order
         locations = np.flatnonzero(counts == length)
         yield locations, slice(start, start + locations.size * length)
         start += locations.size * length
@@ -273,15 +252,16 @@ def _by_location(op, values: np.ndarray, samples: np.ndarray, counts: np.ndarray
     return out
 
 
-def _draw(fitted: FittedSpline, x_j: float, covariate: np.ndarray | None,
-          counts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Predictive samples at scenario coverage ``x_j`` in location-ordered
-    chunks of lengths ``counts``: one location-generic draw without the
-    covariate, a per-location mean and sd with it, applied in place as
-    ``mean + sd * z``, the bits of ``rng.normal(means, sds)``."""
-    if covariate is None:
-        return spline_fit.sample_predictive(fitted, x_j, None, counts.sum(), rng)
-    means, sds = spline_fit.predict_many(fitted, np.full(covariate.size, x_j), covariate)
+def _draw(fitted: FittedSpline, rows_at, counts: np.ndarray,
+          rng: np.random.Generator) -> np.ndarray:
+    """Predictive samples at a scenario coverage x_j, ``rows_at`` being
+    ``SplineDesign.rows([x_j], covariate)``, in location-ordered chunks of
+    lengths ``counts``: one location-generic draw without the covariate, a
+    per-location mean and sd with it, applied in place as ``mean + sd * z``,
+    the bits of ``rng.normal(means, sds)``."""
+    means, sds = fitted.predict_rows(*rows_at)
+    if not fitted.has_covariate:
+        return rng.normal(float(means[0]), float(sds[0]), size=counts.sum())
     z = rng.normal(0.0, 1.0, counts.sum())
     _by_location(np.multiply, sds, z, counts, z)
     return _by_location(np.add, means, z, counts, z)
@@ -367,15 +347,15 @@ def infer_error_distribution(world: TrueWorld, ensemble: ModelEnsemble,
     covariate = world.r0_true if include_covariate else None
     variant_key = 1 if include_covariate else 0
 
-    fits = tuple(
-        spline_fit.fit(world.x_realized, realized_errors[m], covariate, spec)
-        for m in range(M))
+    shared = spline_fit.design(world.x_realized, covariate, spec)
+    fits = tuple(spline_fit.fit_design(shared, realized_errors[m]) for m in range(M))
+    rows_at = [shared.rows([x_j], covariate) for x_j in world.scenario_values]
 
     counts = _sample_counts(n_samples, L)
 
     def samples_of(m, j, out):   # copied to out so that the fresh draw is freed at once
         rng = substream(seed, KIND_ERROR_SAMPLING, variant_key, m, j)
-        out[...] = _draw(fits[m], float(world.scenario_values[j]), covariate, counts, rng)
+        out[...] = _draw(fits[m], rows_at[j], counts, rng)
 
     return _by_model(M, S, samples_of, counts, include_covariate, consume)
 
@@ -407,8 +387,8 @@ def infer_observations(world: TrueWorld, ensemble: ModelEnsemble,
     observations = []                    # per scenario, location-ordered chunks
     for j in range(S):
         rng = substream(seed, KIND_OBS_SAMPLING, variant_key, j)
-        observations.append(_draw(observation_fit, float(world.scenario_values[j]),
-                                  covariate, counts, rng))
+        rows_at = observation_fit.rows([world.scenario_values[j]], covariate)
+        observations.append(_draw(observation_fit, rows_at, counts, rng))
 
     def samples_of(m, j, out):
         _by_location(np.subtract, ensemble.projections[m, :, j], observations[j],

@@ -396,9 +396,10 @@ def plot_accuracy_summary(report_dir: Path, out_path: Path) -> None:
             body.append(f'<circle cx="{_fmt(x + jitter)}" cy="{_fmt(to_y(value))}" '
                         f'r="{DOT_RADIUS:g}" fill="{colors[key]}" fill-opacity="0.65"/>')
         if column == "ks_d":
-            crits = [value for value in scores["ks_critical"] if value is not None]
+            crits = sorted(value for value in scores["ks_critical"] if value is not None)
             if crits:
-                crit = float(np.median(crits))
+                half = len(crits) // 2   # np.median's middle value or mean of two
+                crit = crits[half] if len(crits) % 2 else (crits[half - 1] + crits[half]) / 2
                 body.append(_polyline([x0, x1], [to_y(crit), to_y(crit)], "#000000", 1.0))
                 body.append(_text(x1, to_y(crit) - 5, "critical (5%)", 9, "end"))
         body.append(_polyline([x0, x1], [y0, y0], "#000000", 1.0))

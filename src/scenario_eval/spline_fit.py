@@ -19,7 +19,13 @@ Predictions at a new point x carry a predictive standard deviation
 
 so intervals cover a new observation (coefficient uncertainty plus residual
 noise). Points outside the training range extrapolate linearly (natural
-boundary behavior) and can be detected with ``FittedSpline.extrapolates``.
+boundary behavior) and can be detected with ``SplineDesign.extrapolates``.
+
+One design serves every response on the same x and covariate: ``design``
+builds the knots, design and (X^T X)^+ once, ``SplineDesign.rows`` the rows
+and leverage at new points, and ``fit_design`` and
+``FittedSpline.predict_rows`` add one response's ``lstsq`` and matvec.
+``fit`` and ``predict_many`` are the one-response case.
 """
 
 from __future__ import annotations
@@ -45,27 +51,89 @@ class SplineSpec:
 
 
 @dataclass(frozen=True)
-class FittedSpline:
-    """A fitted regression spline.
+class SplineDesign:
+    """The part of a regression that depends only on x and the covariate:
+    the knots, the design matrix ``matrix`` and the pseudo-inverse of
+    X^T X used for leverage. Every response fitted on the same x and
+    covariate shares one."""
 
-    ``coefficients`` are ordered [intercept, spline columns..., covariate?].
-    ``xtx_pinv`` is the pseudo-inverse of X^T X used for leverage.
-    """
-
-    coefficients: np.ndarray
+    matrix: np.ndarray
     knots: np.ndarray
-    residual_sd: float
     xtx_pinv: np.ndarray
     fit_range: tuple[float, float]
     has_covariate: bool
-    covariate_collinear: bool
-    n_obs: int
-    rank: int
 
     def extrapolates(self, x_new) -> bool:
         """True when any requested point lies outside the training range."""
         x_new = np.asarray(x_new, dtype=float)
         return bool(np.any(x_new < self.fit_range[0]) or np.any(x_new > self.fit_range[1]))
+
+    def rows(self, x_new, covariate_new=None) -> tuple[np.ndarray, np.ndarray]:
+        """The design rows at new points (broadcast with the covariate) and
+        ``sqrt(1 + leverage)``, the predictive sd per unit residual sd."""
+        x_new = np.atleast_1d(np.asarray(x_new, dtype=np.float64))
+        if not np.all(np.isfinite(x_new)):
+            raise InsufficientDataError("x_new must be finite")
+        if self.has_covariate:
+            if covariate_new is None:
+                raise InsufficientDataError("fit used a covariate; covariate_new required")
+            x_new, covariate_new = np.broadcast_arrays(
+                x_new, np.asarray(covariate_new, dtype=np.float64))
+        else:
+            covariate_new = None
+        with np.errstate(over="ignore", invalid="ignore"):
+            rows = _matrix(x_new, covariate_new, self.knots)
+            leverage = np.einsum("ij,jk,ik->i", rows, self.xtx_pinv, rows)
+            return rows, np.sqrt(1.0 + np.maximum(leverage, 0.0))
+
+
+@dataclass(frozen=True)
+class FittedSpline(SplineDesign):
+    """A response fitted on a design.
+
+    ``coefficients`` are ordered [intercept, spline columns..., covariate?].
+    """
+
+    coefficients: np.ndarray
+    residual_sd: float
+    covariate_collinear: bool
+    rank: int
+
+    def predict_rows(self, rows: np.ndarray, root: np.ndarray):
+        """(mean, predictive_sd) at the points of ``SplineDesign.rows``."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean = rows @ self.coefficients
+            sd = self.residual_sd * root
+        bad = np.flatnonzero(~(np.isfinite(mean) & np.isfinite(sd)))
+        if bad.size:
+            raise NumericalInstabilityError(
+                f"non-finite prediction at indices {listed(bad.tolist())}")
+        return mean, sd
+
+
+def linear_quantiles(rows: np.ndarray, quantiles, ordered: np.ndarray | None = None):
+    """The bits of ``np.quantile(rows, quantiles, axis=1).T`` from a sort of
+    the 2-D block ``rows`` (``ordered``, when the caller has sorted it): the
+    two order statistics around ``(n - 1) * q``, interpolated by numpy's
+    linear rule. Sort and partition may give a zero opposite signs, and numpy
+    returns NaN for a row with a NaN, so a row that picks a zero or holds a
+    non-finite value goes through ``np.quantile`` itself."""
+    n = rows.shape[1]
+    if ordered is None:
+        ordered = np.sort(rows, axis=1)
+    virtual = (n - 1) * np.asarray(quantiles)
+    below = np.floor(virtual)
+    above = below + 1
+    last = virtual >= n - 1
+    below[last] = above[last] = -1
+    gamma = virtual - below
+    a, b = ordered[:, below.astype(np.intp)], ordered[:, above.astype(np.intp)]
+    step = b - a
+    out = np.where(gamma >= 0.5, b - step * (1 - gamma), a + step * gamma)
+    odd = ((a == 0) | (b == 0)).any(axis=1) | ~np.isfinite(ordered[:, [0, -1]]).all(axis=1)
+    if odd.any():
+        out[odd] = np.quantile(rows[odd], quantiles, axis=1).T
+    return out
 
 
 def natural_cubic_basis(x, knots: np.ndarray) -> np.ndarray:
@@ -86,7 +154,7 @@ def natural_cubic_basis(x, knots: np.ndarray) -> np.ndarray:
     return np.column_stack(cols)
 
 
-def _design(x, covariate, knots) -> np.ndarray:
+def _matrix(x, covariate, knots) -> np.ndarray:
     basis = natural_cubic_basis(x, knots)
     columns = [np.ones(basis.shape[0]), basis]
     if covariate is not None:
@@ -94,22 +162,21 @@ def _design(x, covariate, knots) -> np.ndarray:
     return np.column_stack(columns)
 
 
-def fit(x, y, covariate=None, spec: SplineSpec = SplineSpec()) -> FittedSpline:
-    """Least-squares fit of y on the spline design.
+def design(x, covariate=None, spec: SplineSpec = SplineSpec()) -> SplineDesign:
+    """The spline design of x (plus a linear covariate), checked for a fit.
 
     Raises:
         InsufficientDataError: Too few rows, mismatched lengths, or x constant.
         SingularFitError: The intercept+spline block is rank deficient
             (e.g. heavily tied x values collapse the quantile knots). A
             covariate that is collinear with the block is tolerated: it is
-            effectively dropped by the pseudo-inverse and flagged.
+            effectively dropped by the pseudo-inverse and flagged by the fit.
         NumericalInstabilityError: The design's cross-products overflow
             (x or covariate values too large, such as an R0 near 1e308).
     """
     x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.ndim != 1 or y.shape != x.shape:
-        raise InsufficientDataError("x and y must be 1-d arrays of equal length")
+    if x.ndim != 1:
+        raise InsufficientDataError("x must be a 1-d array")
     if covariate is not None:
         covariate = np.asarray(covariate, dtype=np.float64)
         if covariate.shape != x.shape:
@@ -121,74 +188,56 @@ def fit(x, y, covariate=None, spec: SplineSpec = SplineSpec()) -> FittedSpline:
     if np.ptp(x) == 0.0:
         raise InsufficientDataError("x values are all identical")
 
-    knots = np.quantile(x, np.linspace(0.0, 1.0, spec.basis_dim + 1))
+    knots = linear_quantiles(x[None, :], np.linspace(0.0, 1.0, spec.basis_dim + 1))[0]
     if np.any(np.diff(knots) <= 0):
         tied = tuple(int(j) for j in np.flatnonzero(np.diff(knots) <= 0))
         raise SingularFitError(
             f"tied quantile knots at positions {tied}; x values too concentrated",
             columns=tied)
 
-    design = _design(x, covariate, knots)
+    matrix = _matrix(x, covariate, knots)
     with np.errstate(over="ignore", invalid="ignore"):
-        gram = design.T @ design
+        gram = matrix.T @ matrix
     if not np.all(np.isfinite(gram)):
         raise NumericalInstabilityError("the spline design's cross-products overflow")
-    p = design.shape[1]
-    base_rank = np.linalg.matrix_rank(design[:, :1 + spec.basis_dim])
+    base_rank = np.linalg.matrix_rank(matrix[:, :1 + spec.basis_dim])
     if base_rank < 1 + spec.basis_dim:
         # Identify the dominant components of the null space as culprits.
-        _, _, vt = np.linalg.svd(design[:, :1 + spec.basis_dim])
+        _, _, vt = np.linalg.svd(matrix[:, :1 + spec.basis_dim])
         null_vec = np.abs(vt[-1])
         offending = tuple(int(j) for j in np.flatnonzero(null_vec > 0.5 * null_vec.max()))
         raise SingularFitError(
             f"spline design is rank deficient (rank {base_rank} < {1 + spec.basis_dim})",
             columns=offending)
+    return SplineDesign(matrix=matrix, knots=knots, xtx_pinv=np.linalg.pinv(gram),
+                        fit_range=(float(x.min()), float(x.max())),
+                        has_covariate=covariate is not None)
 
-    coefficients, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
-    covariate_collinear = covariate is not None and rank < p
-    residuals = y - design @ coefficients
-    dof = len(x) - rank
-    residual_sd = float(np.sqrt(residuals @ residuals / dof))
-    xtx_pinv = np.linalg.pinv(gram)
+
+def fit_design(shared: SplineDesign, y: np.ndarray) -> FittedSpline:
+    """Least-squares fit of y, one value per row of ``shared``'s design."""
+    coefficients, _, rank, _ = np.linalg.lstsq(shared.matrix, y, rcond=None)
+    residuals = y - shared.matrix @ coefficients
+    residual_sd = float(np.sqrt(residuals @ residuals / (len(y) - rank)))
     return FittedSpline(
-        coefficients=coefficients,
-        knots=knots,
-        residual_sd=residual_sd,
-        xtx_pinv=xtx_pinv,
-        fit_range=(float(x.min()), float(x.max())),
-        has_covariate=covariate is not None,
-        covariate_collinear=covariate_collinear,
-        n_obs=len(x),
-        rank=int(rank),
-    )
+        **vars(shared), coefficients=coefficients, residual_sd=residual_sd,
+        covariate_collinear=shared.has_covariate and rank < shared.matrix.shape[1],
+        rank=int(rank))
 
 
-def _rows(fitted: FittedSpline, x_new, covariate_new):
-    x_new = np.atleast_1d(np.asarray(x_new, dtype=np.float64))
-    if not np.all(np.isfinite(x_new)):
-        raise InsufficientDataError("x_new must be finite")
-    if fitted.has_covariate:
-        if covariate_new is None:
-            raise InsufficientDataError("fit used a covariate; covariate_new required")
-        covariate_new = np.broadcast_to(
-            np.asarray(covariate_new, dtype=np.float64), x_new.shape)
-    else:
-        covariate_new = None
-    return _design(x_new, covariate_new, fitted.knots)
+def fit(x, y, covariate=None, spec: SplineSpec = SplineSpec()) -> FittedSpline:
+    """Least-squares fit of y on the spline design: ``design`` and then
+    ``fit_design``, whose errors it raises."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if x.ndim != 1 or y.shape != x.shape:
+        raise InsufficientDataError("x and y must be 1-d arrays of equal length")
+    return fit_design(design(x, covariate, spec), y)
 
 
 def predict_many(fitted: FittedSpline, x_new, covariate_new=None):
     """Vectorized (mean, predictive_sd) at new points."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        rows = _rows(fitted, x_new, covariate_new)
-        mean = rows @ fitted.coefficients
-        leverage = np.einsum("ij,jk,ik->i", rows, fitted.xtx_pinv, rows)
-        sd = fitted.residual_sd * np.sqrt(1.0 + np.maximum(leverage, 0.0))
-    bad = np.flatnonzero(~(np.isfinite(mean) & np.isfinite(sd)))
-    if bad.size:
-        raise NumericalInstabilityError(
-            f"non-finite prediction at indices {listed(bad.tolist())}")
-    return mean, sd
+    return fitted.predict_rows(*fitted.rows(x_new, covariate_new))
 
 
 def predict(fitted: FittedSpline, x_new: float, covariate_new: float | None = None):

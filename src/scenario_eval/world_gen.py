@@ -31,6 +31,7 @@ into report tables is the harness's job.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass, fields
 
@@ -201,7 +202,7 @@ def generate(config: ExperimentConfig) -> tuple[TrueWorld, ModelEnsemble]:
             not finite (the message names the fields that drew it).
         NumericalInstabilityError: The solve failed; the message places its
             first failing point in the grid and gives that point's r0,
-            alpha and v.
+            alpha and v, and the overflowing r0 / infectious_period if any.
     """
     L, M = config.n_locations, config.n_models
     scen = np.asarray(config.scenario_values)
@@ -274,10 +275,14 @@ def generate(config: ExperimentConfig) -> tuple[TrueWorld, ModelEnsemble]:
         row, l, j = first = np.unravel_index(exc.indices[0], grid)
         who = "truth" if row == 0 else f"model {row - 1}"
         point = f"scenario {j}" if j < S else "the realized coverage"
+        beta = float(r0[first]) / config.infectious_period
+        hint = ("try a smaller [sir] step" if math.isfinite(beta) else
+                f"its beta = r0 / infectious_period (infectious_period "
+                f"{config.infectious_period:.6g}) overflows, which no [sir] step can fix")
         raise NumericalInstabilityError(
             f"{exc}; the first is {who}, location {l}, {point} with r0 "
             f"{r0[first]:.6g}, alpha {alpha[first]:.6g}, v {v[first]:.6g}; "
-            "try a smaller [sir] step", exc.indices) from exc
+            f"{hint}", exc.indices) from exc
     y_counterfactual = sizes[0, :, :S].copy()
     y_observed = sizes[0, :, S].copy()
     projections = sizes[1:, :, :S].copy()

@@ -173,7 +173,7 @@ class TestErrorRegressionStrategy:
         assert np.array_equal(m0, m1) and np.array_equal(s0, s1)
         # Model 1's samples are model 0's fit drawn with model 1's key.
         counts = approaches._sample_counts(1_000, world.n_locations)
-        drawn = approaches._draw(fits[0], 0.3, world.r0_true, counts,
+        drawn = approaches._draw(fits[0], fits[0].rows([0.3], world.r0_true), counts,
                                  substream(7, KIND_ERROR_SAMPLING, 1, 1, 0))
         assert drawn.tobytes() == result.pooled[(1, 0)].samples.tobytes()
 
@@ -316,6 +316,45 @@ def test_summarize_rows_matches_numpy_bitwise(block):
             got = np.array([s.mean, s.q05, s.q25, s.median, s.q75, s.q95])
             assert got.tobytes() == want.tobytes()
             assert s.n_samples == rows.shape[1]
+
+
+@pytest.mark.parametrize("include_covariate,collinear",
+                         [(False, False), (True, False), (True, True)])
+def test_shared_design_matches_per_model_fits_bitwise(medium_world, include_covariate,
+                                                      collinear):
+    # Strategy 2 builds one design per variant and one fit per model on it;
+    # every figure must keep the bits of a separate fit per model. A
+    # constant true R0 makes the covariate collinear with the intercept.
+    world, ensemble = medium_world
+    if collinear:
+        world = dataclasses.replace(world, r0_true=np.full(world.n_locations, 2.5))
+    L, n_samples, seed = world.n_locations, 40, 3
+    covariate = world.r0_true if include_covariate else None
+    result = infer_error_distribution(world, ensemble, include_covariate, n_samples, seed)
+    shared = spline_fit.design(world.x_realized, covariate)
+    counts = approaches._sample_counts(n_samples, L)
+    for m in range(ensemble.n_models):
+        y = ensemble.reprojection[m] - world.y_observed
+        alone = spline_fit.fit(world.x_realized, y, covariate)
+        together = spline_fit.fit_design(shared, y)
+        for field in ("coefficients", "knots", "xtx_pinv"):
+            assert getattr(together, field).tobytes() == getattr(alone, field).tobytes()
+        assert (together.residual_sd, together.rank) == (alone.residual_sd, alone.rank)
+        assert together.covariate_collinear == alone.covariate_collinear
+        assert together.covariate_collinear == (include_covariate and collinear)
+        for j, x_j in enumerate(world.scenario_values.tolist()):
+            means, sds = together.predict_rows(*shared.rows([x_j], covariate))
+            rng = substream(seed, KIND_ERROR_SAMPLING, int(include_covariate), m, j)
+            if covariate is None:
+                want_means, want_sds = predict_many(alone, [x_j])
+                drawn = sample_predictive(alone, x_j, None, n_samples, rng)
+            else:
+                want_means, want_sds = predict_many(alone, np.full(L, x_j), covariate)
+                drawn = np.concatenate([rng.normal(want_means[l], want_sds[l], counts[l])
+                                        for l in range(L)])
+            assert means.tobytes() == want_means.tobytes()
+            assert sds.tobytes() == want_sds.tobytes()
+            assert drawn.tobytes() == result.pooled[(m, j)].samples.tobytes()
 
 
 def random_world(n_locations, seed):

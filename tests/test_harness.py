@@ -872,6 +872,22 @@ class TestCli:
         err = capsys.readouterr().err
         assert err == "numerical failure: the spline design's cross-products overflow\n"
 
+    def test_overflowing_beta_names_it_instead_of_the_step(self, tmp_path, capsys):
+        # A true R0 near 1e308 over an infectious period of 1e-300 gives an
+        # infinite beta: exit 3, naming the quotient, since no step helps.
+        config = write_config(tmp_path, "[experiment]\nr0_true_high = 1e308\n"
+                              "n_locations = 12\nn_models = 2\n"
+                              "[sir]\ninfectious_period = 1e-300\n"
+                              "[approaches]\nn_samples = 200\n")
+        assert cli.main(["run", "--config", str(config),
+                         "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert "the first is truth, location 0, scenario 0" in err
+        assert ("its beta = r0 / infectious_period (infectious_period 1e-300) "
+                "overflows, which no [sir] step can fix") in err
+        assert "smaller [sir] step" not in err
+        assert "Traceback" not in err
+
     def test_stiff_world_at_default_step_exits_3(self, tmp_path, capsys):
         # Alphas drawn about 1.5 (model centres up to 1.55) are too stiff for
         # the default step. The same world at 1.35 (centres up to 1.4, drawn
@@ -1326,6 +1342,31 @@ def test_benchmark_tracer_sees_every_stage(tmp_path):
         assert counts["approaches.distributions"] == distributions
         assert counts["streams.substreams"] == substreams
         assert counts["approaches.empty_plausible"] == E
+
+
+# Runs and plots the default config; prints the heavy modules each step
+# loaded as the last stdout line.
+LOADED_MODULES = """
+import contextlib, io, json, sys
+heavy = ("numpy.ma", "statistics", "fractions", "decimal")
+from scenario_eval import cli
+loaded = {"import": [name for name in heavy if name in sys.modules]}
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(["run", "--out", sys.argv[1]]), cli.main(["plot", "--in", sys.argv[1]])]
+loaded["run_and_plot"] = [name for name in heavy if name in sys.modules]
+print(json.dumps({"codes": codes, **loaded}))
+"""
+
+
+def test_run_and_plot_leave_numpy_ma_unloaded(tmp_path):
+    # numpy.ma takes about 10 ms to import; np.unique, np.quantile and
+    # np.median load it. statistics loads fractions and decimal.
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-c", LOADED_MODULES, str(tmp_path / "o")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    loaded = json.loads(done.stdout.splitlines()[-1])
+    assert loaded == {"codes": [0, 0], "import": [], "run_and_plot": []}
 
 
 # Small base config for the CLI properties; hypothesis overrides its fields.

@@ -169,3 +169,31 @@ class TestErrorPaths:
     def test_basis_dim_floor(self):
         with pytest.raises(InsufficientDataError):
             SplineSpec(basis_dim=3)
+
+
+class TestKnots:
+    @staticmethod
+    def samples(n, rng):
+        """Uniform values, heavily tied values and values with exact zeros
+        of both signs (a zero order statistic takes np.quantile's path)."""
+        tied = rng.integers(0, 4, n) * 0.1
+        zeros = rng.uniform(-0.5, 0.5, n)
+        zeros[rng.integers(0, n, max(1, n // 3))] = 0.0
+        zeros[rng.integers(0, n, max(1, n // 5))] = -0.0
+        return rng.uniform(0.3, 0.5, n), tied, zeros
+
+    @pytest.mark.parametrize("basis_dim", [4, 5, 6, 7, 8])
+    def test_sorted_knots_match_numpy_quantile_bitwise(self, basis_dim):
+        # design() takes its knots from a sort; they must keep the bits of
+        # np.quantile's linear method at every n a fit accepts.
+        rng = np.random.default_rng(basis_dim)
+        probabilities = np.linspace(0.0, 1.0, basis_dim + 1)
+        sizes = [*range(basis_dim + 2, 80), 97, 128, 255, 256, 511, 999, 1000]
+        for n in sizes:
+            for x in self.samples(n, rng):
+                knots = spline_fit.linear_quantiles(x[None, :], probabilities)[0]
+                assert knots.tobytes() == np.quantile(x, probabilities).tobytes(), (n, x)
+            # The knots design() keeps are these.
+            x = self.samples(n, rng)[0]
+            shared = spline_fit.design(x, spec=SplineSpec(basis_dim))
+            assert shared.knots.tobytes() == np.quantile(x, probabilities).tobytes()
