@@ -30,13 +30,14 @@ views of it, which is therefore read-only. Both return an
 ``InferredResult(pooled, per_location)``. Sampling uses keyed
 substreams: strategy 2 keys include the model, strategy 3 deliberately does
 not, so a single set of inferred observations is shared by all models.
-Both build their distributions one model at a time (``_by_model``). By
-default every model's are collected into the result, each in fresh arrays; a
-``consume`` callback is handed each model's instead, with the sorted copy of
-each scenario's pooled vector, as soon as they are built, so a caller that
-scores them holds one model's samples at a time (``harness.evaluate`` does).
-The arrays handed to ``consume`` are drawn and sorted into the same memory
-for every model of the call, so the next model overwrites them.
+Both build their distributions one (model, scenario) at a time
+(``_by_model``). By default every pair's are collected into the result, each
+in a fresh sample array; a ``consume`` callback is handed each pair's
+instead, with the sorted copy of its pooled vector, as soon as they are
+built, so a caller that scores them holds one pooled vector and its sorted
+copy at a time (``harness.evaluate`` does). Every pair of the call is drawn
+into one sample array and sorted into one buffer, so the next pair
+overwrites what ``consume`` was handed.
 
 Every distribution carries a ``DistributionSummary`` (mean and five
 quantiles). ``summarize_rows`` computes the summaries of a block of
@@ -269,58 +270,52 @@ def _draw(fitted: FittedSpline, rows_at, counts: np.ndarray,
 
 def _distributions(m: int, j: int, samples: np.ndarray, counts: np.ndarray,
                    pooled: dict, per_location: dict | None,
-                   scratch: np.ndarray) -> np.ndarray:
+                   ordered: np.ndarray) -> None:
     """Add (m, j)'s pooled distribution and, unless ``per_location`` is None,
     its per-location ones over read-only row views of chunk lengths
-    ``counts``, one summary block per run of equal lengths. The sorts go to
-    ``scratch``: the pooled one, returned, to row 0, the per-location to 1."""
-    samples = samples.view()   # read-only, while the next model may write the array
+    ``counts``, one summary block per run of equal lengths. Every sort goes
+    to the one buffer ``ordered``: the per-location rows' first, for their
+    summaries, then the pooled vector's, which stays there."""
+    samples = samples.view()   # read-only, while the next pair may write the array
     samples.flags.writeable = False
-    ordered = scratch[0]
-    ordered[...] = samples
-    ordered.sort()
-    (summary,) = summarize_rows(samples[None, :], ordered[None, :])
-    pooled[(m, j)] = ErrorDistribution.make(samples, summary)
-    if per_location is None:
-        return ordered
-    for locations, span in _runs(counts):
+    for locations, span in (() if per_location is None else _runs(counts)):
         rows = samples[span].reshape(locations.size, -1)
-        rows_ordered = scratch[1, span].reshape(rows.shape)
+        rows_ordered = ordered[span].reshape(rows.shape)
         rows_ordered[...] = rows
         rows_ordered.sort()
         for l, row, summary in zip(locations.tolist(), rows,
                                    summarize_rows(rows, rows_ordered)):
             per_location[(m, j, l)] = ErrorDistribution.make(row, summary)
-    return ordered
+    ordered[...] = samples
+    ordered.sort()
+    (summary,) = summarize_rows(samples[None, :], ordered[None, :])
+    pooled[(m, j)] = ErrorDistribution.make(samples, summary)
 
 
 def _by_model(n_models: int, n_scenarios: int, samples_of, counts: np.ndarray,
               located: bool, consume) -> InferredResult:
     """Build the distributions of the samples ``samples_of(m, j, out)``
-    writes to ``out``, in (m, j) order, one model at a time, the
+    writes to ``out``, one (m, j) at a time in (m, j) order, the
     per-location ones only when ``located``; returns them as one result.
 
-    With ``consume``, each model's go to ``consume(part, ordered)`` instead,
-    and the result returned holds none: ``part`` holds that model's
-    distributions only, and ``ordered[j]`` is scenario j's pooled samples,
-    sorted. Every model then draws and sorts into the same arrays per
-    scenario, made once per call, so ``consume`` must copy what it keeps
-    before it returns. Without it, each model gets fresh arrays, as the
-    result keeps them."""
+    With ``consume``, each pair's go to ``consume(part, ordered)`` instead,
+    and the result returned holds none: ``part`` holds that pair's
+    distributions only, and ``ordered[j]`` its pooled samples, sorted. Every
+    pair is then drawn into one sample array and sorted into one buffer,
+    made once per call, so ``consume`` must copy what it keeps before it
+    returns. Without it, each pair gets a fresh sample array, as the result
+    keeps them."""
     n = counts.sum()
     result = InferredResult(pooled={}, per_location={})
-    for m in range(n_models):
-        if m == 0 or consume is None:   # else this model overwrites the last one's
-            arrays = [(np.empty(n), np.empty((2, n))) for _ in range(n_scenarios)]
+    shared, ordered = np.empty(n), np.empty(n)
+    for m, j in np.ndindex(n_models, n_scenarios):
+        kept = np.empty(n) if consume is None else shared
         part = result if consume is None else InferredResult(pooled={}, per_location={})
-        ordered = []
-        for j, (kept, scratch) in enumerate(arrays):
-            samples_of(m, j, kept)
-            ordered.append(_distributions(m, j, kept, counts, part.pooled,
-                                          part.per_location if located else None,
-                                          scratch))
+        samples_of(m, j, kept)
+        _distributions(m, j, kept, counts, part.pooled,
+                       part.per_location if located else None, ordered)
         if consume is not None:
-            consume(part, ordered)
+            consume(part, {j: ordered})
     return result
 
 
@@ -335,10 +330,10 @@ def infer_error_distribution(world: TrueWorld, ensemble: ModelEnsemble,
     then samples the predictive distribution at each scenario coverage. With
     the covariate the prediction is made per location and the ``n_samples``
     budget is split equally across locations before pooling; without it, a
-    single location-generic predictive distribution is sampled. Each model's
-    distributions go to ``consume(part, ordered)`` when it is given; the
-    samples and sorted copies it is handed, read-only as they are, are
-    overwritten by the next model, so it must copy what it keeps (see
+    single location-generic predictive distribution is sampled. Each
+    (model, scenario)'s distributions go to ``consume(part, ordered)`` when
+    it is given; the read-only samples and the sorted copy it is handed are
+    overwritten by the next pair, so it must copy what it keeps (see
     ``_by_model``).
     """
     M, L, S = ensemble.n_models, world.n_locations, world.n_scenarios
@@ -371,9 +366,9 @@ def infer_observations(world: TrueWorld, ensemble: ModelEnsemble,
     Observation samples are drawn once per (scenario, location) from streams
     that do not involve the model, and each model's error samples are its
     projections minus those shared samples, pooled across locations. Each
-    model's distributions go to ``consume(part, ordered)`` when it is given;
-    the samples and sorted copies it is handed, read-only as they are, are
-    overwritten by the next model, so it must copy what it keeps (see
+    (model, scenario)'s distributions go to ``consume(part, ordered)`` when
+    it is given; the read-only samples and the sorted copy it is handed are
+    overwritten by the next pair, so it must copy what it keeps (see
     ``_by_model``).
     """
     M, L, S = ensemble.n_models, world.n_locations, world.n_scenarios

@@ -26,21 +26,21 @@ Everything a report number needs is recomputable from the data CSVs plus
 the seeded sampling procedure; re-running the same config produces byte
 identical data files.
 
-``evaluate`` scores all five variants with one scorer, one model at a
-time: it turns a model's distributions and per-location estimates into
-``report.csv``, ``approach_estimates.csv`` and ``location_mae.csv`` rows;
-only ``a1_deviation.csv`` (strategy 1) and ``implied_obs_ks.csv``
-(strategy 2) have builders of their own. Strategies 2 and 3 hand each
-model's distributions to the scorer as soon as they are drawn
+``evaluate`` scores all five variants with one scorer: it turns
+distributions and per-location estimates into ``report.csv``,
+``approach_estimates.csv`` and ``location_mae.csv`` rows; only
+``a1_deviation.csv`` (strategy 1) and ``implied_obs_ks.csv`` (strategy 2)
+have builders of their own. Strategies 2 and 3 hand each (model,
+scenario)'s distributions to the scorer as soon as they are drawn
 (``approaches``' ``consume`` callback), the KS test of each pooled vector
 reading the sorted copy its summary was made from, and drop them before the
-next model is drawn into the same arrays. So a run holds one model's
-samples at a time, and one model's rows: each model's go to the run's
-``ReportWriter`` as soon as they are built, and a run keeps no row it has
-handed over. The ``EvaluationReport`` it returns holds ``report.csv``'s rows,
-which ``scenario-eval run`` prints, and no strategy result. Callers who
-want the distributions themselves call the strategy functions of
-``approaches``.
+next pair is drawn into the same array. So a run holds one pooled vector
+and its sorted copy at a time, and one model's rows: each model's go to the
+run's ``ReportWriter`` once its last scenario is scored, and a run keeps no
+row it has handed over. The ``EvaluationReport`` it returns holds
+``report.csv``'s rows, which ``scenario-eval run`` prints, and no strategy
+result. Callers who want the distributions themselves call the strategy
+functions of ``approaches``.
 
 This module alone owns the table format. Row values are ``int``, ``float``
 or ``str``, never numpy scalars, and every ``str`` is a bare token of
@@ -61,9 +61,9 @@ described once in README.md, "Report files"; it changes none of the bytes.
 
 from __future__ import annotations
 
+import collections
 import configparser
 import hashlib
-import itertools
 import json
 import math
 import os
@@ -212,8 +212,8 @@ def load_settings(path) -> RunSettings:
 class EvaluationReport:
     """In-memory result of a run: its inputs and ``report.csv``'s rows.
     Every other table went to the writer as it was built, and no strategy
-    result is kept: each model's distributions are scored as soon as they
-    are drawn and then released."""
+    result is kept: each (model, scenario)'s distributions are scored as
+    soon as they are drawn and then released."""
 
     settings: RunSettings
     world: world_gen.TrueWorld
@@ -229,17 +229,25 @@ def evaluate(settings: RunSettings, writer: ReportWriter) -> EvaluationReport:
     they are read, which the run then drops. Then ``writer.add`` gets each
     model's rows by file name as soon as they are scored, the five variants
     of ``approaches.VARIANTS`` in turn; a model's pooled estimate rows come
-    before its per-location ones. One scorer turns a model's distributions
-    into the report, estimate and ``location_mae.csv`` rows of every
-    variant: strategy 1 calls it once per model, and strategies 2 and 3
-    hand it each model's distributions as they are built and then drop
-    them, so only one model's samples and rows are alive at a time. Only
-    ``report.csv``'s rows are kept, in ``VARIANTS`` order, for the report."""
+    before its per-location ones. One scorer turns distributions into the
+    report, estimate and ``location_mae.csv`` rows of every variant:
+    strategy 1 calls it once per model, and strategies 2 and 3 hand it each
+    (model, scenario)'s distributions as they are built and then drop them,
+    so only one pair's samples and one model's rows are alive at a time.
+    Only ``report.csv``'s rows are kept, in ``VARIANTS`` order, for the
+    report."""
     config = settings.experiment
     world, ensemble = world_gen.generate(config)
     errs = world_gen.true_errors(world, ensemble)
     spec = SplineSpec(basis_dim=settings.basis_dim)
     true_errors = errs.tolist()   # [m][l][j], once for every builder call
+    # truth[m, j] holds (m, j)'s true errors and counterfactual[j] scenario
+    # j's true observations, each sorted once for every KS test; the means
+    # are taken before the sort.
+    truth = errs.transpose(0, 2, 1)
+    true_means = [[float(row.mean()) for row in rows] for rows in truth]
+    truth.sort()   # in place: errs is not read again
+    counterfactual = np.sort(world.y_counterfactual, axis=0).T
     writer.start(_world_tables(world, ensemble))
 
     report_rows = []
@@ -248,24 +256,36 @@ def evaluate(settings: RunSettings, writer: ReportWriter) -> EvaluationReport:
     for approach_id, variant in approaches.VARIANTS:
         ids = (approach_id, variant)
 
+        tables = collections.defaultdict(list)   # rows of the model being scored
+        located = []   # its per-location estimate rows, which follow its pooled ones
+
         def score(pooled, ordered, estimates):
-            """One model's report, estimate and ``location_mae.csv`` rows by
-            file name, its report rows also kept, and its per-location
-            estimate rows, the slice after its pooled ones: ``pooled`` maps
-            its (m, j) to a distribution or None (empty), ``ordered[j]``
-            holds scenario j's pooled samples, sorted or not, and
-            ``estimates`` yields its ((m, j, l), summary) per-location
-            estimates. It is read once, so no list of them is held beside
-            their rows: one raised many_models' peak memory."""
+            """Add a model's, or one (m, j)'s, report, estimate and
+            ``location_mae.csv`` rows to ``tables``, the report rows also
+            kept, and return its per-location estimate rows, held in
+            ``located`` until ``hand_over``: ``pooled`` maps (m, j) to a
+            distribution or None (empty), ``ordered[j]`` holds scenario j's
+            pooled samples, sorted or not, and ``estimates`` yields the
+            ((m, j, l), summary) per-location estimates. It is read once, so
+            no list of them is held beside their rows: one raised
+            many_models' peak memory."""
             summaries = [((m, j, POOLED), dist.summary)
                          for (m, j), dist in pooled.items() if dist is not None]
-            rows = _estimate_rows(*ids, itertools.chain(summaries, estimates))
-            located = rows[len(summaries):]
-            tables = {"report.csv": _report_rows(world, errs, ordered, *ids, pooled),
-                      "approach_estimates.csv": rows,
-                      "location_mae.csv": _location_mae_rows(true_errors, located)}
-            report_rows.extend(tables["report.csv"])
-            return tables, located
+            rows = _estimate_rows(*ids, estimates)
+            report = _report_rows(world, truth, true_means, ordered, *ids, pooled)
+            report_rows.extend(report)
+            tables["report.csv"] += report
+            tables["approach_estimates.csv"] += _estimate_rows(*ids, summaries)
+            tables["location_mae.csv"] += _location_mae_rows(true_errors, rows)
+            located.extend(rows)
+            return rows
+
+        def hand_over():
+            """Hand the model's rows to the writer and start the next's."""
+            tables["approach_estimates.csv"] += located
+            writer.add(dict(tables))
+            tables.clear()
+            located.clear()
 
         if approach_id == APPROACH_PLAUSIBLE:
             def plausible(result):
@@ -280,10 +300,10 @@ def evaluate(settings: RunSettings, writer: ReportWriter) -> EvaluationReport:
                     samples = [None if dist is None else dist.samples
                                for dist in pooled.values()]
                     points = (((m, j, l), (errors[l],) * 6 + (1,)) for j, l in chosen)
-                    tables, located = score(pooled, samples, points)
+                    located = score(pooled, samples, points)
                     tables["a1_deviation.csv"] = _a1_deviation_rows(
                         true_errors, deviation, located)
-                    writer.add(tables)
+                    hand_over()
 
             plausible(approaches.evaluate_plausible(
                 world, ensemble, settings.plausibility_threshold))
@@ -292,12 +312,15 @@ def evaluate(settings: RunSettings, writer: ReportWriter) -> EvaluationReport:
             implied = approach_id == APPROACH_ERROR_REGRESSION
 
             def consume(part, ordered):
-                tables, _ = score(part.pooled, ordered, (
+                """Score one (m, j); hand the model over after its last."""
+                [(_, j)] = part.pooled
+                score(part.pooled, ordered, (
                     (key, dist.summary) for key, dist in part.per_location.items()))
                 if implied:
-                    tables["implied_obs_ks.csv"] = _implied_obs_rows(
-                        world, ensemble, variant, part)
-                writer.add(tables)
+                    tables["implied_obs_ks.csv"] += _implied_obs_rows(
+                        world, ensemble, variant, part, counterfactual)
+                if j == world.n_scenarios - 1:
+                    hand_over()
 
             infer = (approaches.infer_error_distribution if implied
                      else approaches.infer_observations)
@@ -313,27 +336,26 @@ REPORT_HEADER = ("approach", "variant", "model_id", "scenario_index", "scenario_
                  "ks_d", "ks_n", "ks_m", "ks_critical", "ks_significant")
 
 
-def _report_rows(world, errs, ordered, approach_id, variant, pooled):
+def _report_rows(world, truth, true_means, ordered, approach_id, variant, pooled):
     """One row per distribution of ``pooled``, (m, j) -> distribution or None
     (empty), in its order; the KS test reads scenario j's samples from
-    ``ordered[j]``."""
+    ``ordered[j]`` and (m, j)'s true errors, sorted, from ``truth[m, j]``,
+    whose mean is ``true_means[m][j]``."""
     rows = []
     for (m, j), dist in pooled.items():
-        true_vec = errs[m, :, j]
+        true_mean = true_means[m][j]
         base = (approach_id, variant, m, j, float(world.scenario_values[j]))
         if dist is None:
-            rows.append(base + (0, "", float(true_vec.mean()), "",
-                                "", "", "", "", ""))
+            rows.append(base + (0, "", true_mean, "", "", "", "", "", ""))
             continue
-        mae = metrics.mae_of_means(dist.summary.mean, true_vec)
         if dist.samples.size >= 5:
-            ks = metrics.ks_two_sample(ordered[j], true_vec)
+            ks = metrics.ks_two_sample(ordered[j], truth[m, j])
             ks_part = (ks.statistic, ks.n, ks.m, ks.critical_value,
                        "true" if ks.significant else "false")
         else:
             ks_part = ("", "", "", "", "")
-        rows.append(base + (dist.samples.size, dist.summary.mean,
-                            float(true_vec.mean()), mae) + ks_part)
+        rows.append(base + (dist.samples.size, dist.summary.mean, true_mean,
+                            abs(dist.summary.mean - true_mean)) + ks_part)
     return rows
 
 
@@ -401,14 +423,15 @@ IMPLIED_OBS_HEADER = ("variant", "model_id", "scenario_index", "ks_d",
                       "ks_critical", "ks_significant")
 
 
-def _implied_obs_rows(world, ensemble, variant, result):
+def _implied_obs_rows(world, ensemble, variant, result, counterfactual):
     """Strategy 2's rows: the KS test of the observations each pooled
-    distribution of ``result`` implies."""
+    distribution of ``result`` implies against scenario j's true
+    observations, sorted, ``counterfactual[j]``."""
     rows = []
     for m, j in result.pooled:
         implied = approaches.implied_observations(result, ensemble, world, m, j)
         implied.sort()   # in place: the KS test then needs no sorted copy
-        ks = metrics.ks_two_sample(implied, world.y_counterfactual[:, j])
+        ks = metrics.ks_two_sample(implied, counterfactual[j])
         rows.append((variant, m, j, ks.statistic, ks.critical_value,
                      "true" if ks.significant else "false"))
     return rows

@@ -103,7 +103,8 @@ def ks_two_sample(a, b, alpha: float = 0.05) -> KsResult:
     the maximum over every pooled point. ``significant`` is True when D
     exceeds the asymptotic critical value at ``alpha``, which must lie in
     (0, 1). A sample already in ascending order, which one O(n) pass
-    checks, is used as it is: D depends only on the sorted values.
+    checks, is used as it is: D depends only on the sorted values. The
+    sorted samples are finite when their ends are.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -113,10 +114,11 @@ def ks_two_sample(a, b, alpha: float = 0.05) -> KsResult:
     if a.size < 5 or b.size < 5:
         raise ParameterDomainError(
             f"ks_two_sample requires n, m >= 5, got {a.size}, {b.size}")
-    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+    a, b = (x if (x[:-1] <= x[1:]).all() else np.sort(x) for x in (a, b))
+    # A NaN fails the ascending check, and numpy sorts it last.
+    if not np.isfinite([a[0], a[-1], b[0], b[-1]]).all():
         raise ParameterDomainError("ks_two_sample requires finite samples")
     critical = ks_critical_value(a.size, b.size, alpha)
-    a, b = (x if (x[:-1] <= x[1:]).all() else np.sort(x) for x in (a, b))
     small, big = (a, b) if a.size <= b.size else (b, a)
     # side="left" gives both CDFs just below each point of small.
     gaps = (np.abs(np.searchsorted(big, small, side) / big.size

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (InsufficientDataError, NumericalInstabilityError,
-                     SingularFitError, listed)
+                     ParameterDomainError, SingularFitError, listed)
 
 
 @dataclass(frozen=True)
@@ -167,6 +167,7 @@ def design(x, covariate=None, spec: SplineSpec = SplineSpec()) -> SplineDesign:
 
     Raises:
         InsufficientDataError: Too few rows, mismatched lengths, or x constant.
+        ParameterDomainError: x or the covariate holds a NaN or inf.
         SingularFitError: The intercept+spline block is rank deficient
             (e.g. heavily tied x values collapse the quantile knots). A
             covariate that is collinear with the block is tolerated: it is
@@ -181,6 +182,9 @@ def design(x, covariate=None, spec: SplineSpec = SplineSpec()) -> SplineDesign:
         covariate = np.asarray(covariate, dtype=np.float64)
         if covariate.shape != x.shape:
             raise InsufficientDataError("covariate must match x in length")
+    for name, values in (("x", x), ("covariate", covariate)):
+        if values is not None and not np.isfinite(values).all():
+            raise ParameterDomainError(f"{name} values must be finite")
     n_cov = 0 if covariate is None else 1
     if len(x) <= spec.basis_dim + n_cov + 1:
         raise InsufficientDataError(

@@ -519,43 +519,41 @@ class TestDistributionContainers:
 @pytest.mark.parametrize("include_covariate", [False, True])
 def test_consume_gets_each_model_in_the_same_arrays(medium_world, infer,
                                                     include_covariate):
-    # While consume runs, the part it is handed holds exactly the collected
-    # result's distributions of that model, in order, with each scenario's
-    # sorted pooled vector at its index; the result returned alongside holds
-    # none. Every model is drawn and sorted into the same arrays per
-    # scenario, so what consume keeps past its return reads the last model's.
+    # consume runs once per (m, j), in (m, j) order. The part it is handed
+    # holds exactly the collected result's distributions of that pair, and
+    # ordered[j] that pair's sorted pooled vector; the result returned
+    # holds none. Every pair is drawn into one sample array and sorted into
+    # one buffer, so what consume keeps past its return reads the last pair's.
     world, ensemble = medium_world
     M, S = ensemble.n_models, world.n_scenarios
     collected = infer(world, ensemble, include_covariate, 500, seed=4)
-    parts = []
+    arrays = []
 
     def consume(part, ordered):
-        m = len(parts)
+        m, j = divmod(len(arrays), S)
         assert type(part) is type(collected) is approaches.InferredResult
-        assert list(part.pooled) == [(m, j) for j in range(S)] and len(ordered) == S
+        assert list(part.pooled) == [(m, j)] and list(ordered) == [j]
         for kept, theirs in ((part.pooled, collected.pooled),
                              (part.per_location, collected.per_location)):
-            assert list(kept) == [key for key in theirs if key[0] == m]
+            assert list(kept) == [key for key in theirs if key[:2] == (m, j)]
             assert all(np.array_equal(dist.samples, theirs[key].samples)
                        and dist.summary == theirs[key].summary
                        for key, dist in kept.items())
-        for (_, j), dist in part.pooled.items():
-            assert np.array_equal(ordered[j], np.sort(dist.samples))
-        parts.append((part, ordered))
+        samples = part.pooled[(m, j)].samples
+        assert all(np.shares_memory(dist.samples, samples)
+                   for dist in part.per_location.values())
+        assert np.array_equal(ordered[j], np.sort(samples))
+        arrays.append((samples, ordered[j]))
 
     consumed = infer(world, ensemble, include_covariate, 500, seed=4, consume=consume)
     assert consumed.pooled == {} and consumed.per_location == {}
-    assert len(parts) == M
-    first, first_ordered = parts[0]
-    for j in range(S):
-        samples, ordered = first.pooled[(0, j)].samples, first_ordered[j]
-        for m, (part, later_ordered) in enumerate(parts):
-            assert np.shares_memory(part.pooled[(m, j)].samples, samples)
-            assert np.shares_memory(later_ordered[j], ordered)
-        assert not any(np.shares_memory(samples, first.pooled[(0, k)].samples)
-                       for k in range(S) if k != j)
-        assert np.array_equal(samples, collected.pooled[(M - 1, j)].samples)
-        assert np.array_equal(ordered, np.sort(samples))
+    assert len(arrays) == M * S
+    samples, ordered = arrays[0]
+    assert all(np.shares_memory(theirs, samples) and np.shares_memory(sorted_, ordered)
+               for theirs, sorted_ in arrays)
+    assert not np.shares_memory(samples, ordered)
+    last = collected.pooled[(M - 1, S - 1)].samples
+    assert np.array_equal(samples, last) and np.array_equal(ordered, np.sort(last))
 
 
 @pytest.mark.parametrize("infer", [infer_error_distribution, infer_observations])

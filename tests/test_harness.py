@@ -576,16 +576,18 @@ def test_evaluate_holds_one_variant_of_samples_at_a_time():
     assert len(writer.tables["report.csv"]) == len(report.report_rows)
 
 
-def test_evaluate_holds_one_model_of_samples_at_a_time():
-    # Strategies 2 and 3 hand each model's distributions to the scorer as
-    # they are built, so the traced peak is a few times one model's pooled
-    # samples (S x n_samples float64): its samples and their sorted copies,
-    # strategy 3's shared observations and a sort's scratch. Holding a whole
-    # variant's (M = 10 models) would peak above ten times that.
+def test_evaluate_holds_one_scenario_of_samples_at_a_time():
+    # Strategies 2 and 3 hand each (model, scenario)'s distributions to the
+    # scorer as they are built, drawn into one sample vector and sorted into
+    # one buffer, so the traced peak is a few times one pooled vector
+    # (n_samples float64): the vector and its sorted copy, strategy 3's
+    # shared observations (S = 2 vectors) and a fresh draw or implied
+    # observations. Holding a whole model's, a vector and a sorted copy per
+    # scenario, peaks above eight times that.
     settings = harness.RunSettings(n_samples=200_000)
     config = settings.experiment
-    one_model = len(config.scenario_values) * settings.n_samples * 8
-    assert config.n_models == 10
+    one_vector = settings.n_samples * 8
+    assert config.n_models == 10 and len(config.scenario_values) == 2
     harness.evaluate(harness.RunSettings(), CollectingWriter())   # warm-up
     tracemalloc.start()
     try:
@@ -594,7 +596,7 @@ def test_evaluate_holds_one_model_of_samples_at_a_time():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak - before < 5 * one_model
+    assert peak - before < 5 * one_vector
     assert len(report.report_rows) == 5 * config.n_models * len(config.scenario_values)
 
 

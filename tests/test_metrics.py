@@ -140,6 +140,21 @@ class TestKsTwoSample:
         with pytest.raises(ParameterDomainError):
             ks_two_sample(np.array([1.0, 2.0]), np.linspace(0, 1, 10))
 
+    @pytest.mark.parametrize("position,value", [(3, np.nan), (0, -np.inf), (-1, np.inf)],
+                             ids=["nan_mid_sample", "minus_inf_first", "plus_inf_last"])
+    def test_non_finite_sample_rejected_from_the_sorted_ends(self, position, value):
+        # Finiteness is read at the ends of each sorted sample: a NaN fails
+        # the ascending check and sorts last; -inf and +inf are ends already.
+        # It is checked before alpha, so a bad alpha does not change the message.
+        ok = np.linspace(0, 1, 10)
+        bad = ok.copy()
+        bad[position] = value
+        for a, b in ((bad, ok), (ok, bad), (bad, bad)):
+            for alpha in (0.05, 2.0):
+                with pytest.raises(ParameterDomainError,
+                                   match="^ks_two_sample requires finite samples$"):
+                    ks_two_sample(a, b, alpha)
+
     def test_non_1d_samples_and_bad_alpha_rejected(self):
         ok = np.linspace(0, 1, 10)
         for bad in (np.ones((2, 5)), np.ones((5, 2)), np.float64(1.0)):

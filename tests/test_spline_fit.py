@@ -3,7 +3,7 @@ import pytest
 
 from scenario_eval import spline_fit
 from scenario_eval.errors import (InsufficientDataError, NumericalInstabilityError,
-                                  SingularFitError)
+                                  ParameterDomainError, SingularFitError)
 from scenario_eval.spline_fit import (
     SplineSpec,
     fit,
@@ -153,6 +153,17 @@ class TestErrorPaths:
         # traceback from the CLI, after an overflow warning.
         with pytest.raises(NumericalInstabilityError):
             fit(x_grid, x_grid, covariate=np.full(x_grid.size, 1e300))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_x_or_covariate_named(self, x_grid, bad):
+        # Named as the cause: such a value would otherwise pass the knot
+        # checks and fail as an overflow of the design's cross-products.
+        broken = x_grid.copy()
+        broken[7] = bad
+        with pytest.raises(ParameterDomainError, match="^x values must be finite"):
+            fit(broken, np.zeros(x_grid.size))
+        with pytest.raises(ParameterDomainError, match="^covariate values must be finite"):
+            spline_fit.design(x_grid, broken)
 
     def test_mismatched_lengths(self):
         with pytest.raises(InsufficientDataError):
