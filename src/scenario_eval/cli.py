@@ -12,6 +12,7 @@ machine; 3 numerical failure (NumericalInstabilityError).
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .errors import ConfigError, NumericalInstabilityError, ScenarioEvalError
@@ -46,9 +47,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _directory(value: str | None, flag: str) -> str | None:
     """``value`` of a directory flag; an empty one is an error rather than
-    the current directory."""
+    the current directory, and so is one naming a file."""
     if value == "":
         raise ConfigError("must name a directory, got an empty string", flag)
+    if value is not None and os.path.exists(value) and not os.path.isdir(value):
+        raise ConfigError(f"{value} is not a directory", flag)
     return value
 
 

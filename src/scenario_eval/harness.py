@@ -259,11 +259,12 @@ def evaluate(settings: RunSettings, writer: ReportWriter) -> EvaluationReport:
         tables = collections.defaultdict(list)   # rows of the model being scored
         located = []   # its per-location estimate rows, which follow its pooled ones
 
-        def score(pooled, ordered, estimates):
+        def score(pooled, ordered, estimates, last=True, deviation=None):
             """Add a model's, or one (m, j)'s, report, estimate and
             ``location_mae.csv`` rows to ``tables``, the report rows also
-            kept, and return its per-location estimate rows, held in
-            ``located`` until ``hand_over``: ``pooled`` maps (m, j) to a
+            kept, and strategy 1's ``a1_deviation.csv`` rows from each
+            location's ``deviation`` when given; after the model's ``last``
+            part, hand its rows to the writer. ``pooled`` maps (m, j) to a
             distribution or None (empty), ``ordered[j]`` holds scenario j's
             pooled samples, sorted or not, and ``estimates`` yields the
             ((m, j, l), summary) per-location estimates. It is read once, so
@@ -277,50 +278,41 @@ def evaluate(settings: RunSettings, writer: ReportWriter) -> EvaluationReport:
             tables["report.csv"] += report
             tables["approach_estimates.csv"] += _estimate_rows(*ids, summaries)
             tables["location_mae.csv"] += _location_mae_rows(true_errors, rows)
+            if deviation is not None:
+                tables["a1_deviation.csv"] += _a1_deviation_rows(true_errors, deviation, rows)
             located.extend(rows)
-            return rows
-
-        def hand_over():
-            """Hand the model's rows to the writer and start the next's."""
-            tables["approach_estimates.csv"] += located
-            writer.add(dict(tables))
-            tables.clear()
-            located.clear()
+            if last:
+                tables["approach_estimates.csv"] += located
+                writer.add(dict(tables))
+                tables.clear()
+                located.clear()
 
         if approach_id == APPROACH_PLAUSIBLE:
-            def plausible(result):
-                """Score strategy 1 one model at a time, its point errors
-                as one-sample estimates; what it holds goes on return."""
-                chosen = [(j, l) for l, j in
-                          enumerate(result.selection.chosen_index.tolist()) if j >= 0]
-                deviation = result.selection.deviation.tolist()
-                for m, errors in enumerate(result.point_errors.tolist()):
-                    pooled = {(m, j): result.pooled[(m, j)]
-                              for j in range(world.n_scenarios)}
-                    samples = [None if dist is None else dist.samples
-                               for dist in pooled.values()]
-                    points = (((m, j, l), (errors[l],) * 6 + (1,)) for j, l in chosen)
-                    located = score(pooled, samples, points)
-                    tables["a1_deviation.csv"] = _a1_deviation_rows(
-                        true_errors, deviation, located)
-                    hand_over()
-
-            plausible(approaches.evaluate_plausible(
-                world, ensemble, settings.plausibility_threshold))
+            # Strategy 1 is scored one model at a time, its point errors as
+            # one-sample estimates.
+            result = approaches.evaluate_plausible(
+                world, ensemble, settings.plausibility_threshold)
+            chosen = [(j, l) for l, j in
+                      enumerate(result.selection.chosen_index.tolist()) if j >= 0]
+            deviation = result.selection.deviation.tolist()
+            for m, errors in enumerate(result.point_errors.tolist()):
+                pooled = {(m, j): result.pooled[(m, j)] for j in range(world.n_scenarios)}
+                samples = [None if dist is None else dist.samples for dist in pooled.values()]
+                score(pooled, samples, (((m, j, l), (errors[l],) * 6 + (1,)) for j, l in chosen),
+                      deviation=deviation)
         else:
             # Only strategy 2's error samples imply observations to test.
             implied = approach_id == APPROACH_ERROR_REGRESSION
 
             def consume(part, ordered):
-                """Score one (m, j); hand the model over after its last."""
+                """Score one (m, j); the model's last is its last scenario."""
                 [(_, j)] = part.pooled
-                score(part.pooled, ordered, (
-                    (key, dist.summary) for key, dist in part.per_location.items()))
                 if implied:
                     tables["implied_obs_ks.csv"] += _implied_obs_rows(
                         world, ensemble, variant, part, counterfactual)
-                if j == world.n_scenarios - 1:
-                    hand_over()
+                score(part.pooled, ordered, (
+                    (key, dist.summary) for key, dist in part.per_location.items()),
+                    j == world.n_scenarios - 1)
 
             infer = (approaches.infer_error_distribution if implied
                      else approaches.infer_observations)

@@ -7,16 +7,15 @@ adding or removing one entity (a location, a model, a sampling pass) never
 shifts the draws of any other entity.
 
 ``substream(seed, *key)`` draws bit-identically to
-``np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))``. It
-does ``SeedSequence``'s documented pool mixing itself, as a left fold over
-the uint32 words of the seed and the key:
+``np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))``:
 
-* the pool and hash constant after ``(seed, *key[:-1])`` are memoized
-  (``_pool``, plain integer code);
-* the PCG64 seeds of ``BLOCK`` consecutive final key words are mixed by the
-  same fold, over columns of uint32 keys, and memoized (``_block``, at most
-  ``BLOCK_CACHE`` blocks). Callers that walk the final word in order, as
-  ``world_gen`` and ``approaches`` do, mix each block once.
+* numpy mixes the seed and the key prefix ``key[:-1]`` into its pool
+  (``SeedSequence(seed, spawn_key=prefix).pool``);
+* the final key word is mixed into that pool by ``SeedSequence``'s
+  documented fold, for ``BLOCK`` consecutive final words at once over
+  columns of uint32 keys, and their PCG64 seeds are memoized (``_block``, at
+  most ``BLOCK_CACHE`` blocks). Callers that walk the final word in order,
+  as ``world_gen`` and ``approaches`` do, mix each block once.
 
 The returned generator's ``bit_generator.seed_seq`` holds only its PCG64
 seed, not a ``SeedSequence``, so ``Generator.spawn`` is not offered.
@@ -45,22 +44,19 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 
 
-def _constants(h: int, mult: int, n: int) -> list:
-    """``h`` and the next ``n`` hash constants after it."""
-    out = [h]
-    for _ in range(n):
-        out.append(out[-1] * mult & _MASK)
-    return out
+def _constant(init: int, mult: int, k: int) -> int:
+    """The hash constant after ``k`` steps from ``init``."""
+    return init * pow(mult, k, 1 << 32) & _MASK
 
 
 # generate_state(4, uint64) reads the pool twice round, eight uint32 words.
-_STATE_HASH = _constants(_INIT_B, _MULT_B, 2 * _POOL)
+_STATE_HASH = [_constant(_INIT_B, _MULT_B, k) for k in range(2 * _POOL + 1)]
 _STATE_XOR = np.array(_STATE_HASH[:-1], dtype=np.uint32)
 _STATE_MUL = np.array(_STATE_HASH[1:], dtype=np.uint32)
 
 
 def _hashmix(value, xor, mul):
-    """SeedSequence's hashmix of uint32 ``value`` (ints or uint32 arrays)."""
+    """SeedSequence's hashmix of the uint32 array ``value``."""
     value = (value ^ xor) * mul & _MASK
     return value ^ value >> 16
 
@@ -93,38 +89,13 @@ def _uint32s(n: int) -> list:
     return words
 
 
-def _fold(pool: list, h: int, words) -> tuple:
+def _fold(pool: list, h: int, words) -> list:
     """Mix each of ``words`` into every pool word, from hash constant ``h``."""
     for word in words:
         for dst in range(_POOL):
             xor, h = h, h * _MULT_A & _MASK
             pool[dst] = _mix(pool[dst], _hashmix(word, xor, h))
-    return pool, h
-
-
-@lru_cache(maxsize=16)
-def _pool(seed: int, *prefix: int) -> tuple:
-    """The pool (a tuple of four uint32 ints) and the hash constant after
-    mixing ``seed`` and the key words ``prefix``."""
-    if prefix:
-        pool, h = _pool(seed, *prefix[:-1])
-        pool, h = _fold(list(pool), h, _uint32s(prefix[-1]))
-        return tuple(pool), h
-    # A keyed seed is padded to the pool size, so no key word enters the pool
-    # directly; with no key the padding changes nothing.
-    entropy = _uint32s(seed)
-    entropy += [0] * (_POOL - len(entropy))
-    pool, h = [], _INIT_A
-    for word in entropy[:_POOL]:
-        xor, h = h, h * _MULT_A & _MASK
-        pool.append(_hashmix(word, xor, h))
-    for src in range(_POOL):
-        for dst in range(_POOL):
-            if src != dst:
-                xor, h = h, h * _MULT_A & _MASK
-                pool[dst] = _mix(pool[dst], _hashmix(pool[src], xor, h))
-    pool, h = _fold(pool, h, entropy[_POOL:])
-    return tuple(pool), h
+    return pool
 
 
 def _seeds(pool) -> np.ndarray:
@@ -138,7 +109,11 @@ def _seeds(pool) -> np.ndarray:
 def _block(seed: int, prefix: tuple, base: int) -> np.ndarray:
     """The PCG64 seeds of keys ``(*prefix, base + i)`` for i < ``BLOCK``,
     one row of four uint64 each; ``base`` is a multiple of ``BLOCK``."""
-    pool, h = _pool(seed, *prefix)
+    pool = np.random.SeedSequence(seed, spawn_key=prefix).pool
+    # numpy hashmixes each entropy word into every pool word, one hash
+    # constant step each, after padding a keyed seed to the pool size.
+    n_words = max(len(_uint32s(seed)), _POOL) + sum(len(_uint32s(k)) for k in prefix)
+    h = _constant(_INIT_A, _MULT_A, _POOL * n_words)
     low, *high = _uint32s(base)
     # Each pool and key word is a column of BLOCK uint32 keys: a Python int
     # overflows numpy's uint32 in _mix, and a numpy uint32 scalar warns when
@@ -146,7 +121,7 @@ def _block(seed: int, prefix: tuple, base: int) -> np.ndarray:
     # BLOCK divides 2**32.
     words = [np.arange(low, low + BLOCK, dtype=np.uint32),
              *(np.full(BLOCK, w, np.uint32) for w in high)]
-    pool, _ = _fold([np.full(BLOCK, w, np.uint32) for w in pool], h, words)
+    pool = _fold([np.full(BLOCK, w, np.uint32) for w in pool], h, words)
     return _seeds(np.column_stack(pool))
 
 
@@ -177,5 +152,5 @@ def substream(seed: int, *key: int) -> np.random.Generator:
         *prefix, last = key
         state = _block(seed, tuple(prefix), last - last % BLOCK)[last % BLOCK].copy()
     else:
-        state = _seeds(np.array([_pool(seed)[0]], dtype=np.uint32))[0]
+        state = np.random.SeedSequence(seed).generate_state(4, np.uint64)
     return np.random.Generator(np.random.PCG64(_Seeded(state)))

@@ -135,6 +135,18 @@ class ExperimentConfig:
                               "x_realized_range")
         if self.r0_true_range[0] < 0:
             raise ConfigError("R0 range must not go below 0", "r0_true_range")
+        # Every solve starts from s = 1 - v > i0. Drawn coverage lies in
+        # [low, high], high included: uniform draws can round up to it.
+        if not self.i0 > 0:
+            raise ConfigError(f"must be > 0, got {self.i0}", "initial_infected")
+        if not self.i0 < 1 - values[-1]:
+            raise ConfigError(f"initial_infected {self.i0} must be below 1 - v for every "
+                              f"scenario value v, and the largest is {values[-1]}",
+                              "initial_infected/scenario_values")
+        if not self.i0 < 1 - self.x_realized_range[1]:
+            raise ConfigError(f"initial_infected {self.i0} must be below 1 - "
+                              f"x_realized_high, and x_realized_high is "
+                              f"{self.x_realized_range[1]}", "initial_infected/x_realized_high")
         for name in ("alpha_true_sd", "global_bias_sd", "local_bias_sd",
                      "alpha_model_sd"):
             if getattr(self, name) < 0:

@@ -993,6 +993,31 @@ class TestCli:
     def test_missing_plot_inputs_exit_2(self, tmp_path, capsys):
         assert cli.main(["plot", "--in", str(tmp_path / "empty")]) == 2
 
+    def test_plot_in_a_file_exit_2(self, tmp_path, capsys):
+        report = tmp_path / "report.csv"
+        report.write_text("", encoding="utf-8")
+        assert cli.main(["plot", "--in", str(report)]) == 2
+        assert capsys.readouterr().err == (
+            f"configuration error: --in: {report} is not a directory\n")
+
+    @pytest.mark.parametrize("text, keys", [
+        ("[experiment]\nx_realized_high = 0.9995\n", "initial_infected/x_realized_high"),
+        ("[experiment]\nscenario_values = 0.3 0.9995\n", "initial_infected/scenario_values"),
+        ("[sir]\ninitial_infected = 0.6\n", "initial_infected/scenario_values"),
+        ("[sir]\ninitial_infected = 0\n", "initial_infected"),
+    ])
+    def test_initial_infected_above_susceptible_names_its_keys(self, tmp_path, capsys,
+                                                                text, keys):
+        # A coverage drawn up to x_realized_high once reached the solver,
+        # which failed at seed 21 and not at seed 20.
+        config = write_config(tmp_path, text)
+        for seed in ("20", "21"):
+            assert cli.main(["run", "--config", str(config), "--seed", seed,
+                             "--out", str(tmp_path / "o")]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"configuration error: {keys}: "), err
+            assert "i0" not in err
+
     @pytest.mark.parametrize("name, edit", [
         ("world.csv", lambda text: "garbage\n"),
         ("world.csv", lambda text: text.splitlines()[0] + "\n"),
